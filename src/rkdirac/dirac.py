@@ -63,8 +63,7 @@ def block_norms(
     b: BlockCommutator, depth: int, tol: float = 1e-12, method: str = "auto"
 ) -> Tuple[float, float]:
     """(upper, lower) block norms at the given input depth."""
-    eu = spectra.operator_norm(assemble(b.upper, depth), tol=tol, method=method)
-    el = spectra.operator_norm(assemble(b.lower, depth), tol=tol, method=method)
+    _, eu, el = spectra.block_pair_norm(b.upper, b.lower, depth, tol=tol, method=method)
     return eu.value, el.value
 
 

@@ -81,10 +81,11 @@ def koopman_overlap(psi: DyadicFunction) -> float:
     _require_unit(psi)
     direct = inner(koopman_apply(psi), psi)
     from_coeffs = koopman_overlap_from_coeffs(to_haar(psi))
-    assert abs(direct - from_coeffs) <= 1e-12, (
-        f"coefficient formula for <K psi, psi> disagrees with the direct value: "
-        f"{from_coeffs!r} vs {direct!r}"
-    )
+    if not abs(direct - from_coeffs) <= 1e-12:
+        raise ValueError(
+            f"coefficient formula for <K psi, psi> disagrees with the direct value: "
+            f"{from_coeffs!r} vs {direct!r}"
+        )
     return direct
 
 

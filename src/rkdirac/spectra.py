@@ -1,32 +1,50 @@
-"""Operator-norm (largest singular value) estimation for assembled maps.
+"""Operator-norm (largest singular value) estimation.
 
-The power path iterates on the normal-equations operator A^T A (always on the
-smaller of the two sides, since blocks map between depth spaces of different
-dimension).  Start vectors are deterministic: the normalized all-ones vector
-plus one fixed-seed pseudorandom vector.  The second start is not optional
-decoration: many commutator blocks here have zero-mean leading singular
-vectors, which are exactly orthogonal to the all-ones start, and a single
-deterministic start would converge cleanly to the wrong singular value.
-Stagnation triggers one further seeded restart; remaining non-convergence
-falls back to a dense solve.
+``operator_norm`` is the one entry point.  It takes a dense matrix (an
+ndarray or an ``AssembledMap``) or a ``BoundOperator``: an operator spec
+bound to an input depth, with ``shape``, a batched ``matvec`` (A.X) and a
+batched ``rmatvec`` (A^T.Y, the exact symbolic adjoint followed by averaging
+onto the input depth).  Either way it works on the Gram operator of the
+smaller side, A^T A when A has no more columns than rows and A A^T
+otherwise, so blocks between depth spaces of different dimension cost the
+smaller dimension n.
 
-Dense solves are used directly for small problems (min dimension <= 1024),
-where they are both cheap and certain to meet the accuracy target.
+Which path runs:
+
+* dense, when n <= DENSE_CUTOFF (1024) under method="auto", always under
+  method="dense", and as the fallback: ``eigvalsh`` of the n x n Gram.  For
+  a bound operator the Gram is built by applying the Gram operator to
+  identity column chunks, so the rectangular block is never held next to
+  it.  Memory: one n x n Gram (8 MB at n = 1024, 128 MB at n = 4096).
+* power, otherwise: power iteration on the Gram operator.  For a bound
+  operator it runs matrix-free on length-n vectors, with O(2**d) memory per
+  vector at depth d.
+
+The power path's start vectors are deterministic: the normalized all-ones
+vector plus one fixed-seed pseudorandom vector.  The second start is not
+optional decoration: many commutator blocks here have zero-mean leading
+singular vectors, which are exactly orthogonal to the all-ones start, and a
+single deterministic start would converge cleanly to the wrong singular
+value.  Stagnation triggers one further seeded restart; remaining
+non-convergence falls back to the dense solve (unless method="power").
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, List, Union
+from typing import Callable, Iterable, List, Tuple, Union
 
 import math
 
 import numpy as np
 
-from .transfer import AssembledMap, OperatorSpec, assemble, dirac_blocks
+from .transfer import AssembledMap, BoundOperator, OperatorSpec, apply_to_identity, dirac_blocks
+from .transfer import assemble  # noqa: F401  -- re-exported as spectra.assemble
 
 DENSE_CUTOFF = 1024
 _START_SEED = 0x5EED
+
+Operand = Union[AssembledMap, BoundOperator, np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -35,6 +53,11 @@ class NormEstimate:
     iterations: int
     converged: bool
     method: str  # "power" or "dense"
+
+    @property
+    def fallback(self) -> bool:
+        """True when the power path ran and a dense solve replaced its result."""
+        return self.method == "dense" and self.iterations > 0
 
 
 def _as_matrix(m: Union[AssembledMap, np.ndarray]) -> np.ndarray:
@@ -46,10 +69,23 @@ def _as_matrix(m: Union[AssembledMap, np.ndarray]) -> np.ndarray:
     return a
 
 
-def _dense_sigma_max(a: np.ndarray) -> float:
-    if min(a.shape) == 0:
+def _gram(m: Operand) -> Tuple[int, int, Callable[[np.ndarray], np.ndarray]]:
+    """(n, larger side, V -> G V) for the Gram operator G of the smaller side of m."""
+    if isinstance(m, BoundOperator):
+        (rows, cols), matvec, rmatvec = m.shape, m.matvec, m.rmatvec
+    else:
+        a = _as_matrix(m)
+        (rows, cols), matvec, rmatvec = a.shape, a.__matmul__, a.T.__matmul__
+    if cols <= rows:
+        return cols, rows, lambda v: rmatvec(matvec(v))
+    return rows, cols, lambda v: matvec(rmatvec(v))
+
+
+def _dense_sigma_max(n: int, width: int, gram_apply) -> float:
+    if n == 0:
         return 0.0
-    return float(np.linalg.svd(a, compute_uv=False)[0])
+    lam = float(np.linalg.eigvalsh(apply_to_identity(gram_apply, (n, n), width))[-1])
+    return math.sqrt(max(lam, 0.0))
 
 
 def _power_run(gram_apply, start: np.ndarray, tol: float, max_iter: int):
@@ -81,16 +117,9 @@ def _power_run(gram_apply, start: np.ndarray, tol: float, max_iter: int):
     return (lam_prev if lam_prev is not None else 0.0), max_iter, False
 
 
-def _power_sigma_max(a: np.ndarray, tol: float, max_iter: int):
-    rows, cols = a.shape
-    if min(rows, cols) == 0 or not a.any():
+def _power_sigma_max(dim: int, gram_apply, tol: float, max_iter: int):
+    if dim == 0:
         return 0.0, 0, True
-    if cols <= rows:
-        dim = cols
-        gram_apply = lambda v: a.T @ (a @ v)
-    else:
-        dim = rows
-        gram_apply = lambda v: a @ (a.T @ v)
     rng = np.random.default_rng(_START_SEED)
     starts = [np.ones(dim), rng.standard_normal(dim)]
     best_lam, total_it, best_ok = -np.inf, 0, False
@@ -109,28 +138,29 @@ def _power_sigma_max(a: np.ndarray, tol: float, max_iter: int):
 
 
 def operator_norm(
-    m: Union[AssembledMap, np.ndarray],
+    m: Operand,
     tol: float = 1e-12,
     max_iter: int = 20000,
     method: str = "auto",
 ) -> NormEstimate:
-    """Largest singular value of an assembled map.
+    """Largest singular value of a matrix, an assembled map or a bound operator.
 
     method="power" forces the power path (no fallback), method="dense" forces
-    a dense solve, method="auto" picks dense for small matrices and falls back
-    to dense whenever the power path fails to converge.
+    a dense solve, method="auto" picks dense when the smaller side is at most
+    DENSE_CUTOFF and falls back to dense whenever the power path fails to
+    converge.
     """
-    a = _as_matrix(m)
+    n, width, gram_apply = _gram(m)
     if method not in ("auto", "power", "dense"):
         raise ValueError(f"unknown method {method!r}")
-    if method == "dense" or (method == "auto" and min(a.shape) <= DENSE_CUTOFF):
-        return NormEstimate(_dense_sigma_max(a), 0, True, "dense")
-    sigma, iters, ok = _power_sigma_max(a, tol, max_iter)
+    if method == "dense" or (method == "auto" and n <= DENSE_CUTOFF):
+        return NormEstimate(_dense_sigma_max(n, width, gram_apply), 0, True, "dense")
+    sigma, iters, ok = _power_sigma_max(n, gram_apply, tol, max_iter)
     if method == "power":
         return NormEstimate(sigma, iters, ok, "power")
     if ok:
         return NormEstimate(sigma, iters, True, "power")
-    return NormEstimate(_dense_sigma_max(a), iters, True, "dense")
+    return NormEstimate(_dense_sigma_max(n, width, gram_apply), iters, True, "dense")
 
 
 def block_pair_norm(
@@ -139,14 +169,14 @@ def block_pair_norm(
     depth: int,
     tol: float = 1e-12,
     method: str = "auto",
-):
+) -> Tuple[float, NormEstimate, NormEstimate]:
     """Norms of an anti-diagonal block pair at a given input depth.
 
     Returns (value, upper_estimate, lower_estimate); the block-operator norm
     is the max of the two block norms.
     """
-    eu = operator_norm(assemble(upper, depth), tol=tol, method=method)
-    el = operator_norm(assemble(lower, depth), tol=tol, method=method)
+    eu = operator_norm(BoundOperator(upper, depth), tol=tol, method=method)
+    el = operator_norm(BoundOperator(lower, depth), tol=tol, method=method)
     return max(eu.value, el.value), eu, el
 
 

@@ -8,45 +8,112 @@ Conventions:
 * ``koopman_apply`` composes with the shift, ``(K f)[a u] = f[u]``; it raises
   the depth by one and preserves inner products.
 * Operators never compress their codomain: when an output is representable at
-  a coarser depth it may be returned there, but assembled matrices always
-  refine every column to a common output depth, which can only be finer.
-  Refinement is isometric, so norms are unaffected.
+  a coarser depth it may be returned there, but matrices and bound operators
+  always refine every image to a common output depth, which can only be
+  finer.  Refinement is isometric, so norms are unaffected.
 
-Matrix assembly works in orthonormal coordinates: the depth-d coordinate
-vector of f is ``values(f) * 2**(-d/2)``, i.e. coefficients over the basis
-of normalized indicators ``2**(d/2) * chi_[w]``.
+Batched kernels.  Every :class:`OperatorSpec` has one batched kernel,
+``apply_batch``, acting on an array of cylinder values whose axis 0 has 2**d
+rows: a 1-D array is one depth-d function, a ``(2**d, k)`` array is k of
+them, one per column.  The depth comes from the row count, and the result
+has the row count of the depth the kernel lands at.  The DyadicFunction
+functions (``ruelle_apply`` ... ``kernel_projection``) and
+``OperatorSpec.apply`` are thin wrappers over these kernels.
+
+Linear maps work in orthonormal coordinates: the depth-d coordinate vector of
+f is ``values(f) * 2**(-d/2)``, i.e. coefficients over the basis of
+normalized indicators ``2**(d/2) * chi_[w]``.  ``BoundOperator(op, d)`` is op
+on the depth-d space as such a map, without a matrix: ``matvec`` is A.X and
+``rmatvec`` is A^T.Y, the exact symbolic ``adjoint()`` followed by averaging
+onto the depth-d space.  Each column costs O(2**max(d, out_depth)) memory.
+``assemble`` materializes the matrix by applying ``matvec`` to identity column
+chunks of about ``CHUNK_BYTES`` each; the norm engine never calls it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence, Tuple
+from dataclasses import dataclass, field
+from typing import Callable, Sequence, Tuple
 
 import numpy as np
 
-from .dyadic import (
-    DyadicFunction,
-    MAX_DEPTH,
-    inner,
-    l2_norm,
-    pointwise_mul,
-    refine,
-)
+from .dyadic import DyadicFunction, MAX_DEPTH, inner, l2_norm, refine
+
+CHUNK_BYTES = 4 << 20  # identity columns per batched apply, in bytes of the widest side
+
+
+# ---------------------------------------------------------------------------
+# Batched kernels on arrays of cylinder values (axis 0 indexes cylinders).
+
+
+def _depth(x: np.ndarray) -> int:
+    return x.shape[0].bit_length() - 1
+
+
+def _refine_rows(x: np.ndarray, depth: int) -> np.ndarray:
+    """x re-expressed at a depth no coarser than its own: rows repeat over child cylinders."""
+    r = (1 << depth) // x.shape[0]
+    return x if r == 1 else np.repeat(x, r, axis=0)
+
+
+def _rows(v: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """The 1-D array v shaped to scale the rows of x."""
+    return v.reshape(v.shape + (1,) * (x.ndim - 1))
+
+
+def _ruelle(x: np.ndarray) -> np.ndarray:
+    if x.shape[0] == 1:
+        return x
+    half = x.shape[0] // 2
+    return 0.5 * (x[:half] + x[half:])
+
+
+def _koopman(x: np.ndarray) -> np.ndarray:
+    if _depth(x) + 1 > MAX_DEPTH:
+        raise ValueError(f"depth cap {MAX_DEPTH} exceeded")
+    return np.concatenate([x, x])
+
+
+def _condexp(n: int, x: np.ndarray) -> np.ndarray:
+    for _ in range(n):
+        x = _ruelle(x)
+    for _ in range(n):
+        x = _koopman(x)
+    return x
+
+
+def _kernel_proj(x: np.ndarray) -> np.ndarray:
+    y = _condexp(1, x)
+    return _refine_rows(x, _depth(y)) - y
+
+
+def _mult(f: np.ndarray, x: np.ndarray) -> np.ndarray:
+    depth = max(_depth(f), _depth(x))
+    return _rows(_refine_rows(f, depth), x) * _refine_rows(x, depth)
+
+
+def _proj(psi: np.ndarray, x: np.ndarray) -> np.ndarray:
+    depth = max(_depth(psi), _depth(x))
+    overlaps = (_refine_rows(x, depth).T @ _refine_rows(psi, depth)) * 2.0 ** (-depth)
+    return np.multiply.outer(psi, overlaps)
+
+
+def _function(values: np.ndarray) -> DyadicFunction:
+    return DyadicFunction(_depth(values), values)
+
+
+# ---------------------------------------------------------------------------
+# The same operators on DyadicFunction values.
 
 
 def ruelle_apply(f: DyadicFunction) -> DyadicFunction:
     """Average over preimages; output depth max(d - 1, 0)."""
-    if f.depth == 0:
-        return DyadicFunction(0, f.values)
-    half = 1 << (f.depth - 1)
-    return DyadicFunction(f.depth - 1, 0.5 * (f.values[:half] + f.values[half:]))
+    return _function(_ruelle(f.values))
 
 
 def koopman_apply(f: DyadicFunction) -> DyadicFunction:
     """Compose with the shift; output depth d + 1."""
-    if f.depth + 1 > MAX_DEPTH:
-        raise ValueError(f"depth cap {MAX_DEPTH} exceeded")
-    return DyadicFunction(f.depth + 1, np.concatenate([f.values, f.values]))
+    return _function(_koopman(f.values))
 
 
 def adjoint_check(f: DyadicFunction, g: DyadicFunction) -> Tuple[float, float]:
@@ -58,28 +125,23 @@ def cond_expectation(n: int, f: DyadicFunction) -> DyadicFunction:
     """K^n L^n f: conditional expectation onto functions ignoring the first n symbols."""
     if n < 1:
         raise ValueError("conditional expectation order must be >= 1")
-    g = f
-    for _ in range(n):
-        g = ruelle_apply(g)
-    for _ in range(n):
-        g = koopman_apply(g)
-    return g
+    return _function(_condexp(n, f.values))
 
 
 def kernel_projection(f: DyadicFunction) -> DyadicFunction:
     """Orthogonal projection onto ker L, computed as f - K L f."""
-    return f - cond_expectation(1, f)
+    return _function(_kernel_proj(f.values))
 
 
 def mult_apply(f: DyadicFunction, g: DyadicFunction) -> DyadicFunction:
     """Multiplication operator M_f applied to g."""
-    return pointwise_mul(f, g)
+    return _function(_mult(f.values, g.values))
 
 
 def projection_apply(psi: DyadicFunction, phi: DyadicFunction) -> DyadicFunction:
     """Rank-one projection <phi, psi> psi; psi must be a unit vector."""
     _require_unit(psi)
-    return psi * inner(phi, psi)
+    return _function(_proj(psi.values, phi.values))
 
 
 def _require_unit(psi: DyadicFunction, tol: float = 1e-9) -> None:
@@ -95,10 +157,14 @@ def _require_unit(psi: DyadicFunction, tol: float = 1e-9) -> None:
 class OperatorSpec:
     """A linear operator between depth spaces, applied lazily.
 
-    Subclasses provide ``apply`` (exact application to a DyadicFunction),
-    ``out_depth`` (the assembled output depth for a given input depth) and
+    Subclasses provide ``apply_batch`` (the batched kernel on cylinder-value
+    arrays), ``apply`` (the same on a DyadicFunction), ``out_depth`` (the
+    output depth of matrices and bound operators for a given input depth) and
     ``adjoint`` (the symbolic Hilbert adjoint, exact on the full space).
     """
+
+    def apply_batch(self, x: np.ndarray) -> np.ndarray:
+        raise NotImplementedError
 
     def apply(self, f: DyadicFunction) -> DyadicFunction:
         raise NotImplementedError
@@ -115,6 +181,9 @@ class OperatorSpec:
 
 @dataclass(frozen=True)
 class Ruelle(OperatorSpec):
+    def apply_batch(self, x):
+        return _ruelle(x)
+
     def apply(self, f):
         return ruelle_apply(f)
 
@@ -130,6 +199,9 @@ class Ruelle(OperatorSpec):
 
 @dataclass(frozen=True)
 class Koopman(OperatorSpec):
+    def apply_batch(self, x):
+        return _koopman(x)
+
     def apply(self, f):
         return koopman_apply(f)
 
@@ -146,6 +218,9 @@ class Koopman(OperatorSpec):
 @dataclass(frozen=True, eq=False)
 class Mult(OperatorSpec):
     f: DyadicFunction
+
+    def apply_batch(self, x):
+        return _mult(self.f.values, x)
 
     def apply(self, g):
         return mult_apply(self.f, g)
@@ -167,8 +242,11 @@ class Proj(OperatorSpec):
     def __post_init__(self):
         _require_unit(self.psi)
 
+    def apply_batch(self, x):
+        return _proj(self.psi.values, x)
+
     def apply(self, phi):
-        return projection_apply(self.psi, phi)
+        return _function(self.apply_batch(phi.values))
 
     def out_depth(self, d):
         # Enlarged so that the assembled matrix is square (and symmetric)
@@ -190,6 +268,9 @@ class CondExp(OperatorSpec):
         if self.n < 1:
             raise ValueError("conditional expectation order must be >= 1")
 
+    def apply_batch(self, x):
+        return _condexp(self.n, x)
+
     def apply(self, f):
         return cond_expectation(self.n, f)
 
@@ -205,6 +286,9 @@ class CondExp(OperatorSpec):
 
 @dataclass(frozen=True)
 class KernelProj(OperatorSpec):
+    def apply_batch(self, x):
+        return _kernel_proj(x)
+
     def apply(self, f):
         return kernel_projection(f)
 
@@ -227,11 +311,13 @@ class Compose(OperatorSpec):
     def __init__(self, ops: Sequence[OperatorSpec] = ()):
         object.__setattr__(self, "ops", tuple(ops))
 
-    def apply(self, f):
-        g = f
+    def apply_batch(self, x):
         for op in reversed(self.ops):
-            g = op.apply(g)
-        return g
+            x = op.apply_batch(x)
+        return x
+
+    def apply(self, f):
+        return _function(self.apply_batch(f.values))
 
     def out_depth(self, d):
         for op in reversed(self.ops):
@@ -260,15 +346,18 @@ class Sum(OperatorSpec):
         object.__setattr__(self, "ops", ops)
         object.__setattr__(self, "weights", weights)
 
-    def apply(self, f):
+    def apply_batch(self, x):
         if not self.ops:
-            return DyadicFunction(f.depth, np.zeros_like(f.values))
-        parts = [op.apply(f) for op in self.ops]
-        depth = max(p.depth for p in parts)
-        vals = np.zeros(1 << depth)
+            return np.zeros_like(x)
+        parts = [op.apply_batch(x) for op in self.ops]
+        depth = max(_depth(p) for p in parts)
+        out = np.zeros((1 << depth,) + x.shape[1:])
         for w, p in zip(self.weights, parts):
-            vals += w * refine(p, depth).values
-        return DyadicFunction(depth, vals)
+            out += w * _refine_rows(p, depth)
+        return out
+
+    def apply(self, f):
+        return _function(self.apply_batch(f.values))
 
     def out_depth(self, d):
         return max((op.out_depth(d) for op in self.ops), default=d)
@@ -284,15 +373,19 @@ class Sum(OperatorSpec):
 @dataclass(frozen=True, eq=False)
 class Adjoint(OperatorSpec):
     inner_op: OperatorSpec
+    resolved: OperatorSpec = field(init=False, repr=False)  # inner_op.adjoint(), once
 
-    def _resolved(self) -> OperatorSpec:
-        return self.inner_op.adjoint()
+    def __post_init__(self):
+        object.__setattr__(self, "resolved", self.inner_op.adjoint())
+
+    def apply_batch(self, x):
+        return self.resolved.apply_batch(x)
 
     def apply(self, f):
-        return self._resolved().apply(f)
+        return _function(self.apply_batch(f.values))
 
     def out_depth(self, d):
-        return self._resolved().out_depth(d)
+        return self.resolved.out_depth(d)
 
     def adjoint(self):
         return self.inner_op
@@ -325,7 +418,63 @@ def dirac_blocks(a: OperatorSpec) -> Tuple[Sum, Sum]:
 
 
 # ---------------------------------------------------------------------------
-# Matrix assembly.
+# Linear maps in orthonormal coordinates.
+
+
+class BoundOperator:
+    """op on the depth-``in_depth`` space, as a matrix-free linear map.
+
+    ``shape`` is the shape of the matrix that ``assemble`` would build.
+    ``matvec`` and ``rmatvec`` take one coordinate vector or an array with
+    one vector per column.  ``rmatvec`` applies the symbolic adjoint and
+    averages the result onto the depth-``in_depth`` space (the orthogonal
+    projection onto it), so it is the exact transpose of ``matvec``.
+    """
+
+    def __init__(self, op: OperatorSpec, in_depth: int):
+        if not 0 <= in_depth <= MAX_DEPTH:
+            raise ValueError(f"depth {in_depth} outside [0, {MAX_DEPTH}]")
+        out_depth = op.out_depth(in_depth)
+        if out_depth > MAX_DEPTH:
+            raise ValueError(f"depth cap {MAX_DEPTH} exceeded")
+        self.op, self.in_depth, self.out_depth = op, in_depth, out_depth
+        self.shape = (1 << out_depth, 1 << in_depth)
+        self._adjoint = op.adjoint()
+
+    def matvec(self, x: np.ndarray) -> np.ndarray:
+        if x.shape[0] != self.shape[1]:
+            raise ValueError(f"expected {self.shape[1]} rows, got {x.shape[0]}")
+        y = self.op.apply_batch(x * 2.0 ** (self.in_depth / 2.0))
+        y = _refine_rows(y, self.out_depth) * 2.0 ** (-self.out_depth / 2.0)
+        if not np.all(np.isfinite(y)):
+            raise ValueError("operator values must be finite")
+        return y
+
+    def rmatvec(self, y: np.ndarray) -> np.ndarray:
+        if y.shape[0] != self.shape[0]:
+            raise ValueError(f"expected {self.shape[0]} rows, got {y.shape[0]}")
+        z = self._adjoint.apply_batch(y * 2.0 ** (self.out_depth / 2.0))
+        d = self.in_depth
+        if _depth(z) > d:
+            z = z.reshape((1 << d, -1) + z.shape[1:]).mean(axis=1)
+        else:
+            z = _refine_rows(z, d)
+        return z * 2.0 ** (-d / 2.0)
+
+
+def apply_to_identity(fn: Callable[[np.ndarray], np.ndarray], shape: Tuple[int, int], width: int) -> np.ndarray:
+    """The matrix of a batched linear map of the given shape, built from identity
+    column chunks; ``width`` is the most rows any array inside ``fn`` has, and
+    each chunk takes about CHUNK_BYTES at that width."""
+    rows, cols = shape
+    out = np.empty((rows, cols))
+    step = max(1, CHUNK_BYTES // (8 * width))
+    for j in range(0, cols, step):
+        k = min(step, cols - j)
+        eye = np.zeros((cols, k))
+        eye[np.arange(j, j + k), np.arange(k)] = 1.0
+        out[:, j : j + k] = fn(eye)
+    return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -349,28 +498,11 @@ def coords(f: DyadicFunction, depth: int) -> np.ndarray:
     return refine(f, depth).values * 2.0 ** (-depth / 2.0)
 
 
-def from_coords(depth: int, vec: np.ndarray) -> DyadicFunction:
-    return DyadicFunction(depth, np.asarray(vec, dtype=float) * 2.0 ** (depth / 2.0))
-
-
 def assemble(op: OperatorSpec, in_depth: int) -> AssembledMap:
     """Materialize op on the depth-in_depth space as a dense matrix.
 
     Column j is the image of the normalized indicator of cylinder j, expanded
     in orthonormal coordinates at ``op.out_depth(in_depth)``.
     """
-    if not 0 <= in_depth <= MAX_DEPTH:
-        raise ValueError(f"depth {in_depth} outside [0, {MAX_DEPTH}]")
-    out_depth = op.out_depth(in_depth)
-    if out_depth > MAX_DEPTH:
-        raise ValueError(f"depth cap {MAX_DEPTH} exceeded")
-    n_in = 1 << in_depth
-    scale = 2.0 ** (in_depth / 2.0)
-    matrix = np.zeros((1 << out_depth, n_in))
-    basis = np.zeros(n_in)
-    for j in range(n_in):
-        basis[:] = 0.0
-        basis[j] = scale
-        image = op.apply(DyadicFunction(in_depth, basis))
-        matrix[:, j] = coords(image, out_depth)
-    return AssembledMap(in_depth=in_depth, out_depth=out_depth, matrix=matrix)
+    a = BoundOperator(op, in_depth)
+    return AssembledMap(in_depth=in_depth, out_depth=a.out_depth, matrix=apply_to_identity(a.matvec, a.shape, max(a.shape)))

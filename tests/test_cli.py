@@ -94,6 +94,10 @@ class TestVerifyCommand:
     def test_unknown_suite_is_usage_error(self, capsys):
         assert main(["verify", "--suite", "nope"]) == 2
 
+    def test_tol_is_not_an_option(self, capsys):
+        # the acceptance tolerances are fixed; boson verify --tol stays
+        assert main(["verify", "--suite", "wold", "--tol", "1e-3"]) == 2
+
     def test_report_written_to_file(self, tmp_path, capsys):
         out_file = tmp_path / "report.json"
         code = main(["verify", "--suite", "boson", "--depth", "6", "--out", str(out_file)])
@@ -147,6 +151,18 @@ class TestNormCommand:
         assert out["value"] == pytest.approx(1.0, abs=1e-9)
         assert out["block_upper"] == pytest.approx(out["block_lower"], abs=1e-8)
         assert out["depth"] == 5
+
+    def test_diagnostics_per_block(self, tmp_path, capsys):
+        spec = tmp_path / "op.json"
+        spec.write_text(json.dumps({"kind": "condexp", "n": 1}))
+        for depth, path in (("4", "dense"), ("12", "matrix-free")):
+            assert main(["norm", "--operator", str(spec), "--depth", depth]) == 0
+            diag = json.loads(capsys.readouterr().out)["diagnostics"]
+            for block in ("upper", "lower"):
+                assert diag[block]["path"] == path
+                assert diag[block]["method"] == ("dense" if path == "dense" else "power")
+                assert diag[block]["converged"] is True and diag[block]["fallback"] is False
+                assert (diag[block]["iterations"] == 0) == (path == "dense")
 
     def test_condexp(self, tmp_path, capsys):
         spec = tmp_path / "op.json"

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from rkdirac.dyadic import (
     state_nw,
 )
 from rkdirac.spectra import operator_norm
+from rkdirac.formulas import koopman_overlap
 from rkdirac.transfer import (
     CondExp,
     Koopman,
@@ -202,3 +204,19 @@ class TestBlockNormsInterface:
         nu, nl = block_norms(b, 4)
         assert nu == pytest.approx(1.0, abs=1e-9)
         assert nl == pytest.approx(1.0, abs=1e-9)
+
+
+def test_block_norms_stay_matrix_free_at_depth_12():
+    # The dense upper block alone would be 8192 x 4096 doubles (256 MB).
+    psi = random_function(5, 6, "unit-norm")
+    b = dirac_commutator(Proj(psi))
+    tracemalloc.start()
+    try:
+        upper, lower = block_norms(b, 12)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 << 20
+    c = koopman_overlap(psi)
+    assert upper == pytest.approx(math.sqrt(1.0 - c * c), abs=1e-9)
+    assert lower == pytest.approx(upper, abs=1e-9)

@@ -81,6 +81,12 @@ class TestKoopmanOverlap:
         with pytest.raises(ValueError):
             fo.koopman_overlap(constant(2.0))
 
+    def test_coefficient_cross_check_raises(self, monkeypatch):
+        # a ValueError, not an assert, so that the check also runs under python -O
+        monkeypatch.setattr(fo, "koopman_overlap_from_coeffs", lambda h: 2.0)
+        with pytest.raises(ValueError, match="disagrees"):
+            fo.koopman_overlap(witness_vector())
+
 
 class TestOverlapSurface:
     def test_unit_a_gives_one(self):

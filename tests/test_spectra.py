@@ -2,15 +2,19 @@ import numpy as np
 import pytest
 
 from rkdirac.dyadic import SQRT2, haar_function, indicator, random_function
+from rkdirac import spectra
 from rkdirac.spectra import depth_sweep, operator_norm
 from rkdirac.transfer import (
+    BoundOperator,
     CondExp,
     Koopman,
     Mult,
     Proj,
     Ruelle,
+    Sum,
     assemble,
     commutator_with_K,
+    commutator_with_L,
     identity,
 )
 from rkdirac.words import Word
@@ -117,3 +121,36 @@ class TestDepthSweep:
         values = [p.value for p in points]
         for lo, hi in zip(values, values[1:]):
             assert hi >= lo - 1e-10
+
+
+class TestMatrixFree:
+    @pytest.mark.parametrize("depth", range(4, 9))
+    def test_matches_svd_of_assembled_block(self, monkeypatch, depth):
+        monkeypatch.setattr(spectra, "DENSE_CUTOFF", 8)
+        psi = random_function(7, 3, "unit-norm")
+        tall = [commutator_with_K(Proj(psi)), commutator_with_K(CondExp(2)), Koopman()]  # A^T A
+        wide = [commutator_with_L(Mult(random_function(9, 3))), commutator_with_L(Proj(psi)), Ruelle()]  # A A^T
+        for ops, tall_side in ((tall, True), (wide, False)):
+            for op in ops:
+                bound = BoundOperator(op, depth)
+                rows, cols = bound.shape
+                assert (cols < rows) if tall_side else (rows < cols)
+                est = operator_norm(bound)
+                assert est.method == ("power" if min(rows, cols) > 8 else "dense"), op.describe()
+                expected = np.linalg.svd(assemble(op, depth).matrix, compute_uv=False)[0]
+                assert abs(est.value - expected) <= 1e-12, op.describe()
+
+    def test_transpose_is_exact(self):
+        rng = np.random.default_rng(3)
+        op = commutator_with_L(Mult(random_function(9, 3)))
+        bound = BoundOperator(op, 5)
+        x = rng.standard_normal((bound.shape[1], 3))
+        y = rng.standard_normal((bound.shape[0], 3))
+        m = assemble(op, 5).matrix
+        np.testing.assert_allclose(bound.matvec(x), m @ x, atol=1e-12)
+        np.testing.assert_allclose(bound.rmatvec(y), m.T @ y, atol=1e-12)
+
+    def test_non_finite_values_rejected(self):
+        op = Sum((Koopman(),), (float("inf"),))
+        with np.errstate(invalid="ignore"), pytest.raises(ValueError):
+            operator_norm(BoundOperator(op, 3))

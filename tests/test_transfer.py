@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from rkdirac.dyadic import (
     SQRT2,
+    DyadicFunction,
     constant,
     haar_function,
     indicator,
@@ -309,3 +310,63 @@ class TestOperatorValidation:
     def test_condexp_requires_positive_order(self):
         with pytest.raises(ValueError):
             CondExp(0)
+
+
+def _leaf_specs():
+    seeds = st.integers(0, 10**6)
+    return st.one_of(
+        st.just(Ruelle()),
+        st.just(Koopman()),
+        st.just(KernelProj()),
+        st.just(identity()),
+        st.just(Sum(())),
+        st.integers(1, 3).map(CondExp),
+        st.tuples(seeds, st.integers(0, 4)).map(lambda a: Mult(random_function(a[0], a[1]))),
+        st.tuples(seeds, st.integers(0, 4)).map(lambda a: Proj(random_function(a[0], a[1], "unit-norm"))),
+    )
+
+
+def _specs():
+    weights = st.floats(-2.0, 2.0, allow_nan=False)
+    return st.recursive(
+        _leaf_specs(),
+        lambda children: st.one_of(
+            st.lists(children, min_size=1, max_size=3).map(Compose),
+            st.lists(st.tuples(children, weights), min_size=1, max_size=3).map(
+                lambda terms: Sum([t[0] for t in terms], [t[1] for t in terms])
+            ),
+            children.map(Adjoint),
+        ),
+        max_leaves=6,
+    )
+
+
+class TestBatchedAssemble:
+    @settings(max_examples=150, deadline=None)
+    @given(_specs(), st.integers(0, 7))
+    def test_matches_column_by_column_reference(self, op, depth):
+        am = assemble(op, depth)
+        scale = 2.0 ** (depth / 2.0)
+        reference = np.empty_like(am.matrix)
+        for j in range(1 << depth):
+            basis = np.zeros(1 << depth)
+            basis[j] = scale
+            image = op.apply(DyadicFunction(depth, basis))
+            reference[:, j] = coords(image, am.out_depth)
+        np.testing.assert_allclose(am.matrix, reference, rtol=0.0, atol=1e-12)
+
+    def test_adjoint_is_resolved_once(self):
+        calls = []
+
+        class Counting(Ruelle):
+            def adjoint(self):
+                calls.append(1)
+                return Koopman()
+
+        op = Adjoint(Counting())
+        f = random_function(1, 3)
+        for _ in range(3):
+            op.apply(f)
+        op.out_depth(3)
+        assemble(op, 3)
+        assert len(calls) == 1
