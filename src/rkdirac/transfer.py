@@ -39,7 +39,7 @@ import numpy as np
 
 from .dyadic import DyadicFunction, MAX_DEPTH, inner, l2_norm, refine
 
-CHUNK_BYTES = 4 << 20  # identity columns per batched apply, in bytes of the widest side
+CHUNK_BYTES = 4 << 20  # one identity chunk, measured at the widest array it passes through
 
 
 # ---------------------------------------------------------------------------
