@@ -106,11 +106,12 @@ def cmd_norm(args) -> int:
 
 
 def _diagnostics(est: sp.NormEstimate) -> dict:
-    """How a block norm was obtained; blocks are bound operators, so power runs matrix-free."""
+    """How a block norm was obtained; blocks are bound operators, so Lanczos runs matrix-free."""
     return {
         "method": est.method,
         "iterations": est.iterations,
         "converged": est.converged,
+        "residual": est.residual,
         "fallback": est.fallback,
         "path": "dense" if est.method == "dense" else "matrix-free",
     }
@@ -210,14 +211,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("norm", help="Dirac commutator norm of an operator")
     p.add_argument("--operator", required=True, help="operator JSON file")
     p.add_argument("--depth", type=int, default=None)
-    p.add_argument("--method", default="auto", choices=("auto", "power", "dense"))
+    p.add_argument("--method", default="auto", choices=sp.METHODS)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_norm)
 
     p = sub.add_parser("sweep", help="commutator norm across depths, as CSV")
     p.add_argument("--operator", required=True)
     p.add_argument("--depths", required=True, help="range 'lo:hi' or comma list")
-    p.add_argument("--method", default="auto", choices=("auto", "power", "dense"))
+    p.add_argument("--method", default="auto", choices=sp.METHODS)
     p.add_argument("--csv", default=None, help="write CSV here instead of stdout")
     p.set_defaults(func=cmd_sweep)
 

@@ -132,20 +132,29 @@ def lipschitz_certify(
 
     The norm is computed at the larger of the requested depth and the
     operator's attainment depth, when the latter is known.  ``certified`` is
-    True when the value does not exceed threshold + tol.
+    True when the value does not exceed threshold + tol and both block
+    estimates converged: an unconverged Ritz value is only a lower bound.
+    ``upper`` and ``lower`` say how each block norm was obtained.
     """
     rule = attainment_depth(a)
     if depth is None and rule is None:
         raise ValueError("no attainment rule for this operator; pass an explicit depth")
     d = rule if depth is None else max(depth, rule or 0)
-    value = block_norm(dirac_commutator(a), d)
+    b = dirac_commutator(a)
+    value, eu, el = spectra.block_pair_norm(b.upper, b.lower, d)
     return {
-        "certified": bool(value <= threshold + tol),
+        "certified": bool(value <= threshold + tol and eu.converged and el.converged),
         "value": value,
         "depth": d,
         "threshold": threshold,
         "operator": a.describe(),
+        "upper": _estimate_summary(eu),
+        "lower": _estimate_summary(el),
     }
+
+
+def _estimate_summary(est: spectra.NormEstimate) -> dict:
+    return {"method": est.method, "converged": est.converged, "residual": est.residual}
 
 
 @dataclass(frozen=True, eq=False)
@@ -181,9 +190,11 @@ def connes_lower_bound(
     for a in family:
         cert = lipschitz_certify(a, depth=depth, threshold=threshold)
         if not cert["certified"]:
+            converged = cert["upper"]["converged"] and cert["lower"]["converged"]
+            reason = f"> {threshold:g}" if converged else "from an unconverged solve"
             raise ValueError(
                 f"family member {a.describe()} has commutator norm "
-                f"{cert['value']:.12g} > {threshold:g}; not certified"
+                f"{cert['value']:.12g} {reason}; not certified"
             )
         gap = abs(eta.expectation(a) - xi.expectation(a))
         if gap > best:

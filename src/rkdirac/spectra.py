@@ -4,29 +4,40 @@
 ndarray or an ``AssembledMap``) or a ``BoundOperator``: an operator spec
 bound to an input depth, with ``shape``, a batched ``matvec`` (A.X) and a
 batched ``rmatvec`` (A^T.Y, the exact symbolic adjoint followed by averaging
-onto the input depth).  Either way it works on the Gram operator of the
+onto the input depth).  Either way it works on the Gram operator G of the
 smaller side, A^T A when A has no more columns than rows and A A^T
 otherwise, so blocks between depth spaces of different dimension cost the
 smaller dimension n.
 
 Which path runs:
 
-* dense, when n <= DENSE_CUTOFF (1024) under method="auto", always under
+* dense, when n <= DENSE_CUTOFF (256) under method="auto", always under
   method="dense", and as the fallback: ``eigvalsh`` of the n x n Gram.  For
   a bound operator the Gram is built by applying the Gram operator to
   identity column chunks, so the rectangular block is never held next to
-  it.  Memory: one n x n Gram (8 MB at n = 1024, 128 MB at n = 4096).
-* power, otherwise: power iteration on the Gram operator.  For a bound
-  operator it runs matrix-free on length-n vectors, with O(2**d) memory per
-  vector at depth d.
+  it.  Memory: one n x n Gram (512 KB at n = 256, 128 MB at n = 4096).
+* lanczos, otherwise: block Lanczos on G.  For a bound operator it runs
+  matrix-free; its memory is the Krylov basis, O(n * m) for m Gram-operator
+  vectors applied (the basis grows with the steps taken, at most
+  KRYLOV_BUDGET columns).
 
-The power path's start vectors are deterministic: the normalized all-ones
-vector plus one fixed-seed pseudorandom vector.  The second start is not
-optional decoration: many commutator blocks here have zero-mean leading
-singular vectors, which are exactly orthogonal to the all-ones start, and a
-single deterministic start would converge cleanly to the wrong singular
-value.  Stagnation triggers one further seeded restart; remaining
-non-convergence falls back to the dense solve (unless method="power").
+The Lanczos start block is deterministic: two pseudorandom vectors from one
+fixed seed.  Neither may be a structured vector.  Many commutator blocks
+here have zero-mean leading singular vectors, exactly orthogonal to the
+all-ones vector; and where the all-ones vector is an exact eigenvector of
+G for a lower eigenvalue, a start block containing it has an exact top
+Ritz pair after one step, which passes the residual test below with the
+wrong value.  Lanczos converges on repeated top singular values (a
+multiplier commutator's top value has multiplicity 32 at depth 11 and
+above), on which power iteration stalls.  Every new block is
+reorthogonalized against the whole basis in two passes; a direction is
+deflated when its norm falls below _DEFLATE_RTOL times the largest block
+norm seen, a scale of the whole block rather than of the column itself.
+The run stops when the top Ritz pair (theta, y) of G has residual
+||G y - theta y|| <= tol * max(1, theta), or when the Krylov space is
+exhausted (every new direction deflates), where theta is exact.  Under
+method="auto", a run that would pass KRYLOV_BUDGET vectors without
+converging falls back to the dense solve.
 """
 
 from __future__ import annotations
@@ -41,22 +52,33 @@ import numpy as np
 from .transfer import AssembledMap, BoundOperator, OperatorSpec, apply_to_identity, dirac_blocks
 from .transfer import assemble  # noqa: F401  -- re-exported as spectra.assemble
 
-DENSE_CUTOFF = 1024
+DENSE_CUTOFF = 256
+KRYLOV_BUDGET = 160  # Gram-operator vectors one Lanczos run may apply
+METHODS = ("auto", "lanczos", "dense")
 _START_SEED = 0x5EED
+_DEFLATE_RTOL = 1e-14
 
 Operand = Union[AssembledMap, BoundOperator, np.ndarray]
 
 
 @dataclass(frozen=True)
 class NormEstimate:
+    """How a largest singular value was obtained.
+
+    ``iterations`` is the number of Gram-operator vectors the Lanczos path
+    applied (0 when only the dense path ran).  ``residual`` is the top Ritz
+    pair's ||G y - theta y|| with theta = value**2, and 0.0 for a dense value.
+    """
+
     value: float
     iterations: int
     converged: bool
-    method: str  # "power" or "dense"
+    method: str  # "lanczos" or "dense"
+    residual: float
 
     @property
     def fallback(self) -> bool:
-        """True when the power path ran and a dense solve replaced its result."""
+        """True when the Lanczos path ran and a dense solve replaced its result."""
         return self.method == "dense" and self.iterations > 0
 
 
@@ -88,79 +110,69 @@ def _dense_sigma_max(n: int, width: int, gram_apply) -> float:
     return math.sqrt(max(lam, 0.0))
 
 
-def _power_run(gram_apply, start: np.ndarray, tol: float, max_iter: int):
-    """Power iteration on the (symmetric PSD) Gram operator from one start vector.
+def _extend(basis: np.ndarray, block: np.ndarray, coeffs: np.ndarray, scale: float) -> np.ndarray:
+    """Orthonormal columns spanning the part of block orthogonal to basis.
 
-    Returns (lam, iterations, converged).  lam is a Rayleigh quotient, hence a
-    certified lower bound on the top eigenvalue.
+    coeffs is basis.T @ block.  The first pass projects block out of basis and
+    deflates every direction whose singular value is at most _DEFLATE_RTOL *
+    scale; the second pass projects the surviving unit directions once more,
+    which restores orthogonality that a small singular value amplified.
     """
-    v = start / np.linalg.norm(start)
-    lam_prev = None
-    stagnant = 0
-    for it in range(1, max_iter + 1):
-        w = gram_apply(v)
-        lam = float(v @ w)
-        resid = float(np.linalg.norm(w - lam * v))
-        if resid <= max(tol, 1e-15) * max(1.0, abs(lam)):
-            return lam, it, True
-        nw = float(np.linalg.norm(w))
-        if nw == 0.0:
-            return 0.0, it, True
-        v = w / nw
-        if lam_prev is not None and abs(lam - lam_prev) <= 1e-16 * max(1.0, abs(lam)):
-            stagnant += 1
-            if stagnant >= 50:
-                return lam, it, False
-        else:
-            stagnant = 0
-        lam_prev = lam
-    return (lam_prev if lam_prev is not None else 0.0), max_iter, False
+    u, s, _ = np.linalg.svd(block - basis @ coeffs, full_matrices=False)
+    u = u[:, s > _DEFLATE_RTOL * scale]
+    return np.linalg.qr(u - basis @ (basis.T @ u))[0]
 
 
-def _power_sigma_max(dim: int, gram_apply, tol: float, max_iter: int):
-    if dim == 0:
-        return 0.0, 0, True
+def _lanczos(n: int, gram_apply, tol: float) -> Tuple[float, int, bool, float]:
+    """Block Lanczos for the top eigenvalue of the (symmetric PSD) Gram operator.
+
+    Returns (theta, vectors applied, converged, residual).  theta is a Ritz
+    value, so a lower bound on the top eigenvalue; it is exact when the
+    Krylov space is exhausted.
+    """
+    if n == 0:
+        return 0.0, 0, True, 0.0
     rng = np.random.default_rng(_START_SEED)
-    starts = [np.ones(dim), rng.standard_normal(dim)]
-    best_lam, total_it, best_ok = -np.inf, 0, False
-    for k, start in enumerate(starts):
-        lam, it, ok = _power_run(gram_apply, start, tol, max_iter)
-        total_it += it
-        if not ok and k == len(starts) - 1:
-            # one further seeded restart before giving up on the power path
-            lam2, it2, ok2 = _power_run(gram_apply, rng.standard_normal(dim), tol, max_iter)
-            total_it += it2
-            if lam2 > lam:
-                lam, ok = lam2, ok2
-        if lam > best_lam:
-            best_lam, best_ok = lam, ok
-    return math.sqrt(max(best_lam, 0.0)), total_it, best_ok
+    start = np.column_stack([rng.standard_normal(n), rng.standard_normal(n)])
+    start /= np.linalg.norm(start, axis=0)
+    basis, t = np.empty((n, 0)), np.empty((0, 0))
+    block = _extend(basis, start, np.empty((0, 2)), np.linalg.norm(start))
+    scale = 0.0
+    while True:
+        z = gram_apply(block)
+        scale = max(scale, float(np.linalg.norm(z)))
+        basis = np.hstack([basis, block])
+        coeffs = basis.T @ z
+        m, prev = basis.shape[1], t.shape[0]
+        t = np.pad(t, ((0, m - prev), (0, m - prev)))
+        t[:, prev:] = coeffs  # T = Q^T G Q, upper triangle
+        thetas, vecs = np.linalg.eigh(t, UPLO="U")
+        theta, y = float(thetas[-1]), vecs[:, -1]
+        block = _extend(basis, z, coeffs, scale)
+        residual = float(np.linalg.norm((block.T @ z) @ y[prev:]))
+        if residual <= tol * max(1.0, theta) or block.shape[1] == 0:
+            return theta, m, True, residual
+        if m + block.shape[1] > KRYLOV_BUDGET:
+            return theta, m, False, residual
 
 
-def operator_norm(
-    m: Operand,
-    tol: float = 1e-12,
-    max_iter: int = 20000,
-    method: str = "auto",
-) -> NormEstimate:
+def operator_norm(m: Operand, tol: float = 1e-12, method: str = "auto") -> NormEstimate:
     """Largest singular value of a matrix, an assembled map or a bound operator.
 
-    method="power" forces the power path (no fallback), method="dense" forces
-    a dense solve, method="auto" picks dense when the smaller side is at most
-    DENSE_CUTOFF and falls back to dense whenever the power path fails to
-    converge.
+    method="lanczos" forces the Lanczos path (no fallback), method="dense"
+    forces a dense solve, method="auto" picks dense when the smaller side is
+    at most DENSE_CUTOFF and falls back to dense when the Lanczos path spends
+    KRYLOV_BUDGET vectors without converging.
     """
     n, width, gram_apply = _gram(m)
-    if method not in ("auto", "power", "dense"):
+    if method not in METHODS:
         raise ValueError(f"unknown method {method!r}")
     if method == "dense" or (method == "auto" and n <= DENSE_CUTOFF):
-        return NormEstimate(_dense_sigma_max(n, width, gram_apply), 0, True, "dense")
-    sigma, iters, ok = _power_sigma_max(n, gram_apply, tol, max_iter)
-    if method == "power":
-        return NormEstimate(sigma, iters, ok, "power")
-    if ok:
-        return NormEstimate(sigma, iters, True, "power")
-    return NormEstimate(_dense_sigma_max(n, width, gram_apply), iters, True, "dense")
+        return NormEstimate(_dense_sigma_max(n, width, gram_apply), 0, True, "dense", 0.0)
+    theta, vectors, ok, residual = _lanczos(n, gram_apply, tol)
+    if ok or method == "lanczos":
+        return NormEstimate(math.sqrt(max(theta, 0.0)), vectors, ok, "lanczos", residual)
+    return NormEstimate(_dense_sigma_max(n, width, gram_apply), vectors, True, "dense", 0.0)
 
 
 def block_pair_norm(

@@ -160,9 +160,27 @@ class TestNormCommand:
             diag = json.loads(capsys.readouterr().out)["diagnostics"]
             for block in ("upper", "lower"):
                 assert diag[block]["path"] == path
-                assert diag[block]["method"] == ("dense" if path == "dense" else "power")
+                assert diag[block]["method"] == ("dense" if path == "dense" else "lanczos")
                 assert diag[block]["converged"] is True and diag[block]["fallback"] is False
                 assert (diag[block]["iterations"] == 0) == (path == "dense")
+
+    def test_diagnostics_report_residual(self, tmp_path, capsys):
+        spec = tmp_path / "op.json"
+        spec.write_text(json.dumps({"kind": "condexp", "n": 1}))
+        for depth in ("4", "12"):
+            assert main(["norm", "--operator", str(spec), "--depth", depth]) == 0
+            diag = json.loads(capsys.readouterr().out)["diagnostics"]
+            for block in ("upper", "lower"):
+                residual = diag[block]["residual"]
+                if depth == "4":
+                    assert residual == 0.0
+                else:
+                    assert 0.0 <= residual <= 1e-12
+
+    def test_power_method_is_usage_error(self, tmp_path):
+        spec = tmp_path / "op.json"
+        spec.write_text(json.dumps({"kind": "condexp", "n": 1}))
+        assert main(["norm", "--operator", str(spec), "--depth", "4", "--method", "power"]) == 2
 
     def test_condexp(self, tmp_path, capsys):
         spec = tmp_path / "op.json"

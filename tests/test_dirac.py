@@ -152,6 +152,28 @@ class TestLipschitzCertify:
         assert attainment_depth(CondExp(2)) == 4
         assert attainment_depth(identity()) == 0
 
+    def test_reports_how_each_block_was_obtained(self):
+        cert = lipschitz_certify(Proj(haar_function(w("011"))), depth=10)
+        for block in ("upper", "lower"):
+            assert cert[block]["method"] == "lanczos" and cert[block]["converged"] is True
+            assert 0.0 <= cert[block]["residual"] <= 1e-12
+
+    def test_unconverged_estimate_is_not_certified(self, monkeypatch):
+        from rkdirac import spectra
+
+        def stalled(upper, lower, depth, tol=1e-12, method="auto"):
+            est = spectra.NormEstimate(0.5, 160, False, "lanczos", 1e-3)
+            return est.value, est, est
+
+        monkeypatch.setattr(spectra, "block_pair_norm", stalled)
+        cert = lipschitz_certify(CondExp(1))
+        assert cert["value"] == 0.5
+        assert not cert["certified"]
+        assert cert["upper"] == {"method": "lanczos", "converged": False, "residual": 1e-3}
+        eta = VectorState(haar_function(w("01")))
+        with pytest.raises(ValueError, match="unconverged"):
+            connes_lower_bound(eta, eta, [CondExp(1)])
+
     def test_unknown_rule_needs_depth(self):
         from rkdirac.transfer import Adjoint
 

@@ -1,7 +1,11 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from rkdirac.dyadic import SQRT2, haar_function, indicator, random_function
+from rkdirac.dyadic import SQRT2, constant, haar_function, indicator, random_function
 from rkdirac import spectra
 from rkdirac.spectra import depth_sweep, operator_norm
 from rkdirac.transfer import (
@@ -18,6 +22,7 @@ from rkdirac.transfer import (
     identity,
 )
 from rkdirac.words import Word
+from test_transfer import _specs
 
 
 def w(text):
@@ -53,7 +58,7 @@ class TestOperatorNorm:
         rng = np.random.default_rng(1)
         for k in range(25):
             a = rng.standard_normal((rng.integers(2, 40), rng.integers(2, 40)))
-            p = operator_norm(a, method="power")
+            p = operator_norm(a, method="lanczos")
             d = operator_norm(a, method="dense")
             assert p.converged
             assert p.value == pytest.approx(d.value, abs=1e-10)
@@ -62,7 +67,7 @@ class TestOperatorNorm:
         # The top right-singular vector of this block is a Haar element, whose
         # coordinates sum to zero; the all-ones start alone would miss it.
         m = assemble(commutator_with_K(Proj(haar_function(w("01")))), 4)
-        p = operator_norm(m, method="power")
+        p = operator_norm(m, method="lanczos")
         d = operator_norm(m, method="dense")
         assert p.value == pytest.approx(d.value, abs=1e-10)
         assert p.value == pytest.approx(1.0, abs=1e-9)
@@ -77,7 +82,7 @@ class TestOperatorNorm:
         ]
         for op, d in specs:
             m = assemble(op, d)
-            p = operator_norm(m, method="power")
+            p = operator_norm(m, method="lanczos")
             dn = operator_norm(m, method="dense")
             assert p.value == pytest.approx(dn.value, abs=1e-10), op.describe()
 
@@ -136,7 +141,7 @@ class TestMatrixFree:
                 rows, cols = bound.shape
                 assert (cols < rows) if tall_side else (rows < cols)
                 est = operator_norm(bound)
-                assert est.method == ("power" if min(rows, cols) > 8 else "dense"), op.describe()
+                assert est.method == ("lanczos" if min(rows, cols) > 8 else "dense"), op.describe()
                 expected = np.linalg.svd(assemble(op, depth).matrix, compute_uv=False)[0]
                 assert abs(est.value - expected) <= 1e-12, op.describe()
 
@@ -154,3 +159,88 @@ class TestMatrixFree:
         op = Sum((Koopman(),), (float("inf"),))
         with np.errstate(invalid="ignore"), pytest.raises(ValueError):
             operator_norm(BoundOperator(op, 3))
+
+
+class TestLanczos:
+    @settings(max_examples=150, deadline=None)
+    @given(_specs(), st.integers(3, 7))
+    def test_random_composites_match_dense(self, op, depth):
+        bound = BoundOperator(op, depth)
+        est = operator_norm(bound, method="lanczos")
+        dense = operator_norm(bound, method="dense")
+        assert est.converged
+        # The stopping test bounds the Gram residual by 1e-12 * max(1, value**2),
+        # so the accuracy is in the Gram eigenvalue value**2 (absolute below 1),
+        # and a cluster of eigenvalues within the residual of each other can
+        # leave the Ritz value a few residuals low; it is never high.
+        assert abs(est.value**2 - dense.value**2) <= 1e-10 * max(1.0, dense.value**2)
+        assert est.value <= dense.value + 1e-12
+
+    @pytest.mark.parametrize("depth", range(4, 9))
+    def test_repeated_top_value_converges(self, depth):
+        # The top singular value of this block is repeated; power iteration
+        # stalled on it for over 1,200 steps and reported non-convergence.
+        op = commutator_with_L(Mult(random_function(8, 2)))
+        est = operator_norm(BoundOperator(op, depth), method="lanczos")
+        expected = np.linalg.svd(assemble(op, depth).matrix, compute_uv=False)
+        assert expected[1] == pytest.approx(expected[0], abs=1e-12)
+        assert est.converged and est.method == "lanczos"
+        assert abs(est.value - expected[0]) <= 1e-12
+        assert est.iterations < 100
+
+    def test_sweep_multiplier_at_depth_11_needs_no_fallback(self):
+        from rkdirac.dyadic import DyadicFunction
+        from rkdirac.transfer import dirac_blocks
+
+        f = DyadicFunction(6, np.random.default_rng(2).standard_normal(64))
+        upper, lower = dirac_blocks(Mult(f))
+        _, eu, el = spectra.block_pair_norm(upper, lower, 11)
+        for est in (eu, el):
+            assert est.method == "lanczos" and est.converged
+            assert est.fallback is False
+            assert est.residual <= 1e-12 * max(1.0, est.value ** 2)
+
+    def test_rank_one_orthogonal_to_ones_is_exact(self):
+        # G ones = 0 exactly, so the first start direction dies in the first
+        # block; the Krylov space is exhausted after the live one, and the
+        # value is then exact.
+        rng = np.random.default_rng(4)
+        v = np.tile([1.0, -1.0], 200) / math.sqrt(400)
+        u = rng.standard_normal(700)
+        a = 3.0 * np.outer(u / np.linalg.norm(u), v)
+        est = operator_norm(a, method="lanczos")
+        assert est.converged and est.residual == 0.0
+        assert est.iterations <= 4
+        assert abs(est.value - 3.0) <= 1e-12
+
+    def test_exhausted_krylov_space_is_exact(self):
+        # A Haar projection's commutator blocks have rank two at every depth.
+        op = commutator_with_K(Proj(haar_function(w("01"))))
+        est = operator_norm(BoundOperator(op, 10), method="lanczos")
+        assert est.converged and est.residual == 0.0
+        assert abs(est.value - 1.0) <= 1e-12
+
+    def test_budget_exhausted_falls_back_under_auto(self, monkeypatch):
+        monkeypatch.setattr(spectra, "KRYLOV_BUDGET", 4)
+        monkeypatch.setattr(spectra, "DENSE_CUTOFF", 8)
+        a = np.random.default_rng(6).standard_normal((60, 50))
+        forced = operator_norm(a, method="lanczos")
+        assert not forced.converged and forced.iterations <= 4
+        auto = operator_norm(a)
+        assert auto.method == "dense" and auto.fallback and auto.converged and auto.residual == 0.0
+        assert auto.value == pytest.approx(np.linalg.svd(a, compute_uv=False)[0], abs=1e-12)
+        assert forced.value <= auto.value + 1e-12
+
+    def test_exact_eigenvector_in_the_start_span_does_not_stop_the_run(self):
+        # G = 4 P_1 + 9 P_h: the all-ones vector is an exact eigenvector of G.
+        # A start block containing it has an exact top Ritz pair (4, ones) with
+        # residual 0 after one step, and stopped at the value 2.
+        op = Sum((Proj(constant(1.0)), Proj(haar_function(w("01")))), (2.0, 3.0))
+        for depth in (9, 10):
+            est = operator_norm(BoundOperator(op, depth))
+            assert est.method == "lanczos" and est.converged
+            assert abs(est.value - 3.0) <= 1e-12
+
+    def test_power_method_is_gone(self):
+        with pytest.raises(ValueError):
+            operator_norm(np.eye(2), method="power")
