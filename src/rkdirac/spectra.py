@@ -34,8 +34,12 @@ reorthogonalized against the whole basis in two passes; a direction is
 deflated when its norm falls below _DEFLATE_RTOL times the largest block
 norm seen, a scale of the whole block rather than of the column itself.
 The run stops when the top Ritz pair (theta, y) of G has residual
-||G y - theta y|| <= tol * max(1, theta), or when the Krylov space is
-exhausted (every new direction deflates), where theta is exact.  Under
+||G y - theta y|| <= tol * sigma * max(1, sigma), sigma = sqrt(theta), or
+when the Krylov space is exhausted (every new direction deflates), where
+theta is exact.  The residual bounds the error of theta, so this bounds the
+error of the value sigma by about tol * max(1, sigma) / 2; a test of
+tol * max(1, theta) would be absolute in theta and let a block of norm
+1e-9 stop at its first Rayleigh quotient, 28% low.  Under
 method="auto", a run that would pass KRYLOV_BUDGET vectors without
 converging falls back to the dense solve.
 """
@@ -150,7 +154,8 @@ def _lanczos(n: int, gram_apply, tol: float) -> Tuple[float, int, bool, float]:
         theta, y = float(thetas[-1]), vecs[:, -1]
         block = _extend(basis, z, coeffs, scale)
         residual = float(np.linalg.norm((block.T @ z) @ y[prev:]))
-        if residual <= tol * max(1.0, theta) or block.shape[1] == 0:
+        sigma = math.sqrt(max(theta, 0.0))
+        if residual <= tol * sigma * max(1.0, sigma) or block.shape[1] == 0:
             return theta, m, True, residual
         if m + block.shape[1] > KRYLOV_BUDGET:
             return theta, m, False, residual

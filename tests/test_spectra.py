@@ -169,11 +169,9 @@ class TestLanczos:
         est = operator_norm(bound, method="lanczos")
         dense = operator_norm(bound, method="dense")
         assert est.converged
-        # The stopping test bounds the Gram residual by 1e-12 * max(1, value**2),
-        # so the accuracy is in the Gram eigenvalue value**2 (absolute below 1),
-        # and a cluster of eigenvalues within the residual of each other can
-        # leave the Ritz value a few residuals low; it is never high.
-        assert abs(est.value**2 - dense.value**2) <= 1e-10 * max(1.0, dense.value**2)
+        # A cluster of eigenvalues within the stopping residual of each other
+        # can leave the Ritz value a few residuals low; it is never high.
+        assert abs(est.value - dense.value) <= 1e-10 * max(1.0, dense.value)
         assert est.value <= dense.value + 1e-12
 
     @pytest.mark.parametrize("depth", range(4, 9))
@@ -240,6 +238,14 @@ class TestLanczos:
             est = operator_norm(BoundOperator(op, depth))
             assert est.method == "lanczos" and est.converged
             assert abs(est.value - 3.0) <= 1e-12
+
+    def test_small_norm_is_not_stopped_at_a_rayleigh_quotient(self):
+        # A residual test absolute in the Gram eigenvalue (1e-12 against
+        # value**2 = 1e-18) passed at the first step and gave 7.2e-10.
+        op = Sum((Ruelle(), Koopman()), (1e-9, 0.0))
+        est = operator_norm(BoundOperator(op, 10))
+        assert est.method == "lanczos" and est.converged
+        assert abs(est.value - 1e-9) <= 1e-12 * 1e-9
 
     def test_power_method_is_gone(self):
         with pytest.raises(ValueError):
