@@ -16,6 +16,7 @@ input errors.  Report-only entries never affect the exit code.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from typing import List, Optional
@@ -24,7 +25,7 @@ from . import dirac as di
 from . import formulas as fo
 from . import spectra as sp
 from . import suites
-from .dyadic import l2_norm
+from .dyadic import require_unit
 from .io import load_function, load_operator, operator_to_json
 
 
@@ -159,9 +160,8 @@ def cmd_connes(args) -> int:
 
 
 def cmd_boson_verify(args) -> int:
-    checks = suites.run_boson(args.depth, args.seed, n_max=args.n_max, w_max_len=args.w_max_len, tol=args.tol)
-    checks += suites.run_fermion(args.depth, args.seed)
-    report = suites.SuiteReport(suite="boson+fermion", checks=checks, seed=args.seed, depth=args.depth, wall_time=0.0)
+    boson = functools.partial(suites.run_boson, n_max=args.n_max, w_max_len=args.w_max_len, tol=args.tol)
+    report = suites.run_suites("boson+fermion", {"boson": boson, "fermion": suites.run_fermion}, args.depth, args.seed)
     _emit(report.to_json(), args.out)
     return 0 if report.passed else 1
 
@@ -169,9 +169,7 @@ def cmd_boson_verify(args) -> int:
 def cmd_formulas_report(args) -> int:
     try:
         psi = load_function(load_operator_envelope(args.psi))
-        norm = l2_norm(psi)
-        if abs(norm - 1.0) > 1e-9:
-            raise ValueError(f"state vector must have unit norm, got {norm}")
+        require_unit(psi, "state vector")
         adj = fo.projection_norm_adjudicate(psi, depth=args.depth)
         bounds = fo.projection_norm_bounds(psi)
         scan = fo.surface_max_scan(adj["c"])

@@ -17,7 +17,7 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 
 from . import spectra
-from .dyadic import DyadicFunction, inner, l2_norm
+from .dyadic import DyadicFunction, inner, require_unit
 from .transfer import (
     CondExp,
     Compose,
@@ -164,9 +164,7 @@ class VectorState:
     psi: DyadicFunction
 
     def __post_init__(self):
-        n = l2_norm(self.psi)
-        if abs(n - 1.0) > 1e-9:
-            raise ValueError(f"state vector must have unit norm, got {n!r}")
+        require_unit(self.psi, "state vector")
 
     def expectation(self, a: OperatorSpec) -> float:
         return inner(a.apply(self.psi), self.psi)

@@ -42,7 +42,7 @@ class DyadicFunction:
         arr = np.array(values, dtype=float)
         if arr.shape != (1 << depth,):
             raise ValueError(f"expected {1 << depth} values at depth {depth}, got shape {arr.shape}")
-        if not np.all(np.isfinite(arr)):
+        if not np.isfinite(arr).all():
             raise ValueError("values must be finite")
         self.depth = depth
         self.values = arr
@@ -90,9 +90,17 @@ def refine(f: DyadicFunction, depth: int) -> DyadicFunction:
     return DyadicFunction(depth, np.repeat(f.values, 1 << (depth - f.depth)))
 
 
+def _at_depth(f: DyadicFunction, depth: int) -> np.ndarray:
+    """f's cylinder values at a depth no coarser than its own; f's own array when equal."""
+    if depth == f.depth:
+        return f.values
+    return np.repeat(f.values, 1 << (depth - f.depth))
+
+
 def _common(f: DyadicFunction, g: DyadicFunction):
+    """The values of f and g at their common depth, for read-only use."""
     d = max(f.depth, g.depth)
-    return refine(f, d).values, refine(g, d).values, d
+    return _at_depth(f, d), _at_depth(g, d), d
 
 
 def inner(f: DyadicFunction, g: DyadicFunction) -> float:
@@ -103,6 +111,16 @@ def inner(f: DyadicFunction, g: DyadicFunction) -> float:
 
 def l2_norm(f: DyadicFunction) -> float:
     return math.sqrt(max(inner(f, f), 0.0))
+
+
+UNIT_TOL = 1e-9
+
+
+def require_unit(f: DyadicFunction, what: str) -> None:
+    """Raise ValueError unless f has L2 norm one within UNIT_TOL; ``what`` names f."""
+    n = l2_norm(f)
+    if abs(n - 1.0) > UNIT_TOL:
+        raise ValueError(f"{what} must have unit norm, got {n!r}")
 
 
 def sup_norm(f: DyadicFunction) -> float:

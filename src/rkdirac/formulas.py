@@ -30,20 +30,12 @@ from .dyadic import (
     inner,
     l2_norm,
     pointwise_mul,
+    require_unit,
     sup_norm,
     to_haar,
 )
 from .transfer import Proj, koopman_apply, projection_apply, ruelle_apply
 from .words import Word, all_words, shift
-
-_UNIT_TOL = 1e-9
-
-
-def _require_unit(psi: DyadicFunction) -> None:
-    n = l2_norm(psi)
-    if abs(n - 1.0) > _UNIT_TOL:
-        raise ValueError(f"expected a unit vector, got norm {n!r}")
-
 
 # ---------------------------------------------------------------------------
 # c(psi) and its Haar-coefficient forms.
@@ -78,7 +70,7 @@ def koopman_overlap_from_coeffs(h: HaarCoeffs, zero_mean_form: bool = False) -> 
 
 def koopman_overlap(psi: DyadicFunction) -> float:
     """<K psi, psi> for unit psi, cross-checked against the coefficient formula."""
-    _require_unit(psi)
+    require_unit(psi, "projection vector")
     direct = inner(koopman_apply(psi), psi)
     from_coeffs = koopman_overlap_from_coeffs(to_haar(psi))
     if not abs(direct - from_coeffs) <= 1e-12:
@@ -167,7 +159,7 @@ def projection_sq_expression(phi: DyadicFunction, psi: DyadicFunction) -> float:
 
     <phi,psi>^2 - 2 <phi,psi> <K phi,psi> <K psi,psi> + <K phi,psi>^2.
     """
-    _require_unit(psi)
+    require_unit(psi, "projection vector")
     x = inner(phi, psi)
     y = inner(koopman_apply(phi), psi)
     c = inner(koopman_apply(psi), psi)
@@ -181,7 +173,7 @@ def ruelle_sq_expression(phi: DyadicFunction, psi: DyadicFunction) -> float:
     the leading term carries the factor |L psi|^2; the symmetric-looking form
     without it holds only when psi does not depend on the first coordinate.
     """
-    _require_unit(psi)
+    require_unit(psi, "projection vector")
     lpsi = ruelle_apply(psi)
     x = inner(phi, psi)
     y = inner(ruelle_apply(phi), psi)
@@ -226,7 +218,7 @@ def coefficient_image_sq(phi: DyadicFunction, psi: DyadicFunction) -> float:
     Assembles <phi,psi>, <K phi,psi> and <K psi,psi> purely from coefficient
     sums and combines them as x^2 - 2 x y c + y^2.
     """
-    _require_unit(psi)
+    require_unit(psi, "projection vector")
     a = to_haar(phi)
     b = to_haar(psi)
     x = _plain_pairing_coeffs(a, b)
@@ -263,7 +255,7 @@ def projection_norm_bounds(psi: DyadicFunction) -> Dict[str, float]:
       sqrt(b_w^2 + b_sw^2 / 2 - sqrt2 b_w b_sw c)
     with sw the shifted word (absent for length-one words).
     """
-    _require_unit(psi)
+    require_unit(psi, "projection vector")
     h = to_haar(psi)
     c = koopman_overlap(psi)
     max_len = max(1, psi.depth - 1)
@@ -397,7 +389,7 @@ def projection_norm_adjudicate(psi: DyadicFunction, depth: Optional[int] = None)
     at |c|, and sqrt(1 - c^2).  The verdict names the candidate matching the
     numeric value within 1e-6, or "none".
     """
-    _require_unit(psi)
+    require_unit(psi, "projection vector")
     c = koopman_overlap(psi)
     proj = Proj(psi)
     d = depth if depth is not None else dirac.attainment_depth(proj)
@@ -429,7 +421,7 @@ def projection_span_scan(psi: DyadicFunction, samples: int = 200001) -> float:
     """Independent oracle for the upper-block norm of proj(psi): brute-force
     the squared expression over the two-dimensional span of psi and its
     transfer image, where the maximizer is known to live."""
-    _require_unit(psi)
+    require_unit(psi, "projection vector")
     lpsi = ruelle_apply(psi)
     c = inner(lpsi, psi)
     rest = lpsi - c * psi

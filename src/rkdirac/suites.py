@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional
 
 import numpy as np
@@ -45,6 +45,16 @@ TOL_EXACT = 1e-12
 TOL_NORM = 1e-9
 TOL_SCAN = 1e-6
 
+# The suites that read the requested depth run at min(depth, DEPTH_CAP); the
+# others run at fixed depths of their own and ignore it.
+DEPTH_CAP = 8
+DEPTH_SUITES = frozenset({"basis", "transfer", "boson", "fermion", "wold"})
+
+
+def suite_depth(name: str, depth: int) -> Optional[int]:
+    """The depth a suite runs at for a requested depth; None if it ignores the request."""
+    return min(depth, DEPTH_CAP) if name in DEPTH_SUITES else None
+
 
 @dataclass
 class Check:
@@ -62,8 +72,9 @@ class SuiteReport:
     suite: str
     checks: List[Check]
     seed: int
-    depth: int
+    depth: int  # as requested; ``runs`` has the depth each suite ran at
     wall_time: float
+    runs: Dict[str, dict] = field(default_factory=dict)  # suite -> {"depth", "wall_time"}
 
     @property
     def failures(self) -> List[Check]:
@@ -79,6 +90,7 @@ class SuiteReport:
             "seed": self.seed,
             "depth": self.depth,
             "wall_time": self.wall_time,
+            "suites": self.runs,
             "passed": self.passed,
             "checks": [
                 {
@@ -126,7 +138,7 @@ def _unit_random(seed: int, depth: int) -> DyadicFunction:
 
 def run_basis(depth: int, seed: int) -> List[Check]:
     rec = _Recorder("basis")
-    d = min(depth, 8)
+    d = min(depth, DEPTH_CAP)
 
     # pairwise orthonormality of the Haar family restricted to the depth-d space
     max_len = min(5, d - 1)
@@ -221,7 +233,7 @@ def run_basis(depth: int, seed: int) -> List[Check]:
 
 def run_transfer(depth: int, seed: int) -> List[Check]:
     rec = _Recorder("transfer")
-    d = min(depth, 8)
+    d = min(depth, DEPTH_CAP)
 
     worst_lk = worst_adj = worst_iso = 0.0
     for k in range(100):
@@ -325,7 +337,7 @@ def run_transfer(depth: int, seed: int) -> List[Check]:
 
 def run_boson(depth: int, seed: int, n_max: int = 4, w_max_len: int = 3, tol: float = TOL_EXACT) -> List[Check]:
     rec = _Recorder("boson")
-    d = min(depth, 8)
+    d = min(depth, DEPTH_CAP)
 
     words: List[Optional[Word]] = [None, EPSILON]
     words += [w for w in words_up_to(w_max_len)]
@@ -383,7 +395,7 @@ def run_boson(depth: int, seed: int, n_max: int = 4, w_max_len: int = 3, tol: fl
 
 def run_fermion(depth: int, seed: int) -> List[Check]:
     rec = _Recorder("fermion")
-    d = min(depth, 8)
+    d = min(depth, DEPTH_CAP)
     worst = 0.0
     for k in range(100):
         phi = random_function(seed + k, d, "independent-of-first-coordinate")
@@ -484,30 +496,25 @@ def run_dirac_projections(depth: int, seed: int) -> List[Check]:
 
 
 def _projection_case_table_error(min_len: int, max_len: int) -> float:
-    """Worst deviation of squared commutator images from the case table."""
+    """Worst deviation of squared commutator images from the case table.
+
+    The target Haar elements e_t (1 <= len(t) <= max_len) are the columns of
+    one depth-(max_len + 1) array, so each block is applied once per word w.
+    """
+    targets = list(words_up_to(max_len))
+    cols = np.stack([refine(haar_function(t), max_len + 1).values for t in targets], axis=1)
     worst = 0.0
     for lw in range(min_len, max_len + 1):
         for w in all_words(lw):
             upper, lower = tr.dirac_blocks(tr.Proj(haar_function(w)))
             sw = shift(w)
-            for lt in range(1, max_len + 1):
-                for wt in all_words(lt):
-                    e = haar_function(wt)
-                    img_u = upper.apply(e)
-                    val_u = inner(img_u, img_u)
-                    if wt == w:
-                        exp_u = 1.0
-                    elif wt == sw:
-                        exp_u = 0.5
-                    else:
-                        exp_u = 0.0
-                    img_l = lower.apply(e)
-                    val_l = inner(img_l, img_l)
-                    if wt == w or (wt.length >= 2 and shift(wt) == w):
-                        exp_l = 0.5
-                    else:
-                        exp_l = 0.0
-                    worst = max(worst, abs(val_u - exp_u), abs(val_l - exp_l))
+            exp_u = [1.0 if t == w else 0.5 if t == sw else 0.0 for t in targets]
+            exp_l = [0.5 if t == w or (t.length >= 2 and shift(t) == w) else 0.0 for t in targets]
+            for block, expected in ((upper, exp_u), (lower, exp_l)):
+                img = block.apply_batch(cols)
+                # each of the img.shape[0] cylinders carries mass 1 / img.shape[0]
+                sq = np.einsum("ij,ij->j", img, img) / img.shape[0]
+                worst = max(worst, float(np.max(np.abs(sq - expected))))
     return worst
 
 
@@ -732,7 +739,7 @@ def run_wold(depth: int, seed: int) -> List[Check]:
     rec = _Recorder("wold")
     worst_count = 0
     worst_gram = 0.0
-    for d in range(1, min(depth, 8) + 1):
+    for d in range(1, min(depth, DEPTH_CAP) + 1):
         family = wold_family(d)
         worst_count = max(worst_count, abs(len(family) - (1 << d)))
         mat = np.stack([tr.coords(f, d) for f in family])
@@ -770,12 +777,20 @@ SUITES: Dict[str, Callable[[int, int], List[Check]]] = {
 def run_suite(name: str, depth: int = 8, seed: int = 0) -> SuiteReport:
     if name != "all" and name not in SUITES:
         raise KeyError(f"unknown suite {name!r}; available: {', '.join(sorted(SUITES))}, all")
+    keys = sorted(SUITES) if name == "all" else [name]
+    return run_suites(name, {key: SUITES[key] for key in keys}, depth, seed)
+
+
+def run_suites(
+    label: str, parts: Dict[str, Callable[[int, int], List[Check]]], depth: int, seed: int
+) -> SuiteReport:
+    """Run each named suite in order and report the depth and wall time of each."""
     t0 = time.perf_counter()
-    if name == "all":
-        checks: List[Check] = []
-        for key in sorted(SUITES):
-            checks.extend(SUITES[key](depth, seed))
-    else:
-        checks = SUITES[name](depth, seed)
+    checks: List[Check] = []
+    runs: Dict[str, dict] = {}
+    for key, run in parts.items():
+        t = time.perf_counter()
+        checks.extend(run(depth, seed))
+        runs[key] = {"depth": suite_depth(key, depth), "wall_time": time.perf_counter() - t}
     wall = time.perf_counter() - t0
-    return SuiteReport(suite=name, checks=checks, seed=seed, depth=depth, wall_time=wall)
+    return SuiteReport(suite=label, checks=checks, seed=seed, depth=depth, wall_time=wall, runs=runs)

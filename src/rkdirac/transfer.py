@@ -37,7 +37,7 @@ from typing import Callable, Sequence, Tuple
 
 import numpy as np
 
-from .dyadic import DyadicFunction, MAX_DEPTH, inner, l2_norm, refine
+from .dyadic import DyadicFunction, MAX_DEPTH, inner, refine, require_unit
 
 CHUNK_BYTES = 4 << 20  # one identity chunk, measured at the widest array it passes through
 
@@ -140,14 +140,8 @@ def mult_apply(f: DyadicFunction, g: DyadicFunction) -> DyadicFunction:
 
 def projection_apply(psi: DyadicFunction, phi: DyadicFunction) -> DyadicFunction:
     """Rank-one projection <phi, psi> psi; psi must be a unit vector."""
-    _require_unit(psi)
+    require_unit(psi, "projection vector")
     return _function(_proj(psi.values, phi.values))
-
-
-def _require_unit(psi: DyadicFunction, tol: float = 1e-9) -> None:
-    n = l2_norm(psi)
-    if abs(n - 1.0) > tol:
-        raise ValueError(f"projection vector must have unit norm, got {n!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -240,7 +234,7 @@ class Proj(OperatorSpec):
     psi: DyadicFunction
 
     def __post_init__(self):
-        _require_unit(self.psi)
+        require_unit(self.psi, "projection vector")
 
     def apply_batch(self, x):
         return _proj(self.psi.values, x)

@@ -118,6 +118,23 @@ class TestVerifyCommand:
         assert not report.passed
         assert len(report.failures) == 1
 
+    def test_reports_the_depth_each_suite_ran_at(self, capsys):
+        code = main(["verify", "--suite", "all", "--depth", "12"])
+        out = json.loads(capsys.readouterr().out)
+        assert code == 0
+        assert out["depth"] == 12  # as requested
+        ran = out["suites"]
+        assert list(ran) == sorted(ran) and len(ran) == 9
+        assert ran["basis"]["depth"] == 8
+        assert ran["dirac-mult"]["depth"] is None
+        assert {k for k, v in ran.items() if v["depth"] == 8} == {"basis", "transfer", "boson", "fermion", "wold"}
+        assert sum(v["wall_time"] for v in ran.values()) <= out["wall_time"]
+
+    def test_shallow_request_is_reported_as_run(self, capsys):
+        assert main(["verify", "--suite", "wold", "--depth", "5"]) == 0
+        ran = json.loads(capsys.readouterr().out)["suites"]
+        assert list(ran) == ["wold"] and ran["wold"]["depth"] == 5
+
     def test_report_only_never_fails(self):
         report = run_suite("adjudication", depth=6, seed=0)
         assert all(c.status != "fail" for c in report.checks)
@@ -295,6 +312,15 @@ class TestBosonVerifyCommand:
         assert any(i.startswith("boson.") for i in ids)
         assert any(i.startswith("fermion.") for i in ids)
 
+    def test_reports_the_depth_each_suite_ran_at(self, capsys):
+        # the default --depth is 10; both suites run at most at depth 8
+        code = main(["boson", "verify"])
+        out = json.loads(capsys.readouterr().out)
+        assert code == 0
+        assert out["depth"] == 10
+        assert {k: v["depth"] for k, v in out["suites"].items()} == {"boson": 8, "fermion": 8}
+        assert all(v["wall_time"] >= 0.0 for v in out["suites"].values())
+
 
 class TestFormulasReportCommand:
     def test_witness_report(self, tmp_path, capsys):
@@ -316,3 +342,9 @@ class TestFormulasReportCommand:
         psi = tmp_path / "psi.json"
         psi.write_text(json.dumps({"depth": 1, "values": [2.0, 2.0]}))
         assert main(["formulas", "report", "--psi", str(psi)]) == 2
+
+    def test_norm_1_1_rejected(self, tmp_path, capsys):
+        psi = tmp_path / "psi.json"
+        psi.write_text(json.dumps({"depth": 0, "values": [1.1]}))
+        assert main(["formulas", "report", "--psi", str(psi)]) == 2
+        assert "unit norm" in capsys.readouterr().err

@@ -17,12 +17,15 @@ from rkdirac.dyadic import (
     pointwise_mul,
     random_function,
     refine,
+    require_unit,
     state_n,
     state_nw,
     sup_norm,
     to_haar,
 )
-from rkdirac.transfer import ruelle_apply
+from rkdirac import formulas
+from rkdirac.dirac import VectorState
+from rkdirac.transfer import Proj, projection_apply, ruelle_apply
 from rkdirac.words import EPS0, EPS1, EPSILON, Word, all_words, words_up_to
 
 
@@ -262,3 +265,53 @@ class TestValidation:
     def test_normalize_zero_rejected(self):
         with pytest.raises(ValueError):
             normalized(constant(0.0))
+
+    def test_overflow_in_arithmetic_rejected(self):
+        big = DyadicFunction(0, [1e308])
+        with np.errstate(over="ignore"):
+            with pytest.raises(ValueError, match="finite"):
+                big + big
+
+
+class TestValueSemantics:
+    """Results never alias their inputs, at equal or mixed depths."""
+
+    @pytest.mark.parametrize("depths", [(3, 3), (2, 4), (4, 2)])
+    @pytest.mark.parametrize(
+        "op", [lambda f, g: f + g, lambda f, g: f - g, pointwise_mul], ids=["add", "sub", "mul"]
+    )
+    def test_binary_results_are_fresh(self, op, depths):
+        f, g = random_function(1, depths[0]), random_function(2, depths[1])
+        out = op(f, g)
+        assert not np.shares_memory(out.values, f.values)
+        assert not np.shares_memory(out.values, g.values)
+
+    def test_refine_at_own_depth_copies(self):
+        f = random_function(3, 4)
+        g = refine(f, f.depth)
+        assert not np.shares_memory(g.values, f.values)
+        g.values[0] += 1.0
+        assert g.values[0] != f.values[0]
+
+
+class TestRequireUnit:
+    def test_accepts_unit_vectors(self):
+        require_unit(haar_function(w("01")), "psi")
+        require_unit(constant(1.0 + 0.5e-9), "psi")
+
+    @pytest.mark.parametrize(
+        "entry",
+        [
+            lambda psi: require_unit(psi, "psi"),
+            Proj,
+            lambda psi: projection_apply(psi, constant(1.0)),
+            formulas.koopman_overlap,
+            VectorState,
+        ],
+        ids=["require_unit", "Proj", "projection_apply", "formulas", "VectorState"],
+    )
+    def test_norm_1_1_rejected(self, entry):
+        psi = constant(1.1)
+        assert abs(l2_norm(psi) - 1.1) < 1e-15
+        with pytest.raises(ValueError, match="unit norm"):
+            entry(psi)
