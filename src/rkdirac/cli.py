@@ -126,9 +126,9 @@ def cmd_sweep(args) -> int:
     except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    lines = ["depth,value,iterations,method,converged,plateau"]
+    lines = ["depth,value,iterations,method,converged,plateau,residual"]
     for p in points:
-        lines.append(f"{p.depth},{p.value:.15g},{p.iterations},{p.method},{p.converged},{p.plateau}")
+        lines.append(f"{p.depth},{p.value:.15g},{p.iterations},{p.method},{p.converged},{p.plateau},{p.residual:.6g}")
     text = "\n".join(lines)
     if args.csv:
         with open(args.csv, "w", encoding="utf-8") as fh:

@@ -14,12 +14,14 @@ Which path runs:
 * dense, when n <= DENSE_CUTOFF (256) under method="auto", always under
   method="dense", and as the fallback: ``eigvalsh`` of the n x n Gram.  For
   a bound operator the Gram is built by applying the Gram operator to
-  identity column chunks, so the rectangular block is never held next to
-  it.  Memory: one n x n Gram (512 KB at n = 256, 128 MB at n = 4096).
+  identity column chunks of transfer.CHUNK_BYTES (cache sized), so the
+  rectangular block is never held next to it.  Memory: one n x n Gram
+  (512 KB at n = 256, 128 MB at n = 4096).
 * lanczos, otherwise: block Lanczos on G.  For a bound operator it runs
   matrix-free; its memory is the Krylov basis, O(n * m) for m Gram-operator
-  vectors applied (the basis grows with the steps taken, at most
-  KRYLOV_BUDGET columns).
+  vectors applied.  The basis is one column-major array resized in place as
+  the steps are taken, _GROW spare columns at a time, never copied next to
+  itself; T is filled in place (at most KRYLOV_BUDGET columns of each).
 
 The Lanczos start block is deterministic: two pseudorandom vectors from one
 fixed seed.  Neither may be a structured vector.  Many commutator blocks
@@ -58,6 +60,7 @@ from .transfer import assemble  # noqa: F401  -- re-exported as spectra.assemble
 
 DENSE_CUTOFF = 256
 KRYLOV_BUDGET = 160  # Gram-operator vectors one Lanczos run may apply
+_GROW = 8  # spare columns the Lanczos basis gains each time it is full
 METHODS = ("auto", "lanczos", "dense")
 _START_SEED = 0x5EED
 _DEFLATE_RTOL = 1e-14
@@ -114,6 +117,18 @@ def _dense_sigma_max(n: int, width: int, gram_apply) -> float:
     return math.sqrt(max(lam, 0.0))
 
 
+def _norm(x: np.ndarray) -> float:
+    """Frobenius norm of x, finite whenever the norm itself is: for a Gram
+    vector with entries above 1e154 the squares overflow, and an infinite
+    block scale would deflate every direction and stop the run at once."""
+    with np.errstate(over="ignore"):
+        v = float(np.linalg.norm(x))
+    if v == math.inf:
+        peak = float(np.abs(x).max())
+        v = peak * float(np.linalg.norm(x / peak))
+    return v
+
+
 def _extend(basis: np.ndarray, block: np.ndarray, coeffs: np.ndarray, scale: float) -> np.ndarray:
     """Orthonormal columns spanning the part of block orthogonal to basis.
 
@@ -132,28 +147,35 @@ def _lanczos(n: int, gram_apply, tol: float) -> Tuple[float, int, bool, float]:
 
     Returns (theta, vectors applied, converged, residual).  theta is a Ritz
     value, so a lower bound on the top eigenvalue; it is exact when the
-    Krylov space is exhausted.
+    Krylov space is exhausted.  The basis is a column-major view of one
+    flat array that grows in place, with _GROW spare columns each time it is
+    full, and T is filled in place in one KRYLOV_BUDGET x KRYLOV_BUDGET array.
     """
     if n == 0:
         return 0.0, 0, True, 0.0
     rng = np.random.default_rng(_START_SEED)
     start = np.column_stack([rng.standard_normal(n), rng.standard_normal(n)])
     start /= np.linalg.norm(start, axis=0)
-    basis, t = np.empty((n, 0)), np.empty((0, 0))
+    store = np.empty(n * _GROW)  # the basis, column after column
+    t = np.zeros((KRYLOV_BUDGET, KRYLOV_BUDGET))
+    basis = store[:0].reshape((n, 0), order="F")
     block = _extend(basis, start, np.empty((0, 2)), np.linalg.norm(start))
-    scale = 0.0
+    scale, m = 0.0, 0
     while True:
         z = gram_apply(block)
-        scale = max(scale, float(np.linalg.norm(z)))
-        basis = np.hstack([basis, block])
+        scale = max(scale, _norm(z))
+        prev, m = m, m + block.shape[1]
+        if n * m > store.size:
+            del basis  # resize reallocates in place and refuses while a view lives
+            store.resize(n * (m + _GROW))
+        basis = store[: n * m].reshape((n, m), order="F")
+        basis[:, prev:] = block
         coeffs = basis.T @ z
-        m, prev = basis.shape[1], t.shape[0]
-        t = np.pad(t, ((0, m - prev), (0, m - prev)))
-        t[:, prev:] = coeffs  # T = Q^T G Q, upper triangle
-        thetas, vecs = np.linalg.eigh(t, UPLO="U")
+        t[:m, prev:m] = coeffs  # T = Q^T G Q, upper triangle
+        thetas, vecs = np.linalg.eigh(t[:m, :m], UPLO="U")
         theta, y = float(thetas[-1]), vecs[:, -1]
         block = _extend(basis, z, coeffs, scale)
-        residual = float(np.linalg.norm((block.T @ z) @ y[prev:]))
+        residual = _norm((block.T @ z) @ y[prev:])
         sigma = math.sqrt(max(theta, 0.0))
         if residual <= tol * sigma * max(1.0, sigma) or block.shape[1] == 0:
             return theta, m, True, residual
@@ -199,12 +221,16 @@ def block_pair_norm(
 
 @dataclass(frozen=True)
 class SweepPoint:
+    """One depth of a sweep; method and residual are those of the block estimate
+    that set the value (residual 0.0 for a dense value)."""
+
     depth: int
     value: float
     iterations: int
     method: str
     converged: bool
     plateau: bool
+    residual: float
 
 
 def depth_sweep(
@@ -234,6 +260,7 @@ def depth_sweep(
                 method=est.method,
                 converged=eu.converged and el.converged,
                 plateau=plateau,
+                residual=est.residual,
             )
         )
         prev = value

@@ -25,9 +25,11 @@ f is ``values(f) * 2**(-d/2)``, i.e. coefficients over the basis of
 normalized indicators ``2**(d/2) * chi_[w]``.  ``BoundOperator(op, d)`` is op
 on the depth-d space as such a map, without a matrix: ``matvec`` is A.X and
 ``rmatvec`` is A^T.Y, the exact symbolic ``adjoint()`` followed by averaging
-onto the depth-d space.  Each column costs O(2**max(d, out_depth)) memory.
-``assemble`` materializes the matrix by applying ``matvec`` to identity column
-chunks of about ``CHUNK_BYTES`` each; the norm engine never calls it.
+onto the depth-d space.  Each column costs O(2**max(d, out_depth)) memory;
+both maps reject a non-finite result.  ``assemble`` materializes the matrix by
+applying ``matvec`` to identity column chunks of about ``CHUNK_BYTES`` (256 KB,
+cache sized) each; the norm engine never calls it, but builds its dense Grams
+from the same chunks.
 """
 
 from __future__ import annotations
@@ -39,7 +41,13 @@ import numpy as np
 
 from .dyadic import DyadicFunction, MAX_DEPTH, inner, refine, require_unit
 
-CHUNK_BYTES = 4 << 20  # one identity chunk, measured at the widest array it passes through
+# One identity chunk, measured at the widest array it passes through.  Cache
+# sized, and small enough that its temporaries stay below glibc's mmap
+# threshold: with 4 MB (and 512 KB) chunks every temporary of an n = 256
+# dense Gram build was a fresh mapping, about 1,600-2,100 page faults per
+# solve; 256 KB faults none.  128 KB is as fast on a sweep, but the extra
+# chunks slow verify's many n <= 256 solves.
+CHUNK_BYTES = 256 << 10
 
 
 # ---------------------------------------------------------------------------
@@ -345,8 +353,8 @@ class Sum(OperatorSpec):
             return np.zeros_like(x)
         parts = [op.apply_batch(x) for op in self.ops]
         depth = max(_depth(p) for p in parts)
-        out = np.zeros((1 << depth,) + x.shape[1:])
-        for w, p in zip(self.weights, parts):
+        out = self.weights[0] * _refine_rows(parts[0], depth)  # a fresh array, never x itself
+        for w, p in zip(self.weights[1:], parts[1:]):
             out += w * _refine_rows(p, depth)
         return out
 
@@ -453,7 +461,10 @@ class BoundOperator:
             z = z.reshape((1 << d, -1) + z.shape[1:]).mean(axis=1)
         else:
             z = _refine_rows(z, d)
-        return z * 2.0 ** (-d / 2.0)
+        z = z * 2.0 ** (-d / 2.0)
+        if not np.all(np.isfinite(z)):
+            raise ValueError("adjoint values must be finite")
+        return z
 
 
 def apply_to_identity(fn: Callable[[np.ndarray], np.ndarray], shape: Tuple[int, int], width: int) -> np.ndarray:

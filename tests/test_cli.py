@@ -1,6 +1,7 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
 from rkdirac.cli import main
@@ -158,6 +159,27 @@ class TestVerifyCommand:
         }
 
 
+def _overflowing_multiplier(tmp_path):
+    """A multiplier near 1e160: its blocks are finite, their Gram operator is not."""
+    spec = tmp_path / "big.json"
+    spec.write_text(json.dumps(operator_to_json(Mult(random_function(0, 6) * 1e160))))
+    return str(spec)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["norm", "--depth", "9"], ["sweep", "--depths", "7:8"]],
+    ids=["norm", "sweep"],
+)
+def test_overflowing_gram_exits_2_naming_finiteness(tmp_path, capsys, argv):
+    spec = _overflowing_multiplier(tmp_path)
+    with np.errstate(over="ignore", invalid="ignore"):
+        code = main([argv[0], "--operator", spec] + argv[1:])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "finite" in err and "converge" not in err
+
+
 class TestNormCommand:
     def test_haar_projection(self, tmp_path, capsys):
         spec = tmp_path / "op.json"
@@ -238,11 +260,20 @@ class TestSweepCommand:
         code = main(["sweep", "--operator", str(spec), "--depths", "3:6", "--csv", str(out_csv)])
         assert code == 0
         lines = out_csv.read_text().strip().splitlines()
-        assert lines[0] == "depth,value,iterations,method,converged,plateau"
+        assert lines[0] == "depth,value,iterations,method,converged,plateau,residual"
         assert len(lines) == 5
         last = lines[-1].split(",")
         assert float(last[1]) == pytest.approx(1.0, abs=1e-9)
         assert last[5] == "True"
+
+    def test_residual_column_says_how_each_value_was_obtained(self, tmp_path, capsys):
+        spec = tmp_path / "op.json"
+        spec.write_text(json.dumps(operator_to_json(Mult(random_function(2, 6)))))
+        assert main(["sweep", "--operator", str(spec), "--depths", "8:9"]) == 0
+        rows = [line.split(",") for line in capsys.readouterr().out.strip().splitlines()[1:]]
+        (d8, _, it8, m8, *_, r8), (d9, v9, it9, m9, *_, r9) = rows
+        assert (m8, it8, float(r8)) == ("dense", "0", 0.0)
+        assert m9 == "lanczos" and 0.0 < float(r9) <= 1e-12 * float(v9) * max(1.0, float(v9))
 
     def test_comma_list(self, tmp_path, capsys):
         spec = tmp_path / "op.json"

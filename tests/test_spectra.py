@@ -1,11 +1,13 @@
 import math
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rkdirac.dyadic import SQRT2, constant, haar_function, indicator, random_function
+from rkdirac.dyadic import SQRT2, DyadicFunction, constant, haar_function, indicator, random_function
 from rkdirac import spectra
 from rkdirac.spectra import depth_sweep, operator_norm
 from rkdirac.transfer import (
@@ -19,6 +21,7 @@ from rkdirac.transfer import (
     assemble,
     commutator_with_K,
     commutator_with_L,
+    dirac_blocks,
     identity,
 )
 from rkdirac.words import Word
@@ -27,6 +30,40 @@ from test_transfer import _specs
 
 def w(text):
     return Word.from_string(text)
+
+
+def _reference_lanczos(n, gram_apply, tol):
+    """The earlier loop: the basis is re-stacked and T re-padded at every step."""
+    if n == 0:
+        return 0.0, 0, True, 0.0
+    rng = np.random.default_rng(spectra._START_SEED)
+    start = np.column_stack([rng.standard_normal(n), rng.standard_normal(n)])
+    start /= np.linalg.norm(start, axis=0)
+    basis, t = np.empty((n, 0)), np.empty((0, 0))
+    block = spectra._extend(basis, start, np.empty((0, 2)), np.linalg.norm(start))
+    scale = 0.0
+    while True:
+        z = gram_apply(block)
+        scale = max(scale, float(np.linalg.norm(z)))
+        basis = np.hstack([basis, block])
+        coeffs = basis.T @ z
+        m, prev = basis.shape[1], t.shape[0]
+        t = np.pad(t, ((0, m - prev), (0, m - prev)))
+        t[:, prev:] = coeffs
+        thetas, vecs = np.linalg.eigh(t, UPLO="U")
+        theta, y = float(thetas[-1]), vecs[:, -1]
+        block = spectra._extend(basis, z, coeffs, scale)
+        residual = float(np.linalg.norm((block.T @ z) @ y[prev:]))
+        sigma = math.sqrt(max(theta, 0.0))
+        if residual <= tol * sigma * max(1.0, sigma) or block.shape[1] == 0:
+            return theta, m, True, residual
+        if m + block.shape[1] > spectra.KRYLOV_BUDGET:
+            return theta, m, False, residual
+
+
+def _multiplier(scale=1.0):
+    """A depth-6 multiplier: sweep-mult's third member (base seed 2), scaled."""
+    return Mult(DyadicFunction(6, scale * np.random.default_rng(2).standard_normal(64)))
 
 
 class TestOperatorNorm:
@@ -116,6 +153,17 @@ class TestDepthSweep:
             assert p.value == pytest.approx(1.0, abs=1e-8)
         assert points[-1].plateau
 
+    def test_points_carry_the_residual_of_the_estimate_that_set_them(self):
+        upper, lower = dirac_blocks(_multiplier())
+        for p in depth_sweep(_multiplier(), range(7, 11)):
+            _, eu, el = spectra.block_pair_norm(upper, lower, p.depth)
+            est = eu if eu.value >= el.value else el
+            assert (p.method, p.residual) == (est.method, est.residual)
+            if p.method == "dense":
+                assert p.residual == 0.0
+            else:
+                assert 0.0 < p.residual <= 1e-12 * p.value * max(1.0, p.value)
+
     def test_identity_sweeps_to_zero(self):
         points = depth_sweep(identity(), range(1, 5))
         assert all(p.value < 1e-12 for p in points)
@@ -173,6 +221,13 @@ class TestLanczos:
         # can leave the Ritz value a few residuals low; it is never high.
         assert abs(est.value - dense.value) <= 1e-10 * max(1.0, dense.value)
         assert est.value <= dense.value + 1e-12
+        # The in-place basis changes only roundoff against the earlier loop.
+        n, _, gram_apply = spectra._gram(bound)
+        theta, vectors, converged, _ = _reference_lanczos(n, gram_apply, 1e-12)
+        ref = math.sqrt(max(theta, 0.0))
+        assert abs(est.value - ref) <= 1e-12 * max(1.0, ref)
+        assert est.converged == converged
+        assert abs(est.iterations - vectors) <= 2
 
     @pytest.mark.parametrize("depth", range(4, 9))
     def test_repeated_top_value_converges(self, depth):
@@ -246,6 +301,54 @@ class TestLanczos:
         est = operator_norm(BoundOperator(op, 10))
         assert est.method == "lanczos" and est.converged
         assert abs(est.value - 1e-9) <= 1e-12 * 1e-9
+
+    def test_basis_grows_in_place_below_the_earlier_peak(self):
+        # The earlier loop held the old and the re-stacked basis at once on
+        # every step; the in-place basis is resized without a second copy.
+        upper, _ = dirac_blocks(_multiplier())
+        n, _, gram_apply = spectra._gram(BoundOperator(upper, 14))
+        peaks, results = [], []
+        for solve in (_reference_lanczos, spectra._lanczos):
+            tracemalloc.start()
+            try:
+                results.append(solve(n, gram_apply, 1e-12))
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        (ref_theta, ref_m, _, _), (theta, m, converged, _) = results
+        assert converged and abs(m - ref_m) <= 2
+        assert abs(math.sqrt(theta) - math.sqrt(ref_theta)) <= 1e-12 * math.sqrt(ref_theta)
+        assert peaks[1] <= peaks[0], peaks
+
+    def test_basis_growth_keeps_earlier_columns(self, monkeypatch):
+        # No spare columns: the basis is resized on every step.
+        monkeypatch.setattr(spectra, "_GROW", 0)
+        op = commutator_with_L(Mult(random_function(8, 2)))
+        n, _, gram_apply = spectra._gram(BoundOperator(op, 8))
+        theta, m, converged, _ = spectra._lanczos(n, gram_apply, 1e-12)
+        ref_theta, ref_m, _, _ = _reference_lanczos(n, gram_apply, 1e-12)
+        assert converged and m > 2 and abs(m - ref_m) <= 2
+        assert abs(theta - ref_theta) <= 1e-12 * ref_theta
+
+    def test_gram_entries_above_1e154_keep_the_value(self):
+        # The squares of such a Gram vector overflow; an infinite block scale
+        # deflated every direction and stopped at the first Ritz value, 61% low.
+        for scale in (1e100, 1e140):
+            for base, big in zip(dirac_blocks(_multiplier()), dirac_blocks(_multiplier(scale))):
+                expected = operator_norm(BoundOperator(base, 10)).value * scale
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error", RuntimeWarning)
+                    est = operator_norm(BoundOperator(big, 10))
+                assert est.method == "lanczos" and est.converged
+                assert abs(est.value - expected) <= 1e-12 * expected
+
+    def test_overflowing_gram_is_a_typed_error(self):
+        # |f| near 1e160: the blocks are finite, their Gram operator is not.
+        upper, lower = dirac_blocks(_multiplier(1e160))
+        for block, depth in ((upper, 9), (lower, 9), (upper, 7)):
+            with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError, match="finite") as info:
+                operator_norm(BoundOperator(block, depth))
+            assert not isinstance(info.value, np.linalg.LinAlgError)
 
     def test_power_method_is_gone(self):
         with pytest.raises(ValueError):

@@ -20,6 +20,7 @@ from rkdirac.dyadic import (
 )
 from rkdirac.transfer import (
     Adjoint,
+    BoundOperator,
     CondExp,
     Compose,
     KernelProj,
@@ -29,6 +30,7 @@ from rkdirac.transfer import (
     Ruelle,
     Sum,
     adjoint_check,
+    apply_to_identity,
     assemble,
     commutator_with_K,
     commutator_with_L,
@@ -42,6 +44,7 @@ from rkdirac.transfer import (
     ruelle_apply,
     scaled,
 )
+from rkdirac import transfer
 from rkdirac.words import EPS0, EPS1, EPSILON, Word, shift
 
 
@@ -370,3 +373,50 @@ class TestBatchedAssemble:
         op.out_depth(3)
         assemble(op, 3)
         assert len(calls) == 1
+
+
+class TestSumBatch:
+    def test_result_never_aliases_the_input(self):
+        # identity() returns its input unchanged, so the first weighted part
+        # must be a fresh array before the second one is added into it.
+        x = np.random.default_rng(1).standard_normal((8, 3))
+        before = x.copy()
+        out = Sum((identity(), identity()), (1.0, 1.0)).apply_batch(x)
+        np.testing.assert_array_equal(x, before)
+        assert not np.shares_memory(out, x)
+        np.testing.assert_array_equal(out, 2.0 * before)
+
+    def test_first_member_at_a_coarser_depth(self):
+        # Ruelle lands one depth coarser than Koopman; the first part is
+        # refined up to the common depth before the second is added.
+        x = np.random.default_rng(2).standard_normal((8, 2))
+        out = Sum((Ruelle(), Koopman()), (2.0, -1.0)).apply_batch(x)
+        half = 0.5 * (x[:4] + x[4:])
+        expected = 2.0 * np.repeat(half, 4, axis=0) - np.concatenate([x, x])
+        assert out.shape == (16, 2)
+        np.testing.assert_allclose(out, expected, rtol=0.0, atol=1e-15)
+
+
+class TestIdentityChunks:
+    @pytest.mark.parametrize("step", [1, 7, None])
+    def test_chunk_width_does_not_change_the_matrix(self, monkeypatch, step):
+        op = commutator_with_L(Mult(random_function(5, 3)))
+        a = BoundOperator(op, 6)
+        width = max(a.shape)
+        reference = np.column_stack([a.matvec(col) for col in np.eye(a.shape[1])])
+        if step is not None:
+            monkeypatch.setattr(transfer, "CHUNK_BYTES", 8 * width * step)
+        else:
+            monkeypatch.setattr(transfer, "CHUNK_BYTES", 8 * width * a.shape[1])
+        np.testing.assert_array_equal(apply_to_identity(a.matvec, a.shape, width), reference)
+
+
+class TestBoundOperatorFiniteness:
+    def test_rmatvec_rejects_non_finite_values(self):
+        # M_f is finite for |f| near 1e160, but its adjoint applied to an
+        # image of that size is not.
+        f = random_function(0, 2) * 1e160
+        a = BoundOperator(Mult(f), 3)
+        y = a.matvec(np.ones(8))
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError, match="finite"):
+            a.rmatvec(y)
