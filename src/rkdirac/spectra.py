@@ -166,8 +166,11 @@ def _lanczos(n: int, gram_apply, tol: float) -> Tuple[float, int, bool, float]:
         scale = max(scale, _norm(z))
         prev, m = m, m + block.shape[1]
         if n * m > store.size:
-            del basis  # resize reallocates in place and refuses while a view lives
-            store.resize(n * (m + _GROW))
+            # resize reallocates in place and may move the buffer, so no view
+            # of it may outlive this; basis is the only one.  refcheck would
+            # also count a profiler's reference and refuse.
+            del basis
+            store.resize(n * (m + _GROW), refcheck=False)
         basis = store[: n * m].reshape((n, m), order="F")
         basis[:, prev:] = block
         coeffs = basis.T @ z

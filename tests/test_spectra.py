@@ -330,6 +330,15 @@ class TestLanczos:
         assert converged and m > 2 and abs(m - ref_m) <= 2
         assert abs(theta - ref_theta) <= 1e-12 * ref_theta
 
+    def test_basis_growth_runs_under_a_profiler(self):
+        # A profiler holds an extra reference to the basis array during the
+        # resize call; the in-place resize must not refuse it.
+        import cProfile
+
+        upper, _ = dirac_blocks(_multiplier())
+        est = cProfile.Profile().runcall(operator_norm, BoundOperator(upper, 9), method="lanczos")
+        assert est.converged and est.iterations > 2 * spectra._GROW
+
     def test_gram_entries_above_1e154_keep_the_value(self):
         # The squares of such a Gram vector overflow; an infinite block scale
         # deflated every direction and stopped at the first Ritz value, 61% low.
