@@ -19,9 +19,9 @@ Which path runs:
   (512 KB at n = 256, 128 MB at n = 4096).
 * lanczos, otherwise: block Lanczos on G.  For a bound operator it runs
   matrix-free; its memory is the Krylov basis, O(n * m) for m Gram-operator
-  vectors applied.  The basis is one column-major array resized in place as
-  the steps are taken, _GROW spare columns at a time, never copied next to
-  itself; T is filled in place (at most KRYLOV_BUDGET columns of each).
+  vectors applied.  The basis is one column-major array resized in place
+  (realloc) as the steps are taken, _GROW spare columns at a time, and T is
+  filled in place (at most KRYLOV_BUDGET columns of each).
 
 The Lanczos start block is deterministic: two pseudorandom vectors from one
 fixed seed.  Neither may be a structured vector.  Many commutator blocks
