@@ -3,7 +3,8 @@
 Commands:
 
 * ``verify``   run a named verification suite and emit a JSON report
-* ``norm``     Dirac commutator norm of an operator at a depth
+* ``norm``     Dirac commutator norm of an operator at a depth (solved at
+  no more than its core depth)
 * ``sweep``    the same norm across a depth range, as CSV
 * ``connes``   state-distance lower bound from a certified operator family
 * ``boson verify``    ladder and (anti)commutation identities on a grid
@@ -84,22 +85,19 @@ def load_operator_envelope(path: str) -> dict:
 def cmd_norm(args) -> int:
     try:
         op, depth = _load_norm_request(args)
-        if depth is None:
-            depth = di.attainment_depth(op)
-            if depth is None:
-                raise ValueError("no attainment rule for this operator; pass --depth")
-        block = di.dirac_commutator(op)
-        value, upper, lower = sp.block_pair_norm(block.upper, block.lower, depth, method=args.method)
+        result = di.commutator_norm(op, depth, method=args.method)
     except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     _emit(
         {
-            "value": value,
-            "block_upper": upper.value,
-            "block_lower": lower.value,
-            "depth": depth,
-            "diagnostics": {"upper": _diagnostics(upper), "lower": _diagnostics(lower)},
+            "value": result.value,
+            "block_upper": result.upper.value,
+            "block_lower": result.lower.value,
+            "depth": result.depth,
+            "core_depth": result.core_depth,
+            "computed_at": result.computed_at,
+            "diagnostics": {"upper": _diagnostics(result.upper), "lower": _diagnostics(result.lower)},
         },
         args.out,
     )
@@ -181,6 +179,7 @@ def cmd_formulas_report(args) -> int:
             "c": adj["c"],
             "numeric_norm": adj["numeric"],
             "depth": adj["depth"],
+            "computed_at": adj["computed_at"],
             "coefficient_lower_bounds": bounds,
             "closed_form_candidates": {
                 "linear": adj["candidate_linear"],

@@ -18,19 +18,7 @@ import numpy as np
 
 from . import spectra
 from .dyadic import DyadicFunction, inner, require_unit
-from .transfer import (
-    CondExp,
-    Compose,
-    KernelProj,
-    Koopman,
-    Mult,
-    OperatorSpec,
-    Proj,
-    Ruelle,
-    Sum,
-    assemble,
-    dirac_blocks,
-)
+from .transfer import BoundOperator, Koopman, OperatorSpec, Ruelle, assemble, dirac_blocks
 
 
 @dataclass(frozen=True, eq=False)
@@ -90,36 +78,74 @@ def self_adjoint_block_equality(a: OperatorSpec, depth: int) -> Tuple[float, flo
     return block_norms(dirac_commutator(a), depth)
 
 
-def attainment_depth(a: OperatorSpec) -> Optional[int]:
-    """Input depth at which the commutator norm of a known operator plateaus.
+def core_depth(a: OperatorSpec) -> Optional[int]:
+    """Input depth from which the Dirac commutator norm of A no longer changes.
 
-    Rank-one projections attain at one past the vector's depth (the maximizer
-    lives in the span of the vector and its transfer image); multipliers at
-    one past the multiplier's depth (the sup runs over the multiplier's
-    cylinders); conditional expectations of order n at n + 2.  Unknown
-    composites return None and require an explicit depth.
+    In the cylinder index the first symbol is the high bit, so the depth-d
+    space factors as (leading r symbols) (x) (the other d - r).  Every atom
+    reads a fixed number r of leading symbols (its reach) and maps the rest
+    either as the identity, moved by a shift of s symbols, or onto constants
+    (the tail mean J, for a projection); ``OperatorSpec.tail`` gives (s, r)
+    and the sectors, composing as A after B with r = max(r_B, r_A - s_B),
+    s = s_A + s_B.  Identity tails of a sum must share their shift, so a sum
+    that mixes shifts has no core depth (None).
+
+    So at input depth d >= r a commutator block is C_I (x) I + C_J (x) J,
+    with C_I, C_J independent of d.  On the tail, the constants and their
+    orthogonal complement are invariant under both I and J: on the constants
+    the block acts as C_I + C_J, on the complement as C_I (x) I, where J
+    vanishes.  Its norm is therefore max(||C_I + C_J||, ||C_I||) once the
+    complement exists, at d >= r + 1 when both sectors are present, and
+    ||C_I|| or ||C_J|| from d = r on when only one is.  Refining a function
+    appends constant symbols, so the norm at a lower depth is that of a
+    restriction and can only be smaller.  The core depth is the larger of
+    the two blocks' depths: k + 1 for a depth-k multiplier or projection.
     """
-    if isinstance(a, Proj):
-        return a.psi.depth + 1
-    if isinstance(a, Mult):
-        return a.f.depth + 1
-    if isinstance(a, CondExp):
-        return a.n + 2
-    if isinstance(a, KernelProj):
-        return 2
-    if isinstance(a, (Koopman, Ruelle)):
-        return 1
-    if isinstance(a, Compose):
-        depths = [attainment_depth(op) for op in a.ops]
-        if not depths:
-            return 0
-        return max(d for d in depths) if all(d is not None for d in depths) else None
-    if isinstance(a, Sum):
-        depths = [attainment_depth(op) for op in a.ops]
-        if not depths:
-            return 0
-        return max(d for d in depths) if all(d is not None for d in depths) else None
-    return None
+    depths = []
+    for block in dirac_blocks(a):
+        t = block.tail()
+        if t is None:
+            return None
+        depths.append(t.reach + (t.identity and t.mean))
+    return max(depths)
+
+
+@dataclass(frozen=True)
+class CommutatorNorm:
+    """The Dirac commutator norm of an operator and how it was obtained.
+
+    ``depth`` is the requested input depth; both blocks were solved at
+    ``computed_at = min(depth, core_depth)``, where the value is that of every
+    depth from the core depth on.
+    """
+
+    value: float
+    upper: spectra.NormEstimate
+    lower: spectra.NormEstimate
+    depth: int
+    core_depth: Optional[int]
+    computed_at: int
+
+
+def commutator_norm(
+    a: OperatorSpec, depth: Optional[int] = None, tol: float = 1e-12, method: str = "auto"
+) -> CommutatorNorm:
+    """||[D, pi(A)]|| at an input depth, solved at no more than the core depth.
+
+    With no depth the requested depth is the core depth; an operator without
+    one (a sum of mixed shifts) needs an explicit depth.
+    """
+    core = core_depth(a)
+    if depth is None:
+        if core is None:
+            raise ValueError("no core depth for this operator; pass an explicit depth")
+        depth = core
+    b = dirac_commutator(a)
+    for block in (b.upper, b.lower):
+        BoundOperator(block, depth)  # the requested depth must be representable
+    at = depth if core is None else min(depth, core)
+    value, eu, el = spectra.block_pair_norm(b.upper, b.lower, at, tol=tol, method=method)
+    return CommutatorNorm(value, eu, el, depth, core, at)
 
 
 def lipschitz_certify(
@@ -130,27 +156,43 @@ def lipschitz_certify(
 ) -> dict:
     """Evaluate the Dirac commutator norm of A and compare against a threshold.
 
-    The norm is computed at the larger of the requested depth and the
-    operator's attainment depth, when the latter is known.  ``certified`` is
-    True when the value does not exceed threshold + tol and both block
-    estimates converged: an unconverged Ritz value is only a lower bound.
-    ``upper`` and ``lower`` say how each block norm was obtained.
+    The norm is solved through ``commutator_norm``.  ``certified`` is True
+    only for an upper estimate at the core depth: both blocks solved there
+    by a dense eigensolve, and the value at most threshold + tol.  A Lanczos
+    Ritz value is only a lower bound, and so is a value below the core depth
+    or of an operator without one.  ``reason`` says why a result is not
+    certified (None when it is); ``upper`` and ``lower`` say how each block
+    norm was obtained.
     """
-    rule = attainment_depth(a)
-    if depth is None and rule is None:
-        raise ValueError("no attainment rule for this operator; pass an explicit depth")
-    d = rule if depth is None else max(depth, rule or 0)
-    b = dirac_commutator(a)
-    value, eu, el = spectra.block_pair_norm(b.upper, b.lower, d)
+    r = commutator_norm(a, depth)
+    reason = _uncertified_reason(r, threshold, tol)
     return {
-        "certified": bool(value <= threshold + tol and eu.converged and el.converged),
-        "value": value,
-        "depth": d,
+        "certified": reason is None,
+        "reason": reason,
+        "value": r.value,
+        "depth": r.depth,
+        "core_depth": r.core_depth,
+        "computed_at": r.computed_at,
         "threshold": threshold,
         "operator": a.describe(),
-        "upper": _estimate_summary(eu),
-        "lower": _estimate_summary(el),
+        "upper": _estimate_summary(r.upper),
+        "lower": _estimate_summary(r.lower),
     }
+
+
+def _uncertified_reason(r: CommutatorNorm, threshold: float, tol: float) -> Optional[str]:
+    if r.value > threshold + tol:
+        return f"the value exceeds {threshold:g}"
+    if r.core_depth is None:
+        return "the operator has no core depth, so its norm may grow with depth"
+    if r.computed_at < r.core_depth:
+        return f"computed at depth {r.computed_at}, below the core depth {r.core_depth}"
+    for name, est in (("upper", r.upper), ("lower", r.lower)):
+        if not est.converged:
+            return f"the {name} block is from an unconverged solve"
+        if est.method != "dense":
+            return f"the {name} block is a Lanczos Ritz value, only a lower bound"
+    return None
 
 
 def _estimate_summary(est: spectra.NormEstimate) -> dict:
@@ -188,11 +230,9 @@ def connes_lower_bound(
     for a in family:
         cert = lipschitz_certify(a, depth=depth, threshold=threshold)
         if not cert["certified"]:
-            converged = cert["upper"]["converged"] and cert["lower"]["converged"]
-            reason = f"> {threshold:g}" if converged else "from an unconverged solve"
             raise ValueError(
                 f"family member {a.describe()} has commutator norm "
-                f"{cert['value']:.12g} {reason}; not certified"
+                f"{cert['value']:.12g}; not certified: {cert['reason']}"
             )
         gap = abs(eta.expectation(a) - xi.expectation(a))
         if gap > best:

@@ -391,9 +391,8 @@ def projection_norm_adjudicate(psi: DyadicFunction, depth: Optional[int] = None)
     """
     require_unit(psi, "projection vector")
     c = koopman_overlap(psi)
-    proj = Proj(psi)
-    d = depth if depth is not None else dirac.attainment_depth(proj)
-    numeric = dirac.block_norm(dirac.dirac_commutator(proj), d)
+    result = dirac.commutator_norm(Proj(psi), depth)
+    numeric = result.value
     candidates = {
         "linear": surface_stationary_value(c),
         "sqrt": math.sqrt(surface_stationary_value(c)),
@@ -412,7 +411,8 @@ def projection_norm_adjudicate(psi: DyadicFunction, depth: Optional[int] = None)
         "candidate_sqrt": candidates["sqrt"],
         "candidate_sqrt_one_minus_c_sq": candidates["sqrt_one_minus_c_sq"],
         "numeric": numeric,
-        "depth": d,
+        "depth": result.depth,
+        "computed_at": result.computed_at,
         "verdict": verdict,
     }
 

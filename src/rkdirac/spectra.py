@@ -98,13 +98,25 @@ def _as_matrix(m: Union[AssembledMap, np.ndarray]) -> np.ndarray:
     return a
 
 
+def _finite(fn: Callable[[np.ndarray], np.ndarray]) -> Callable[[np.ndarray], np.ndarray]:
+    """fn, rejecting a non-finite result as BoundOperator's maps do."""
+
+    def checked(x: np.ndarray) -> np.ndarray:
+        y = fn(x)
+        if not np.all(np.isfinite(y)):
+            raise ValueError("matrix products must be finite")
+        return y
+
+    return checked
+
+
 def _gram(m: Operand) -> Tuple[int, int, Callable[[np.ndarray], np.ndarray]]:
     """(n, larger side, V -> G V) for the Gram operator G of the smaller side of m."""
     if isinstance(m, BoundOperator):
         (rows, cols), matvec, rmatvec = m.shape, m.matvec, m.rmatvec
     else:
         a = _as_matrix(m)
-        (rows, cols), matvec, rmatvec = a.shape, a.__matmul__, a.T.__matmul__
+        (rows, cols), matvec, rmatvec = a.shape, _finite(a.__matmul__), _finite(a.T.__matmul__)
     if cols <= rows:
         return cols, rows, lambda v: rmatvec(matvec(v))
     return rows, cols, lambda v: matvec(rmatvec(v))
@@ -245,8 +257,11 @@ def depth_sweep(
 ) -> List[SweepPoint]:
     """Dirac-commutator norm of op across input depths, with plateau flags.
 
-    Truncation can only grow the norm, so the values are nondecreasing;
-    consecutive values within plateau_tol flag a plateau.
+    Every depth is solved as asked, not at the core depth: the sweep is the
+    numerical check that the norm stops changing.  Truncation can only grow
+    the norm, so the values are nondecreasing; a row whose value is within
+    plateau_tol of the previous row's, relative to the larger of the two,
+    flags a plateau (the first row never does).
     """
     upper, lower = dirac_blocks(op)
     points: List[SweepPoint] = []
@@ -254,7 +269,7 @@ def depth_sweep(
     for d in sorted(set(int(d) for d in depths)):
         value, eu, el = block_pair_norm(upper, lower, d, tol=tol, method=method)
         est = eu if eu.value >= el.value else el
-        plateau = prev is not None and abs(value - prev) <= plateau_tol
+        plateau = prev is not None and abs(value - prev) <= plateau_tol * max(abs(value), abs(prev))
         points.append(
             SweepPoint(
                 depth=d,

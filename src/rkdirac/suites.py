@@ -129,10 +129,6 @@ class _Recorder:
         )
 
 
-def _unit_random(seed: int, depth: int) -> DyadicFunction:
-    return random_function(seed, depth, "unit-norm")
-
-
 # ---------------------------------------------------------------------------
 
 

@@ -35,7 +35,7 @@ from the same chunks.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Sequence, Tuple
+from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -156,13 +156,31 @@ def projection_apply(psi: DyadicFunction, phi: DyadicFunction) -> DyadicFunction
 # Operator specifications: an immutable, lazily applied operator algebra.
 
 
+@dataclass(frozen=True)
+class Tail:
+    """How an operator treats the symbols past the leading ``reach`` it reads.
+
+    At every input depth d >= reach the operator is ``C_I (x) I + C_J (x) J``
+    on (the leading ``reach`` symbols) (x) (the other d - reach): ``I``
+    carries the tail over unchanged, moved by ``shift`` symbols, and ``J``
+    is the tail mean, onto constants.  ``identity`` and ``mean`` say which
+    of the two terms is present.  See ``dirac.core_depth``.
+    """
+
+    shift: int
+    reach: int
+    identity: bool = True
+    mean: bool = False
+
+
 class OperatorSpec:
     """A linear operator between depth spaces, applied lazily.
 
     Subclasses provide ``apply_batch`` (the batched kernel on cylinder-value
     arrays), ``apply`` (the same on a DyadicFunction), ``out_depth`` (the
     output depth of matrices and bound operators for a given input depth) and
-    ``adjoint`` (the symbolic Hilbert adjoint, exact on the full space).
+    ``adjoint`` (the symbolic Hilbert adjoint, exact on the full space);
+    ``tail`` gives the operator's :class:`Tail`, or None when it has none.
     """
 
     def apply_batch(self, x: np.ndarray) -> np.ndarray:
@@ -176,6 +194,9 @@ class OperatorSpec:
 
     def adjoint(self) -> "OperatorSpec":
         raise NotImplementedError
+
+    def tail(self) -> Optional[Tail]:
+        return None
 
     def describe(self) -> str:
         return repr(self)
@@ -195,6 +216,9 @@ class Ruelle(OperatorSpec):
     def adjoint(self):
         return Koopman()
 
+    def tail(self):
+        return Tail(shift=-1, reach=1)
+
     def describe(self):
         return "ruelle"
 
@@ -212,6 +236,9 @@ class Koopman(OperatorSpec):
 
     def adjoint(self):
         return Ruelle()
+
+    def tail(self):
+        return Tail(shift=1, reach=0)
 
     def describe(self):
         return "koopman"
@@ -232,6 +259,9 @@ class Mult(OperatorSpec):
 
     def adjoint(self):
         return self
+
+    def tail(self):
+        return Tail(shift=0, reach=self.f.depth)
 
     def describe(self):
         return f"mult(depth={self.f.depth})"
@@ -258,6 +288,9 @@ class Proj(OperatorSpec):
     def adjoint(self):
         return self
 
+    def tail(self):
+        return Tail(shift=0, reach=self.psi.depth, identity=False, mean=True)
+
     def describe(self):
         return f"proj(depth={self.psi.depth})"
 
@@ -282,6 +315,9 @@ class CondExp(OperatorSpec):
     def adjoint(self):
         return self
 
+    def tail(self):
+        return Tail(shift=0, reach=self.n)
+
     def describe(self):
         return f"condexp({self.n})"
 
@@ -299,6 +335,9 @@ class KernelProj(OperatorSpec):
 
     def adjoint(self):
         return self
+
+    def tail(self):
+        return Tail(shift=0, reach=1)
 
     def describe(self):
         return "kernel_proj"
@@ -328,6 +367,21 @@ class Compose(OperatorSpec):
 
     def adjoint(self):
         return Compose(tuple(op.adjoint() for op in reversed(self.ops)))
+
+    def tail(self):
+        # A after B reads B's leading reach and, through B's shift, A's.
+        acc = Tail(shift=0, reach=0)
+        for op in reversed(self.ops):
+            t = op.tail()
+            if t is None:
+                return None
+            acc = Tail(
+                shift=acc.shift + t.shift,
+                reach=max(acc.reach, t.reach - acc.shift),
+                identity=acc.identity and t.identity,
+                mean=acc.mean or t.mean,
+            )
+        return acc
 
     def describe(self):
         return "identity" if not self.ops else "(" + " . ".join(op.describe() for op in self.ops) + ")"
@@ -367,6 +421,24 @@ class Sum(OperatorSpec):
     def adjoint(self):
         return Sum(tuple(op.adjoint() for op in self.ops), self.weights)
 
+    def tail(self):
+        # Identity tails add only when they land at the same shift; mean
+        # tails are constant past the reach and add at any shift.  A sum
+        # without identity tails takes the smallest shift, which makes the
+        # reach of anything composed after it the largest.
+        tails = [op.tail() for op in self.ops]
+        if any(t is None for t in tails):
+            return None
+        shifts = {t.shift for t in tails if t.identity}
+        if len(shifts) > 1:
+            return None
+        return Tail(
+            shift=min(shifts or {t.shift for t in tails}, default=0),
+            reach=max((t.reach for t in tails), default=0),
+            identity=bool(shifts),
+            mean=any(t.mean for t in tails),
+        )
+
     def describe(self):
         terms = " + ".join(f"{w:g}*{op.describe()}" for w, op in zip(self.weights, self.ops))
         return f"[{terms}]" if terms else "zero"
@@ -391,6 +463,9 @@ class Adjoint(OperatorSpec):
 
     def adjoint(self):
         return self.inner_op
+
+    def tail(self):
+        return self.resolved.tail()
 
     def describe(self):
         return f"adjoint({self.inner_op.describe()})"

@@ -12,8 +12,9 @@ from rkdirac.io import (
     operator_to_json,
 )
 from rkdirac.dyadic import haar_function, is_close, l2_dist, random_function
+from rkdirac.spectra import block_pair_norm
 from rkdirac.suites import SuiteReport, Check, run_suite
-from rkdirac.transfer import CondExp, Compose, Koopman, Mult, Proj, Sum
+from rkdirac.transfer import CondExp, Compose, Koopman, Mult, Proj, Sum, dirac_blocks
 from rkdirac.words import Word
 
 
@@ -193,7 +194,7 @@ class TestNormCommand:
 
     def test_diagnostics_per_block(self, tmp_path, capsys):
         spec = tmp_path / "op.json"
-        spec.write_text(json.dumps({"kind": "condexp", "n": 1}))
+        spec.write_text(json.dumps({"kind": "condexp", "n": 11}))  # core depth 12
         for depth, path in (("4", "dense"), ("12", "matrix-free")):
             assert main(["norm", "--operator", str(spec), "--depth", depth]) == 0
             diag = json.loads(capsys.readouterr().out)["diagnostics"]
@@ -205,7 +206,7 @@ class TestNormCommand:
 
     def test_diagnostics_report_residual(self, tmp_path, capsys):
         spec = tmp_path / "op.json"
-        spec.write_text(json.dumps({"kind": "condexp", "n": 1}))
+        spec.write_text(json.dumps({"kind": "condexp", "n": 11}))  # core depth 12
         for depth in ("4", "12"):
             assert main(["norm", "--operator", str(spec), "--depth", depth]) == 0
             diag = json.loads(capsys.readouterr().out)["diagnostics"]
@@ -250,6 +251,48 @@ class TestNormCommand:
         spec = tmp_path / "op.json"
         spec.write_text("{not json")
         assert main(["norm", "--operator", str(spec), "--depth", "3"]) == 2
+
+    def test_reports_core_depth_and_computed_at(self, tmp_path, capsys):
+        spec = tmp_path / "op.json"
+        spec.write_text(json.dumps(operator_to_json(Mult(random_function(0, 6)))))
+        outs = {}
+        for argv in ([], ["--depth", "7"], ["--depth", "20"], ["--depth", "5"]):
+            assert main(["norm", "--operator", str(spec)] + argv) == 0
+            out = json.loads(capsys.readouterr().out)
+            outs[out["depth"]] = out
+            assert out["core_depth"] == 7 and out["computed_at"] == min(out["depth"], 7)
+        assert sorted(outs) == [5, 7, 20]
+        assert outs[20]["value"] == outs[7]["value"]
+        assert outs[5]["value"] < outs[7]["value"]
+
+    def test_mixed_shifts_need_a_depth(self, tmp_path, capsys):
+        spec = tmp_path / "op.json"
+        spec.write_text(json.dumps(operator_to_json(Sum((Koopman(), Mult(random_function(0, 2)))))))
+        assert main(["norm", "--operator", str(spec)]) == 2
+        assert "pass an explicit depth" in capsys.readouterr().err
+        assert main(["norm", "--operator", str(spec), "--depth", "4"]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out["core_depth"] is None and out["computed_at"] == 4
+
+    @pytest.mark.parametrize("kind", ["mult", "proj"])
+    def test_values_match_full_depth_solves(self, tmp_path, capsys, kind):
+        op = Mult(random_function(0, 6)) if kind == "mult" else Proj(_haar_pairs_psi())
+        spec = tmp_path / "op.json"
+        spec.write_text(json.dumps(operator_to_json(op)))
+        upper, lower = dirac_blocks(op)
+        for depth in range(7, 15):
+            assert main(["norm", "--operator", str(spec), "--depth", str(depth)]) == 0
+            out = json.loads(capsys.readouterr().out)
+            assert out["computed_at"] == 7
+            full, _, _ = block_pair_norm(upper, lower, depth)
+            assert abs(out["value"] - full) <= 1e-12 * full
+
+
+def _haar_pairs_psi():
+    """A unit depth-6 vector of Haar pairs x e_u + y e_bu, as in the norm-d12 benchmark."""
+    x, y = math.cos(0.7), math.sin(0.7)
+    psi = 0.6 * (x * haar_function(w("0101")) + y * haar_function(w("10101")))
+    return psi + 0.8 * (x * haar_function(w("1110")) + y * haar_function(w("01110")))
 
 
 class TestSweepCommand:
@@ -368,6 +411,13 @@ class TestFormulasReportCommand:
         assert out["numeric_norm"] == pytest.approx(math.sqrt(3) / 2, abs=1e-9)
         assert out["surface_scan_max"] == pytest.approx(9 / 8, abs=1e-6)
         assert out["verdict"] == "sqrt_one_minus_c_sq"
+
+    def test_reports_the_depth_it_computed_at(self, tmp_path, capsys):
+        psi = tmp_path / "psi.json"
+        psi.write_text(json.dumps(function_to_json(_haar_pairs_psi())))
+        assert main(["formulas", "report", "--psi", str(psi), "--depth", "12"]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert (out["depth"], out["computed_at"]) == (12, 7)
 
     def test_non_unit_state_rejected(self, tmp_path, capsys):
         psi = tmp_path / "psi.json"

@@ -3,13 +3,15 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
 
 from rkdirac.dirac import (
     VectorState,
-    attainment_depth,
     block_norm,
     block_norms,
+    commutator_norm,
     connes_lower_bound,
+    core_depth,
     dirac_commutator,
     dirac_matrix,
     haar_projection_closed_forms,
@@ -27,16 +29,21 @@ from rkdirac.dyadic import (
 from rkdirac.spectra import operator_norm
 from rkdirac.formulas import koopman_overlap
 from rkdirac.transfer import (
+    Adjoint,
+    Compose,
     CondExp,
+    KernelProj,
     Koopman,
     Mult,
     Proj,
+    Ruelle,
     Sum,
     identity,
     koopman_apply,
     scaled,
 )
 from rkdirac.words import EPSILON, Word, all_words, words_up_to
+from test_transfer import _specs
 
 
 def w(text):
@@ -146,17 +153,41 @@ class TestLipschitzCertify:
         assert np.max(np.abs(koopman_apply(f).values - np.repeat(f.values, 2)[: 2 ** 4])) <= 1.0
         assert lipschitz_certify(Mult(f))["certified"]
 
-    def test_attainment_rules(self):
-        assert attainment_depth(Proj(haar_function(w("01")))) == 4
-        assert attainment_depth(Mult(random_function(0, 3))) == 4
-        assert attainment_depth(CondExp(2)) == 4
-        assert attainment_depth(identity()) == 0
+    def test_core_depth_rules(self):
+        assert core_depth(Proj(haar_function(w("01")))) == 4
+        assert core_depth(Mult(random_function(0, 3))) == 4
+        assert core_depth(CondExp(2)) == 3
+        assert core_depth(identity()) == 1
 
     def test_reports_how_each_block_was_obtained(self):
         cert = lipschitz_certify(Proj(haar_function(w("011"))), depth=10)
+        assert (cert["depth"], cert["core_depth"], cert["computed_at"]) == (10, 5, 5)
         for block in ("upper", "lower"):
-            assert cert[block]["method"] == "lanczos" and cert[block]["converged"] is True
-            assert 0.0 <= cert[block]["residual"] <= 1e-12
+            assert cert[block] == {"method": "dense", "converged": True, "residual": 0.0}
+
+    def test_counterexample_to_the_member_max_rule_is_not_certified(self):
+        # The norm is 1.000714, 1.243051 and 1.590498 at depths 3-5, then
+        # flat; the largest member depth, 4, certified the scaled operator at 0.95.
+        op = Compose((Ruelle(), Mult(random_function(48, 3)), Ruelle(), Ruelle()))
+        v4 = block_norm(dirac_commutator(op), 4)
+        cert = lipschitz_certify(scaled(op, 0.95 / v4))
+        assert not cert["certified"] and cert["computed_at"] == 6
+        assert cert["value"] == pytest.approx(1.2155361857664764, rel=1e-12)
+        assert "exceeds" in cert["reason"]
+
+    def test_below_the_core_depth_is_not_certified(self):
+        cert = lipschitz_certify(Proj(haar_function(w("011"))), depth=4)
+        assert cert["value"] <= 1.0 + 1e-9 and not cert["certified"]
+        assert cert["computed_at"] == 4 and "below the core depth 5" in cert["reason"]
+
+    def test_lanczos_ritz_value_is_not_certified(self):
+        # core 9: the smaller side of a block is 512, past the dense cutoff
+        f = random_function(3, 8)
+        f = f * (0.25 / np.max(np.abs(f.values)))
+        cert = lipschitz_certify(Mult(f))
+        assert cert["computed_at"] == 9 and cert["value"] <= 1.0
+        assert cert["upper"]["method"] == "lanczos" and cert["upper"]["converged"]
+        assert not cert["certified"] and "lower bound" in cert["reason"]
 
     def test_unconverged_estimate_is_not_certified(self, monkeypatch):
         from rkdirac import spectra
@@ -175,10 +206,84 @@ class TestLipschitzCertify:
             connes_lower_bound(eta, eta, [CondExp(1)])
 
     def test_unknown_rule_needs_depth(self):
-        from rkdirac.transfer import Adjoint
-
         with pytest.raises(ValueError, match="depth"):
-            lipschitz_certify(Adjoint(Koopman()))
+            lipschitz_certify(Sum((Ruelle(), Mult(random_function(0, 2)))))
+
+    def test_no_core_depth_is_not_certified(self):
+        cert = lipschitz_certify(scaled(Sum((Ruelle(), Mult(random_function(0, 2)))), 0.1), depth=4)
+        assert cert["value"] <= 1.0 and not cert["certified"]
+        assert cert["core_depth"] is None and cert["computed_at"] == 4
+        assert "no core depth" in cert["reason"]
+
+
+class TestCoreDepth:
+    @pytest.mark.parametrize("k", range(0, 5))
+    def test_multiplier(self, k):
+        assert core_depth(Mult(random_function(k, k))) == k + 1
+
+    @pytest.mark.parametrize("k", range(1, 5))
+    def test_projection(self, k):
+        assert core_depth(Proj(random_function(k, k, "unit-norm"))) == k + 1
+
+    def test_kernel_projection(self):
+        assert core_depth(KernelProj()) == 2
+
+    @pytest.mark.parametrize("n", range(1, 5))
+    def test_conditional_expectation(self, n):
+        assert core_depth(CondExp(n)) == n + 1
+
+    def test_ruelle_and_koopman(self):
+        assert core_depth(Ruelle()) == 2
+        assert core_depth(Koopman()) == 1
+        assert core_depth(Adjoint(Koopman())) == 2
+
+    def test_composite_reads_past_its_members(self):
+        op = Compose((Ruelle(), Mult(random_function(48, 3)), Ruelle(), Ruelle()))
+        assert core_depth(op) == 6
+
+    def test_mixed_shifts_have_none(self):
+        assert core_depth(Sum((Ruelle(), Mult(random_function(0, 2))))) is None
+        assert core_depth(Sum((Koopman(), identity()))) is None
+        # a tail mean adds at any shift
+        assert core_depth(Sum((Ruelle(), Proj(random_function(0, 2, "unit-norm"))))) == 4
+
+    @pytest.mark.parametrize(
+        "op",
+        [Mult(random_function(5, 3)), Proj(random_function(6, 3, "unit-norm")), CondExp(2), KernelProj()],
+        ids=["mult", "proj", "condexp", "kernel_proj"],
+    )
+    def test_value_is_flat_from_the_core_depth(self, op):
+        core = core_depth(op)
+        values = [block_norm(dirac_commutator(op), d) for d in range(core, core + 4)]
+        assert max(values) - min(values) <= 1e-12 * max(1.0, values[0])
+
+    @settings(max_examples=60, deadline=None)
+    @given(_specs())
+    def test_value_at_the_core_depth_is_the_value_three_deeper(self, op):
+        core = core_depth(op)
+        assume(core is not None and core <= 5)
+        b = dirac_commutator(op)
+        value = block_norm(b, core)
+        assert abs(block_norm(b, core + 3) - value) <= 1e-12 * max(1.0, value)
+
+
+class TestCommutatorNorm:
+    def test_solves_at_no_more_than_the_core_depth(self):
+        op = Mult(random_function(4, 3))
+        for depth, at in ((2, 2), (4, 4), (9, 4)):
+            r = commutator_norm(op, depth)
+            assert (r.depth, r.core_depth, r.computed_at) == (depth, 4, at)
+            assert r.value == block_norm(dirac_commutator(op), at)
+
+    def test_default_depth_is_the_core_depth(self):
+        r = commutator_norm(CondExp(2))
+        assert (r.depth, r.computed_at) == (3, 3)
+
+    def test_requested_depth_is_still_range_checked(self):
+        with pytest.raises(ValueError, match="depth"):
+            commutator_norm(Mult(random_function(4, 3)), 25)
+        with pytest.raises(ValueError, match="depth"):
+            commutator_norm(Mult(random_function(4, 3)), -1)
 
 
 class TestConnesLowerBound:

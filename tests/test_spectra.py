@@ -153,6 +153,24 @@ class TestDepthSweep:
             assert p.value == pytest.approx(1.0, abs=1e-8)
         assert points[-1].plateau
 
+    def test_plateau_is_relative_to_the_value(self):
+        # Values near 1e100 differ from row to row by far more than 1e-10
+        # in absolute terms, yet agree to rounding.
+        points = depth_sweep(_multiplier(1e100), range(7, 12))
+        assert [p.plateau for p in points] == [False, True, True, True, True]
+
+    def test_rising_values_near_1e_12_are_not_a_plateau(self, monkeypatch):
+        values = iter([1.0e-12, 1.1e-12, 1.2e-12, 1.3e-12])
+
+        def rising(upper, lower, depth, tol=1e-12, method="auto"):
+            est = spectra.NormEstimate(next(values), 0, True, "dense", 0.0)
+            return est.value, est, est
+
+        monkeypatch.setattr(spectra, "block_pair_norm", rising)
+        points = depth_sweep(_multiplier(), range(2, 6))
+        assert [p.value for p in points] == [1.0e-12, 1.1e-12, 1.2e-12, 1.3e-12]
+        assert not any(p.plateau for p in points)
+
     def test_points_carry_the_residual_of_the_estimate_that_set_them(self):
         upper, lower = dirac_blocks(_multiplier())
         for p in depth_sweep(_multiplier(), range(7, 11)):
@@ -358,6 +376,15 @@ class TestLanczos:
             with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError, match="finite") as info:
                 operator_norm(BoundOperator(block, depth))
             assert not isinstance(info.value, np.linalg.LinAlgError)
+
+    @pytest.mark.parametrize("method", ["dense", "lanczos"])
+    def test_overflowing_gram_of_a_matrix_is_a_typed_error(self, method):
+        # The assembled block is finite; its Gram matrix A^T A is not.
+        with np.errstate(all="ignore"):
+            m = assemble(commutator_with_L(Mult(random_function(0, 6) * 1e160)), 7)
+            with pytest.raises(ValueError, match="finite") as info:
+                operator_norm(m, method=method)
+        assert not isinstance(info.value, np.linalg.LinAlgError)
 
     def test_power_method_is_gone(self):
         with pytest.raises(ValueError):
