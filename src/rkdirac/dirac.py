@@ -87,8 +87,12 @@ def core_depth(a: OperatorSpec) -> Optional[int]:
     either as the identity, moved by a shift of s symbols, or onto constants
     (the tail mean J, for a projection); ``OperatorSpec.tail`` gives (s, r)
     and the sectors, composing as A after B with r = max(r_B, r_A - s_B),
-    s = s_A + s_B.  Identity tails of a sum must share their shift, so a sum
-    that mixes shifts has no core depth (None).
+    s = s_A + s_B.  Either way the output depends on its leading r + s
+    symbols and the carried tail, and is constant past them.  Identity tails
+    of a sum must share their shift, so a sum that mixes shifts has no core
+    depth (None); a member whose output is constant only past a later symbol
+    (a projection moved by the Koopman operator) raises the sum's reach until
+    its output lies inside the sum's r + s.
 
     So at input depth d >= r a commutator block is C_I (x) I + C_J (x) J,
     with C_I, C_J independent of d.  On the tail, the constants and their
@@ -127,9 +131,7 @@ class CommutatorNorm:
     computed_at: int
 
 
-def commutator_norm(
-    a: OperatorSpec, depth: Optional[int] = None, tol: float = 1e-12, method: str = "auto"
-) -> CommutatorNorm:
+def commutator_norm(a: OperatorSpec, depth: Optional[int] = None, method: str = "auto") -> CommutatorNorm:
     """||[D, pi(A)]|| at an input depth, solved at no more than the core depth.
 
     With no depth the requested depth is the core depth; an operator without
@@ -144,7 +146,7 @@ def commutator_norm(
     for block in (b.upper, b.lower):
         BoundOperator(block, depth)  # the requested depth must be representable
     at = depth if core is None else min(depth, core)
-    value, eu, el = spectra.block_pair_norm(b.upper, b.lower, at, tol=tol, method=method)
+    value, eu, el = spectra.block_pair_norm(b.upper, b.lower, at, method=method)
     return CommutatorNorm(value, eu, el, depth, core, at)
 
 
@@ -156,14 +158,18 @@ def lipschitz_certify(
 ) -> dict:
     """Evaluate the Dirac commutator norm of A and compare against a threshold.
 
-    The norm is solved through ``commutator_norm``.  ``certified`` is True
-    only for an upper estimate at the core depth: both blocks solved there
-    by a dense eigensolve, and the value at most threshold + tol.  A Lanczos
-    Ritz value is only a lower bound, and so is a value below the core depth
-    or of an operator without one.  ``reason`` says why a result is not
-    certified (None when it is); ``upper`` and ``lower`` say how each block
-    norm was obtained.
+    The norm is solved through ``commutator_norm``, at the core depth: a
+    shallower ``depth`` is raised to it, since the value there is only a
+    lower bound.  An operator without a core depth needs ``depth``, and its
+    value is never certified.  ``certified`` is True only for an upper
+    estimate: both blocks solved by a dense eigensolve, and the value at
+    most threshold + tol.  A Lanczos Ritz value is only a lower bound.
+    ``reason`` says why a result is not certified (None when it is);
+    ``upper`` and ``lower`` say how each block norm was obtained.
     """
+    core = core_depth(a)
+    if depth is not None and core is not None:
+        depth = max(depth, core)
     r = commutator_norm(a, depth)
     reason = _uncertified_reason(r, threshold, tol)
     return {
@@ -185,8 +191,6 @@ def _uncertified_reason(r: CommutatorNorm, threshold: float, tol: float) -> Opti
         return f"the value exceeds {threshold:g}"
     if r.core_depth is None:
         return "the operator has no core depth, so its norm may grow with depth"
-    if r.computed_at < r.core_depth:
-        return f"computed at depth {r.computed_at}, below the core depth {r.core_depth}"
     for name, est in (("upper", r.upper), ("lower", r.lower)):
         if not est.converged:
             return f"the {name} block is from an unconverged solve"

@@ -163,8 +163,10 @@ class Tail:
     At every input depth d >= reach the operator is ``C_I (x) I + C_J (x) J``
     on (the leading ``reach`` symbols) (x) (the other d - reach): ``I``
     carries the tail over unchanged, moved by ``shift`` symbols, and ``J``
-    is the tail mean, onto constants.  ``identity`` and ``mean`` say which
-    of the two terms is present.  See ``dirac.core_depth``.
+    is the tail mean, onto constants; both put the output's dependence on
+    its own leading ``reach + shift`` symbols in ``C_I`` and ``C_J``.
+    ``identity`` and ``mean`` say which of the two terms is present.  See
+    ``dirac.core_depth``.
     """
 
     shift: int
@@ -422,20 +424,23 @@ class Sum(OperatorSpec):
         return Sum(tuple(op.adjoint() for op in self.ops), self.weights)
 
     def tail(self):
-        # Identity tails add only when they land at the same shift; mean
-        # tails are constant past the reach and add at any shift.  A sum
-        # without identity tails takes the smallest shift, which makes the
-        # reach of anything composed after it the largest.
+        # Identity tails add only when they land at the same shift s.  A
+        # member's output is constant past its reach + shift, which must lie
+        # inside the sum's reach + s, so the reach is raised until it does.
+        # A sum of mean tails alone keeps the smallest reach and takes the
+        # shift that puts every member's output inside it.
         tails = [op.tail() for op in self.ops]
         if any(t is None for t in tails):
             return None
         shifts = {t.shift for t in tails if t.identity}
         if len(shifts) > 1:
             return None
+        reach = max((t.reach for t in tails), default=0)
+        shift = shifts.pop() if shifts else max((t.reach + t.shift for t in tails), default=0) - reach
         return Tail(
-            shift=min(shifts or {t.shift for t in tails}, default=0),
-            reach=max((t.reach for t in tails), default=0),
-            identity=bool(shifts),
+            shift=shift,
+            reach=max([reach] + [t.reach + t.shift - shift for t in tails]),
+            identity=any(t.identity for t in tails),
             mean=any(t.mean for t in tails),
         )
 

@@ -362,6 +362,15 @@ class TestConnesCommand:
         assert out["lower_bound"] == pytest.approx(1.0, abs=1e-12)
         assert out["witness_operator"]["kind"] == "proj"
 
+    def test_a_family_depth_below_a_core_is_raised_to_it(self, tmp_path, capsys):
+        eta, xi = self._states(tmp_path)
+        family = tmp_path / "family.json"
+        # haar_proj "01" has core depth 4
+        family.write_text(json.dumps({"operators": [{"kind": "haar_proj", "w": "01"}], "depth": 3}))
+        code = main(["connes", "--eta", str(eta), "--xi", str(xi), "--family", str(family)])
+        out = json.loads(capsys.readouterr().out)
+        assert code == 0 and out["lower_bound"] == pytest.approx(1.0, abs=1e-12)
+
     def test_uncertified_family_member_is_rejected(self, tmp_path, capsys):
         eta, xi = self._states(tmp_path)
         family = tmp_path / "family.json"
