@@ -14,7 +14,6 @@ in general.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 from .dyadic import DyadicFunction, l2_dist, state_nw
@@ -22,31 +21,7 @@ from .transfer import koopman_apply, ruelle_apply
 from .words import Word
 
 SCALE = 2.0 ** -0.5
-
-
-@dataclass(frozen=True)
-class LadderConfig:
-    """Bookkeeping for the generalized ladder pair.
-
-    ``scale`` multiplies both the Koopman and transfer operators (scale**2 must
-    be 1/2); ``level_weight`` is the chain weight n -> 2**(-n/2) and
-    ``defect_weight`` the commutator defect weight: 1/2 on the kernel level,
-    zero above it.
-    """
-
-    scale: float = SCALE
-
-    def __post_init__(self):
-        if abs(self.scale**2 - 0.5) > 1e-12:
-            raise ValueError("ladder scale must square to 1/2")
-
-    @staticmethod
-    def level_weight(n: int) -> float:
-        return 2.0 ** (-n / 2.0)
-
-    @staticmethod
-    def defect_weight(n: int) -> float:
-        return 0.5 if n == 0 else 0.0
+CHAIN_TOL = 1e-12  # the error below which chain_shift_check reports "passed"
 
 
 def creation(f: DyadicFunction) -> DyadicFunction:
@@ -72,11 +47,11 @@ def car_anticommutator(f: DyadicFunction) -> DyadicFunction:
     return annihilation(creation(f)) + creation(annihilation(f))
 
 
-def chain_shift_check(n: int, w: Optional[Word], tol: float = 1e-12) -> dict:
+def chain_shift_check(n: int, w: Optional[Word]) -> dict:
     """Verify the ladder identities on the chain state over w (None means the
     plain level state).
 
-    Checks, each to tol:
+    Checks, each to CHAIN_TOL:
       raise: B+ |n, w> = 2**-0.5 |n+1, w>
       lower: B |n, w> = 2**-0.5 |n-1, w> for n >= 1; B |0, w> = 0 for w a word
       power: (B+)^n |0, w> = 2**(-n/2) |n, w>
@@ -97,5 +72,5 @@ def chain_shift_check(n: int, w: Optional[Word], tol: float = 1e-12) -> dict:
         powered = creation(powered)
     report["errors"]["power"] = l2_dist(powered, 2.0 ** (-n / 2.0) * state)
     report["max_error"] = max(report["errors"].values())
-    report["passed"] = report["max_error"] <= tol
+    report["passed"] = report["max_error"] <= CHAIN_TOL
     return report

@@ -38,8 +38,8 @@ def _parse_depth_range(text: str) -> List[int]:
     return [int(x) for x in text.split(",") if x]
 
 
-def _emit(obj: dict, out: Optional[str]) -> None:
-    text = json.dumps(obj, indent=2, sort_keys=False)
+def _write(text: str, out: Optional[str]) -> None:
+    """Write text and a newline to the file out, or print it when out is not given."""
     if out:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
@@ -47,14 +47,13 @@ def _emit(obj: dict, out: Optional[str]) -> None:
         print(text)
 
 
+def _emit(obj: dict, out: Optional[str]) -> None:
+    _write(json.dumps(obj, indent=2), out)
+
+
 def cmd_verify(args) -> int:
-    try:
-        report = suites.run_suite(args.suite, depth=args.depth, seed=args.seed)
-    except KeyError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
-    payload = report.to_json()
-    _emit(payload, args.out)
+    report = suites.run_suite(args.suite, depth=args.depth, seed=args.seed)
+    _emit(report.to_json(), args.out)
     for check in report.failures:
         print(
             f"FAIL {check.id} [{check.ref}]: value {check.value!r}, "
@@ -83,12 +82,8 @@ def load_operator_envelope(path: str) -> dict:
 
 
 def cmd_norm(args) -> int:
-    try:
-        op, depth = _load_norm_request(args)
-        result = di.commutator_norm(op, depth, method=args.method)
-    except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    op, depth = _load_norm_request(args)
+    result = di.commutator_norm(op, depth, method=args.method)
     _emit(
         {
             "value": result.value,
@@ -117,36 +112,21 @@ def _diagnostics(est: sp.NormEstimate) -> dict:
 
 
 def cmd_sweep(args) -> int:
-    try:
-        op = load_operator(load_operator_envelope(args.operator))
-        depths = _parse_depth_range(args.depths)
-        points = sp.depth_sweep(op, depths, method=args.method)
-    except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    op = load_operator(load_operator_envelope(args.operator))
+    points = sp.depth_sweep(op, _parse_depth_range(args.depths), method=args.method)
     lines = ["depth,value,iterations,method,converged,plateau,residual"]
     for p in points:
         lines.append(f"{p.depth},{p.value:.15g},{p.iterations},{p.method},{p.converged},{p.plateau},{p.residual:.6g}")
-    text = "\n".join(lines)
-    if args.csv:
-        with open(args.csv, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
+    _write("\n".join(lines), args.csv)
     return 0
 
 
 def cmd_connes(args) -> int:
-    try:
-        eta = di.VectorState(load_function(load_operator_envelope(args.eta)))
-        xi = di.VectorState(load_function(load_operator_envelope(args.xi)))
-        spec = load_operator_envelope(args.family)
-        family = [load_operator(o) for o in spec["operators"]]
-        depth = spec.get("depth", args.depth)
-        bound, witness = di.connes_lower_bound(eta, xi, family, depth=depth)
-    except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    eta = di.VectorState(load_function(load_operator_envelope(args.eta)))
+    xi = di.VectorState(load_function(load_operator_envelope(args.xi)))
+    # every member is certified at its own core depth; a "depth" key is ignored
+    family = [load_operator(o) for o in load_operator_envelope(args.family)["operators"]]
+    bound, witness = di.connes_lower_bound(eta, xi, family)
     _emit(
         {
             "lower_bound": bound,
@@ -165,15 +145,11 @@ def cmd_boson_verify(args) -> int:
 
 
 def cmd_formulas_report(args) -> int:
-    try:
-        psi = load_function(load_operator_envelope(args.psi))
-        require_unit(psi, "state vector")
-        adj = fo.projection_norm_adjudicate(psi, depth=args.depth)
-        bounds = fo.projection_norm_bounds(psi)
-        scan = fo.surface_max_scan(adj["c"])
-    except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    psi = load_function(load_operator_envelope(args.psi))
+    require_unit(psi, "state vector")
+    adj = fo.projection_norm_adjudicate(psi, depth=args.depth)
+    bounds = fo.projection_norm_bounds(psi)
+    scan = fo.surface_max_scan(adj["c"])
     _emit(
         {
             "c": adj["c"],
@@ -222,8 +198,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("connes", help="state-distance lower bound from a certified family")
     p.add_argument("--eta", required=True, help="unit-norm state function JSON")
     p.add_argument("--xi", required=True)
-    p.add_argument("--family", required=True, help='JSON {"operators": [...], "depth": optional}')
-    p.add_argument("--depth", type=int, default=None)
+    p.add_argument("--family", required=True, help='JSON {"operators": [...]}')
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_connes)
 
@@ -249,14 +224,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built on the first call and kept for the process."""
+    return build_parser()
+
+
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         # argparse exits with 2 on usage errors; normalize other exits
         return int(exc.code or 0)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (ValueError, KeyError, OSError) as exc:  # JSONDecodeError is a ValueError
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -47,35 +47,15 @@ def dirac_matrix(depth: int) -> np.ndarray:
     return out
 
 
-def block_norms(
-    b: BlockCommutator, depth: int, tol: float = 1e-12, method: str = "auto"
-) -> Tuple[float, float]:
+def block_norms(b: BlockCommutator, depth: int) -> Tuple[float, float]:
     """(upper, lower) block norms at the given input depth."""
-    _, eu, el = spectra.block_pair_norm(b.upper, b.lower, depth, tol=tol, method=method)
+    _, eu, el = spectra.block_pair_norm(b.upper, b.lower, depth)
     return eu.value, el.value
 
 
-def block_norm(b: BlockCommutator, depth: int, tol: float = 1e-12, method: str = "auto") -> float:
+def block_norm(b: BlockCommutator, depth: int) -> float:
     """Norm of the Dirac commutator at the given input depth (max of the blocks)."""
-    nu, nl = block_norms(b, depth, tol=tol, method=method)
-    return max(nu, nl)
-
-
-def is_self_adjoint(a: OperatorSpec, depth: int, tol: float = 1e-10) -> bool:
-    m = assemble(a, depth)
-    if m.matrix.shape[0] != m.matrix.shape[1]:
-        return False
-    return bool(np.max(np.abs(m.matrix - m.matrix.T)) <= tol)
-
-
-def self_adjoint_block_equality(a: OperatorSpec, depth: int) -> Tuple[float, float]:
-    """Both block norms of [D, pi(A)] for self-adjoint A; they agree.
-
-    Raises if the assembled matrix at this depth is not symmetric to 1e-10.
-    """
-    if not is_self_adjoint(a, depth):
-        raise ValueError(f"operator {a.describe()} is not self-adjoint at depth {depth}")
-    return block_norms(dirac_commutator(a), depth)
+    return max(block_norms(b, depth))
 
 
 def core_depth(a: OperatorSpec) -> Optional[int]:
@@ -150,47 +130,45 @@ def commutator_norm(a: OperatorSpec, depth: Optional[int] = None, method: str = 
     return CommutatorNorm(value, eu, el, depth, core, at)
 
 
-def lipschitz_certify(
-    a: OperatorSpec,
-    depth: Optional[int] = None,
-    threshold: float = 1.0,
-    tol: float = 1e-9,
-) -> dict:
-    """Evaluate the Dirac commutator norm of A and compare against a threshold.
+LIPSCHITZ_THRESHOLD = 1.0  # the radius of the Lipschitz ball ||[D, pi(A)]|| <= 1
+CERTIFY_TOL = 1e-9
 
-    The norm is solved through ``commutator_norm``, at the core depth: a
-    shallower ``depth`` is raised to it, since the value there is only a
-    lower bound.  An operator without a core depth needs ``depth``, and its
-    value is never certified.  ``certified`` is True only for an upper
+
+def lipschitz_certify(a: OperatorSpec) -> dict:
+    """Evaluate the Dirac commutator norm of A and compare it with one.
+
+    The norm is solved through ``commutator_norm`` at the core depth, where
+    it is the value of every depth.  An operator without a core depth (a sum
+    of mixed shifts) raises ``ValueError``: its norm may grow with depth, so
+    no depth certifies it.  ``certified`` is True only for an upper
     estimate: both blocks solved by a dense eigensolve, and the value at
-    most threshold + tol.  A Lanczos Ritz value is only a lower bound.
-    ``reason`` says why a result is not certified (None when it is);
-    ``upper`` and ``lower`` say how each block norm was obtained.
+    most LIPSCHITZ_THRESHOLD + CERTIFY_TOL.  A Lanczos Ritz value is only a
+    lower bound.  ``reason`` says why a result is not certified (None when
+    it is); ``upper`` and ``lower`` say how each block norm was obtained.
     """
-    core = core_depth(a)
-    if depth is not None and core is not None:
-        depth = max(depth, core)
-    r = commutator_norm(a, depth)
-    reason = _uncertified_reason(r, threshold, tol)
+    if core_depth(a) is None:
+        raise ValueError(
+            f"operator {a.describe()} has no core depth, so its norm may grow "
+            "with depth and it cannot be certified at any depth"
+        )
+    r = commutator_norm(a)
+    reason = _uncertified_reason(r)
     return {
         "certified": reason is None,
         "reason": reason,
         "value": r.value,
-        "depth": r.depth,
         "core_depth": r.core_depth,
         "computed_at": r.computed_at,
-        "threshold": threshold,
+        "threshold": LIPSCHITZ_THRESHOLD,
         "operator": a.describe(),
         "upper": _estimate_summary(r.upper),
         "lower": _estimate_summary(r.lower),
     }
 
 
-def _uncertified_reason(r: CommutatorNorm, threshold: float, tol: float) -> Optional[str]:
-    if r.value > threshold + tol:
-        return f"the value exceeds {threshold:g}"
-    if r.core_depth is None:
-        return "the operator has no core depth, so its norm may grow with depth"
+def _uncertified_reason(r: CommutatorNorm) -> Optional[str]:
+    if r.value > LIPSCHITZ_THRESHOLD + CERTIFY_TOL:
+        return f"the value exceeds {LIPSCHITZ_THRESHOLD:g}"
     for name, est in (("upper", r.upper), ("lower", r.lower)):
         if not est.converged:
             return f"the {name} block is from an unconverged solve"
@@ -217,22 +195,18 @@ class VectorState:
 
 
 def connes_lower_bound(
-    eta: VectorState,
-    xi: VectorState,
-    family: Sequence[OperatorSpec],
-    depth: Optional[int] = None,
-    threshold: float = 1.0,
+    eta: VectorState, xi: VectorState, family: Sequence[OperatorSpec]
 ) -> Tuple[float, Optional[OperatorSpec]]:
     """Best lower bound on the Dirac state distance from a certified family.
 
-    Every family member must have commutator norm at most the threshold; the
-    sup over such operators of |eta(A) - xi(A)| dominates each evaluation, so
-    the returned max is a valid lower bound.  The sup over an empty family
-    is 0.
+    Every family member must certify (``lipschitz_certify``): commutator norm
+    at most one at its core depth.  The sup over such operators of
+    |eta(A) - xi(A)| dominates each evaluation, so the returned max is a
+    valid lower bound.  The sup over an empty family is 0.
     """
     best, witness = 0.0, None
     for a in family:
-        cert = lipschitz_certify(a, depth=depth, threshold=threshold)
+        cert = lipschitz_certify(a)
         if not cert["certified"]:
             raise ValueError(
                 f"family member {a.describe()} has commutator norm "

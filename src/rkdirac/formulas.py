@@ -119,14 +119,16 @@ def surface_stationary_value(c: float) -> float:
     return 0.5 * (2.0 + c - c * c)
 
 
-def surface_max_scan(c: float, grid: int = 4001) -> dict:
+SCAN_GRID = 4001  # points per pass of surface_max_scan
+
+
+def surface_max_scan(c: float) -> dict:
     """Brute-force maximum of G over a in [-1, 1] and both d signs.
 
-    A coarse vectorized grid locates the maximizer and two local refinements
-    pin it down well inside 1e-6.  Returns the maximum and its location.
+    A coarse vectorized grid of SCAN_GRID points locates the maximizer and
+    two local refinements pin it down well inside 1e-6.  Returns the maximum
+    and its location.
     """
-    if grid < 1000:
-        raise ValueError("grid must have at least 1000 points")
 
     def surface(avals: np.ndarray, d: float) -> np.ndarray:
         b = np.sqrt(np.clip(1.0 - avals * avals, 0.0, None))
@@ -138,13 +140,13 @@ def surface_max_scan(c: float, grid: int = 4001) -> dict:
         d = d_sign * math.sqrt(max(1.0 - c * c, 0.0))
         lo, hi = -1.0, 1.0
         for _ in range(3):  # coarse grid, then two zoomed passes
-            avals = np.linspace(lo, hi, grid)
+            avals = np.linspace(lo, hi, SCAN_GRID)
             vals = surface(avals, d)
             k = int(np.argmax(vals))
             if vals[k] > best["max"]:
                 best["max"] = float(vals[k])
                 best["argmax"] = {"a": float(avals[k]), "d_sign": d_sign}
-            step = (hi - lo) / (grid - 1)
+            step = (hi - lo) / (SCAN_GRID - 1)
             lo = max(-1.0, avals[k] - 2 * step)
             hi = min(1.0, avals[k] + 2 * step)
     return best
@@ -311,12 +313,15 @@ def ruelle_diff_sup(f: DyadicFunction) -> float:
     return sup_norm(f - ruelle_apply(f))
 
 
-def weighted_sup_chain(f: DyadicFunction, tol: float = 1e-12) -> Dict[str, float]:
+CHAIN_TOL = 1e-12  # slack of the monotonicity checks of the two sup chains
+
+
+def weighted_sup_chain(f: DyadicFunction) -> Dict[str, float]:
     """The chain |f|_sup >= |sqrt(L f^2)|_sup >= |L f|_sup, all computed exactly."""
     top = sup_norm(f)
     mid = float(np.sqrt(np.clip(ruelle_apply(pointwise_mul(f, f)).values, 0.0, None)).max())
     bot = sup_norm(ruelle_apply(f))
-    if not (top >= mid - tol and mid >= bot - tol):
+    if not (top >= mid - CHAIN_TOL and mid >= bot - CHAIN_TOL):
         raise AssertionError(f"sup chain violated: {top!r} >= {mid!r} >= {bot!r}")
     return {"sup": top, "mid": mid, "ruelle_sup": bot}
 
@@ -344,9 +349,7 @@ def _power_mean(d0: np.ndarray, d1: np.ndarray, order: float) -> np.ndarray:
     return out
 
 
-def kolmogorov_mean_chain(
-    f: DyadicFunction, orders: Sequence[float] = _DEFAULT_ORDERS, tol: float = 1e-12
-) -> Dict[float, float]:
+def kolmogorov_mean_chain(f: DyadicFunction, orders: Sequence[float] = _DEFAULT_ORDERS) -> Dict[float, float]:
     """sup_x of the order-p mean of the two backward differences, per order.
 
     The per-point power means are nondecreasing in the order, so the sups form
@@ -357,15 +360,15 @@ def kolmogorov_mean_chain(
     ordered = sorted(orders)
     sups = {p: float(_power_mean(d0, d1, p).max()) for p in ordered}
     for lo, hi in zip(ordered, ordered[1:]):
-        if sups[lo] > sups[hi] + tol:
+        if sups[lo] > sups[hi] + CHAIN_TOL:
             raise AssertionError(f"mean chain violated at orders {lo} <= {hi}")
     return sups
 
 
-def l2_sandwich_check(f: DyadicFunction, numeric_norm: Optional[float] = None) -> dict:
+def l2_sandwich_check(f: DyadicFunction) -> dict:
     """If the commutator norm of the multiplier is at most one, both L2
     differences |K f - f| and |L f - f| are at most one as well."""
-    norm = backward_rms_norm(f) if numeric_norm is None else numeric_norm
+    norm = backward_rms_norm(f)
     kdiff = l2_norm(koopman_apply(f) - f)
     ldiff = l2_norm(ruelle_apply(f) - f)
     report = {
@@ -417,7 +420,10 @@ def projection_norm_adjudicate(psi: DyadicFunction, depth: Optional[int] = None)
     }
 
 
-def projection_span_scan(psi: DyadicFunction, samples: int = 200001) -> float:
+SPAN_SAMPLES = 200001  # angles projection_span_scan tries in [0, pi]
+
+
+def projection_span_scan(psi: DyadicFunction) -> float:
     """Independent oracle for the upper-block norm of proj(psi): brute-force
     the squared expression over the two-dimensional span of psi and its
     transfer image, where the maximizer is known to live."""
@@ -430,7 +436,7 @@ def projection_span_scan(psi: DyadicFunction, samples: int = 200001) -> float:
         # transfer image parallel to psi: only the psi direction matters
         return math.sqrt(max(projection_sq_expression(psi, psi), 0.0))
     perp = rest * (1.0 / rest_norm)
-    thetas = np.linspace(0.0, math.pi, samples)
+    thetas = np.linspace(0.0, math.pi, SPAN_SAMPLES)
     best = 0.0
     # phi = cos(theta) psi + sin(theta) perp; expression from precomputed pairings
     x_psi, x_perp = 1.0, 0.0

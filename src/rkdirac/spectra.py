@@ -36,9 +36,9 @@ reorthogonalized against the whole basis in two passes; a direction is
 deflated when its norm falls below _DEFLATE_RTOL times the largest block
 norm seen, a scale of the whole block rather than of the column itself.
 The run stops when the top Ritz pair (theta, y) of G has residual
-||G y - theta y|| <= tol * sigma * max(1, sigma), sigma = sqrt(theta), or
-when the Krylov space is exhausted (every new direction deflates), where
-theta is exact.  The residual bounds the error of theta, so this bounds the
+||G y - theta y|| <= tol * sigma * max(1, sigma), sigma = sqrt(theta) and
+tol = NORM_TOL, or when the Krylov space is exhausted (every new direction
+deflates), where theta is exact.  The residual bounds the error of theta, so this bounds the
 error of the value sigma by about tol * max(1, sigma) / 2; a test of
 tol * max(1, theta) would be absolute in theta and let a block of norm
 1e-9 stop at its first Rayleigh quotient, 28% low.  Under
@@ -59,6 +59,8 @@ from .transfer import AssembledMap, BoundOperator, OperatorSpec, apply_to_identi
 from .transfer import assemble  # noqa: F401  -- re-exported as spectra.assemble
 
 DENSE_CUTOFF = 256
+NORM_TOL = 1e-12  # the Lanczos stopping test's relative tolerance (see above)
+PLATEAU_RTOL = 1e-10  # depth_sweep's relative plateau tolerance
 KRYLOV_BUDGET = 160  # Gram-operator vectors one Lanczos run may apply
 _GROW = 8  # spare columns the Lanczos basis gains each time it is full
 METHODS = ("auto", "lanczos", "dense")
@@ -198,7 +200,7 @@ def _lanczos(n: int, gram_apply, tol: float) -> Tuple[float, int, bool, float]:
             return theta, m, False, residual
 
 
-def operator_norm(m: Operand, tol: float = 1e-12, method: str = "auto") -> NormEstimate:
+def operator_norm(m: Operand, method: str = "auto") -> NormEstimate:
     """Largest singular value of a matrix, an assembled map or a bound operator.
 
     method="lanczos" forces the Lanczos path (no fallback), method="dense"
@@ -211,26 +213,22 @@ def operator_norm(m: Operand, tol: float = 1e-12, method: str = "auto") -> NormE
         raise ValueError(f"unknown method {method!r}")
     if method == "dense" or (method == "auto" and n <= DENSE_CUTOFF):
         return NormEstimate(_dense_sigma_max(n, width, gram_apply), 0, True, "dense", 0.0)
-    theta, vectors, ok, residual = _lanczos(n, gram_apply, tol)
+    theta, vectors, ok, residual = _lanczos(n, gram_apply, NORM_TOL)
     if ok or method == "lanczos":
         return NormEstimate(math.sqrt(max(theta, 0.0)), vectors, ok, "lanczos", residual)
     return NormEstimate(_dense_sigma_max(n, width, gram_apply), vectors, True, "dense", 0.0)
 
 
 def block_pair_norm(
-    upper: OperatorSpec,
-    lower: OperatorSpec,
-    depth: int,
-    tol: float = 1e-12,
-    method: str = "auto",
+    upper: OperatorSpec, lower: OperatorSpec, depth: int, method: str = "auto"
 ) -> Tuple[float, NormEstimate, NormEstimate]:
     """Norms of an anti-diagonal block pair at a given input depth.
 
     Returns (value, upper_estimate, lower_estimate); the block-operator norm
     is the max of the two block norms.
     """
-    eu = operator_norm(BoundOperator(upper, depth), tol=tol, method=method)
-    el = operator_norm(BoundOperator(lower, depth), tol=tol, method=method)
+    eu = operator_norm(BoundOperator(upper, depth), method=method)
+    el = operator_norm(BoundOperator(lower, depth), method=method)
     return max(eu.value, el.value), eu, el
 
 
@@ -248,28 +246,22 @@ class SweepPoint:
     residual: float
 
 
-def depth_sweep(
-    op: OperatorSpec,
-    depths: Iterable[int],
-    tol: float = 1e-12,
-    method: str = "auto",
-    plateau_tol: float = 1e-10,
-) -> List[SweepPoint]:
+def depth_sweep(op: OperatorSpec, depths: Iterable[int], method: str = "auto") -> List[SweepPoint]:
     """Dirac-commutator norm of op across input depths, with plateau flags.
 
     Every depth is solved as asked, not at the core depth: the sweep is the
     numerical check that the norm stops changing.  Truncation can only grow
     the norm, so the values are nondecreasing; a row whose value is within
-    plateau_tol of the previous row's, relative to the larger of the two,
+    PLATEAU_RTOL of the previous row's, relative to the larger of the two,
     flags a plateau (the first row never does).
     """
     upper, lower = dirac_blocks(op)
     points: List[SweepPoint] = []
     prev = None
     for d in sorted(set(int(d) for d in depths)):
-        value, eu, el = block_pair_norm(upper, lower, d, tol=tol, method=method)
+        value, eu, el = block_pair_norm(upper, lower, d, method=method)
         est = eu if eu.value >= el.value else el
-        plateau = prev is not None and abs(value - prev) <= plateau_tol * max(abs(value), abs(prev))
+        plateau = prev is not None and abs(value - prev) <= PLATEAU_RTOL * max(abs(value), abs(prev))
         points.append(
             SweepPoint(
                 depth=d,

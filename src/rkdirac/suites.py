@@ -45,15 +45,21 @@ TOL_EXACT = 1e-12
 TOL_NORM = 1e-9
 TOL_SCAN = 1e-6
 
-# The suites that read the requested depth run at min(depth, DEPTH_CAP); the
-# others run at fixed depths of their own and ignore it.
+# The suites that read the requested depth run at min(depth, DEPTH_CAP) and
+# need at least DEPTH_FLOOR (transfer's condexp-rank expects 2**(d-n) for
+# n <= 3); the others run at fixed depths of their own and are passed None.
 DEPTH_CAP = 8
+DEPTH_FLOOR = 3
 DEPTH_SUITES = frozenset({"basis", "transfer", "boson", "fermion", "wold"})
 
 
 def suite_depth(name: str, depth: int) -> Optional[int]:
     """The depth a suite runs at for a requested depth; None if it ignores the request."""
-    return min(depth, DEPTH_CAP) if name in DEPTH_SUITES else None
+    if name not in DEPTH_SUITES:
+        return None
+    if depth < DEPTH_FLOOR:
+        raise ValueError(f"suite {name!r} needs a depth of at least {DEPTH_FLOOR}, got {depth}")
+    return min(depth, DEPTH_CAP)
 
 
 @dataclass
@@ -132,9 +138,8 @@ class _Recorder:
 # ---------------------------------------------------------------------------
 
 
-def run_basis(depth: int, seed: int) -> List[Check]:
+def run_basis(d: int, seed: int) -> List[Check]:
     rec = _Recorder("basis")
-    d = min(depth, DEPTH_CAP)
 
     # pairwise orthonormality of the Haar family restricted to the depth-d space
     max_len = min(5, d - 1)
@@ -227,9 +232,8 @@ def run_basis(depth: int, seed: int) -> List[Check]:
     return rec.checks
 
 
-def run_transfer(depth: int, seed: int) -> List[Check]:
+def run_transfer(d: int, seed: int) -> List[Check]:
     rec = _Recorder("transfer")
-    d = min(depth, DEPTH_CAP)
 
     worst_lk = worst_adj = worst_iso = 0.0
     for k in range(100):
@@ -331,9 +335,8 @@ def run_transfer(depth: int, seed: int) -> List[Check]:
     return rec.checks
 
 
-def run_boson(depth: int, seed: int, n_max: int = 4, w_max_len: int = 3, tol: float = TOL_EXACT) -> List[Check]:
+def run_boson(d: int, seed: int, n_max: int = 4, w_max_len: int = 3, tol: float = TOL_EXACT) -> List[Check]:
     rec = _Recorder("boson")
-    d = min(depth, DEPTH_CAP)
 
     words: List[Optional[Word]] = [None, EPSILON]
     words += [w for w in words_up_to(w_max_len)]
@@ -343,7 +346,7 @@ def run_boson(depth: int, seed: int, n_max: int = 4, w_max_len: int = 3, tol: fl
         for n in range(0, n_max + 1):
             if n + 1 + wl + 2 > 20:
                 continue
-            report = bo.chain_shift_check(n, w, tol)
+            report = bo.chain_shift_check(n, w)
             worst_raise = max(worst_raise, report["errors"]["raise"])
             worst_lower = max(worst_lower, report["errors"].get("lower", 0.0))
             worst_power = max(worst_power, report["errors"]["power"])
@@ -389,9 +392,8 @@ def run_boson(depth: int, seed: int, n_max: int = 4, w_max_len: int = 3, tol: fl
     return rec.checks
 
 
-def run_fermion(depth: int, seed: int) -> List[Check]:
+def run_fermion(d: int, seed: int) -> List[Check]:
     rec = _Recorder("fermion")
-    d = min(depth, DEPTH_CAP)
     worst = 0.0
     for k in range(100):
         phi = random_function(seed + k, d, "independent-of-first-coordinate")
@@ -420,7 +422,7 @@ def run_fermion(depth: int, seed: int) -> List[Check]:
     return rec.checks
 
 
-def run_dirac_projections(depth: int, seed: int) -> List[Check]:
+def run_dirac_projections(depth: None, seed: int) -> List[Check]:
     rec = _Recorder("dirac-projections")
 
     worst_gap = 0.0
@@ -466,7 +468,7 @@ def run_dirac_projections(depth: int, seed: int) -> List[Check]:
 
     worst = 0.0
     for a in (tr.Proj(haar_function(Word.from_string("01"))), tr.Mult(random_function(seed + 60, 3)), tr.CondExp(1)):
-        nu, nl = di.self_adjoint_block_equality(a, 5)
+        nu, nl = di.block_norms(di.dirac_commutator(a), 5)
         worst = max(worst, abs(nu - nl) / max(nu, nl, 1.0))
     rec.close_to("block-equality", "the two commutator blocks of a self-adjoint operator share their norm", "self-adjoint-blocks", worst, 0.0, 1e-8)
 
@@ -514,7 +516,7 @@ def _projection_case_table_error(min_len: int, max_len: int) -> float:
     return worst
 
 
-def run_dirac_mult(depth: int, seed: int) -> List[Check]:
+def run_dirac_mult(depth: None, seed: int) -> List[Check]:
     rec = _Recorder("dirac-mult")
     f0 = SQRT2 * indicator(Word.from_string("0"))
     rec.close_to("remark-forward", "forward sup of the witness multiplier is sqrt(2)", "mult-norm-remark", fo.forward_sup(f0), SQRT2, TOL_EXACT)
@@ -579,7 +581,7 @@ def run_dirac_mult(depth: int, seed: int) -> List[Check]:
     return rec.checks
 
 
-def run_dirac_condexp(depth: int, seed: int) -> List[Check]:
+def run_dirac_condexp(depth: None, seed: int) -> List[Check]:
     rec = _Recorder("dirac-condexp")
     worst = 0.0
     for n in (1, 2, 3):
@@ -629,7 +631,7 @@ def _random_sup_expression(psi: DyadicFunction, trials: int, seed: int) -> float
     return float(np.max(x * x - 2.0 * c * x * y + y * y))
 
 
-def run_adjudication(depth: int, seed: int) -> List[Check]:
+def run_adjudication(depth: None, seed: int) -> List[Check]:
     rec = _Recorder("adjudication")
 
     worst = 0.0
@@ -735,7 +737,7 @@ def run_wold(depth: int, seed: int) -> List[Check]:
     rec = _Recorder("wold")
     worst_count = 0
     worst_gram = 0.0
-    for d in range(1, min(depth, DEPTH_CAP) + 1):
+    for d in range(1, depth + 1):
         family = wold_family(d)
         worst_count = max(worst_count, abs(len(family) - (1 << d)))
         mat = np.stack([tr.coords(f, d) for f in family])
@@ -757,7 +759,9 @@ def wold_family(d: int) -> List[DyadicFunction]:
     return family
 
 
-SUITES: Dict[str, Callable[[int, int], List[Check]]] = {
+# Each suite takes (depth, seed): the depth from suite_depth, None for a suite
+# that ignores the request.
+SUITES: Dict[str, Callable[[Optional[int], int], List[Check]]] = {
     "basis": run_basis,
     "transfer": run_transfer,
     "boson": run_boson,
@@ -778,15 +782,18 @@ def run_suite(name: str, depth: int = 8, seed: int = 0) -> SuiteReport:
 
 
 def run_suites(
-    label: str, parts: Dict[str, Callable[[int, int], List[Check]]], depth: int, seed: int
+    label: str, parts: Dict[str, Callable[[Optional[int], int], List[Check]]], depth: int, seed: int
 ) -> SuiteReport:
-    """Run each named suite in order and report the depth and wall time of each."""
+    """Run each named suite in order at its suite_depth and report the depth
+    and wall time of each.  A depth below the floor is refused before any
+    suite runs."""
     t0 = time.perf_counter()
+    depths = {key: suite_depth(key, depth) for key in parts}
     checks: List[Check] = []
     runs: Dict[str, dict] = {}
     for key, run in parts.items():
         t = time.perf_counter()
-        checks.extend(run(depth, seed))
-        runs[key] = {"depth": suite_depth(key, depth), "wall_time": time.perf_counter() - t}
+        checks.extend(run(depths[key], seed))
+        runs[key] = {"depth": depths[key], "wall_time": time.perf_counter() - t}
     wall = time.perf_counter() - t0
     return SuiteReport(suite=label, checks=checks, seed=seed, depth=depth, wall_time=wall, runs=runs)

@@ -123,7 +123,7 @@ def all_words(length: int) -> Iterator[Word]:
         yield Word(length, bits)
 
 
-def words_up_to(max_length: int, min_length: int = 1) -> Iterator[Word]:
-    """All words with min_length <= length <= max_length, shortest first."""
-    for n in range(min_length, max_length + 1):
+def words_up_to(max_length: int) -> Iterator[Word]:
+    """All nonempty words of length at most max_length, shortest first."""
+    for n in range(1, max_length + 1):
         yield from all_words(n)

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from rkdirac.boson import (
-    LadderConfig,
     annihilation,
     car_anticommutator,
     ccr_defect,
@@ -28,20 +27,6 @@ INV_SQRT2 = 2.0 ** -0.5
 
 def w(text):
     return Word.from_string(text)
-
-
-class TestLadderConfig:
-    def test_scale_squares_to_half(self):
-        cfg = LadderConfig()
-        assert cfg.scale**2 == pytest.approx(0.5, abs=1e-15)
-        with pytest.raises(ValueError):
-            LadderConfig(scale=0.5)
-
-    def test_weights(self):
-        cfg = LadderConfig()
-        assert cfg.level_weight(3) == pytest.approx(2.0 ** -1.5)
-        assert cfg.defect_weight(0) == 0.5
-        assert cfg.defect_weight(4) == 0.0
 
 
 class TestLadderRelations:

@@ -385,6 +385,83 @@ class TestConnesCommand:
         assert "not certified" in err
 
 
+    def test_a_family_depth_key_changes_nothing(self, tmp_path, capsys):
+        eta, xi = self._states(tmp_path)
+        operators = [{"kind": "haar_proj", "w": "01"}, {"kind": "haar_proj", "w": "011"}, {"kind": "condexp", "n": 2}]
+        outputs = []
+        for extra in ({}, {"depth": 1}, {"depth": 9}):
+            family = tmp_path / "family.json"
+            family.write_text(json.dumps({"operators": operators, **extra}))
+            out = tmp_path / "connes.json"
+            assert main(["connes", "--eta", str(eta), "--xi", str(xi), "--family", str(family), "--out", str(out)]) == 0
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1] == outputs[2]
+        assert json.loads(outputs[0])["lower_bound"] == pytest.approx(1.0, abs=1e-12)
+
+    def test_depth_is_not_an_option(self, tmp_path, capsys):
+        eta, xi = self._states(tmp_path)
+        family = tmp_path / "family.json"
+        family.write_text(json.dumps({"operators": [{"kind": "haar_proj", "w": "01"}]}))
+        assert main(["connes", "--eta", str(eta), "--xi", str(xi), "--family", str(family), "--depth", "4"]) == 2
+
+    def test_member_without_a_core_depth_is_rejected(self, tmp_path, capsys):
+        eta, xi = self._states(tmp_path)
+        family = tmp_path / "family.json"
+        mixed = {"kind": "sum", "ops": [{"kind": "ruelle"}, {"kind": "mult", "f": {"depth": 1, "values": [1.0, 0.0]}}],
+                 "weights": [0.1, 0.1]}
+        family.write_text(json.dumps({"operators": [mixed], "depth": 4}))
+        code = main(["connes", "--eta", str(eta), "--xi", str(xi), "--family", str(family)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error:") and "core depth" in err
+
+
+class TestErrorBoundary:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify", "--depth", "2"],
+            ["verify", "--suite", "transfer", "--depth", "1"],
+            ["verify", "--suite", "basis", "--depth", "0"],
+            ["boson", "verify", "--depth", "-1"],
+            ["boson", "verify", "--n-max", "30"],
+            ["verify", "--suite", "nope"],
+        ],
+        ids=["verify-2", "transfer-1", "basis-0", "boson-depth", "boson-n-max", "unknown-suite"],
+    )
+    def test_bad_requests_are_typed_usage_errors(self, capsys, argv):
+        code = main(argv)  # an uncaught exception would propagate out of main
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err.startswith("error:") and "Traceback" not in captured.err
+        assert captured.out == ""
+
+
+class TestParserReuse:
+    def test_calls_in_one_process_are_independent(self, tmp_path, capsys):
+        report = tmp_path / "report.json"
+        spec = tmp_path / "op.json"
+        spec.write_text(json.dumps({"kind": "haar_proj", "w": "01"}))
+        assert main(["verify", "--suite", "wold", "--depth", "5", "--out", str(report)]) == 0
+        assert capsys.readouterr().out == ""
+        # neither --out nor --depth of the first call is carried over
+        assert main(["norm", "--operator", str(spec)]) == 0
+        norm = json.loads(capsys.readouterr().out)
+        assert (norm["depth"], norm["computed_at"]) == (4, 4)
+        assert main(["verify", "--suite", "wold"]) == 0
+        verify = json.loads(capsys.readouterr().out)
+        assert verify["depth"] == 8 and verify["suites"]["wold"]["depth"] == 8
+        assert json.loads(report.read_text())["depth"] == 5
+        # a usage error after successful calls is still one
+        assert main(["norm"]) == 2
+        assert main(["connes", "--eta", str(spec)]) == 2
+
+    def test_the_parser_is_built_once(self):
+        from rkdirac import cli
+
+        assert cli._parser() is cli._parser()
+
+
 class TestBosonVerifyCommand:
     def test_passes(self, capsys):
         code = main(["boson", "verify", "--n-max", "3", "--w-max-len", "2", "--depth", "8"])

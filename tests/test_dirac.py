@@ -17,7 +17,6 @@ from rkdirac.dirac import (
     dirac_matrix,
     haar_projection_closed_forms,
     lipschitz_certify,
-    self_adjoint_block_equality,
 )
 from rkdirac.dyadic import (
     constant,
@@ -122,22 +121,25 @@ class TestBlockNorm:
 
 
 class TestSelfAdjointEquality:
+    # the two blocks of [D, pi(A)] share their norm when A is self-adjoint
     def test_haar_projection(self):
-        nu, nl = self_adjoint_block_equality(Proj(haar_function(w("01"))), 5)
+        nu, nl = block_norms(dirac_commutator(Proj(haar_function(w("01")))), 5)
         assert nu == pytest.approx(1.0, abs=1e-9)
         assert nl == pytest.approx(1.0, abs=1e-9)
 
     def test_random_multiplier(self):
-        nu, nl = self_adjoint_block_equality(Mult(random_function(8, 4)), 8)
+        nu, nl = block_norms(dirac_commutator(Mult(random_function(8, 4))), 8)
         assert nu == pytest.approx(nl, rel=1e-8)
 
     def test_cond_expectation(self):
-        nu, nl = self_adjoint_block_equality(CondExp(1), 4)
+        nu, nl = block_norms(dirac_commutator(CondExp(1)), 4)
         assert (nu, nl) == (pytest.approx(1.0, abs=1e-9), pytest.approx(1.0, abs=1e-9))
 
-    def test_koopman_rejected(self):
-        with pytest.raises(ValueError, match="self-adjoint"):
-            self_adjoint_block_equality(Koopman(), 4)
+    def test_koopman_blocks_differ(self):
+        # K is not self-adjoint: [K, K] = 0, while L K - K L is the kernel projection
+        nu, nl = block_norms(dirac_commutator(Koopman()), 4)
+        assert nu == 0.0
+        assert nl == pytest.approx(1.0, abs=1e-9)
 
 
 class TestSeminormBehavior:
@@ -165,7 +167,7 @@ class TestLipschitzCertify:
     def test_half_scaled_operator_certified(self):
         # any operator of norm at most 1/2 has commutator norm at most 1
         a = scaled(Proj(random_function(2, 4, "unit-norm")), 0.5)
-        cert = lipschitz_certify(a, depth=5)
+        cert = lipschitz_certify(a)
         assert cert["certified"]
 
     def test_small_forward_difference_certified(self):
@@ -182,8 +184,8 @@ class TestLipschitzCertify:
         assert core_depth(identity()) == 1
 
     def test_reports_how_each_block_was_obtained(self):
-        cert = lipschitz_certify(Proj(haar_function(w("011"))), depth=10)
-        assert (cert["depth"], cert["core_depth"], cert["computed_at"]) == (10, 5, 5)
+        cert = lipschitz_certify(Proj(haar_function(w("011"))))
+        assert (cert["core_depth"], cert["computed_at"], cert["threshold"]) == (5, 5, 1.0)
         for block in ("upper", "lower"):
             assert cert[block] == {"method": "dense", "converged": True, "residual": 0.0}
 
@@ -197,10 +199,12 @@ class TestLipschitzCertify:
         assert cert["value"] == pytest.approx(1.2155361857664764, rel=1e-12)
         assert "exceeds" in cert["reason"]
 
-    def test_a_depth_below_the_core_is_raised_to_it(self):
-        cert = lipschitz_certify(Proj(haar_function(w("011"))), depth=3)
+    def test_solved_at_the_core_depth_and_takes_no_depth(self):
+        cert = lipschitz_certify(Proj(haar_function(w("011"))))
         assert cert["certified"] and cert["value"] == pytest.approx(1.0, abs=1e-9)
-        assert (cert["depth"], cert["core_depth"], cert["computed_at"]) == (5, 5, 5)
+        assert (cert["core_depth"], cert["computed_at"]) == (5, 5) and "depth" not in cert
+        with pytest.raises(TypeError):
+            lipschitz_certify(Proj(haar_function(w("011"))), depth=3)
 
     def test_lanczos_ritz_value_is_not_certified(self):
         # core 9: the smaller side of a block is 512, past the dense cutoff
@@ -228,14 +232,18 @@ class TestLipschitzCertify:
             connes_lower_bound(eta, eta, [CondExp(1)])
 
     def test_unknown_rule_needs_depth(self):
-        with pytest.raises(ValueError, match="depth"):
+        with pytest.raises(ValueError, match="core depth"):
             lipschitz_certify(Sum((Ruelle(), Mult(random_function(0, 2)))))
 
     def test_no_core_depth_is_not_certified(self):
-        cert = lipschitz_certify(scaled(Sum((Ruelle(), Mult(random_function(0, 2)))), 0.1), depth=4)
-        assert cert["value"] <= 1.0 and not cert["certified"]
-        assert cert["core_depth"] is None and cert["computed_at"] == 4
-        assert "no core depth" in cert["reason"]
+        # its value at depth 4 is at most one, but the norm may grow with depth
+        op = scaled(Sum((Ruelle(), Mult(random_function(0, 2)))), 0.1)
+        assert commutator_norm(op, 4).value <= 1.0
+        with pytest.raises(ValueError, match="cannot be certified at any depth"):
+            lipschitz_certify(op)
+        eta = VectorState(haar_function(w("01")))
+        with pytest.raises(ValueError, match="core depth"):
+            connes_lower_bound(eta, eta, [op])
 
 
 class TestCoreDepth:

@@ -129,10 +129,6 @@ class TestSurfaceScan:
                 fo.surface_stationary_value(abs(c)), abs=1e-6
             )
 
-    def test_grid_floor(self):
-        with pytest.raises(ValueError):
-            fo.surface_max_scan(0.5, grid=100)
-
 
 class TestProjectionExpression:
     def test_kernel_vector_at_itself(self):

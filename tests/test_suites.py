@@ -1,5 +1,3 @@
-import inspect
-
 import pytest
 
 from rkdirac import suites, transfer as tr
@@ -51,10 +49,34 @@ class TestCaseTable:
 
 
 class TestSuiteDepth:
-    def test_depth_suites_are_the_ones_that_read_the_cap(self):
-        # suite_depth reports the clamp; it must name exactly the suites that apply it
-        for name, run in suites.SUITES.items():
-            assert ("DEPTH_CAP" in inspect.getsource(run)) == (name in suites.DEPTH_SUITES), name
+    @pytest.mark.parametrize("requested, ran", [(3, 3), (8, 8), (12, 8)])
+    def test_each_suite_receives_the_depth_it_runs_at(self, monkeypatch, requested, ran):
+        received = {}
+
+        def recording(name, run):
+            def wrapped(depth, seed):
+                received[name] = depth
+                return run(depth, seed)
+
+            return wrapped
+
+        for name, run in list(suites.SUITES.items()):
+            monkeypatch.setitem(suites.SUITES, name, recording(name, run))
+        report = suites.run_suite("all", depth=requested, seed=0)
+        assert report.passed
+        reads = {"basis", "transfer", "boson", "fermion", "wold"}
+        assert received == {name: ran if name in reads else None for name in suites.SUITES}
+        assert {name: r["depth"] for name, r in report.runs.items()} == received
+
+    @pytest.mark.parametrize("requested", [2, 0, -1])
+    def test_a_depth_below_the_floor_is_refused_before_any_suite_runs(self, monkeypatch, requested):
+        ran = []
+        monkeypatch.setitem(suites.SUITES, "adjudication", lambda depth, seed: ran.append(seed) or [])
+        with pytest.raises(ValueError, match="at least 3"):
+            suites.run_suite("all", depth=requested, seed=0)
+        assert ran == []
+        # a suite that ignores the depth still runs at any request
+        assert suites.run_suite("dirac-condexp", depth=requested, seed=0).passed
 
     def test_clamp(self):
         assert suites.suite_depth("basis", 12) == suites.DEPTH_CAP == 8
