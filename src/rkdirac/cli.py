@@ -63,27 +63,14 @@ def cmd_verify(args) -> int:
     return 0 if report.passed else 1
 
 
-def _load_norm_request(args):
-    obj = load_operator_envelope(args.operator)
-    depth = args.depth
-    if isinstance(obj, dict) and "dirac_norm" in obj:
-        request = obj["dirac_norm"]
-        op = load_operator(request["operator"])
-        if "depth" in request:
-            depth = int(request["depth"])
-    else:
-        op = load_operator(obj)
-    return op, depth
-
-
 def load_operator_envelope(path: str) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
         return json.load(fh)
 
 
 def cmd_norm(args) -> int:
-    op, depth = _load_norm_request(args)
-    result = di.commutator_norm(op, depth, method=args.method)
+    op = load_operator(load_operator_envelope(args.operator))
+    result = di.commutator_norm(op, args.depth, method=args.method)
     _emit(
         {
             "value": result.value,

@@ -21,18 +21,8 @@ from .dyadic import DyadicFunction, inner, require_unit
 from .transfer import BoundOperator, Koopman, OperatorSpec, Ruelle, assemble, dirac_blocks
 
 
-@dataclass(frozen=True, eq=False)
-class BlockCommutator:
-    """The anti-diagonal blocks of the Dirac commutator of a source operator."""
-
-    source: OperatorSpec
-    upper: OperatorSpec  # K A - A K
-    lower: OperatorSpec  # L A - A L
-
-
-def dirac_commutator(a: OperatorSpec) -> BlockCommutator:
-    upper, lower = dirac_blocks(a)
-    return BlockCommutator(source=a, upper=upper, lower=lower)
+# The (upper, lower) = (K A - A K, L A - A L) block pair, under its older name.
+dirac_commutator = dirac_blocks
 
 
 def dirac_matrix(depth: int) -> np.ndarray:
@@ -47,13 +37,14 @@ def dirac_matrix(depth: int) -> np.ndarray:
     return out
 
 
-def block_norms(b: BlockCommutator, depth: int) -> Tuple[float, float]:
-    """(upper, lower) block norms at the given input depth."""
-    _, eu, el = spectra.block_pair_norm(b.upper, b.lower, depth)
+def block_norms(b: Tuple[OperatorSpec, OperatorSpec], depth: int) -> Tuple[float, float]:
+    """Norms of the (upper, lower) block pair at the given input depth."""
+    upper, lower = b
+    _, eu, el = spectra.block_pair_norm(upper, lower, depth)
     return eu.value, el.value
 
 
-def block_norm(b: BlockCommutator, depth: int) -> float:
+def block_norm(b: Tuple[OperatorSpec, OperatorSpec], depth: int) -> float:
     """Norm of the Dirac commutator at the given input depth (max of the blocks)."""
     return max(block_norms(b, depth))
 
@@ -122,11 +113,11 @@ def commutator_norm(a: OperatorSpec, depth: Optional[int] = None, method: str = 
         if core is None:
             raise ValueError("no core depth for this operator; pass an explicit depth")
         depth = core
-    b = dirac_commutator(a)
-    for block in (b.upper, b.lower):
+    upper, lower = dirac_blocks(a)
+    for block in (upper, lower):
         BoundOperator(block, depth)  # the requested depth must be representable
     at = depth if core is None else min(depth, core)
-    value, eu, el = spectra.block_pair_norm(b.upper, b.lower, at, method=method)
+    value, eu, el = spectra.block_pair_norm(upper, lower, at, method=method)
     return CommutatorNorm(value, eu, el, depth, core, at)
 
 

@@ -85,22 +85,20 @@ def refine(f: DyadicFunction, depth: int) -> DyadicFunction:
         raise ValueError(f"cannot refine depth {f.depth} down to {depth}")
     if depth > MAX_DEPTH:
         raise ValueError(f"depth cap {MAX_DEPTH} exceeded")
-    if depth == f.depth:
-        return DyadicFunction(f.depth, f.values)
-    return DyadicFunction(depth, np.repeat(f.values, 1 << (depth - f.depth)))
+    return DyadicFunction(depth, _refine_rows(f.values, depth))
 
 
-def _at_depth(f: DyadicFunction, depth: int) -> np.ndarray:
-    """f's cylinder values at a depth no coarser than its own; f's own array when equal."""
-    if depth == f.depth:
-        return f.values
-    return np.repeat(f.values, 1 << (depth - f.depth))
+def _refine_rows(x: np.ndarray, depth: int) -> np.ndarray:
+    """x re-expressed at a depth no coarser than its own: rows repeat over child
+    cylinders; x itself when the depths are equal."""
+    r = (1 << depth) // x.shape[0]
+    return x if r == 1 else np.repeat(x, r, axis=0)
 
 
 def _common(f: DyadicFunction, g: DyadicFunction):
     """The values of f and g at their common depth, for read-only use."""
     d = max(f.depth, g.depth)
-    return _at_depth(f, d), _at_depth(g, d), d
+    return _refine_rows(f.values, d), _refine_rows(g.values, d), d
 
 
 def inner(f: DyadicFunction, g: DyadicFunction) -> float:

@@ -35,7 +35,7 @@ from .dyadic import (
     to_haar,
 )
 from .transfer import Proj, koopman_apply, projection_apply, ruelle_apply
-from .words import Word, all_words, shift
+from .words import EPSILON, Word, all_words, shift
 
 # ---------------------------------------------------------------------------
 # c(psi) and its Haar-coefficient forms.
@@ -50,21 +50,14 @@ def koopman_overlap_from_coeffs(h: HaarCoeffs, zero_mean_form: bool = False) -> 
           + (b_0 + b_1)(beta_0 + beta_1) / 2
           + (beta_0 - beta_1)**2 / 2,
 
-    where the last term is the squared mean of psi.  ``zero_mean_form=True``
-    drops that term, giving the simplification that is only valid for
-    zero-mean inputs; kept so reports can quantify the gap.
+    where the last term is the squared mean of psi: this is
+    ``_koopman_pairing_coeffs(h, h)``.  ``zero_mean_form=True`` drops that
+    term, giving the simplification that is only valid for zero-mean inputs;
+    kept so reports can quantify the gap.
     """
-    total = 0.0
-    b1 = {0: 0.0, 1: 0.0}
-    for w, b in h.coeffs.items():
-        zero_ext = h.get(Word(w.length + 1, w.bits))  # 0w
-        one_ext = h.get(Word(w.length + 1, (1 << w.length) | w.bits))  # 1w
-        total += (b * INV_SQRT2) * (zero_ext + one_ext)
-        if w.length == 1:
-            b1[w.bits] = b
-    total += 0.5 * (b1[0] + b1[1]) * (h.eps0 + h.eps1)
-    if not zero_mean_form:
-        total += 0.5 * (h.eps0 - h.eps1) ** 2
+    total = _koopman_pairing_coeffs(h, h)
+    if zero_mean_form:
+        total -= 0.5 * (h.eps0 - h.eps1) ** 2
     return total
 
 
@@ -189,6 +182,11 @@ def commutator_image_sq(phi: DyadicFunction, psi: DyadicFunction) -> float:
     return inner(image, image)
 
 
+def _children(h: HaarCoeffs, w: Word) -> float:
+    """b_0w + b_1w: the coefficients of the two one-symbol left extensions of w."""
+    return h.get(Word(w.length + 1, w.bits)) + h.get(Word(w.length + 1, (1 << w.length) | w.bits))
+
+
 def _koopman_pairing_coeffs(a: HaarCoeffs, b: HaarCoeffs) -> float:
     """<K phi, psi> from coefficients: the exact coefficient expansion
 
@@ -197,12 +195,9 @@ def _koopman_pairing_coeffs(a: HaarCoeffs, b: HaarCoeffs) -> float:
       + (alpha_1 - alpha_0)(beta_1 - beta_0) / 2.
     """
     total = 0.0
-    b_len1 = {0: b.get(Word(1, 0)), 1: b.get(Word(1, 1))}
     for v, av in a.coeffs.items():
-        zero_ext = b.get(Word(v.length + 1, v.bits))
-        one_ext = b.get(Word(v.length + 1, (1 << v.length) | v.bits))
-        total += av * (zero_ext + one_ext) * INV_SQRT2
-    total += 0.5 * (a.eps0 + a.eps1) * (b_len1[0] + b_len1[1])
+        total += av * _children(b, v) * INV_SQRT2
+    total += 0.5 * (a.eps0 + a.eps1) * _children(b, EPSILON)
     total += 0.5 * (a.eps1 - a.eps0) * (b.eps1 - b.eps0)
     return total
 
@@ -238,13 +233,10 @@ def coefficient_image_sq_truncated(phi: DyadicFunction, psi: DyadicFunction) -> 
     x = _plain_pairing_coeffs(a, b)
     y = _koopman_pairing_coeffs(a, b)
     t = 0.0
-    b1 = {0: b.get(Word(1, 0)), 1: b.get(Word(1, 1))}
     for u, bu in b.coeffs.items():
         if u.length > 1:
-            zero_ext = b.get(Word(u.length + 1, u.bits))
-            one_ext = b.get(Word(u.length + 1, (1 << u.length) | u.bits))
-            t += (bu * INV_SQRT2) * (zero_ext + one_ext)
-    t += 0.5 * (b1[0] + b1[1]) * (b.eps0 + b.eps1)
+            t += (bu * INV_SQRT2) * _children(b, u)
+    t += 0.5 * _children(b, EPSILON) * (b.eps0 + b.eps1)
     return x * x + y * y - 2.0 * x * y * t
 
 
@@ -266,9 +258,7 @@ def projection_norm_bounds(psi: DyadicFunction) -> Dict[str, float]:
     for length in range(1, max_len + 1):
         for w in all_words(length):
             bw = h.get(w)
-            zero_ext = h.get(Word(length + 1, w.bits))
-            one_ext = h.get(Word(length + 1, (1 << length) | w.bits))
-            s = zero_ext + one_ext
+            s = _children(h, w)
             term_k = bw * bw + 0.5 * s * s - SQRT2 * bw * s * c
             best_k = max(best_k, term_k)
             bsw = h.get(shift(w)) if length >= 2 else 0.0
@@ -437,13 +427,9 @@ def projection_span_scan(psi: DyadicFunction) -> float:
         return math.sqrt(max(projection_sq_expression(psi, psi), 0.0))
     perp = rest * (1.0 / rest_norm)
     thetas = np.linspace(0.0, math.pi, SPAN_SAMPLES)
-    best = 0.0
-    # phi = cos(theta) psi + sin(theta) perp; expression from precomputed pairings
-    x_psi, x_perp = 1.0, 0.0
-    y_psi, y_perp = c, inner(perp, lpsi)
-    cosines, sines = np.cos(thetas), np.sin(thetas)
-    x = cosines * x_psi + sines * x_perp
-    y = cosines * y_psi + sines * y_perp
-    vals = x * x - 2.0 * x * y * c + y * y
-    best = float(vals.max())
+    # phi = cos(theta) psi + sin(theta) perp, so <phi, psi> = cos(theta) and
+    # <phi, L psi> = cos(theta) c + sin(theta) <perp, L psi>
+    x = np.cos(thetas)
+    y = x * c + np.sin(thetas) * inner(perp, lpsi)
+    best = float((x * x - 2.0 * x * y * c + y * y).max())
     return math.sqrt(max(best, 0.0))

@@ -100,9 +100,7 @@ def load_operator(source: JsonLike) -> OperatorSpec:
     if kind == "compose":
         return Compose(tuple(load_operator(o) for o in obj["ops"]))
     if kind == "sum":
-        ops = tuple(load_operator(o) for o in obj["ops"])
-        weights = tuple(float(x) for x in obj.get("weights", ())) or None
-        return Sum(ops, weights or (1.0,) * len(ops))
+        return Sum(tuple(load_operator(o) for o in obj["ops"]), obj.get("weights", ()))
     raise ValueError(f"unknown operator kind {kind!r}")
 
 

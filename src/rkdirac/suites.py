@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Callable, Dict, List, Optional
 
 import numpy as np
@@ -22,6 +22,7 @@ from . import spectra as sp
 from . import transfer as tr
 from .dyadic import (
     DyadicFunction,
+    MAX_DEPTH,
     SQRT2,
     constant,
     from_haar,
@@ -98,18 +99,7 @@ class SuiteReport:
             "wall_time": self.wall_time,
             "suites": self.runs,
             "passed": self.passed,
-            "checks": [
-                {
-                    "id": c.id,
-                    "description": c.description,
-                    "ref": c.ref,
-                    "status": c.status,
-                    "value": c.value,
-                    "expected": c.expected,
-                    "tolerance": c.tolerance,
-                }
-                for c in sorted(self.checks, key=lambda c: c.id)
-            ],
+            "checks": [asdict(c) for c in sorted(self.checks, key=lambda c: c.id)],
         }
 
 
@@ -135,6 +125,12 @@ class _Recorder:
         )
 
 
+def _gram_deviation(family: List[DyadicFunction], d: int) -> float:
+    """Largest entry of |Gram - I| for a family of functions in the depth-d space."""
+    mat = np.stack([tr.coords(f, d) for f in family])
+    return float(np.max(np.abs(mat @ mat.T - np.eye(len(family)))))
+
+
 # ---------------------------------------------------------------------------
 
 
@@ -145,13 +141,11 @@ def run_basis(d: int, seed: int) -> List[Check]:
     max_len = min(5, d - 1)
     family = [haar_function(EPS0), haar_function(EPS1)]
     family += [haar_function(w) for w in words_up_to(max_len)]
-    mat = np.stack([refine(f, max_len + 1).values * 2.0 ** (-(max_len + 1) / 2) for f in family])
-    gram_err = np.max(np.abs(mat @ mat.T - np.eye(len(family))))
     rec.close_to(
         "orthonormal",
         f"Gram matrix of the Haar family (word length <= {max_len}) is the identity",
         "haar-orthonormality",
-        gram_err,
+        _gram_deviation(family, max_len + 1),
         0.0,
         TOL_EXACT,
     )
@@ -336,16 +330,22 @@ def run_transfer(d: int, seed: int) -> List[Check]:
 
 
 def run_boson(d: int, seed: int, n_max: int = 4, w_max_len: int = 3, tol: float = TOL_EXACT) -> List[Check]:
+    """The ladder, number-operator and commutation checks on every chain state
+    |n, w> with n <= n_max and len(w) <= w_max_len.  A grid with a state past
+    the depth cap (raising |n, w> lands at depth n + len(w) + 3) or past the
+    chain-level cap (|n + 1> needs n + 1 <= 20) is refused before any work."""
+    if not (1 <= n_max <= 19 and 0 <= w_max_len and n_max + w_max_len + 3 <= MAX_DEPTH):
+        raise ValueError(
+            f"boson grid n_max={n_max}, w_max_len={w_max_len} outside 1 <= n_max <= 19, "
+            f"w_max_len >= 0, n_max + w_max_len <= {MAX_DEPTH - 3}"
+        )
     rec = _Recorder("boson")
 
     words: List[Optional[Word]] = [None, EPSILON]
     words += [w for w in words_up_to(w_max_len)]
     worst_raise = worst_lower = worst_power = 0.0
     for w in words:
-        wl = 0 if w is None else w.length
         for n in range(0, n_max + 1):
-            if n + 1 + wl + 2 > 20:
-                continue
             report = bo.chain_shift_check(n, w)
             worst_raise = max(worst_raise, report["errors"]["raise"])
             worst_lower = max(worst_lower, report["errors"].get("lower", 0.0))
@@ -740,8 +740,7 @@ def run_wold(depth: int, seed: int) -> List[Check]:
     for d in range(1, depth + 1):
         family = wold_family(d)
         worst_count = max(worst_count, abs(len(family) - (1 << d)))
-        mat = np.stack([tr.coords(f, d) for f in family])
-        worst_gram = max(worst_gram, float(np.max(np.abs(mat @ mat.T - np.eye(len(family))))))
+        worst_gram = max(worst_gram, _gram_deviation(family, d))
     rec.close_to("count", "the chain family restricted to depth d has exactly 2**d members", "wold-basis", float(worst_count), 0.0, 0.0)
     rec.close_to("gram", "the chain family is orthonormal at every depth", "wold-basis", worst_gram, 0.0, TOL_EXACT)
     return rec.checks

@@ -53,10 +53,6 @@ class Word:
             raise IndexError(f"symbol index {i} out of range for length {self.length}")
         return (self.bits >> (self.length - 1 - i)) & 1
 
-    @property
-    def is_empty(self) -> bool:
-        return self.length == 0
-
 
 EPSILON = Word(0, 0)
 

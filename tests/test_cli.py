@@ -1,5 +1,6 @@
 import json
 import math
+import time
 
 import numpy as np
 import pytest
@@ -239,13 +240,15 @@ class TestNormCommand:
         assert out["value"] == pytest.approx(0.0, abs=1e-12)
 
     def test_envelope_format(self, tmp_path, capsys):
+        # norm reads a plain operator file, and an envelope is not an operator kind
         spec = tmp_path / "op.json"
         spec.write_text(
             json.dumps({"dirac_norm": {"operator": {"kind": "condexp", "n": 1}, "depth": 4}})
         )
-        code = main(["norm", "--operator", str(spec)])
-        out = json.loads(capsys.readouterr().out)
-        assert code == 0 and out["depth"] == 4
+        code = main(["norm", "--operator", str(spec), "--depth", "6"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err.startswith("error: unknown operator kind")
 
     def test_malformed_json_is_usage_error(self, tmp_path, capsys):
         spec = tmp_path / "op.json"
@@ -362,7 +365,7 @@ class TestConnesCommand:
         assert out["lower_bound"] == pytest.approx(1.0, abs=1e-12)
         assert out["witness_operator"]["kind"] == "proj"
 
-    def test_a_family_depth_below_a_core_is_raised_to_it(self, tmp_path, capsys):
+    def test_a_family_depth_below_the_core_is_ignored(self, tmp_path, capsys):
         eta, xi = self._states(tmp_path)
         family = tmp_path / "family.json"
         # haar_proj "01" has core depth 4
@@ -463,6 +466,17 @@ class TestParserReuse:
 
 
 class TestBosonVerifyCommand:
+    @pytest.mark.parametrize(
+        "argv", [["--n-max", "19", "--w-max-len", "3"], ["--n-max", "20"], ["--n-max", "-1"]], ids=["sum", "level", "negative"]
+    )
+    def test_a_grid_past_a_cap_exits_2_at_once(self, capsys, argv):
+        t0 = time.perf_counter()
+        code = main(["boson", "verify"] + argv)
+        elapsed = time.perf_counter() - t0
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == "" and captured.err.startswith("error:")
+        assert elapsed < 1.0
+
     def test_passes(self, capsys):
         code = main(["boson", "verify", "--n-max", "3", "--w-max-len", "2", "--depth", "8"])
         out = json.loads(capsys.readouterr().out)

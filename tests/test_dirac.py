@@ -88,13 +88,13 @@ class TestDiracCommutator:
 
     def test_haar_projection_blocks_match_closed_forms(self):
         word = w("011")
-        b = dirac_commutator(Proj(haar_function(word)))
+        upper, lower = dirac_commutator(Proj(haar_function(word)))
         probes = [haar_function(u) for u in words_up_to(4)]
         probes.append(random_function(0, 5))
         for phi in probes:
             upper_expected, lower_expected = haar_projection_closed_forms(word, phi)
-            assert is_close(b.upper.apply(phi), upper_expected, atol=1e-12)
-            assert is_close(b.lower.apply(phi), lower_expected, atol=1e-12)
+            assert is_close(upper.apply(phi), upper_expected, atol=1e-12)
+            assert is_close(lower.apply(phi), lower_expected, atol=1e-12)
 
 
 class TestBlockNorm:

@@ -1,8 +1,8 @@
 import pytest
 
 from rkdirac import suites, transfer as tr
-from rkdirac.dyadic import haar_function, inner
-from rkdirac.words import all_words, shift
+from rkdirac.dyadic import constant, haar_function, inner
+from rkdirac.words import EPSILON, all_words, shift, words_up_to
 
 
 def case_table_error_loop(min_len: int, max_len: int) -> float:
@@ -82,3 +82,38 @@ class TestSuiteDepth:
         assert suites.suite_depth("basis", 12) == suites.DEPTH_CAP == 8
         assert suites.suite_depth("basis", 5) == 5
         assert suites.suite_depth("dirac-mult", 5) is None
+
+
+class TestBosonGrid:
+    @staticmethod
+    def _stub_states(monkeypatch):
+        """Record the chain_shift_check calls; stub the states so a deep grid costs nothing."""
+        calls = []
+
+        def check(n, w):
+            calls.append((n, w))
+            return {"errors": {"raise": 0.0, "lower": 0.0, "power": 0.0}}
+
+        monkeypatch.setattr(suites.bo, "chain_shift_check", check)
+        monkeypatch.setattr(suites, "state_nw", lambda n, w: constant(0.0))
+        return calls
+
+    def test_every_pair_of_the_grid_is_checked(self, monkeypatch):
+        calls = self._stub_states(monkeypatch)
+        assert all(c.status != "fail" for c in suites.run_boson(3, 0, n_max=16, w_max_len=2))
+        words = [None, EPSILON] + list(words_up_to(2))
+        assert calls == [(n, w) for w in words for n in range(17)]
+        assert len(calls) == 8 * 17
+
+    @pytest.mark.parametrize("n_max, w_max_len", [(19, 2), (17, 4), (1, 0)])
+    def test_a_grid_inside_the_caps_runs_in_full(self, monkeypatch, n_max, w_max_len):
+        calls = self._stub_states(monkeypatch)
+        suites.run_boson(3, 0, n_max=n_max, w_max_len=w_max_len)
+        assert max(n + (0 if w is None else w.length) for n, w in calls) == n_max + w_max_len
+
+    @pytest.mark.parametrize("n_max, w_max_len", [(19, 3), (18, 4), (20, 0), (0, 2), (-1, 3), (4, -1)])
+    def test_a_grid_past_a_cap_is_refused_before_any_work(self, monkeypatch, n_max, w_max_len):
+        calls = self._stub_states(monkeypatch)
+        with pytest.raises(ValueError, match="boson grid"):
+            suites.run_boson(3, 0, n_max=n_max, w_max_len=w_max_len)
+        assert calls == []

@@ -305,6 +305,28 @@ class TestCommutatorSpecs:
             Sum((Koopman(),), (1.0, 2.0))
 
 
+class TestOneApplyPath:
+    # OperatorSpec.apply is defined once, over apply_batch; each leaf's free
+    # function reaches the same kernel and must give the same function.
+    @pytest.mark.parametrize("in_depth", [0, 2, 3, 5], ids=["depth-0", "shallower", "equal", "deeper"])
+    @pytest.mark.parametrize("kind", ["ruelle", "koopman", "mult", "proj", "condexp", "kernel_proj"])
+    def test_spec_apply_is_the_free_function(self, kind, in_depth):
+        g = random_function(22, 3)  # the depth-3 operand of Mult and Proj
+        psi = random_function(21, 3, "unit-norm")
+        spec, free = {
+            "ruelle": (Ruelle(), ruelle_apply),
+            "koopman": (Koopman(), koopman_apply),
+            "mult": (Mult(g), lambda f: mult_apply(g, f)),
+            "proj": (Proj(psi), lambda f: projection_apply(psi, f)),
+            "condexp": (CondExp(2), lambda f: cond_expectation(2, f)),
+            "kernel_proj": (KernelProj(), kernel_projection),
+        }[kind]
+        f = random_function(30 + in_depth, in_depth)
+        got, want = spec.apply(f), free(f)
+        assert got.depth == want.depth
+        np.testing.assert_array_equal(got.values, want.values)
+
+
 class TestOperatorValidation:
     def test_proj_requires_unit(self):
         with pytest.raises(ValueError):
