@@ -21,7 +21,6 @@ from .transfer import koopman_apply, ruelle_apply
 from .words import Word
 
 SCALE = 2.0 ** -0.5
-CHAIN_TOL = 1e-12  # the error below which chain_shift_check reports "passed"
 
 
 def creation(f: DyadicFunction) -> DyadicFunction:
@@ -48,15 +47,15 @@ def car_anticommutator(f: DyadicFunction) -> DyadicFunction:
 
 
 def chain_shift_check(n: int, w: Optional[Word]) -> dict:
-    """Verify the ladder identities on the chain state over w (None means the
-    plain level state).
+    """The l2 error of each ladder identity on the chain state over w (None
+    means the plain level state); the suites judge the errors.
 
-    Checks, each to CHAIN_TOL:
+    Identities:
       raise: B+ |n, w> = 2**-0.5 |n+1, w>
       lower: B |n, w> = 2**-0.5 |n-1, w> for n >= 1; B |0, w> = 0 for w a word
       power: (B+)^n |0, w> = 2**(-n/2) |n, w>
     For w = None and n = 0 the lowering identity is vacuous (nothing below the
-    vacuum) and only the raising and power identities are checked.
+    vacuum) and has no entry in ``errors``.
     """
     state = state_nw(n, w)
     report = {"n": n, "w": str(w) if w is not None else "*", "errors": {}}
@@ -71,6 +70,4 @@ def chain_shift_check(n: int, w: Optional[Word]) -> dict:
     for _ in range(n):
         powered = creation(powered)
     report["errors"]["power"] = l2_dist(powered, 2.0 ** (-n / 2.0) * state)
-    report["max_error"] = max(report["errors"].values())
-    report["passed"] = report["max_error"] <= CHAIN_TOL
     return report

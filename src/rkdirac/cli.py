@@ -26,7 +26,6 @@ from . import dirac as di
 from . import formulas as fo
 from . import spectra as sp
 from . import suites
-from .dyadic import require_unit
 from .io import load_function, load_operator, operator_to_json
 
 
@@ -79,23 +78,11 @@ def cmd_norm(args) -> int:
             "depth": result.depth,
             "core_depth": result.core_depth,
             "computed_at": result.computed_at,
-            "diagnostics": {"upper": _diagnostics(result.upper), "lower": _diagnostics(result.lower)},
+            "diagnostics": {"upper": result.upper.diagnostics(), "lower": result.lower.diagnostics()},
         },
         args.out,
     )
     return 0
-
-
-def _diagnostics(est: sp.NormEstimate) -> dict:
-    """How a block norm was obtained; blocks are bound operators, so Lanczos runs matrix-free."""
-    return {
-        "method": est.method,
-        "iterations": est.iterations,
-        "converged": est.converged,
-        "residual": est.residual,
-        "fallback": est.fallback,
-        "path": "dense" if est.method == "dense" else "matrix-free",
-    }
 
 
 def cmd_sweep(args) -> int:
@@ -133,7 +120,6 @@ def cmd_boson_verify(args) -> int:
 
 def cmd_formulas_report(args) -> int:
     psi = load_function(load_operator_envelope(args.psi))
-    require_unit(psi, "state vector")
     adj = fo.projection_norm_adjudicate(psi, depth=args.depth)
     bounds = fo.projection_norm_bounds(psi)
     scan = fo.surface_max_scan(adj["c"])
@@ -163,7 +149,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run a verification suite")
     p.add_argument("--suite", default="all", help="one of: " + ", ".join(sorted(suites.SUITES)) + ", all")
-    p.add_argument("--depth", type=int, default=8)
+    p.add_argument("--depth", type=int, default=suites.DEPTH_CAP)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None, help="write the JSON report here instead of stdout")
     p.set_defaults(func=cmd_verify)
@@ -192,11 +178,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("boson", help="ladder-layer commands")
     bsub = p.add_subparsers(dest="subcommand", required=True)
     b = bsub.add_parser("verify", help="ladder and (anti)commutation identities")
-    b.add_argument("--n-max", type=int, default=4)
-    b.add_argument("--w-max-len", type=int, default=3)
-    b.add_argument("--depth", type=int, default=10)
+    b.add_argument("--n-max", type=int, default=suites.N_MAX)
+    b.add_argument("--w-max-len", type=int, default=suites.W_MAX_LEN)
+    b.add_argument("--depth", type=int, default=suites.DEPTH_CAP)
     b.add_argument("--seed", type=int, default=0)
-    b.add_argument("--tol", type=float, default=1e-12)
+    b.add_argument("--tol", type=float, default=suites.TOL_EXACT)
     b.add_argument("--out", default=None)
     b.set_defaults(func=cmd_boson_verify)
 

@@ -76,8 +76,13 @@ def core_depth(a: OperatorSpec) -> Optional[int]:
     restriction and can only be smaller.  The core depth is the larger of
     the two blocks' depths: k + 1 for a depth-k multiplier or projection.
     """
+    return _pair_core_depth(dirac_blocks(a))
+
+
+def _pair_core_depth(pair: Tuple[OperatorSpec, OperatorSpec]) -> Optional[int]:
+    """``core_depth`` of the operator whose (upper, lower) block pair is given."""
     depths = []
-    for block in dirac_blocks(a):
+    for block in pair:
         t = block.tail()
         if t is None:
             return None
@@ -108,16 +113,17 @@ def commutator_norm(a: OperatorSpec, depth: Optional[int] = None, method: str = 
     With no depth the requested depth is the core depth; an operator without
     one (a sum of mixed shifts) needs an explicit depth.
     """
-    core = core_depth(a)
+    pair = dirac_blocks(a)
+    core = _pair_core_depth(pair)
     if depth is None:
         if core is None:
             raise ValueError("no core depth for this operator; pass an explicit depth")
         depth = core
-    upper, lower = dirac_blocks(a)
-    for block in (upper, lower):
-        BoundOperator(block, depth)  # the requested depth must be representable
     at = depth if core is None else min(depth, core)
-    value, eu, el = spectra.block_pair_norm(upper, lower, at, method=method)
+    if at != depth:
+        for block in pair:
+            BoundOperator(block, depth)  # the requested depth must be representable
+    value, eu, el = spectra.block_pair_norm(*pair, at, method=method)
     return CommutatorNorm(value, eu, el, depth, core, at)
 
 
@@ -152,8 +158,8 @@ def lipschitz_certify(a: OperatorSpec) -> dict:
         "computed_at": r.computed_at,
         "threshold": LIPSCHITZ_THRESHOLD,
         "operator": a.describe(),
-        "upper": _estimate_summary(r.upper),
-        "lower": _estimate_summary(r.lower),
+        "upper": r.upper.diagnostics(),
+        "lower": r.lower.diagnostics(),
     }
 
 
@@ -166,10 +172,6 @@ def _uncertified_reason(r: CommutatorNorm) -> Optional[str]:
         if est.method != "dense":
             return f"the {name} block is a Lanczos Ritz value, only a lower bound"
     return None
-
-
-def _estimate_summary(est: spectra.NormEstimate) -> dict:
-    return {"method": est.method, "converged": est.converged, "residual": est.residual}
 
 
 @dataclass(frozen=True, eq=False)

@@ -26,6 +26,7 @@ import numpy as np
 from .words import EPS0, EPS1, HaarIndex, MAX_LEN, Word, word_index
 
 MAX_DEPTH = MAX_LEN
+MAX_CHAIN_LEVEL = 20  # the highest level n of a chain state |n>
 
 SQRT2 = math.sqrt(2.0)
 INV_SQRT2 = 1.0 / SQRT2
@@ -234,8 +235,8 @@ def state_n(n: int) -> DyadicFunction:
     At depth n + 1 the cylinder values alternate -1, +1.  n = 0 gives the
     vacuum ``2**-0.5 * (e_eps0 + e_eps1)``.
     """
-    if not 0 <= n <= 20:
-        raise ValueError(f"chain level {n} outside [0, 20]")
+    if not 0 <= n <= MAX_CHAIN_LEVEL:
+        raise ValueError(f"chain level {n} outside [0, {MAX_CHAIN_LEVEL}]")
     return DyadicFunction(n + 1, np.tile([-1.0, 1.0], 1 << n))
 
 

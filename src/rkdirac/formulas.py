@@ -101,10 +101,15 @@ class SurfacePoint:
         return cls(a=a, b=b, c=c, d=d)
 
 
+def _surface(a, b, c, d):
+    """G = a^2 - a t c + t^2 with t = a c + b d, on scalars or arrays."""
+    t = a * c + b * d
+    return a**2 - a * t * c + t * t
+
+
 def overlap_surface(p: SurfacePoint) -> float:
     """The surface G(a, c) = a^2 - a (a c + b d) c + (a c + b d)^2."""
-    t = p.a * p.c + p.b * p.d
-    return p.a**2 - p.a * t * p.c + t * t
+    return _surface(p.a, p.b, p.c, p.d)
 
 
 def surface_stationary_value(c: float) -> float:
@@ -122,19 +127,13 @@ def surface_max_scan(c: float) -> dict:
     two local refinements pin it down well inside 1e-6.  Returns the maximum
     and its location.
     """
-
-    def surface(avals: np.ndarray, d: float) -> np.ndarray:
-        b = np.sqrt(np.clip(1.0 - avals * avals, 0.0, None))
-        t = avals * c + b * d
-        return avals * avals - avals * t * c + t * t
-
     best = {"max": -np.inf, "argmax": {"a": 0.0, "d_sign": 1}}
     for d_sign in (1, -1):
         d = d_sign * math.sqrt(max(1.0 - c * c, 0.0))
         lo, hi = -1.0, 1.0
         for _ in range(3):  # coarse grid, then two zoomed passes
             avals = np.linspace(lo, hi, SCAN_GRID)
-            vals = surface(avals, d)
+            vals = _surface(avals, np.sqrt(np.clip(1.0 - avals * avals, 0.0, None)), c, d)
             k = int(np.argmax(vals))
             if vals[k] > best["max"]:
                 best["max"] = float(vals[k])
@@ -149,16 +148,19 @@ def surface_max_scan(c: float) -> dict:
 # Projection-commutator expressions and coefficient forms.
 
 
+def _image_sq(x, y, c):
+    """x^2 - 2 x y c + y^2: the squared upper-block image norm from x = <phi,psi>,
+    y = <K phi,psi> and c = <K psi,psi>, on scalars or arrays."""
+    return x * x - 2.0 * x * y * c + y * y
+
+
 def projection_sq_expression(phi: DyadicFunction, psi: DyadicFunction) -> float:
     """The squared upper-block image norm, from inner products:
 
     <phi,psi>^2 - 2 <phi,psi> <K phi,psi> <K psi,psi> + <K phi,psi>^2.
     """
     require_unit(psi, "projection vector")
-    x = inner(phi, psi)
-    y = inner(koopman_apply(phi), psi)
-    c = inner(koopman_apply(psi), psi)
-    return x * x - 2.0 * x * y * c + y * y
+    return _image_sq(inner(phi, psi), inner(koopman_apply(phi), psi), inner(koopman_apply(psi), psi))
 
 
 def ruelle_sq_expression(phi: DyadicFunction, psi: DyadicFunction) -> float:
@@ -218,10 +220,7 @@ def coefficient_image_sq(phi: DyadicFunction, psi: DyadicFunction) -> float:
     require_unit(psi, "projection vector")
     a = to_haar(phi)
     b = to_haar(psi)
-    x = _plain_pairing_coeffs(a, b)
-    y = _koopman_pairing_coeffs(a, b)
-    c = koopman_overlap_from_coeffs(b)
-    return x * x - 2.0 * x * y * c + y * y
+    return _image_sq(_plain_pairing_coeffs(a, b), _koopman_pairing_coeffs(a, b), koopman_overlap_from_coeffs(b))
 
 
 def coefficient_image_sq_truncated(phi: DyadicFunction, psi: DyadicFunction) -> float:
@@ -230,14 +229,12 @@ def coefficient_image_sq_truncated(phi: DyadicFunction, psi: DyadicFunction) -> 
     oracle so reports can quantify when the dropped terms matter."""
     a = to_haar(phi)
     b = to_haar(psi)
-    x = _plain_pairing_coeffs(a, b)
-    y = _koopman_pairing_coeffs(a, b)
     t = 0.0
     for u, bu in b.coeffs.items():
         if u.length > 1:
             t += (bu * INV_SQRT2) * _children(b, u)
     t += 0.5 * _children(b, EPSILON) * (b.eps0 + b.eps1)
-    return x * x + y * y - 2.0 * x * y * t
+    return _image_sq(_plain_pairing_coeffs(a, b), _koopman_pairing_coeffs(a, b), t)
 
 
 def projection_norm_bounds(psi: DyadicFunction) -> Dict[str, float]:
@@ -303,17 +300,14 @@ def ruelle_diff_sup(f: DyadicFunction) -> float:
     return sup_norm(f - ruelle_apply(f))
 
 
-CHAIN_TOL = 1e-12  # slack of the monotonicity checks of the two sup chains
-
-
 def weighted_sup_chain(f: DyadicFunction) -> Dict[str, float]:
-    """The chain |f|_sup >= |sqrt(L f^2)|_sup >= |L f|_sup, all computed exactly."""
-    top = sup_norm(f)
-    mid = float(np.sqrt(np.clip(ruelle_apply(pointwise_mul(f, f)).values, 0.0, None)).max())
-    bot = sup_norm(ruelle_apply(f))
-    if not (top >= mid - CHAIN_TOL and mid >= bot - CHAIN_TOL):
-        raise AssertionError(f"sup chain violated: {top!r} >= {mid!r} >= {bot!r}")
-    return {"sup": top, "mid": mid, "ruelle_sup": bot}
+    """The three sups of the chain |f|_sup >= |sqrt(L f^2)|_sup >= |L f|_sup,
+    all computed exactly; the suites judge the ordering."""
+    return {
+        "sup": sup_norm(f),
+        "mid": float(np.sqrt(np.clip(ruelle_apply(pointwise_mul(f, f)).values, 0.0, None)).max()),
+        "ruelle_sup": sup_norm(ruelle_apply(f)),
+    }
 
 
 _DEFAULT_ORDERS = (-math.inf, -1.0, 0.0, 1.0, 2.0, math.inf)
@@ -342,17 +336,13 @@ def _power_mean(d0: np.ndarray, d1: np.ndarray, order: float) -> np.ndarray:
 def kolmogorov_mean_chain(f: DyadicFunction, orders: Sequence[float] = _DEFAULT_ORDERS) -> Dict[float, float]:
     """sup_x of the order-p mean of the two backward differences, per order.
 
-    The per-point power means are nondecreasing in the order, so the sups form
-    a chain; the order-2 entry is the commutator norm of the multiplier and
-    the order-infinity entry is the forward sup.
+    The per-point power means are nondecreasing in the order, so the sups
+    (keyed in increasing order) form a chain, which the suites judge; the
+    order-2 entry is the commutator norm of the multiplier and the
+    order-infinity entry is the forward sup.
     """
     d0, d1 = _backward_diff_arrays(f)
-    ordered = sorted(orders)
-    sups = {p: float(_power_mean(d0, d1, p).max()) for p in ordered}
-    for lo, hi in zip(ordered, ordered[1:]):
-        if sups[lo] > sups[hi] + CHAIN_TOL:
-            raise AssertionError(f"mean chain violated at orders {lo} <= {hi}")
-    return sups
+    return {p: float(_power_mean(d0, d1, p).max()) for p in sorted(orders)}
 
 
 def l2_sandwich_check(f: DyadicFunction) -> dict:
@@ -431,5 +421,5 @@ def projection_span_scan(psi: DyadicFunction) -> float:
     # <phi, L psi> = cos(theta) c + sin(theta) <perp, L psi>
     x = np.cos(thetas)
     y = x * c + np.sin(thetas) * inner(perp, lpsi)
-    best = float((x * x - 2.0 * x * y * c + y * y).max())
+    best = float(_image_sq(x, y, c).max())
     return math.sqrt(max(best, 0.0))

@@ -90,6 +90,17 @@ class NormEstimate:
         """True when the Lanczos path ran and a dense solve replaced its result."""
         return self.method == "dense" and self.iterations > 0
 
+    def diagnostics(self) -> dict:
+        """How the value was obtained, as the ``norm`` and certify outputs report it."""
+        return {
+            "method": self.method,
+            "iterations": self.iterations,
+            "converged": self.converged,
+            "residual": self.residual,
+            "fallback": self.fallback,
+            "path": "dense" if self.method == "dense" else "matrix-free",
+        }
+
 
 def _as_matrix(m: Union[AssembledMap, np.ndarray]) -> np.ndarray:
     a = m.matrix if isinstance(m, AssembledMap) else np.asarray(m, dtype=float)

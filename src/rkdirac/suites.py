@@ -22,6 +22,7 @@ from . import spectra as sp
 from . import transfer as tr
 from .dyadic import (
     DyadicFunction,
+    MAX_CHAIN_LEVEL,
     MAX_DEPTH,
     SQRT2,
     constant,
@@ -52,6 +53,10 @@ TOL_SCAN = 1e-6
 DEPTH_CAP = 8
 DEPTH_FLOOR = 3
 DEPTH_SUITES = frozenset({"basis", "transfer", "boson", "fermion", "wold"})
+
+# The boson suite's default grid: chain levels n <= N_MAX, words of length <= W_MAX_LEN.
+N_MAX = 4
+W_MAX_LEN = 3
 
 
 def suite_depth(name: str, depth: int) -> Optional[int]:
@@ -329,14 +334,15 @@ def run_transfer(d: int, seed: int) -> List[Check]:
     return rec.checks
 
 
-def run_boson(d: int, seed: int, n_max: int = 4, w_max_len: int = 3, tol: float = TOL_EXACT) -> List[Check]:
+def run_boson(d: int, seed: int, n_max: int = N_MAX, w_max_len: int = W_MAX_LEN, tol: float = TOL_EXACT) -> List[Check]:
     """The ladder, number-operator and commutation checks on every chain state
     |n, w> with n <= n_max and len(w) <= w_max_len.  A grid with a state past
     the depth cap (raising |n, w> lands at depth n + len(w) + 3) or past the
-    chain-level cap (|n + 1> needs n + 1 <= 20) is refused before any work."""
-    if not (1 <= n_max <= 19 and 0 <= w_max_len and n_max + w_max_len + 3 <= MAX_DEPTH):
+    chain-level cap (|n + 1> needs n + 1 <= MAX_CHAIN_LEVEL) is refused before
+    any work."""
+    if not (1 <= n_max <= MAX_CHAIN_LEVEL - 1 and 0 <= w_max_len and n_max + w_max_len + 3 <= MAX_DEPTH):
         raise ValueError(
-            f"boson grid n_max={n_max}, w_max_len={w_max_len} outside 1 <= n_max <= 19, "
+            f"boson grid n_max={n_max}, w_max_len={w_max_len} outside 1 <= n_max <= {MAX_CHAIN_LEVEL - 1}, "
             f"w_max_len >= 0, n_max + w_max_len <= {MAX_DEPTH - 3}"
         )
     rec = _Recorder("boson")
@@ -590,7 +596,8 @@ def run_dirac_condexp(depth: None, seed: int) -> List[Check]:
 
     worst = 0.0
     for n in (1, 2, 3):
-        points = sp.depth_sweep(tr.CondExp(n), range(n + 2, n + 5))
+        core = di.core_depth(tr.CondExp(n))
+        points = sp.depth_sweep(tr.CondExp(n), range(core, core + 3))
         values = [p.value for p in points]
         worst = max(worst, max(values) - min(values))
     rec.close_to("plateau", "the norm is already attained at the rule depth and stays flat", "condexp-norm", worst, 0.0, 1e-9)
@@ -623,12 +630,9 @@ def _random_sup_expression(psi: DyadicFunction, trials: int, seed: int) -> float
     rng = np.random.default_rng(seed)
     phis = rng.standard_normal((trials, 1 << d))
     phis /= np.linalg.norm(phis, axis=1, keepdims=True)
-    cpsi = tr.coords(psi, d)
-    clpsi = tr.coords(lpsi, d)
-    x = phis @ cpsi
-    y = phis @ clpsi
-    c = inner(tr.koopman_apply(psi), psi)
-    return float(np.max(x * x - 2.0 * c * x * y + y * y))
+    x = phis @ tr.coords(psi, d)
+    y = phis @ tr.coords(lpsi, d)
+    return float(np.max(fo._image_sq(x, y, inner(tr.koopman_apply(psi), psi))))
 
 
 def run_adjudication(depth: None, seed: int) -> List[Check]:
@@ -773,7 +777,7 @@ SUITES: Dict[str, Callable[[Optional[int], int], List[Check]]] = {
 }
 
 
-def run_suite(name: str, depth: int = 8, seed: int = 0) -> SuiteReport:
+def run_suite(name: str, depth: int = DEPTH_CAP, seed: int = 0) -> SuiteReport:
     if name != "all" and name not in SUITES:
         raise KeyError(f"unknown suite {name!r}; available: {', '.join(sorted(SUITES))}, all")
     keys = sorted(SUITES) if name == "all" else [name]

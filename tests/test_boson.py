@@ -136,19 +136,19 @@ class TestAnticommutator:
 class TestChainShiftCheck:
     def test_interior_level(self):
         report = chain_shift_check(2, w("0"))
-        assert report["passed"]
-        assert report["max_error"] < 1e-12
+        assert set(report["errors"]) == {"raise", "lower", "power"}
+        assert max(report["errors"].values()) <= 1e-12
 
     def test_vacuum_boundary(self):
         report = chain_shift_check(0, None)
-        assert report["passed"]
+        assert max(report["errors"].values()) <= 1e-12
         assert "lower" not in report["errors"]  # nothing below the vacuum
 
     def test_empty_word_chain(self):
         report = chain_shift_check(3, EPSILON)
-        assert report["passed"]
+        assert max(report["errors"].values()) <= 1e-12
 
     def test_kernel_level_of_word_chain_checks_annihilation(self):
         report = chain_shift_check(0, w("10"))
-        assert report["passed"]
+        assert max(report["errors"].values()) <= 1e-12
         assert report["errors"]["lower"] < 1e-12

@@ -133,6 +133,34 @@ class TestVerifyCommand:
         assert {k for k, v in ran.items() if v["depth"] == 8} == {"basis", "transfer", "boson", "fermion", "wold"}
         assert sum(v["wall_time"] for v in ran.values()) <= out["wall_time"]
 
+    @staticmethod
+    def _run_broken_chain(tmp_path, capsys, check_id):
+        out_file = tmp_path / "report.json"
+        code = main(["verify", "--suite", "dirac-mult", "--out", str(out_file)])
+        statuses = {c["id"]: c["status"] for c in json.loads(out_file.read_text())["checks"]}
+        assert code == 1
+        assert statuses[check_id] == "fail"
+        assert [k for k, v in statuses.items() if v == "fail"] == [check_id]
+        assert f"FAIL {check_id} " in capsys.readouterr().err
+
+    def test_a_broken_power_mean_chain_is_a_failed_check(self, tmp_path, capsys, monkeypatch):
+        # the order-10 sups fall below the order-3 ones: a report and a FAIL, not a raise
+        from rkdirac import formulas
+
+        real = formulas._power_mean
+        monkeypatch.setattr(
+            formulas, "_power_mean", lambda d0, d1, order: real(d0, d1, order) * (0.1 if order == 10.0 else 1.0)
+        )
+        self._run_broken_chain(tmp_path, capsys, "dirac-mult.kolmogorov-chain")
+
+    def test_a_broken_sup_chain_is_a_failed_check(self, tmp_path, capsys, monkeypatch):
+        # sqrt(L (4 f^2)) = sqrt(2) > |f|_sup = 1 for the depth-one indicator
+        from rkdirac import formulas
+
+        real = formulas.pointwise_mul
+        monkeypatch.setattr(formulas, "pointwise_mul", lambda f, g: 4.0 * real(f, g))
+        self._run_broken_chain(tmp_path, capsys, "dirac-mult.sup-chain-example")
+
     def test_shallow_request_is_reported_as_run(self, capsys):
         assert main(["verify", "--suite", "wold", "--depth", "5"]) == 0
         ran = json.loads(capsys.readouterr().out)["suites"]
@@ -487,11 +515,11 @@ class TestBosonVerifyCommand:
         assert any(i.startswith("fermion.") for i in ids)
 
     def test_reports_the_depth_each_suite_ran_at(self, capsys):
-        # the default --depth is 10; both suites run at most at depth 8
+        # the default --depth is the depth both suites run at
         code = main(["boson", "verify"])
         out = json.loads(capsys.readouterr().out)
         assert code == 0
-        assert out["depth"] == 10
+        assert out["depth"] == 8
         assert {k: v["depth"] for k, v in out["suites"].items()} == {"boson": 8, "fermion": 8}
         assert all(v["wall_time"] >= 0.0 for v in out["suites"].values())
 
@@ -528,4 +556,4 @@ class TestFormulasReportCommand:
         psi = tmp_path / "psi.json"
         psi.write_text(json.dumps({"depth": 0, "values": [1.1]}))
         assert main(["formulas", "report", "--psi", str(psi)]) == 2
-        assert "unit norm" in capsys.readouterr().err
+        assert "must have unit norm" in capsys.readouterr().err

@@ -187,7 +187,14 @@ class TestLipschitzCertify:
         cert = lipschitz_certify(Proj(haar_function(w("011"))))
         assert (cert["core_depth"], cert["computed_at"], cert["threshold"]) == (5, 5, 1.0)
         for block in ("upper", "lower"):
-            assert cert[block] == {"method": "dense", "converged": True, "residual": 0.0}
+            assert cert[block] == {
+                "method": "dense",
+                "iterations": 0,
+                "converged": True,
+                "residual": 0.0,
+                "fallback": False,
+                "path": "dense",
+            }
 
     def test_counterexample_to_the_member_max_rule_is_not_certified(self):
         # The norm is 1.000714, 1.243051 and 1.590498 at depths 3-5, then
@@ -226,7 +233,14 @@ class TestLipschitzCertify:
         cert = lipschitz_certify(CondExp(1))
         assert cert["value"] == 0.5
         assert not cert["certified"]
-        assert cert["upper"] == {"method": "lanczos", "converged": False, "residual": 1e-3}
+        assert cert["upper"] == {
+            "method": "lanczos",
+            "iterations": 160,
+            "converged": False,
+            "residual": 1e-3,
+            "fallback": False,
+            "path": "matrix-free",
+        }
         eta = VectorState(haar_function(w("01")))
         with pytest.raises(ValueError, match="unconverged"):
             connes_lower_bound(eta, eta, [CondExp(1)])
@@ -328,6 +342,28 @@ class TestCommutatorNorm:
     def test_default_depth_is_the_core_depth(self):
         r = commutator_norm(CondExp(2))
         assert (r.depth, r.computed_at) == (3, 3)
+
+    def test_builds_the_block_pair_once_and_binds_only_to_range_check(self, monkeypatch):
+        from rkdirac import dirac, transfer
+
+        calls = {"blocks": 0, "bound": []}
+
+        def blocks(a):
+            calls["blocks"] += 1
+            return transfer.dirac_blocks(a)
+
+        def bound(spec, depth):
+            calls["bound"].append(depth)
+            return transfer.BoundOperator(spec, depth)
+
+        monkeypatch.setattr(dirac, "dirac_blocks", blocks)
+        monkeypatch.setattr(dirac, "BoundOperator", bound)
+        op = Mult(random_function(4, 3))
+        r = commutator_norm(op, 3)
+        assert calls == {"blocks": 1, "bound": []}
+        assert r.value == block_norm(transfer.dirac_blocks(op), 3)
+        commutator_norm(op, 9)  # solved at the core depth 4; depth 9 is only range-checked
+        assert calls == {"blocks": 2, "bound": [9, 9]}
 
     def test_requested_depth_is_still_range_checked(self):
         with pytest.raises(ValueError, match="depth"):

@@ -301,6 +301,12 @@ class TestWeightedSupChain:
         chain = fo.weighted_sup_chain(constant(-3.0))
         assert chain == {"sup": 3.0, "mid": 3.0, "ruelle_sup": 3.0}
 
+    def test_ordered_on_random_functions(self):
+        for seed in range(100):
+            chain = fo.weighted_sup_chain(random_function(seed, 1 + seed % 5))
+            assert chain["sup"] >= chain["mid"] - 1e-12
+            assert chain["mid"] >= chain["ruelle_sup"] - 1e-12
+
     def test_first_coordinate_independent_collapses(self):
         f = random_function(6, 4, "independent-of-first-coordinate")
         chain = fo.weighted_sup_chain(f)
