@@ -114,7 +114,13 @@ def commutator_norm(a: OperatorSpec, depth: Optional[int] = None, method: str = 
     one (a sum of mixed shifts) needs an explicit depth.
     """
     pair = dirac_blocks(a)
-    core = _pair_core_depth(pair)
+    return _pair_norm(pair, _pair_core_depth(pair), depth, method)
+
+
+def _pair_norm(
+    pair: Tuple[OperatorSpec, OperatorSpec], core: Optional[int], depth: Optional[int], method: str
+) -> CommutatorNorm:
+    """``commutator_norm`` of the block pair whose core depth is given."""
     if depth is None:
         if core is None:
             raise ValueError("no core depth for this operator; pass an explicit depth")
@@ -134,8 +140,9 @@ CERTIFY_TOL = 1e-9
 def lipschitz_certify(a: OperatorSpec) -> dict:
     """Evaluate the Dirac commutator norm of A and compare it with one.
 
-    The norm is solved through ``commutator_norm`` at the core depth, where
-    it is the value of every depth.  An operator without a core depth (a sum
+    The norm is solved as ``commutator_norm`` solves it, at the core depth,
+    where it is the value of every depth; the block pair is built and its
+    tails walked once per call.  An operator without a core depth (a sum
     of mixed shifts) raises ``ValueError``: its norm may grow with depth, so
     no depth certifies it.  ``certified`` is True only for an upper
     estimate: both blocks solved by a dense eigensolve, and the value at
@@ -143,12 +150,14 @@ def lipschitz_certify(a: OperatorSpec) -> dict:
     lower bound.  ``reason`` says why a result is not certified (None when
     it is); ``upper`` and ``lower`` say how each block norm was obtained.
     """
-    if core_depth(a) is None:
+    pair = dirac_blocks(a)
+    core = _pair_core_depth(pair)
+    if core is None:
         raise ValueError(
             f"operator {a.describe()} has no core depth, so its norm may grow "
             "with depth and it cannot be certified at any depth"
         )
-    r = commutator_norm(a)
+    r = _pair_norm(pair, core, None, "auto")
     reason = _uncertified_reason(r)
     return {
         "certified": reason is None,

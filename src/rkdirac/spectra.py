@@ -2,21 +2,25 @@
 
 ``operator_norm`` is the one entry point.  It takes a dense matrix (an
 ndarray or an ``AssembledMap``) or a ``BoundOperator``: an operator spec
-bound to an input depth, with ``shape``, a batched ``matvec`` (A.X) and a
-batched ``rmatvec`` (A^T.Y, the exact symbolic adjoint followed by averaging
-onto the input depth).  Either way it works on the Gram operator G of the
-smaller side, A^T A when A has no more columns than rows and A A^T
-otherwise, so blocks between depth spaces of different dimension cost the
-smaller dimension n.
+bound to an input depth, whose ``gram`` applies the Gram operator in one
+pass (the exact symbolic adjoint after the operator, or before it, with
+averaging onto the input depth).  Either way it works on the Gram operator
+G of the smaller side, A^T A when A has no more columns than rows and
+A A^T otherwise, so blocks between depth spaces of different dimension
+cost the smaller dimension n.
 
 Which path runs:
 
 * dense, when n <= DENSE_CUTOFF (256) under method="auto", always under
-  method="dense", and as the fallback: ``eigvalsh`` of the n x n Gram.  For
-  a bound operator the Gram is built by applying the Gram operator to
-  identity column chunks of transfer.CHUNK_BYTES (cache sized), so the
-  rectangular block is never held next to it.  Memory: one n x n Gram
-  (512 KB at n = 256, 128 MB at n = 4096).
+  method="dense", and as the fallback: the top eigenvalue of the n x n
+  Gram.  For a bound operator the Gram is built by applying the Gram
+  operator to identity column chunks of transfer.CHUNK_BYTES (cache sized),
+  so the rectangular block is never held next to it.  Indices whose row
+  and column are zero are dropped; a Gram with no nonzero entry off its
+  diagonal (both blocks of a multiplier have the diagonal Gram
+  M_{L|Kf - f|^2}) gives its largest diagonal entry; any other runs
+  ``eigvalsh`` on what is left.  Memory: one n x n Gram (512 KB at
+  n = 256, 128 MB at n = 4096).
 * lanczos, otherwise: block Lanczos on G.  For a bound operator it runs
   matrix-free; its memory is the Krylov basis, O(n * m) for m Gram-operator
   vectors applied.  The basis is one column-major array resized in place
@@ -126,19 +130,34 @@ def _finite(fn: Callable[[np.ndarray], np.ndarray]) -> Callable[[np.ndarray], np
 def _gram(m: Operand) -> Tuple[int, int, Callable[[np.ndarray], np.ndarray]]:
     """(n, larger side, V -> G V) for the Gram operator G of the smaller side of m."""
     if isinstance(m, BoundOperator):
-        (rows, cols), matvec, rmatvec = m.shape, m.matvec, m.rmatvec
-    else:
-        a = _as_matrix(m)
-        (rows, cols), matvec, rmatvec = a.shape, _finite(a.__matmul__), _finite(a.T.__matmul__)
+        return m.gram()
+    a = _as_matrix(m)
+    (rows, cols), matvec, rmatvec = a.shape, _finite(a.__matmul__), _finite(a.T.__matmul__)
     if cols <= rows:
         return cols, rows, lambda v: rmatvec(matvec(v))
     return rows, cols, lambda v: matvec(rmatvec(v))
 
 
 def _dense_sigma_max(n: int, width: int, gram_apply) -> float:
-    if n == 0:
+    """sqrt of the top eigenvalue of the n x n Gram, exactly reduced first.
+
+    An index whose row and column are zero carries an eigenvalue-0
+    eigenvector of the PSD Gram and is dropped; a Gram with no nonzero
+    entry off its diagonal has its largest diagonal entry as top
+    eigenvalue.  Both are permutation similarities of what ``eigvalsh``
+    reads (the lower triangle), so the value is that of ``eigvalsh`` on the
+    whole Gram.
+    """
+    g = apply_to_identity(gram_apply, (n, n), width)
+    live = np.flatnonzero(g.any(axis=0) | g.any(axis=1))
+    if live.size == 0:
         return 0.0
-    lam = float(np.linalg.eigvalsh(apply_to_identity(gram_apply, (n, n), width))[-1])
+    if live.size < n:
+        g = g[np.ix_(live, live)]
+    if np.count_nonzero(g) == np.count_nonzero(g.diagonal()):
+        lam = float(g.diagonal().max())
+    else:
+        lam = float(np.linalg.eigvalsh(g)[-1])
     return math.sqrt(max(lam, 0.0))
 
 

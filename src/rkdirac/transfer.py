@@ -25,11 +25,14 @@ f is ``values(f) * 2**(-d/2)``, i.e. coefficients over the basis of
 normalized indicators ``2**(d/2) * chi_[w]``.  ``BoundOperator(op, d)`` is op
 on the depth-d space as such a map, without a matrix: ``matvec`` is A.X and
 ``rmatvec`` is A^T.Y, the exact symbolic ``adjoint()`` followed by averaging
-onto the depth-d space.  Each column costs O(2**max(d, out_depth)) memory;
-both maps reject a non-finite result.  ``assemble`` materializes the matrix by
-applying ``matvec`` to identity column chunks of about ``CHUNK_BYTES`` (256 KB,
-cache sized) each; the norm engine never calls it, but builds its dense Grams
-from the same chunks.
+onto the depth-d space.  ``gram`` is the Gram operator of the smaller side,
+A^T A or A A^T, as one composition of the two kernels: the coordinate
+scalings of the two maps cancel in it, so it applies none.  Each column
+costs O(2**max(d, out_depth)) memory; all three reject a non-finite result.
+``assemble`` materializes the matrix by applying ``matvec`` to identity
+column chunks of about ``CHUNK_BYTES`` (256 KB, cache sized) each; the norm
+engine never calls it, but builds its dense Grams from ``gram`` applied to
+the same chunks.
 """
 
 from __future__ import annotations
@@ -487,6 +490,7 @@ class BoundOperator:
     one vector per column.  ``rmatvec`` applies the symbolic adjoint and
     averages the result onto the depth-``in_depth`` space (the orthogonal
     projection onto it), so it is the exact transpose of ``matvec``.
+    ``gram`` is the Gram operator of the smaller side in one pass.
     """
 
     def __init__(self, op: OperatorSpec, in_depth: int):
@@ -503,24 +507,43 @@ class BoundOperator:
         if x.shape[0] != self.shape[1]:
             raise ValueError(f"expected {self.shape[1]} rows, got {x.shape[0]}")
         y = self.op.apply_batch(x * 2.0 ** (self.in_depth / 2.0))
-        y = _refine_rows(y, self.out_depth) * 2.0 ** (-self.out_depth / 2.0)
-        if not np.all(np.isfinite(y)):
-            raise ValueError("operator values must be finite")
-        return y
+        return _finite(_refine_rows(y, self.out_depth) * 2.0 ** (-self.out_depth / 2.0), "operator")
 
     def rmatvec(self, y: np.ndarray) -> np.ndarray:
         if y.shape[0] != self.shape[0]:
             raise ValueError(f"expected {self.shape[0]} rows, got {y.shape[0]}")
-        z = self._adjoint.apply_batch(y * 2.0 ** (self.out_depth / 2.0))
+        z = self._onto_input(self._adjoint.apply_batch(y * 2.0 ** (self.out_depth / 2.0)))
+        return _finite(z * 2.0 ** (-self.in_depth / 2.0), "adjoint")
+
+    def gram(self) -> Tuple[int, int, Callable[[np.ndarray], np.ndarray]]:
+        """(n, larger side, V -> G V) for the Gram operator G of the smaller side.
+
+        G is A^T A = P_d . adj . op when A has no more columns than rows and
+        A A^T = R_out . op . P_d . adj otherwise, with P_d the averaging onto
+        the input depth and R_out the refinement to the output depth.  The
+        coordinate scalings of matvec and rmatvec cancel in either product,
+        2**(d/2) * 2**(-out/2) * 2**(out/2) * 2**(-d/2) = 1, so none is
+        applied.  The one finiteness check is on G V: the kernels are linear,
+        so a non-finite intermediate leaves G V non-finite.
+        """
+        (rows, cols), out = self.shape, self.out_depth
+        op, adj = self.op.apply_batch, self._adjoint.apply_batch
+        if cols <= rows:
+            return cols, rows, lambda v: _finite(self._onto_input(adj(op(v))), "Gram operator")
+        return rows, cols, lambda v: _finite(_refine_rows(op(self._onto_input(adj(v))), out), "Gram operator")
+
+    def _onto_input(self, z: np.ndarray) -> np.ndarray:
+        """z averaged onto, or refined to, the depth-``in_depth`` space."""
         d = self.in_depth
         if _depth(z) > d:
-            z = z.reshape((1 << d, -1) + z.shape[1:]).mean(axis=1)
-        else:
-            z = _refine_rows(z, d)
-        z = z * 2.0 ** (-d / 2.0)
-        if not np.all(np.isfinite(z)):
-            raise ValueError("adjoint values must be finite")
-        return z
+            return z.reshape((1 << d, -1) + z.shape[1:]).mean(axis=1)
+        return _refine_rows(z, d)
+
+
+def _finite(x: np.ndarray, what: str) -> np.ndarray:
+    if not np.all(np.isfinite(x)):
+        raise ValueError(f"{what} values must be finite")
+    return x
 
 
 def apply_to_identity(fn: Callable[[np.ndarray], np.ndarray], shape: Tuple[int, int], width: int) -> np.ndarray:

@@ -245,6 +245,27 @@ class TestLipschitzCertify:
         with pytest.raises(ValueError, match="unconverged"):
             connes_lower_bound(eta, eta, [CondExp(1)])
 
+    def test_builds_the_block_pair_and_walks_its_tails_once(self, monkeypatch):
+        from rkdirac import dirac, transfer
+
+        calls = {"blocks": 0, "tails": 0}
+        blocks, tail = transfer.dirac_blocks, transfer.Sum.tail
+
+        def counting_blocks(a):
+            calls["blocks"] += 1
+            return blocks(a)
+
+        def counting_tail(self):
+            calls["tails"] += 1
+            return tail(self)
+
+        monkeypatch.setattr(dirac, "dirac_blocks", counting_blocks)
+        monkeypatch.setattr(transfer.Sum, "tail", counting_tail)
+        cert = lipschitz_certify(Mult(random_function(4, 3)))
+        # each block of the pair is a Sum: one walk is one Sum.tail per block
+        assert calls == {"blocks": 1, "tails": 2}
+        assert (cert["core_depth"], cert["computed_at"]) == (4, 4)
+
     def test_unknown_rule_needs_depth(self):
         with pytest.raises(ValueError, match="core depth"):
             lipschitz_certify(Sum((Ruelle(), Mult(random_function(0, 2)))))

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from rkdirac.dyadic import SQRT2, DyadicFunction, constant, haar_function, indicator, random_function
 from rkdirac import spectra
+from rkdirac.formulas import backward_rms_norm
 from rkdirac.spectra import depth_sweep, operator_norm
 from rkdirac.transfer import (
     BoundOperator,
@@ -389,3 +390,59 @@ class TestLanczos:
     def test_power_method_is_gone(self):
         with pytest.raises(ValueError):
             operator_norm(np.eye(2), method="power")
+
+
+def _dense_sigma(g):
+    return spectra._dense_sigma_max(g.shape[0], g.shape[0], lambda v: g @ v)
+
+
+def _reference_sigma(g):
+    return math.sqrt(max(float(np.linalg.eigvalsh(g)[-1]), 0.0))
+
+
+class TestDenseReduction:
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 24), st.integers(0, 2**32 - 1))
+    def test_psd_gram_with_zero_rows_matches_eigvalsh(self, n, seed):
+        rng = np.random.default_rng(seed)
+        b = rng.standard_normal((rng.integers(1, n + 1), n))
+        b[:, rng.random(n) < 0.4] = 0.0  # each zero column of b is a zero row and column of g
+        g = b.T @ b
+        assert abs(_dense_sigma(g) - _reference_sigma(g)) <= 1e-12 * max(1.0, _reference_sigma(g))
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 24), st.integers(0, 2**32 - 1))
+    def test_permuted_diagonal_matches_eigvalsh(self, n, seed):
+        rng = np.random.default_rng(seed)
+        d = rng.random(n) * (rng.random(n) < 0.7)
+        g = np.diag(d[rng.permutation(n)])
+        assert abs(_dense_sigma(g) - _reference_sigma(g)) <= 1e-12 * max(1.0, _reference_sigma(g))
+
+    @pytest.mark.parametrize("lower", [True, False])
+    def test_an_off_diagonal_entry_in_one_triangle_only_matches_eigvalsh(self, lower):
+        # eigvalsh reads the lower triangle, and so does the reduction
+        rng = np.random.default_rng(4)
+        g = np.diag(rng.random(9))
+        i, j = (6, 2) if lower else (2, 6)
+        g[i, j] = 3.0
+        assert abs(_dense_sigma(g) - _reference_sigma(g)) <= 1e-12 * _reference_sigma(g)
+        assert (_dense_sigma(g) > math.sqrt(g.diagonal().max())) == lower
+
+    def test_zero_gram_is_zero(self):
+        assert _dense_sigma(np.zeros((5, 5))) == 0.0
+        assert operator_norm(np.zeros((7, 3))).value == 0.0
+        assert operator_norm(BoundOperator(Sum((Koopman(), Koopman()), (1.0, -1.0)), 4)).value == 0.0
+
+    def test_multiplier_blocks_are_solved_without_an_eigensolve(self, monkeypatch):
+        # Both blocks of a multiplier have the diagonal Gram M_{L|Kf - f|^2}.
+        def refuse(g, *args, **kwargs):
+            raise AssertionError(f"eigvalsh called on a {g.shape} Gram")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+        op = _multiplier()
+        expected = backward_rms_norm(op.f)
+        upper, lower = dirac_blocks(op)
+        for block, depth in ((upper, 8), (lower, 9)):
+            est = operator_norm(BoundOperator(block, depth))
+            assert est.method == "dense" and est.iterations == 0
+            assert abs(est.value - expected) <= 1e-12 * expected

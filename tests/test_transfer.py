@@ -438,3 +438,37 @@ class TestBoundOperatorFiniteness:
         y = a.matvec(np.ones(8))
         with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError, match="finite"):
             a.rmatvec(y)
+
+    def test_gram_rejects_non_finite_values(self):
+        f = random_function(0, 2) * 1e160
+        n, _, gram = BoundOperator(Mult(f), 3).gram()
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError, match="finite"):
+            gram(np.ones(n))
+
+
+class TestGram:
+    @settings(max_examples=150, deadline=None)
+    @given(_specs(), st.integers(3, 7))
+    def test_equals_the_product_of_matvec_and_rmatvec(self, op, depth):
+        a = BoundOperator(op, depth)
+        rows, cols = a.shape
+        n, width, gram = a.gram()
+        assert (n, width) == (min(rows, cols), max(rows, cols))
+        v = np.random.default_rng(depth).standard_normal((n, 3))
+        product = a.rmatvec(a.matvec(v)) if cols <= rows else a.matvec(a.rmatvec(v))
+        got = gram(v)
+        assert got.shape == product.shape
+        assert np.abs(got - product).max() <= 1e-12 * max(1.0, np.abs(product).max())
+        assert gram(v[:, 0]).shape == (n,)
+
+    @pytest.mark.parametrize("depth", [6, 7])
+    def test_both_sides_of_a_rectangular_block(self, depth):
+        # A^T A for the tall upper block, A A^T for the wide lower one
+        f = random_function(5, 3)
+        for op, tall in ((commutator_with_K(Mult(f)), True), (commutator_with_L(Mult(f)), False)):
+            a = BoundOperator(op, depth)
+            assert (a.shape[1] < a.shape[0]) == tall
+            m = assemble(op, depth).matrix
+            n, _, gram = a.gram()
+            expected = m.T @ m if tall else m @ m.T
+            np.testing.assert_allclose(apply_to_identity(gram, (n, n), max(a.shape)), expected, rtol=0.0, atol=1e-12)
