@@ -145,8 +145,9 @@ def lipschitz_certify(a: OperatorSpec) -> dict:
     tails walked once per call.  An operator without a core depth (a sum
     of mixed shifts) raises ``ValueError``: its norm may grow with depth, so
     no depth certifies it.  ``certified`` is True only for an upper
-    estimate: both blocks solved by a dense eigensolve, and the value at
-    most LIPSCHITZ_THRESHOLD + CERTIFY_TOL.  A Lanczos Ritz value is only a
+    estimate: both blocks solved exactly (an ``exact-*`` solve of the
+    normal form) or by a dense eigensolve, and the value at most
+    LIPSCHITZ_THRESHOLD + CERTIFY_TOL.  A Lanczos Ritz value is only a
     lower bound.  ``reason`` says why a result is not certified (None when
     it is); ``upper`` and ``lower`` say how each block norm was obtained.
     """
@@ -178,7 +179,7 @@ def _uncertified_reason(r: CommutatorNorm) -> Optional[str]:
     for name, est in (("upper", r.upper), ("lower", r.lower)):
         if not est.converged:
             return f"the {name} block is from an unconverged solve"
-        if est.method != "dense":
+        if est.method == "lanczos":
             return f"the {name} block is a Lanczos Ritz value, only a lower bound"
     return None
 

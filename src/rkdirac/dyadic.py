@@ -43,8 +43,7 @@ class DyadicFunction:
         arr = np.array(values, dtype=float)
         if arr.shape != (1 << depth,):
             raise ValueError(f"expected {1 << depth} values at depth {depth}, got shape {arr.shape}")
-        if not np.isfinite(arr).all():
-            raise ValueError("values must be finite")
+        require_finite(arr, "function")
         self.depth = depth
         self.values = arr
 
@@ -113,6 +112,17 @@ def l2_norm(f: DyadicFunction) -> float:
 
 
 UNIT_TOL = 1e-9
+
+
+def require_finite(x, what: str):
+    """x itself, or a ValueError saying that the ``what`` values must be finite.
+
+    The one finiteness check: functions, matrices, every product of the norm
+    engine and the exact norm solves all use it.
+    """
+    if not np.isfinite(x).all():
+        raise ValueError(f"{what} values must be finite")
+    return x
 
 
 def require_unit(f: DyadicFunction, what: str) -> None:

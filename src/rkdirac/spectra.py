@@ -11,16 +11,31 @@ cost the smaller dimension n.
 
 Which path runs:
 
+* exact, under method="auto" only, for a bound operator at input depth d
+  whose ``normal_form`` (see transfer.NormalForm) has an exact solve; no
+  Gram is built and no Krylov run is made, and the cost is O(2**d):
+  - exact-diagonal: one multiplier term M_g K^a with b = 0, whose Gram
+    P_d M_{L^a|g|^2} P_d is diagonal at every d (the K block
+    M_{Kf - f} K of a multiplier, the paper's ||[D, pi(M_f)]|| =
+    |sqrt(L|Kf - f|^2)|_inf), or L^b M_h with a = 0, depth(h) <= d and
+    b <= d, whose Gram A A^T is M_{L^b|h|^2} (the L block L M_{f - Kf}
+    from the multiplier's own depth plus one on);
+  - exact-rank-r: rank-one terms only, U W^T (a projection's blocks,
+    |K psi><psi| - |psi><L psi|, have r = 2): a QR of the two r-column
+    sides, then the top singular value of the r x r product of their R
+    factors.
+  Every other form (a term with a and b both positive, a mix of terms, an
+  L-side multiplier deeper than d) takes the paths below.  The value's
+  square, the top Gram eigenvalue, must be finite, as on those paths.
+  method="dense" and "lanczos" never take this path, so they remain an
+  independent check of it.
 * dense, when n <= DENSE_CUTOFF (256) under method="auto", always under
   method="dense", and as the fallback: the top eigenvalue of the n x n
   Gram.  For a bound operator the Gram is built by applying the Gram
   operator to identity column chunks of transfer.CHUNK_BYTES (cache sized),
   so the rectangular block is never held next to it.  Indices whose row
-  and column are zero are dropped; a Gram with no nonzero entry off its
-  diagonal (both blocks of a multiplier have the diagonal Gram
-  M_{L|Kf - f|^2}) gives its largest diagonal entry; any other runs
-  ``eigvalsh`` on what is left.  Memory: one n x n Gram (512 KB at
-  n = 256, 128 MB at n = 4096).
+  and column are zero are dropped and ``eigvalsh`` runs on what is left.
+  Memory: one n x n Gram (512 KB at n = 256, 128 MB at n = 4096).
 * lanczos, otherwise: block Lanczos on G.  For a bound operator it runs
   matrix-free; its memory is the Krylov basis, O(n * m) for m Gram-operator
   vectors applied.  The basis is one column-major array resized in place
@@ -53,12 +68,13 @@ converging falls back to the dense solve.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, List, Tuple, Union
+from typing import Callable, Iterable, List, Optional, Tuple, Union
 
 import math
 
 import numpy as np
 
+from .dyadic import require_finite
 from .transfer import AssembledMap, BoundOperator, OperatorSpec, apply_to_identity, dirac_blocks
 from .transfer import assemble  # noqa: F401  -- re-exported as spectra.assemble
 
@@ -72,6 +88,7 @@ _START_SEED = 0x5EED
 _DEFLATE_RTOL = 1e-14
 
 Operand = Union[AssembledMap, BoundOperator, np.ndarray]
+_PATHS = {"dense": "dense", "lanczos": "matrix-free"}  # every other method is an exact solve
 
 
 @dataclass(frozen=True)
@@ -79,14 +96,15 @@ class NormEstimate:
     """How a largest singular value was obtained.
 
     ``iterations`` is the number of Gram-operator vectors the Lanczos path
-    applied (0 when only the dense path ran).  ``residual`` is the top Ritz
-    pair's ||G y - theta y|| with theta = value**2, and 0.0 for a dense value.
+    applied (0 when only an exact or dense solve ran).  ``residual`` is the
+    top Ritz pair's ||G y - theta y|| with theta = value**2, and 0.0 for an
+    exact or dense value.
     """
 
     value: float
     iterations: int
     converged: bool
-    method: str  # "lanczos" or "dense"
+    method: str  # "exact-diagonal", "exact-rank-r", "dense" or "lanczos"
     residual: float
 
     @property
@@ -102,51 +120,58 @@ class NormEstimate:
             "converged": self.converged,
             "residual": self.residual,
             "fallback": self.fallback,
-            "path": "dense" if self.method == "dense" else "matrix-free",
+            "path": _PATHS.get(self.method, "exact"),
         }
 
 
-def _as_matrix(m: Union[AssembledMap, np.ndarray]) -> np.ndarray:
-    a = m.matrix if isinstance(m, AssembledMap) else np.asarray(m, dtype=float)
-    if a.ndim != 2:
-        raise ValueError(f"expected a matrix, got ndim={a.ndim}")
-    if not np.all(np.isfinite(a)):
-        raise ValueError("matrix entries must be finite")
-    return a
-
-
-def _finite(fn: Callable[[np.ndarray], np.ndarray]) -> Callable[[np.ndarray], np.ndarray]:
-    """fn, rejecting a non-finite result as BoundOperator's maps do."""
-
-    def checked(x: np.ndarray) -> np.ndarray:
-        y = fn(x)
-        if not np.all(np.isfinite(y)):
-            raise ValueError("matrix products must be finite")
-        return y
-
-    return checked
-
-
 def _gram(m: Operand) -> Tuple[int, int, Callable[[np.ndarray], np.ndarray]]:
-    """(n, larger side, V -> G V) for the Gram operator G of the smaller side of m."""
+    """(n, larger side, V -> G V) for the Gram operator G of the smaller side of m.
+
+    As in ``BoundOperator.gram``, the one finiteness check is on G V.
+    """
     if isinstance(m, BoundOperator):
         return m.gram()
-    a = _as_matrix(m)
-    (rows, cols), matvec, rmatvec = a.shape, _finite(a.__matmul__), _finite(a.T.__matmul__)
+    a = m.matrix if isinstance(m, AssembledMap) else require_finite(np.asarray(m, dtype=float), "matrix")
+    if a.ndim != 2:
+        raise ValueError(f"expected a matrix, got ndim={a.ndim}")
+    rows, cols = a.shape
     if cols <= rows:
-        return cols, rows, lambda v: rmatvec(matvec(v))
-    return rows, cols, lambda v: matvec(rmatvec(v))
+        return cols, rows, lambda v: require_finite(a.T @ (a @ v), "Gram operator")
+    return rows, cols, lambda v: require_finite(a @ (a.T @ v), "Gram operator")
+
+
+def _exact(m: BoundOperator) -> Optional[NormEstimate]:
+    """The exact solve of m's normal form, or None when the form has no exact solve.
+
+    exact-diagonal: one multiplier term whose Gram is a multiplier, read off
+    as the largest entry of its diagonal.  exact-rank-r: rank-one terms
+    only, U W^T, whose norm is that of the r x r product of the R factors of
+    U and W.  The value's square, the top Gram eigenvalue, must be finite,
+    as every Gram product of the dense and Lanczos paths must.
+    """
+    form = m.op.normal_form
+    if form is None:
+        return None
+    diagonal = form.gram_diagonal(m.in_depth)
+    if diagonal is not None:
+        lam = float(require_finite(diagonal, "Gram operator").max())
+        return NormEstimate(math.sqrt(max(lam, 0.0)), 0, True, "exact-diagonal", 0.0)
+    sides = form.rank_one_sides(m.in_depth)
+    if sides is None:
+        return None
+    u, w = (np.linalg.qr(require_finite(x, "operator"), mode="r") for x in sides)
+    sigma = float(np.linalg.svd(u @ w.T, compute_uv=False)[0]) if u.size else 0.0
+    require_finite(sigma * sigma, "Gram operator")
+    return NormEstimate(sigma, 0, True, "exact-rank-r", 0.0)
 
 
 def _dense_sigma_max(n: int, width: int, gram_apply) -> float:
-    """sqrt of the top eigenvalue of the n x n Gram, exactly reduced first.
+    """sqrt of the top eigenvalue of the n x n Gram, with its zero rows dropped.
 
     An index whose row and column are zero carries an eigenvalue-0
-    eigenvector of the PSD Gram and is dropped; a Gram with no nonzero
-    entry off its diagonal has its largest diagonal entry as top
-    eigenvalue.  Both are permutation similarities of what ``eigvalsh``
-    reads (the lower triangle), so the value is that of ``eigvalsh`` on the
-    whole Gram.
+    eigenvector of the PSD Gram; dropping it is a permutation similarity of
+    what ``eigvalsh`` reads (the lower triangle), so the value is that of
+    ``eigvalsh`` on the whole Gram.
     """
     g = apply_to_identity(gram_apply, (n, n), width)
     live = np.flatnonzero(g.any(axis=0) | g.any(axis=1))
@@ -154,11 +179,7 @@ def _dense_sigma_max(n: int, width: int, gram_apply) -> float:
         return 0.0
     if live.size < n:
         g = g[np.ix_(live, live)]
-    if np.count_nonzero(g) == np.count_nonzero(g.diagonal()):
-        lam = float(g.diagonal().max())
-    else:
-        lam = float(np.linalg.eigvalsh(g)[-1])
-    return math.sqrt(max(lam, 0.0))
+    return math.sqrt(max(float(np.linalg.eigvalsh(g)[-1]), 0.0))
 
 
 def _norm(x: np.ndarray) -> float:
@@ -234,13 +255,18 @@ def operator_norm(m: Operand, method: str = "auto") -> NormEstimate:
     """Largest singular value of a matrix, an assembled map or a bound operator.
 
     method="lanczos" forces the Lanczos path (no fallback), method="dense"
-    forces a dense solve, method="auto" picks dense when the smaller side is
+    forces a dense solve, method="auto" first tries the exact solve of a
+    bound operator's normal form, then picks dense when the smaller side is
     at most DENSE_CUTOFF and falls back to dense when the Lanczos path spends
     KRYLOV_BUDGET vectors without converging.
     """
-    n, width, gram_apply = _gram(m)
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}")
+    if method == "auto" and isinstance(m, BoundOperator):
+        exact = _exact(m)
+        if exact is not None:
+            return exact
+    n, width, gram_apply = _gram(m)
     if method == "dense" or (method == "auto" and n <= DENSE_CUTOFF):
         return NormEstimate(_dense_sigma_max(n, width, gram_apply), 0, True, "dense", 0.0)
     theta, vectors, ok, residual = _lanczos(n, gram_apply, NORM_TOL)

@@ -33,16 +33,23 @@ costs O(2**max(d, out_depth)) memory; all three reject a non-finite result.
 column chunks of about ``CHUNK_BYTES`` (256 KB, cache sized) each; the norm
 engine never calls it, but builds its dense Grams from ``gram`` applied to
 the same chunks.
+
+Normal form.  ``OperatorSpec.normal_form`` rewrites a spec, once per spec
+object, as sum_i M_{g_i} K^{a_i} L^{b_i} M_{h_i} + sum_j |u_j><v_j| (see
+:class:`NormalForm`), using the relations of the Ruelle-Koopman pair.  The
+norm engine reads exact norms off it: a multiplier block's Gram is itself a
+multiplier, and a projection block has rank two.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence, Tuple
+from functools import cached_property
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .dyadic import DyadicFunction, MAX_DEPTH, _refine_rows, inner, refine, require_unit
+from .dyadic import DyadicFunction, MAX_DEPTH, _refine_rows, inner, refine, require_finite, require_unit
 
 # One identity chunk, measured at the widest array it passes through.  Cache
 # sized, and small enough that its temporaries stay below glibc's mmap
@@ -179,7 +186,8 @@ class OperatorSpec:
     arrays), ``out_depth`` (the output depth of matrices and bound operators
     for a given input depth) and ``adjoint`` (the symbolic Hilbert adjoint,
     exact on the full space); ``apply`` runs the kernel on a DyadicFunction,
-    and ``tail`` gives the operator's :class:`Tail`, or None when it has none.
+    ``tail`` gives the operator's :class:`Tail`, or None when it has none,
+    and ``normal_form`` its :class:`NormalForm`, derived once per object.
     """
 
     def apply_batch(self, x: np.ndarray) -> np.ndarray:
@@ -195,6 +203,17 @@ class OperatorSpec:
         raise NotImplementedError
 
     def tail(self) -> Optional[Tail]:
+        return None
+
+    @cached_property
+    def normal_form(self) -> Optional["NormalForm"]:
+        """The operator's NormalForm, or None when a function of it would pass MAX_DEPTH."""
+        try:
+            return self._normal_form()
+        except _TooDeep:
+            return None
+
+    def _normal_form(self) -> Optional["NormalForm"]:
         return None
 
     def describe(self) -> str:
@@ -215,6 +234,9 @@ class Ruelle(OperatorSpec):
     def tail(self):
         return Tail(shift=-1, reach=1)
 
+    def _normal_form(self):
+        return NormalForm(((_ONE, 0, 1, _ONE),))
+
     def describe(self):
         return "ruelle"
 
@@ -232,6 +254,9 @@ class Koopman(OperatorSpec):
 
     def tail(self):
         return Tail(shift=1, reach=0)
+
+    def _normal_form(self):
+        return NormalForm(((_ONE, 1, 0, _ONE),))
 
     def describe(self):
         return "koopman"
@@ -252,6 +277,9 @@ class Mult(OperatorSpec):
 
     def tail(self):
         return Tail(shift=0, reach=self.f.depth)
+
+    def _normal_form(self):
+        return NormalForm(((self.f.values, 0, 0, _ONE),))
 
     def describe(self):
         return f"mult(depth={self.f.depth})"
@@ -278,6 +306,9 @@ class Proj(OperatorSpec):
     def tail(self):
         return Tail(shift=0, reach=self.psi.depth, identity=False, mean=True)
 
+    def _normal_form(self):
+        return NormalForm((), ((self.psi.values, self.psi.values),))
+
     def describe(self):
         return f"proj(depth={self.psi.depth})"
 
@@ -302,6 +333,9 @@ class CondExp(OperatorSpec):
     def tail(self):
         return Tail(shift=0, reach=self.n)
 
+    def _normal_form(self):
+        return NormalForm(((_ONE, self.n, self.n, _ONE),))
+
     def describe(self):
         return f"condexp({self.n})"
 
@@ -319,6 +353,9 @@ class KernelProj(OperatorSpec):
 
     def tail(self):
         return Tail(shift=0, reach=1)
+
+    def _normal_form(self):
+        return NormalForm(((_ONE, 0, 0, _ONE), (-_ONE, 1, 1, _ONE)))  # I - K L
 
     def describe(self):
         return "kernel_proj"
@@ -362,6 +399,15 @@ class Compose(OperatorSpec):
                 identity=acc.identity and t.identity,
                 mean=acc.mean or t.mean,
             )
+        return acc
+
+    def _normal_form(self):
+        forms = [op.normal_form for op in self.ops]
+        if any(form is None for form in forms):
+            return None
+        acc = forms[0] if forms else NormalForm(((_ONE, 0, 0, _ONE),))
+        for form in forms[1:]:
+            acc = acc.after(form)
         return acc
 
     def describe(self):
@@ -423,6 +469,17 @@ class Sum(OperatorSpec):
             mean=any(t.mean for t in tails),
         )
 
+    def _normal_form(self):
+        terms: List[Term] = []
+        rank_one: List[Tuple[np.ndarray, np.ndarray]] = []
+        for w, op in zip(self.weights, self.ops):
+            form = op.normal_form
+            if form is None:
+                return None
+            terms += [_term(w * g, a, b, h) for g, a, b, h in form.terms]
+            rank_one += [(w * u, v) for u, v in form.rank_one]
+        return NormalForm(_merged(terms), tuple(rank_one))
+
     def describe(self):
         terms = " + ".join(f"{w:g}*{op.describe()}" for w, op in zip(self.weights, self.ops))
         return f"[{terms}]" if terms else "zero"
@@ -451,6 +508,9 @@ class Adjoint(OperatorSpec):
     def tail(self):
         return self.resolved.tail()
 
+    def _normal_form(self):
+        return self.resolved.normal_form
+
     def describe(self):
         return f"adjoint({self.inner_op.describe()})"
 
@@ -476,6 +536,162 @@ def commutator_with_L(a: OperatorSpec) -> Sum:
 def dirac_blocks(a: OperatorSpec) -> Tuple[Sum, Sum]:
     """The two off-diagonal blocks (K A - A K, L A - A L) of the Dirac commutator."""
     return commutator_with_K(a), commutator_with_L(a)
+
+
+# ---------------------------------------------------------------------------
+# The normal form of the operator algebra.
+
+# A term M_g K^a L^b M_h, as (g, a, b, h) with g and h arrays of cylinder values.
+Term = Tuple[np.ndarray, int, int, np.ndarray]
+
+_ONE = np.ones(1)  # the constant 1 at depth 0; shared, never written to
+
+
+class _TooDeep(Exception):
+    """A function of a normal form would pass MAX_DEPTH."""
+
+
+def _koopman_pow(u: np.ndarray, n: int) -> np.ndarray:
+    """K^n u; a constant stays a depth-0 array."""
+    if n == 0 or u.shape[0] == 1:
+        return u
+    if _depth(u) + n > MAX_DEPTH:
+        raise _TooDeep
+    for _ in range(n):
+        u = _koopman(u)
+    return u
+
+
+def _ruelle_pow(u: np.ndarray, n: int) -> np.ndarray:
+    for _ in range(min(n, _depth(u))):  # L fixes constants
+        u = _ruelle(u)
+    return u
+
+
+def _times(f: np.ndarray, x: np.ndarray) -> np.ndarray:
+    return x if f is _ONE else f if x is _ONE else _mult(f, x)
+
+
+def _plus(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    depth = max(_depth(x), _depth(y))
+    return _refine_rows(x, depth) + _refine_rows(y, depth)
+
+
+def _inner(x: np.ndarray, y: np.ndarray) -> float:
+    depth = max(_depth(x), _depth(y))
+    return float(_refine_rows(x, depth) @ _refine_rows(y, depth)) * 2.0 ** (-depth)
+
+
+def _term(g: np.ndarray, a: int, b: int, h: np.ndarray) -> Term:
+    """M_g K^a L^b M_h with a one-sided term's multiplier on its open side:
+    K^a M_h = M_{K^a h} K^a when b = 0, and M_g L^b = L^b M_{K^b g} when a = 0."""
+    if b == 0:
+        return _times(g, _koopman_pow(h, a)), a, 0, _ONE
+    if a == 0:
+        return _ONE, 0, b, _times(_koopman_pow(g, b), h)
+    return g, a, b, h
+
+
+def _term_apply(term: Term, u: np.ndarray) -> np.ndarray:
+    g, a, b, h = term
+    return _times(g, _koopman_pow(_ruelle_pow(_times(h, u), b), a))
+
+
+def _compose_terms(s: Term, t: Term) -> Term:
+    """s after t.  In the middle, L^k M_u K^k = M_{L^k u} with k = min(b, a'),
+    which leaves K's or L's on one side only; the multiplier then moves out
+    through them."""
+    g, a, b, h = s
+    g2, a2, b2, h2 = t
+    k = min(b, a2)
+    u = _ruelle_pow(_times(h, g2), k)
+    if b == k:  # M_g K^a M_u K^(a2-k) L^b2 M_h2
+        return _term(_times(g, _koopman_pow(u, a)), a + a2 - k, b2, h2)
+    # a2 == k: M_g K^a L^(b-k) M_u L^b2 M_h2
+    return _term(g, a, b - k + b2, _times(_koopman_pow(u, b2), h2))
+
+
+def _merged(terms: Sequence[Term]) -> Tuple[Term, ...]:
+    """The terms, with one-sided terms that share (a, b) summed into one."""
+    out: List[Term] = []
+    at = {}
+    for g, a, b, h in terms:
+        i = None if a and b else at.get((a, b))
+        if i is None:
+            at[(a, b)] = len(out)
+            out.append((g, a, b, h))
+        else:
+            g0, _, _, h0 = out[i]
+            out[i] = (_plus(g0, g), a, b, h0) if b == 0 else (g0, a, b, _plus(h0, h))
+    return tuple(out)
+
+
+def _mean_onto(z: np.ndarray, d: int) -> np.ndarray:
+    """z averaged onto the depth-d space when it is finer, else z itself."""
+    if _depth(z) > d:
+        return z.reshape((1 << d, -1) + z.shape[1:]).mean(axis=1)
+    return z
+
+
+def _columns(fs: Sequence[np.ndarray]) -> np.ndarray:
+    """The functions' orthonormal coordinates at their common depth, one per column."""
+    depth = max((_depth(f) for f in fs), default=0)
+    cols = [_refine_rows(f, depth) for f in fs]
+    return np.column_stack(cols) * 2.0 ** (-depth / 2.0) if cols else np.zeros((1, 0))
+
+
+@dataclass(frozen=True, eq=False)
+class NormalForm:
+    """An operator as sum_i M_{g_i} K^{a_i} L^{b_i} M_{h_i} + sum_j |u_j><v_j|.
+
+    ``terms`` holds the (g, a, b, h) and ``rank_one`` the (u, v), with
+    ``|u><v| x = <v, x> u``; every function is an array of cylinder values.
+    It is reached with the relations L K = I, K M_f = M_{Kf} K,
+    M_f L = L M_{Kf}, L M_u K = M_{Lu} and M_f M_g = M_{fg}: multipliers move
+    left past K and right past L.  A term with b = 0 has h = 1 and one with
+    a = 0 < b has g = 1, and such one-sided terms that share (a, b) are
+    merged.  Rank-one terms are closed under composition:
+    T |u><v| = |Tu><v|, |u><v| T = |u><T^* v| and
+    |u><v| |u'><v'| = <v, u'> |u><v'|.
+    """
+
+    terms: Tuple[Term, ...] = ()
+    rank_one: Tuple[Tuple[np.ndarray, np.ndarray], ...] = ()
+
+    def after(self, other: "NormalForm") -> "NormalForm":
+        """The form of self . other (other applied first)."""
+        rank_one = [(_term_apply(s, u), v) for s in self.terms for u, v in other.rank_one]
+        rank_one += [(u, _term_apply((h, b, a, g), v)) for u, v in self.rank_one for g, a, b, h in other.terms]
+        rank_one += [(u * _inner(v, u2), v2) for u, v in self.rank_one for u2, v2 in other.rank_one]
+        terms = [_compose_terms(s, t) for s in self.terms for t in other.terms]
+        return NormalForm(_merged(terms), tuple(rank_one))
+
+    def gram_diagonal(self, d: int) -> Optional[np.ndarray]:
+        """The diagonal of a Gram operator of the form on the depth-d space,
+        when the form is one multiplier term; None otherwise.
+
+        For M_g K^a (b = 0), A^T A = P_d M_{L^a|g|^2} P_d at every d, with P_d
+        the averaging onto depth d: the depth-d cell means of L^a|g|^2.  For
+        L^b M_h (a = 0), A A^T = M_{L^b|h|^2} when depth(h) <= d and b <= d:
+        the adjoint M_h K^b maps the indicator of each depth-(d - b) cell into
+        the depth-d space, so that space holds the top of the spectrum.
+        """
+        if self.rank_one or len(self.terms) != 1:
+            return None
+        g, a, b, h = self.terms[0]
+        if b == 0:
+            return _mean_onto(_ruelle_pow(g * g, a), d)
+        if a == 0 and _depth(h) <= d and b <= d:
+            return _ruelle_pow(h * h, b)
+        return None
+
+    def rank_one_sides(self, d: int) -> Optional[Tuple[np.ndarray, np.ndarray]]:
+        """(U, W) with U W^T the form on the depth-d space, in orthonormal
+        coordinates, when it has rank-one terms only: U holds the u_j and W the
+        P_d v_j, one per column.  None when it has a multiplier term."""
+        if self.terms:
+            return None
+        return _columns([u for u, _ in self.rank_one]), _columns([_mean_onto(v, d) for _, v in self.rank_one])
 
 
 # ---------------------------------------------------------------------------
@@ -507,13 +723,13 @@ class BoundOperator:
         if x.shape[0] != self.shape[1]:
             raise ValueError(f"expected {self.shape[1]} rows, got {x.shape[0]}")
         y = self.op.apply_batch(x * 2.0 ** (self.in_depth / 2.0))
-        return _finite(_refine_rows(y, self.out_depth) * 2.0 ** (-self.out_depth / 2.0), "operator")
+        return require_finite(_refine_rows(y, self.out_depth) * 2.0 ** (-self.out_depth / 2.0), "operator")
 
     def rmatvec(self, y: np.ndarray) -> np.ndarray:
         if y.shape[0] != self.shape[0]:
             raise ValueError(f"expected {self.shape[0]} rows, got {y.shape[0]}")
         z = self._onto_input(self._adjoint.apply_batch(y * 2.0 ** (self.out_depth / 2.0)))
-        return _finite(z * 2.0 ** (-self.in_depth / 2.0), "adjoint")
+        return require_finite(z * 2.0 ** (-self.in_depth / 2.0), "adjoint")
 
     def gram(self) -> Tuple[int, int, Callable[[np.ndarray], np.ndarray]]:
         """(n, larger side, V -> G V) for the Gram operator G of the smaller side.
@@ -529,21 +745,12 @@ class BoundOperator:
         (rows, cols), out = self.shape, self.out_depth
         op, adj = self.op.apply_batch, self._adjoint.apply_batch
         if cols <= rows:
-            return cols, rows, lambda v: _finite(self._onto_input(adj(op(v))), "Gram operator")
-        return rows, cols, lambda v: _finite(_refine_rows(op(self._onto_input(adj(v))), out), "Gram operator")
+            return cols, rows, lambda v: require_finite(self._onto_input(adj(op(v))), "Gram operator")
+        return rows, cols, lambda v: require_finite(_refine_rows(op(self._onto_input(adj(v))), out), "Gram operator")
 
     def _onto_input(self, z: np.ndarray) -> np.ndarray:
         """z averaged onto, or refined to, the depth-``in_depth`` space."""
-        d = self.in_depth
-        if _depth(z) > d:
-            return z.reshape((1 << d, -1) + z.shape[1:]).mean(axis=1)
-        return _refine_rows(z, d)
-
-
-def _finite(x: np.ndarray, what: str) -> np.ndarray:
-    if not np.all(np.isfinite(x)):
-        raise ValueError(f"{what} values must be finite")
-    return x
+        return _refine_rows(_mean_onto(z, self.in_depth), self.in_depth)
 
 
 def apply_to_identity(fn: Callable[[np.ndarray], np.ndarray], shape: Tuple[int, int], width: int) -> np.ndarray:
@@ -573,8 +780,7 @@ class AssembledMap:
         expected = (1 << self.out_depth, 1 << self.in_depth)
         if self.matrix.shape != expected:
             raise ValueError(f"matrix shape {self.matrix.shape} != {expected}")
-        if not np.all(np.isfinite(self.matrix)):
-            raise ValueError("matrix entries must be finite")
+        require_finite(self.matrix, "matrix")
 
 
 def coords(f: DyadicFunction, depth: int) -> np.ndarray:

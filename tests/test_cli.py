@@ -15,7 +15,7 @@ from rkdirac.io import (
 from rkdirac.dyadic import haar_function, is_close, l2_dist, random_function
 from rkdirac.spectra import block_pair_norm
 from rkdirac.suites import SuiteReport, Check, run_suite
-from rkdirac.transfer import CondExp, Compose, Koopman, Mult, Proj, Sum, dirac_blocks
+from rkdirac.transfer import CondExp, Compose, Koopman, Mult, Proj, Ruelle, Sum, dirac_blocks
 from rkdirac.words import Word
 
 
@@ -341,9 +341,15 @@ class TestSweepCommand:
         assert last[5] == "True"
 
     def test_residual_column_says_how_each_value_was_obtained(self, tmp_path, capsys):
-        spec = tmp_path / "op.json"
-        spec.write_text(json.dumps(operator_to_json(Mult(random_function(2, 6)))))
-        assert main(["sweep", "--operator", str(spec), "--depths", "8:9"]) == 0
+        # A multiplier's blocks are solved exactly; a sum of mixed shifts has
+        # no exact solve, so it takes the dense path at n = 256, Lanczos above.
+        mult, mixed = tmp_path / "mult.json", tmp_path / "mixed.json"
+        mult.write_text(json.dumps(operator_to_json(Mult(random_function(2, 6)))))
+        mixed.write_text(json.dumps(operator_to_json(Sum((Ruelle(), Mult(random_function(1, 2)))))))
+        assert main(["sweep", "--operator", str(mult), "--depths", "8:9"]) == 0
+        rows = [line.split(",") for line in capsys.readouterr().out.strip().splitlines()[1:]]
+        assert [(m, it, float(r)) for _, _, it, m, *_, r in rows] == [("exact-diagonal", "0", 0.0)] * 2
+        assert main(["sweep", "--operator", str(mixed), "--depths", "8:9"]) == 0
         rows = [line.split(",") for line in capsys.readouterr().out.strip().splitlines()[1:]]
         (d8, _, it8, m8, *_, r8), (d9, v9, it9, m9, *_, r9) = rows
         assert (m8, it8, float(r8)) == ("dense", "0", 0.0)

@@ -184,17 +184,24 @@ class TestLipschitzCertify:
         assert core_depth(identity()) == 1
 
     def test_reports_how_each_block_was_obtained(self):
-        cert = lipschitz_certify(Proj(haar_function(w("011"))))
-        assert (cert["core_depth"], cert["computed_at"], cert["threshold"]) == (5, 5, 1.0)
-        for block in ("upper", "lower"):
-            assert cert[block] == {
-                "method": "dense",
-                "iterations": 0,
-                "converged": True,
-                "residual": 0.0,
-                "fallback": False,
-                "path": "dense",
-            }
+        # A projection's blocks have rank two and are solved exactly; those of
+        # K^2 L^2 are two-sided terms, solved densely at its core depth 3.
+        for op, core, method, path in (
+            (Proj(haar_function(w("011"))), 5, "exact-rank-r", "exact"),
+            (CondExp(2), 3, "dense", "dense"),
+        ):
+            cert = lipschitz_certify(op)
+            assert (cert["core_depth"], cert["computed_at"], cert["threshold"]) == (core, core, 1.0)
+            assert cert["certified"]
+            for block in ("upper", "lower"):
+                assert cert[block] == {
+                    "method": method,
+                    "iterations": 0,
+                    "converged": True,
+                    "residual": 0.0,
+                    "fallback": False,
+                    "path": path,
+                }
 
     def test_counterexample_to_the_member_max_rule_is_not_certified(self):
         # The norm is 1.000714, 1.243051 and 1.590498 at depths 3-5, then
@@ -214,13 +221,24 @@ class TestLipschitzCertify:
             lipschitz_certify(Proj(haar_function(w("011"))), depth=3)
 
     def test_lanczos_ritz_value_is_not_certified(self):
-        # core 9: the smaller side of a block is 512, past the dense cutoff
+        # core 9: the smaller side of a block is 512, past the dense cutoff,
+        # and the K block K^9 L^8 - K^8 L^7 has no exact solve
+        cert = lipschitz_certify(CondExp(8))
+        assert cert["computed_at"] == 9 and cert["value"] == pytest.approx(1.0, abs=1e-9)
+        assert cert["upper"]["method"] == "lanczos" and cert["upper"]["converged"]
+        assert not cert["certified"] and "lower bound" in cert["reason"]
+
+    def test_exact_value_is_certified_past_the_dense_cutoff(self):
+        # core 9, as above, but both blocks of a multiplier are solved exactly
         f = random_function(3, 8)
         f = f * (0.25 / np.max(np.abs(f.values)))
         cert = lipschitz_certify(Mult(f))
         assert cert["computed_at"] == 9 and cert["value"] <= 1.0
-        assert cert["upper"]["method"] == "lanczos" and cert["upper"]["converged"]
-        assert not cert["certified"] and "lower bound" in cert["reason"]
+        for block in ("upper", "lower"):
+            assert cert[block]["method"] == "exact-diagonal" and cert[block]["path"] == "exact"
+        assert cert["certified"] and cert["reason"] is None
+        forced = commutator_norm(Mult(f), method="dense")
+        assert abs(cert["value"] - forced.value) <= 1e-12 * forced.value
 
     def test_unconverged_estimate_is_not_certified(self, monkeypatch):
         from rkdirac import spectra

@@ -12,8 +12,11 @@ from rkdirac import spectra
 from rkdirac.formulas import backward_rms_norm
 from rkdirac.spectra import depth_sweep, operator_norm
 from rkdirac.transfer import (
+    Adjoint,
     BoundOperator,
+    Compose,
     CondExp,
+    KernelProj,
     Koopman,
     Mult,
     Proj,
@@ -26,6 +29,7 @@ from rkdirac.transfer import (
     identity,
 )
 from rkdirac.words import Word
+from test_dirac import _shifted_sums
 from test_transfer import _specs
 
 
@@ -173,8 +177,12 @@ class TestDepthSweep:
         assert not any(p.plateau for p in points)
 
     def test_points_carry_the_residual_of_the_estimate_that_set_them(self):
-        upper, lower = dirac_blocks(_multiplier())
-        for p in depth_sweep(_multiplier(), range(7, 11)):
+        # Mixed shifts have no exact solve: dense at depths 7-8, Lanczos at 9-10.
+        op = Sum((Ruelle(), Mult(random_function(1, 2))))
+        upper, lower = dirac_blocks(op)
+        points = depth_sweep(op, range(7, 11))
+        assert [p.method for p in points] == ["dense", "dense", "lanczos", "lanczos"]
+        for p in points:
             _, eu, el = spectra.block_pair_norm(upper, lower, p.depth)
             est = eu if eu.value >= el.value else el
             assert (p.method, p.residual) == (est.method, est.residual)
@@ -182,6 +190,8 @@ class TestDepthSweep:
                 assert p.residual == 0.0
             else:
                 assert 0.0 < p.residual <= 1e-12 * p.value * max(1.0, p.value)
+        for p in depth_sweep(_multiplier(), range(7, 11)):
+            assert (p.method, p.iterations, p.residual) == ("exact-diagonal", 0, 0.0)
 
     def test_identity_sweeps_to_zero(self):
         points = depth_sweep(identity(), range(1, 5))
@@ -198,19 +208,31 @@ class TestDepthSweep:
 class TestMatrixFree:
     @pytest.mark.parametrize("depth", range(4, 9))
     def test_matches_svd_of_assembled_block(self, monkeypatch, depth):
+        # Every block is solved three ways: under auto (exact where its normal
+        # form allows), and forced onto the Lanczos or dense path.
         monkeypatch.setattr(spectra, "DENSE_CUTOFF", 8)
         psi = random_function(7, 3, "unit-norm")
-        tall = [commutator_with_K(Proj(psi)), commutator_with_K(CondExp(2)), Koopman()]  # A^T A
-        wide = [commutator_with_L(Mult(random_function(9, 3))), commutator_with_L(Proj(psi)), Ruelle()]  # A A^T
+        tall = [  # A^T A
+            (commutator_with_K(Proj(psi)), "exact-rank-r"),
+            (commutator_with_K(CondExp(2)), None),
+            (Koopman(), "exact-diagonal"),
+        ]
+        wide = [  # A A^T
+            (commutator_with_L(Mult(random_function(9, 3))), "exact-diagonal"),
+            (commutator_with_L(Proj(psi)), "exact-rank-r"),
+            (Ruelle(), "exact-diagonal"),
+        ]
         for ops, tall_side in ((tall, True), (wide, False)):
-            for op in ops:
+            for op, exact in ops:
                 bound = BoundOperator(op, depth)
                 rows, cols = bound.shape
                 assert (cols < rows) if tall_side else (rows < cols)
-                est = operator_norm(bound)
-                assert est.method == ("lanczos" if min(rows, cols) > 8 else "dense"), op.describe()
+                krylov = "lanczos" if min(rows, cols) > 8 else "dense"
                 expected = np.linalg.svd(assemble(op, depth).matrix, compute_uv=False)[0]
-                assert abs(est.value - expected) <= 1e-12, op.describe()
+                for method, want in (("auto", exact or krylov), (krylov, krylov), ("dense", "dense")):
+                    est = operator_norm(bound, method=method)
+                    assert est.method == want, op.describe()
+                    assert abs(est.value - expected) <= 1e-12, op.describe()
 
     def test_transpose_is_exact(self):
         rng = np.random.default_rng(3)
@@ -264,13 +286,17 @@ class TestLanczos:
         from rkdirac.dyadic import DyadicFunction
         from rkdirac.transfer import dirac_blocks
 
+        # Forced onto Lanczos: under auto both blocks are solved exactly.
         f = DyadicFunction(6, np.random.default_rng(2).standard_normal(64))
         upper, lower = dirac_blocks(Mult(f))
-        _, eu, el = spectra.block_pair_norm(upper, lower, 11)
-        for est in (eu, el):
+        _, eu, el = spectra.block_pair_norm(upper, lower, 11, method="lanczos")
+        _, xu, xl = spectra.block_pair_norm(upper, lower, 11)
+        for est, exact in ((eu, xu), (el, xl)):
             assert est.method == "lanczos" and est.converged
             assert est.fallback is False
             assert est.residual <= 1e-12 * est.value * max(1.0, est.value)
+            assert exact.method == "exact-diagonal"
+            assert abs(est.value - exact.value) <= 1e-12 * exact.value
 
     def test_rank_one_orthogonal_to_ones_is_exact(self):
         # All-ones alone would miss v.  G maps both start columns onto v, so
@@ -307,11 +333,14 @@ class TestLanczos:
         # G = 4 P_1 + 9 P_h: the all-ones vector is an exact eigenvector of G.
         # A start block containing it has an exact top Ritz pair (4, ones) with
         # residual 0 after one step, and stopped at the value 2.
+        # Forced onto Lanczos: under auto this rank-two sum is solved exactly.
         op = Sum((Proj(constant(1.0)), Proj(haar_function(w("01")))), (2.0, 3.0))
         for depth in (9, 10):
-            est = operator_norm(BoundOperator(op, depth))
+            est = operator_norm(BoundOperator(op, depth), method="lanczos")
             assert est.method == "lanczos" and est.converged
             assert abs(est.value - 3.0) <= 1e-12
+            exact = operator_norm(BoundOperator(op, depth))
+            assert exact.method == "exact-rank-r" and abs(exact.value - 3.0) <= 1e-12
 
     def test_small_norm_is_not_stopped_at_a_rayleigh_quotient(self):
         # A residual test absolute in the Gram eigenvalue (1e-12 against
@@ -361,14 +390,17 @@ class TestLanczos:
     def test_gram_entries_above_1e154_keep_the_value(self):
         # The squares of such a Gram vector overflow; an infinite block scale
         # deflated every direction and stopped at the first Ritz value, 61% low.
+        # Forced onto Lanczos: under auto the blocks are solved exactly.
         for scale in (1e100, 1e140):
             for base, big in zip(dirac_blocks(_multiplier()), dirac_blocks(_multiplier(scale))):
-                expected = operator_norm(BoundOperator(base, 10)).value * scale
+                expected = operator_norm(BoundOperator(base, 10), method="lanczos").value * scale
                 with warnings.catch_warnings():
                     warnings.simplefilter("error", RuntimeWarning)
-                    est = operator_norm(BoundOperator(big, 10))
+                    est = operator_norm(BoundOperator(big, 10), method="lanczos")
+                    exact = operator_norm(BoundOperator(big, 10))
                 assert est.method == "lanczos" and est.converged
                 assert abs(est.value - expected) <= 1e-12 * expected
+                assert exact.method == "exact-diagonal" and abs(exact.value - expected) <= 1e-12 * expected
 
     def test_overflowing_gram_is_a_typed_error(self):
         # |f| near 1e160: the blocks are finite, their Gram operator is not.
@@ -434,15 +466,158 @@ class TestDenseReduction:
         assert operator_norm(BoundOperator(Sum((Koopman(), Koopman()), (1.0, -1.0)), 4)).value == 0.0
 
     def test_multiplier_blocks_are_solved_without_an_eigensolve(self, monkeypatch):
-        # Both blocks of a multiplier have the diagonal Gram M_{L|Kf - f|^2}.
-        def refuse(g, *args, **kwargs):
-            raise AssertionError(f"eigvalsh called on a {g.shape} Gram")
+        # Both blocks of a multiplier have the diagonal Gram M_{L|Kf - f|^2},
+        # which the auto path reads off the normal form.
+        def refuse(*args, **kwargs):
+            raise AssertionError("an eigensolve ran")
 
         monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+        monkeypatch.setattr(spectra, "_lanczos", refuse)
         op = _multiplier()
         expected = backward_rms_norm(op.f)
         upper, lower = dirac_blocks(op)
-        for block, depth in ((upper, 8), (lower, 9)):
+        for block, depth in ((upper, 8), (lower, 9), (upper, 12), (lower, 12)):
             est = operator_norm(BoundOperator(block, depth))
-            assert est.method == "dense" and est.iterations == 0
+            assert est.method == "exact-diagonal" and est.iterations == 0
             assert abs(est.value - expected) <= 1e-12 * expected
+
+
+def _form_apply(form, x):
+    """The normal form applied to the columns of x, with plain numpy."""
+
+    def at(v, depth):
+        return np.repeat(v, (1 << depth) // v.shape[0], axis=0)
+
+    def depth_of(v):
+        return v.shape[0].bit_length() - 1
+
+    parts = []
+    for g, a, b, h in form.terms:
+        depth = max(depth_of(h), depth_of(x))
+        y = at(h, depth)[:, None] * at(x, depth)
+        for _ in range(b):
+            y = 0.5 * (y[: len(y) // 2] + y[len(y) // 2 :]) if len(y) > 1 else y
+        for _ in range(a):
+            y = np.concatenate([y, y])
+        depth = max(depth_of(g), depth_of(y))
+        parts.append(at(g, depth)[:, None] * at(y, depth))
+    for u, v in form.rank_one:
+        depth = max(depth_of(v), depth_of(x))
+        overlaps = at(x, depth).T @ at(v, depth) / 2**depth
+        parts.append(np.outer(u, overlaps))
+    depth = max([depth_of(x)] + [depth_of(p) for p in parts])
+    return sum((at(p, depth) for p in parts), np.zeros((1 << depth, x.shape[1])))
+
+
+def _words():
+    """Products of up to six factors K, L, M_f, K^n L^n and I - K L: every branch
+    of the composition rules, with multipliers between the shifts."""
+    mults = st.tuples(st.integers(0, 10**6), st.integers(0, 3)).map(lambda a: Mult(random_function(a[0], a[1])))
+    factors = st.one_of(
+        st.sampled_from([Koopman(), Ruelle(), CondExp(1), CondExp(2), KernelProj()]), mults, mults.map(Adjoint)
+    )
+    return st.lists(factors, min_size=1, max_size=6).map(Compose)
+
+
+def _families():
+    """The spec families of test_transfer and test_dirac, operator words, and their Dirac blocks."""
+    ops = st.one_of(_specs(), _shifted_sums(), _words())
+    return st.one_of(ops, ops.map(lambda op: dirac_blocks(op)[0]), ops.map(lambda op: dirac_blocks(op)[1]))
+
+
+class TestNormalForm:
+    @settings(max_examples=200, deadline=None)
+    @given(_families(), st.integers(0, 7), st.integers(0, 2**32 - 1))
+    def test_form_applies_as_the_spec(self, op, depth, seed):
+        x = np.random.default_rng(seed).standard_normal((1 << depth, 3))
+        want = op.apply_batch(x)
+        got = _form_apply(op.normal_form, x)
+        out = max(want.shape[0], got.shape[0])
+        want, got = (np.repeat(v, out // v.shape[0], axis=0) for v in (want, got))
+        assert np.abs(got - want).max() <= 1e-12 * max(1.0, np.abs(want).max()), op.describe()
+
+    def test_multiplier_blocks_are_one_term_each(self):
+        # K M_f - M_f K = M_{Kf - f} K and L M_f - M_f L = L M_{f - Kf}
+        f = random_function(4, 5)
+        kf = np.tile(f.values, 2)
+        upper, lower = dirac_blocks(Mult(f))
+        ((g, a, b, h),) = upper.normal_form.terms
+        assert (a, b, h.tolist()) == (1, 0, [1.0]) and np.abs(g - (kf - np.repeat(f.values, 2))).max() <= 1e-15
+        ((g, a, b, h),) = lower.normal_form.terms
+        assert (a, b, g.tolist()) == (0, 1, [1.0]) and np.abs(h - (np.repeat(f.values, 2) - kf)).max() <= 1e-15
+        assert not upper.normal_form.rank_one and not lower.normal_form.rank_one
+
+    def test_boson_relations_reduce(self):
+        # L K = I, K L K = K, and a projection's K block has rank two
+        assert Compose((Ruelle(), Koopman())).normal_form.terms[0][1:3] == (0, 0)
+        ((g, a, b, h),) = Compose((Koopman(), Ruelle(), Koopman())).normal_form.terms
+        assert (g.tolist(), a, b, h.tolist()) == ([1.0], 1, 0, [1.0])
+        form = dirac_blocks(Proj(random_function(1, 3, "unit-norm")))[0].normal_form
+        assert not form.terms and len(form.rank_one) == 2
+
+    def test_derived_once_per_spec_object(self, monkeypatch):
+        from rkdirac import transfer
+
+        calls = []
+        derive = transfer.Sum._normal_form
+        monkeypatch.setattr(transfer.Sum, "_normal_form", lambda self: calls.append(self) or derive(self))
+        points = depth_sweep(_multiplier(), range(7, 12))
+        assert len(points) == 5 and len(calls) == 2  # the two blocks, once each
+
+    def test_a_form_past_the_depth_cap_falls_through(self):
+        # M_f L^15 = L^15 M_{K^15 f}: K^15 f would be a depth-25 function.
+        op = Compose((Mult(random_function(0, 10)), Compose((Ruelle(),) * 15)))
+        assert op.normal_form is None
+        assert spectra._exact(BoundOperator(op, 12)) is None
+
+
+class TestExactSolves:
+    @settings(max_examples=200, deadline=None)
+    @given(_families(), st.integers(0, 7))
+    def test_exact_values_match_dense(self, op, depth):
+        bound = BoundOperator(op, depth)
+        auto = operator_norm(bound)
+        dense = operator_norm(bound, method="dense")
+        if auto.method.startswith("exact"):
+            assert (auto.iterations, auto.converged, auto.residual) == (0, True, 0.0)
+            assert abs(auto.value - dense.value) <= 1e-12 * max(1.0, dense.value), op.describe()
+
+    @pytest.mark.parametrize("k", [3, 6])
+    def test_below_at_and_above_the_reach(self, k):
+        # The lower multiplier block L M_h, h = f - Kf of depth k + 1, is exact
+        # from depth k + 1 on; below that it falls back.  The others are exact
+        # at every depth.
+        f = random_function(k + 20, k)
+        psi = random_function(k + 40, k, "unit-norm")
+        (mu, ml), (pu, pl) = dirac_blocks(Mult(f)), dirac_blocks(Proj(psi))
+        for depth in range(1, k + 4):
+            for block, method in ((mu, "exact-diagonal"), (ml, "exact-diagonal"), (pu, "exact-rank-r"), (pl, "exact-rank-r")):
+                bound = BoundOperator(block, depth)
+                auto = operator_norm(bound)
+                dense = operator_norm(bound, method="dense")
+                if block is ml and depth < k + 1:
+                    method = "dense"
+                assert auto.method == method, (block.describe(), depth)
+                assert abs(auto.value - dense.value) <= 1e-12 * dense.value, (block.describe(), depth)
+
+    def test_lanczos_and_dense_never_take_the_exact_path(self, monkeypatch):
+        def refuse(m):
+            raise AssertionError("exact path taken")
+
+        monkeypatch.setattr(spectra, "_exact", refuse)
+        upper, _ = dirac_blocks(_multiplier())
+        for method, depth in (("dense", 8), ("lanczos", 9)):
+            assert operator_norm(BoundOperator(upper, depth), method=method).method == method
+
+    def test_zero_sum_is_zero(self):
+        for op in (Sum(()), Sum((Koopman(), Koopman()), (1.0, -1.0))):
+            est = operator_norm(BoundOperator(op, 5))
+            assert est.method.startswith("exact") and est.value == 0.0
+
+    def test_overflowing_rank_one_gram_is_a_typed_error(self):
+        # The value 1e200 is finite, its square, the top Gram eigenvalue, is not.
+        op = Sum((Proj(constant(1.0)),), (1e200,))
+        with pytest.raises(ValueError, match="finite"):
+            operator_norm(BoundOperator(op, 4))
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match="finite"):
+            operator_norm(BoundOperator(op, 4), method="dense")
