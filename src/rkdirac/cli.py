@@ -30,11 +30,15 @@ from .io import load_function, load_operator, operator_to_json
 
 
 def _parse_depth_range(text: str) -> List[int]:
-    """Parse '2:6' or '2,3,5' into a list of depths."""
+    """Parse '2:6' or '2,3,5' into a list of depths; an empty one is an error."""
     if ":" in text:
         lo, hi = text.split(":", 1)
-        return list(range(int(lo), int(hi) + 1))
-    return [int(x) for x in text.split(",") if x]
+        depths = list(range(int(lo), int(hi) + 1))
+    else:
+        depths = [int(x) for x in text.split(",") if x]
+    if not depths:
+        raise ValueError(f"empty depth range {text!r}")
+    return depths
 
 
 def _write(text: str, out: Optional[str]) -> None:

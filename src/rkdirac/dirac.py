@@ -52,42 +52,25 @@ def block_norm(b: Tuple[OperatorSpec, OperatorSpec], depth: int) -> float:
 def core_depth(a: OperatorSpec) -> Optional[int]:
     """Input depth from which the Dirac commutator norm of A no longer changes.
 
-    In the cylinder index the first symbol is the high bit, so the depth-d
-    space factors as (leading r symbols) (x) (the other d - r).  Every atom
-    reads a fixed number r of leading symbols (its reach) and maps the rest
-    either as the identity, moved by a shift of s symbols, or onto constants
-    (the tail mean J, for a projection); ``OperatorSpec.tail`` gives (s, r)
-    and the sectors, composing as A after B with r = max(r_B, r_A - s_B),
-    s = s_A + s_B.  Either way the output depends on its leading r + s
-    symbols and the carried tail, and is constant past them.  Identity tails
-    of a sum must share their shift, so a sum that mixes shifts has no core
-    depth (None); a member whose output is constant only past a later symbol
-    (a projection moved by the Koopman operator) raises the sum's reach until
-    its output lies inside the sum's r + s.
-
-    So at input depth d >= r a commutator block is C_I (x) I + C_J (x) J,
-    with C_I, C_J independent of d.  On the tail, the constants and their
-    orthogonal complement are invariant under both I and J: on the constants
-    the block acts as C_I + C_J, on the complement as C_I (x) I, where J
-    vanishes.  Its norm is therefore max(||C_I + C_J||, ||C_I||) once the
-    complement exists, at d >= r + 1 when both sectors are present, and
-    ||C_I|| or ||C_J|| from d = r on when only one is.  Refining a function
-    appends constant symbols, so the norm at a lower depth is that of a
-    restriction and can only be smaller.  The core depth is the larger of
-    the two blocks' depths: k + 1 for a depth-k multiplier or projection.
+    Each commutator block is read off its normal form, sum_i M_{g_i} K^{a_i}
+    L^{b_i} M_{h_i} + sum_j |u_j><v_j| (``transfer.NormalForm.core_depth``):
+    the terms must share one shift s = a - b, else there is no core depth
+    (None; a sum of mixed shifts such as L + M_f).  The form reads a fixed
+    number of leading symbols, its reach, and maps the rest either as the
+    identity moved by s or, through a rank-one pair, onto its mean; past the
+    reach the block's norm is fixed.  Refining a function appends constant
+    symbols, so the norm at a lower depth is that of a restriction and can
+    only be smaller.  The core depth is the larger of the two blocks' depths:
+    k + 1 for a depth-k multiplier or projection.  A form with a function
+    past MAX_DEPTH (``normal_form`` is None) gives no core depth either.
     """
     return _pair_core_depth(dirac_blocks(a))
 
 
 def _pair_core_depth(pair: Tuple[OperatorSpec, OperatorSpec]) -> Optional[int]:
     """``core_depth`` of the operator whose (upper, lower) block pair is given."""
-    depths = []
-    for block in pair:
-        t = block.tail()
-        if t is None:
-            return None
-        depths.append(t.reach + (t.identity and t.mean))
-    return max(depths)
+    depths = [None if block.normal_form is None else block.normal_form.core_depth() for block in pair]
+    return None if None in depths else max(depths)
 
 
 @dataclass(frozen=True)
@@ -142,9 +125,9 @@ def lipschitz_certify(a: OperatorSpec) -> dict:
 
     The norm is solved as ``commutator_norm`` solves it, at the core depth,
     where it is the value of every depth; the block pair is built and its
-    tails walked once per call.  An operator without a core depth (a sum
-    of mixed shifts) raises ``ValueError``: its norm may grow with depth, so
-    no depth certifies it.  ``certified`` is True only for an upper
+    normal forms derived once per call, the exact solve reusing them.  An
+    operator without a core depth (a sum of mixed shifts) raises
+    ``ValueError``: its norm may grow with depth, so no depth certifies it.  ``certified`` is True only for an upper
     estimate: both blocks solved exactly (an ``exact-*`` solve of the
     normal form) or by a dense eigensolve, and the value at most
     LIPSCHITZ_THRESHOLD + CERTIFY_TOL.  A Lanczos Ritz value is only a

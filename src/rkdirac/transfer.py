@@ -24,21 +24,23 @@ Linear maps work in orthonormal coordinates: the depth-d coordinate vector of
 f is ``values(f) * 2**(-d/2)``, i.e. coefficients over the basis of
 normalized indicators ``2**(d/2) * chi_[w]``.  ``BoundOperator(op, d)`` is op
 on the depth-d space as such a map, without a matrix: ``matvec`` is A.X and
-``rmatvec`` is A^T.Y, the exact symbolic ``adjoint()`` followed by averaging
-onto the depth-d space.  ``gram`` is the Gram operator of the smaller side,
-A^T A or A A^T, as one composition of the two kernels: the coordinate
-scalings of the two maps cancel in it, so it applies none.  Each column
-costs O(2**max(d, out_depth)) memory; all three reject a non-finite result.
-``assemble`` materializes the matrix by applying ``matvec`` to identity
-column chunks of about ``CHUNK_BYTES`` (256 KB, cache sized) each; the norm
-engine never calls it, but builds its dense Grams from ``gram`` applied to
-the same chunks.
+``rmatvec`` is A^T.Y, the exact symbolic ``adjoint()`` (built on first use)
+followed by averaging onto the depth-d space.  ``gram`` is the Gram operator
+of the smaller side, A^T A or A A^T, as one composition of the two kernels:
+the coordinate scalings of the two maps cancel in it, so it applies none.
+Each column costs O(2**max(d, out_depth)) memory; all three reject a
+non-finite result.  ``assemble`` materializes the matrix by applying
+``matvec`` to identity column chunks of about ``CHUNK_BYTES`` (256 KB, cache
+sized) each; the norm engine never calls it, but builds its dense Grams from
+``gram`` applied to the same chunks.
 
 Normal form.  ``OperatorSpec.normal_form`` rewrites a spec, once per spec
 object, as sum_i M_{g_i} K^{a_i} L^{b_i} M_{h_i} + sum_j |u_j><v_j| (see
 :class:`NormalForm`), using the relations of the Ruelle-Koopman pair.  The
 norm engine reads exact norms off it: a multiplier block's Gram is itself a
-multiplier, and a projection block has rank two.
+multiplier, and a projection block has rank two.  ``dirac.core_depth`` reads
+the depth from which a block's norm is fixed off it too, from the shift and
+the function depths of its terms (``NormalForm.core_depth``).
 """
 
 from __future__ import annotations
@@ -160,25 +162,6 @@ def projection_apply(psi: DyadicFunction, phi: DyadicFunction) -> DyadicFunction
 # Operator specifications: an immutable, lazily applied operator algebra.
 
 
-@dataclass(frozen=True)
-class Tail:
-    """How an operator treats the symbols past the leading ``reach`` it reads.
-
-    At every input depth d >= reach the operator is ``C_I (x) I + C_J (x) J``
-    on (the leading ``reach`` symbols) (x) (the other d - reach): ``I``
-    carries the tail over unchanged, moved by ``shift`` symbols, and ``J``
-    is the tail mean, onto constants; both put the output's dependence on
-    its own leading ``reach + shift`` symbols in ``C_I`` and ``C_J``.
-    ``identity`` and ``mean`` say which of the two terms is present.  See
-    ``dirac.core_depth``.
-    """
-
-    shift: int
-    reach: int
-    identity: bool = True
-    mean: bool = False
-
-
 class OperatorSpec:
     """A linear operator between depth spaces, applied lazily.
 
@@ -186,8 +169,7 @@ class OperatorSpec:
     arrays), ``out_depth`` (the output depth of matrices and bound operators
     for a given input depth) and ``adjoint`` (the symbolic Hilbert adjoint,
     exact on the full space); ``apply`` runs the kernel on a DyadicFunction,
-    ``tail`` gives the operator's :class:`Tail`, or None when it has none,
-    and ``normal_form`` its :class:`NormalForm`, derived once per object.
+    and ``normal_form`` gives its :class:`NormalForm`, derived once per object.
     """
 
     def apply_batch(self, x: np.ndarray) -> np.ndarray:
@@ -201,9 +183,6 @@ class OperatorSpec:
 
     def adjoint(self) -> "OperatorSpec":
         raise NotImplementedError
-
-    def tail(self) -> Optional[Tail]:
-        return None
 
     @cached_property
     def normal_form(self) -> Optional["NormalForm"]:
@@ -231,9 +210,6 @@ class Ruelle(OperatorSpec):
     def adjoint(self):
         return Koopman()
 
-    def tail(self):
-        return Tail(shift=-1, reach=1)
-
     def _normal_form(self):
         return NormalForm(((_ONE, 0, 1, _ONE),))
 
@@ -251,9 +227,6 @@ class Koopman(OperatorSpec):
 
     def adjoint(self):
         return Ruelle()
-
-    def tail(self):
-        return Tail(shift=1, reach=0)
 
     def _normal_form(self):
         return NormalForm(((_ONE, 1, 0, _ONE),))
@@ -274,9 +247,6 @@ class Mult(OperatorSpec):
 
     def adjoint(self):
         return self
-
-    def tail(self):
-        return Tail(shift=0, reach=self.f.depth)
 
     def _normal_form(self):
         return NormalForm(((self.f.values, 0, 0, _ONE),))
@@ -303,9 +273,6 @@ class Proj(OperatorSpec):
     def adjoint(self):
         return self
 
-    def tail(self):
-        return Tail(shift=0, reach=self.psi.depth, identity=False, mean=True)
-
     def _normal_form(self):
         return NormalForm((), ((self.psi.values, self.psi.values),))
 
@@ -330,9 +297,6 @@ class CondExp(OperatorSpec):
     def adjoint(self):
         return self
 
-    def tail(self):
-        return Tail(shift=0, reach=self.n)
-
     def _normal_form(self):
         return NormalForm(((_ONE, self.n, self.n, _ONE),))
 
@@ -350,9 +314,6 @@ class KernelProj(OperatorSpec):
 
     def adjoint(self):
         return self
-
-    def tail(self):
-        return Tail(shift=0, reach=1)
 
     def _normal_form(self):
         return NormalForm(((_ONE, 0, 0, _ONE), (-_ONE, 1, 1, _ONE)))  # I - K L
@@ -385,21 +346,6 @@ class Compose(OperatorSpec):
 
     def adjoint(self):
         return Compose(tuple(op.adjoint() for op in reversed(self.ops)))
-
-    def tail(self):
-        # A after B reads B's leading reach and, through B's shift, A's.
-        acc = Tail(shift=0, reach=0)
-        for op in reversed(self.ops):
-            t = op.tail()
-            if t is None:
-                return None
-            acc = Tail(
-                shift=acc.shift + t.shift,
-                reach=max(acc.reach, t.reach - acc.shift),
-                identity=acc.identity and t.identity,
-                mean=acc.mean or t.mean,
-            )
-        return acc
 
     def _normal_form(self):
         forms = [op.normal_form for op in self.ops]
@@ -448,27 +394,6 @@ class Sum(OperatorSpec):
     def adjoint(self):
         return Sum(tuple(op.adjoint() for op in self.ops), self.weights)
 
-    def tail(self):
-        # Identity tails add only when they land at the same shift s.  A
-        # member's output is constant past its reach + shift, which must lie
-        # inside the sum's reach + s, so the reach is raised until it does.
-        # A sum of mean tails alone keeps the smallest reach and takes the
-        # shift that puts every member's output inside it.
-        tails = [op.tail() for op in self.ops]
-        if any(t is None for t in tails):
-            return None
-        shifts = {t.shift for t in tails if t.identity}
-        if len(shifts) > 1:
-            return None
-        reach = max((t.reach for t in tails), default=0)
-        shift = shifts.pop() if shifts else max((t.reach + t.shift for t in tails), default=0) - reach
-        return Tail(
-            shift=shift,
-            reach=max([reach] + [t.reach + t.shift - shift for t in tails]),
-            identity=any(t.identity for t in tails),
-            mean=any(t.mean for t in tails),
-        )
-
     def _normal_form(self):
         terms: List[Term] = []
         rank_one: List[Tuple[np.ndarray, np.ndarray]] = []
@@ -504,9 +429,6 @@ class Adjoint(OperatorSpec):
 
     def adjoint(self):
         return self.inner_op
-
-    def tail(self):
-        return self.resolved.tail()
 
     def _normal_form(self):
         return self.resolved.normal_form
@@ -666,6 +588,33 @@ class NormalForm:
         terms = [_compose_terms(s, t) for s in self.terms for t in other.terms]
         return NormalForm(_merged(terms), tuple(rank_one))
 
+    def core_depth(self) -> Optional[int]:
+        """The input depth from which the form's norm no longer changes, or
+        None when its terms do not share one shift s = a - b.
+
+        At input depth d >= reach, split as (leading reach symbols) (x) (the
+        rest): every term reads max(depth(h), b) leading symbols and carries
+        the rest over, moved by s, and its M_g lies inside the output's
+        leading reach + s; every |u><v| reads the rest's mean through v and
+        puts u inside the same leading reach + s.  The form is C_I (x) I +
+        C_J (x) J (J the mean onto constants) with C_I, C_J fixed; its norm
+        is max(||C_I + C_J||, ||C_I||) once the rest has a non-constant
+        function, from reach + 1 on when both parts are present.  Rank-one
+        pairs alone are U W^T with W the v_j averaged onto depth d, fixed
+        from max depth(v) on.  See ``dirac.core_depth``.
+        """
+        if not self.terms:
+            return max((_depth(v) for _, v in self.rank_one), default=0)
+        shifts = {a - b for _, a, b, _ in self.terms}
+        if len(shifts) > 1:
+            return None
+        (s,) = shifts
+        reach = max(
+            [max(_depth(h), b, _depth(g) - s) for g, _, b, h in self.terms]
+            + [max(_depth(v), _depth(u) - s) for u, v in self.rank_one]
+        )
+        return reach + bool(self.rank_one)
+
     def gram_diagonal(self, d: int) -> Optional[np.ndarray]:
         """The diagonal of a Gram operator of the form on the depth-d space,
         when the form is one multiplier term; None otherwise.
@@ -717,7 +666,11 @@ class BoundOperator:
             raise ValueError(f"depth cap {MAX_DEPTH} exceeded")
         self.op, self.in_depth, self.out_depth = op, in_depth, out_depth
         self.shape = (1 << out_depth, 1 << in_depth)
-        self._adjoint = op.adjoint()
+
+    @cached_property
+    def _adjoint(self) -> OperatorSpec:
+        """op.adjoint(), built on first use: an exact solve never applies it."""
+        return self.op.adjoint()
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
         if x.shape[0] != self.shape[1]:

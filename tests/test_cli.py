@@ -362,6 +362,15 @@ class TestSweepCommand:
         lines = capsys.readouterr().out.strip().splitlines()
         assert code == 0 and len(lines) == 3
 
+    @pytest.mark.parametrize("depths", ["9:7", ","], ids=["reversed", "no-depths"])
+    def test_empty_depth_range_is_usage_error(self, tmp_path, capsys, depths):
+        spec = tmp_path / "op.json"
+        spec.write_text(json.dumps({"kind": "identity"}))
+        out_csv = tmp_path / "sweep.csv"
+        assert main(["sweep", "--operator", str(spec), "--depths", depths, "--csv", str(out_csv)]) == 2
+        assert "empty depth range" in capsys.readouterr().err
+        assert not out_csv.exists()
+
 
 class TestConnesCommand:
     def _states(self, tmp_path):

@@ -263,26 +263,28 @@ class TestLipschitzCertify:
         with pytest.raises(ValueError, match="unconverged"):
             connes_lower_bound(eta, eta, [CondExp(1)])
 
-    def test_builds_the_block_pair_and_walks_its_tails_once(self, monkeypatch):
+    def test_builds_the_block_pair_and_derives_its_forms_once(self, monkeypatch):
         from rkdirac import dirac, transfer
 
-        calls = {"blocks": 0, "tails": 0}
-        blocks, tail = transfer.dirac_blocks, transfer.Sum.tail
+        calls = {"blocks": 0, "forms": 0}
+        blocks, derive = transfer.dirac_blocks, transfer.Sum._normal_form
 
         def counting_blocks(a):
             calls["blocks"] += 1
             return blocks(a)
 
-        def counting_tail(self):
-            calls["tails"] += 1
-            return tail(self)
+        def counting_derive(self):
+            calls["forms"] += 1
+            return derive(self)
 
         monkeypatch.setattr(dirac, "dirac_blocks", counting_blocks)
-        monkeypatch.setattr(transfer.Sum, "tail", counting_tail)
+        monkeypatch.setattr(transfer.Sum, "_normal_form", counting_derive)
         cert = lipschitz_certify(Mult(random_function(4, 3)))
-        # each block of the pair is a Sum: one walk is one Sum.tail per block
-        assert calls == {"blocks": 1, "tails": 2}
+        # each block of the pair is a Sum: its form gives the core depth and
+        # is reused by the exact solve, one Sum._normal_form per block
+        assert calls == {"blocks": 1, "forms": 2}
         assert (cert["core_depth"], cert["computed_at"]) == (4, 4)
+        assert cert["upper"]["method"] == cert["lower"]["method"] == "exact-diagonal"
 
     def test_unknown_rule_needs_depth(self):
         with pytest.raises(ValueError, match="core depth"):
@@ -340,6 +342,33 @@ class TestCoreDepth:
         value = block_norm(b, core)
         assert core == 6 and block_norm(b, 4) < value - 1e-3
         assert abs(block_norm(b, core + 3) - value) <= 1e-12 * max(1.0, value)
+
+    @pytest.mark.parametrize("op", [Proj(constant(1.0)), Sum(())], ids=["proj-constant", "zero"])
+    def test_zero_commutators_have_core_zero(self, op):
+        assert core_depth(op) == 0
+        b = dirac_commutator(op)
+        assert [block_norm(b, d) for d in range(4)] == [0.0] * 4
+        assert commutator_norm(op).value == 0.0
+
+    @pytest.mark.parametrize(
+        "op",
+        [
+            Compose((Mult(random_function(0, 10)),) + (Ruelle(),) * 15),
+            Compose((Koopman(),) * 14 + (Mult(random_function(0, 10)),)),
+        ],
+        ids=["mult-after-ruelle15", "koopman14-after-mult"],
+    )
+    def test_a_form_past_the_depth_cap_has_none(self, op):
+        # K^15 f, f of depth 10, is past the depth cap of 24.  The blocks
+        # build it too when solved, in the first operator's adjoint K^15 M_f
+        # and in the second one's upper block K^15 M_f, so at an explicit
+        # depth the auto solve fails as the dense solve does.
+        assert core_depth(op) is None
+        with pytest.raises(ValueError, match="no core depth"):
+            commutator_norm(op)
+        for method in ("auto", "dense"):
+            with pytest.raises(ValueError, match="depth cap 24"):
+                commutator_norm(op, 5, method=method)
 
     @pytest.mark.parametrize(
         "op",

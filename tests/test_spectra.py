@@ -609,6 +609,22 @@ class TestExactSolves:
         for method, depth in (("dense", 8), ("lanczos", 9)):
             assert operator_norm(BoundOperator(upper, depth), method=method).method == method
 
+    def test_an_exact_solve_builds_no_adjoint(self, monkeypatch):
+        from rkdirac import transfer
+
+        calls = []
+        adjoint = transfer.Sum.adjoint
+        monkeypatch.setattr(transfer.Sum, "adjoint", lambda self: calls.append(self) or adjoint(self))
+        for op in (_multiplier(), Proj(random_function(3, 4, "unit-norm"))):
+            for block in dirac_blocks(op):
+                bound = BoundOperator(block, 7)
+                assert operator_norm(bound).method.startswith("exact")
+                assert calls == []
+                operator_norm(bound, method="dense")
+                bound.rmatvec(np.ones(bound.shape[0]))
+                assert calls == [block]  # built on first use, once per bound operator
+                calls.clear()
+
     def test_zero_sum_is_zero(self):
         for op in (Sum(()), Sum((Koopman(), Koopman()), (1.0, -1.0))):
             est = operator_norm(BoundOperator(op, 5))
