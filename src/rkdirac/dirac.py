@@ -18,10 +18,11 @@ import numpy as np
 
 from . import spectra
 from .dyadic import DyadicFunction, inner, require_unit
-from .transfer import BoundOperator, Koopman, OperatorSpec, Ruelle, assemble, dirac_blocks
+from .transfer import BoundOperator, Koopman, OperatorSpec, Ruelle, assemble, dirac_blocks, pair_core_depth
 
 
-# The (upper, lower) = (K A - A K, L A - A L) block pair, under its older name.
+# The (upper, lower) = (K A - A K, L A - A L) block pair, under its older
+# name, kept because bench/test_bench.py imports it.
 dirac_commutator = dirac_blocks
 
 
@@ -64,13 +65,7 @@ def core_depth(a: OperatorSpec) -> Optional[int]:
     k + 1 for a depth-k multiplier or projection.  A form with a function
     past MAX_DEPTH (``normal_form`` is None) gives no core depth either.
     """
-    return _pair_core_depth(dirac_blocks(a))
-
-
-def _pair_core_depth(pair: Tuple[OperatorSpec, OperatorSpec]) -> Optional[int]:
-    """``core_depth`` of the operator whose (upper, lower) block pair is given."""
-    depths = [None if block.normal_form is None else block.normal_form.core_depth() for block in pair]
-    return None if None in depths else max(depths)
+    return pair_core_depth(dirac_blocks(a))
 
 
 @dataclass(frozen=True)
@@ -94,19 +89,18 @@ def commutator_norm(a: OperatorSpec, depth: Optional[int] = None, method: str = 
     """||[D, pi(A)]|| at an input depth, solved at no more than the core depth.
 
     With no depth the requested depth is the core depth; an operator without
-    one (a sum of mixed shifts) needs an explicit depth.
+    one (a sum of mixed shifts) needs an explicit depth.  The block pair is
+    built and its normal forms derived once per call, the exact solve
+    reusing them.
     """
     pair = dirac_blocks(a)
-    return _pair_norm(pair, _pair_core_depth(pair), depth, method)
-
-
-def _pair_norm(
-    pair: Tuple[OperatorSpec, OperatorSpec], core: Optional[int], depth: Optional[int], method: str
-) -> CommutatorNorm:
-    """``commutator_norm`` of the block pair whose core depth is given."""
+    core = pair_core_depth(pair)
     if depth is None:
         if core is None:
-            raise ValueError("no core depth for this operator; pass an explicit depth")
+            raise ValueError(
+                f"no core depth for {a.describe()}: its norm may grow with depth, so it "
+                "cannot be certified at any depth; pass an explicit depth"
+            )
         depth = core
     at = depth if core is None else min(depth, core)
     if at != depth:
@@ -123,25 +117,17 @@ CERTIFY_TOL = 1e-9
 def lipschitz_certify(a: OperatorSpec) -> dict:
     """Evaluate the Dirac commutator norm of A and compare it with one.
 
-    The norm is solved as ``commutator_norm`` solves it, at the core depth,
-    where it is the value of every depth; the block pair is built and its
-    normal forms derived once per call, the exact solve reusing them.  An
-    operator without a core depth (a sum of mixed shifts) raises
-    ``ValueError``: its norm may grow with depth, so no depth certifies it.  ``certified`` is True only for an upper
-    estimate: both blocks solved exactly (an ``exact-*`` solve of the
-    normal form) or by a dense eigensolve, and the value at most
-    LIPSCHITZ_THRESHOLD + CERTIFY_TOL.  A Lanczos Ritz value is only a
-    lower bound.  ``reason`` says why a result is not certified (None when
-    it is); ``upper`` and ``lower`` say how each block norm was obtained.
+    The norm is ``commutator_norm(a)``, solved at the core depth, where it
+    is the value of every depth.  An operator without a core depth (a sum of
+    mixed shifts) raises ``ValueError``: its norm may grow with depth, so no
+    depth certifies it.  ``certified`` is True only for an upper estimate:
+    both blocks solved exactly (an ``exact-*`` solve of the normal form) or
+    by a dense eigensolve, and the value at most LIPSCHITZ_THRESHOLD +
+    CERTIFY_TOL.  A Lanczos Ritz value is only a lower bound.  ``reason``
+    says why a result is not certified (None when it is); ``upper`` and
+    ``lower`` say how each block norm was obtained.
     """
-    pair = dirac_blocks(a)
-    core = _pair_core_depth(pair)
-    if core is None:
-        raise ValueError(
-            f"operator {a.describe()} has no core depth, so its norm may grow "
-            "with depth and it cannot be certified at any depth"
-        )
-    r = _pair_norm(pair, core, None, "auto")
+    r = commutator_norm(a)
     reason = _uncertified_reason(r)
     return {
         "certified": reason is None,

@@ -246,9 +246,8 @@ def projection_norm_bounds(psi: DyadicFunction) -> Dict[str, float]:
       sqrt(b_w^2 + b_sw^2 / 2 - sqrt2 b_w b_sw c)
     with sw the shifted word (absent for length-one words).
     """
-    require_unit(psi, "projection vector")
-    h = to_haar(psi)
     c = koopman_overlap(psi)
+    h = to_haar(psi)
     max_len = max(1, psi.depth - 1)
     best_k = 0.0
     best_l = 0.0
@@ -372,7 +371,6 @@ def projection_norm_adjudicate(psi: DyadicFunction, depth: Optional[int] = None)
     at |c|, and sqrt(1 - c^2).  The verdict names the candidate matching the
     numeric value within 1e-6, or "none".
     """
-    require_unit(psi, "projection vector")
     c = koopman_overlap(psi)
     result = dirac.commutator_norm(Proj(psi), depth)
     numeric = result.value

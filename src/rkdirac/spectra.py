@@ -63,6 +63,10 @@ tol * max(1, theta) would be absolute in theta and let a block of norm
 1e-9 stop at its first Rayleigh quotient, 28% low.  Under
 method="auto", a run that would pass KRYLOV_BUDGET vectors without
 converging falls back to the dense solve.
+
+``depth_sweep`` solves a Dirac commutator's block pair at every depth it is
+given.  Its plateau flag is a proof from the core depth, not a comparison of
+values: both rows are at or past the core depth.
 """
 
 from __future__ import annotations
@@ -75,12 +79,11 @@ import math
 import numpy as np
 
 from .dyadic import require_finite
-from .transfer import AssembledMap, BoundOperator, OperatorSpec, apply_to_identity, dirac_blocks
+from .transfer import AssembledMap, BoundOperator, OperatorSpec, apply_to_identity, dirac_blocks, pair_core_depth
 from .transfer import assemble  # noqa: F401  -- re-exported as spectra.assemble
 
 DENSE_CUTOFF = 256
 NORM_TOL = 1e-12  # the Lanczos stopping test's relative tolerance (see above)
-PLATEAU_RTOL = 1e-10  # depth_sweep's relative plateau tolerance
 KRYLOV_BUDGET = 160  # Gram-operator vectors one Lanczos run may apply
 _GROW = 8  # spare columns the Lanczos basis gains each time it is full
 METHODS = ("auto", "lanczos", "dense")
@@ -306,18 +309,19 @@ def depth_sweep(op: OperatorSpec, depths: Iterable[int], method: str = "auto") -
     """Dirac-commutator norm of op across input depths, with plateau flags.
 
     Every depth is solved as asked, not at the core depth: the sweep is the
-    numerical check that the norm stops changing.  Truncation can only grow
-    the norm, so the values are nondecreasing; a row whose value is within
-    PLATEAU_RTOL of the previous row's, relative to the larger of the two,
-    flags a plateau (the first row never does).
+    numerical check that the norm stops changing.  A row is flagged as a
+    plateau when the previous row's depth is at least the core depth
+    (``transfer.pair_core_depth``), so that both values are provably the
+    core value; the first row never is, and neither is any row of an
+    operator with no core depth.
     """
     upper, lower = dirac_blocks(op)
+    core = pair_core_depth((upper, lower))
     points: List[SweepPoint] = []
     prev = None
     for d in sorted(set(int(d) for d in depths)):
         value, eu, el = block_pair_norm(upper, lower, d, method=method)
         est = eu if eu.value >= el.value else el
-        plateau = prev is not None and abs(value - prev) <= PLATEAU_RTOL * max(abs(value), abs(prev))
         points.append(
             SweepPoint(
                 depth=d,
@@ -325,9 +329,9 @@ def depth_sweep(op: OperatorSpec, depths: Iterable[int], method: str = "auto") -
                 iterations=eu.iterations + el.iterations,
                 method=est.method,
                 converged=eu.converged and el.converged,
-                plateau=plateau,
+                plateau=prev is not None and core is not None and prev >= core,
                 residual=est.residual,
             )
         )
-        prev = value
+        prev = d
     return points

@@ -49,7 +49,8 @@ TOL_SCAN = 1e-6
 
 # The suites that read the requested depth run at min(depth, DEPTH_CAP) and
 # need at least DEPTH_FLOOR (transfer's condexp-rank expects 2**(d-n) for
-# n <= 3); the others run at fixed depths of their own and are passed None.
+# n <= 3); the others solve each Dirac norm at the operator's core depth
+# (``dirac.commutator_norm``) and are passed None.
 DEPTH_CAP = 8
 DEPTH_FLOOR = 3
 DEPTH_SUITES = frozenset({"basis", "transfer", "boson", "fermion", "wold"})
@@ -434,8 +435,7 @@ def run_dirac_projections(depth: None, seed: int) -> List[Check]:
     worst_gap = 0.0
     for length in (2, 3, 4):
         for w in all_words(length):
-            b = di.dirac_commutator(tr.Proj(haar_function(w)))
-            worst_gap = max(worst_gap, abs(di.block_norm(b, length + 2) - 1.0))
+            worst_gap = max(worst_gap, abs(di.commutator_norm(tr.Proj(haar_function(w))).value - 1.0))
     rec.close_to(
         "haar-norm",
         "Dirac commutator norm of every Haar projection (word length 2..4) is one",
@@ -458,8 +458,7 @@ def run_dirac_projections(depth: None, seed: int) -> List[Check]:
     worst = 0.0
     for k in range(10):
         psi = normalized(random_function(seed + k, 5, "kernel-of-L"))
-        b = di.dirac_commutator(tr.Proj(psi))
-        worst = max(worst, abs(di.block_norm(b, 6) - 1.0))
+        worst = max(worst, abs(di.commutator_norm(tr.Proj(psi)).value - 1.0))
     rec.close_to("kernel-norm", "projections onto kernel vectors have commutator norm one", "kernel-projection-norm", worst, 0.0, 1e-8)
 
     f = normalized(random_function(seed + 50, 4, "kernel-of-L"))
@@ -468,13 +467,13 @@ def run_dirac_projections(depth: None, seed: int) -> List[Check]:
         g = f
         for _ in range(k):
             g = tr.koopman_apply(g)
-        b = di.dirac_commutator(tr.Proj(g))
-        worst = max(worst, abs(di.block_norm(b, g.depth + 1) - 1.0))
+        worst = max(worst, abs(di.commutator_norm(tr.Proj(g)).value - 1.0))
     rec.close_to("lifted-kernel-norm", "projections onto Koopman lifts of kernel vectors keep norm one", "kernel-projection-norm", worst, 0.0, 1e-8)
 
     worst = 0.0
     for a in (tr.Proj(haar_function(Word.from_string("01"))), tr.Mult(random_function(seed + 60, 3)), tr.CondExp(1)):
-        nu, nl = di.block_norms(di.dirac_commutator(a), 5)
+        r = di.commutator_norm(a)
+        nu, nl = r.upper.value, r.lower.value
         worst = max(worst, abs(nu - nl) / max(nu, nl, 1.0))
     rec.close_to("block-equality", "the two commutator blocks of a self-adjoint operator share their norm", "self-adjoint-blocks", worst, 0.0, 1e-8)
 
@@ -482,14 +481,13 @@ def run_dirac_projections(depth: None, seed: int) -> List[Check]:
     for k in range(5):
         psi = normalized(random_function(seed + 70 + k, 4, "kernel-of-L"))
         bounds = fo.projection_norm_bounds(psi)
-        numeric = di.block_norm(di.dirac_commutator(tr.Proj(psi)), 5)
+        numeric = di.commutator_norm(tr.Proj(psi)).value
         worst = max(worst, bounds["lower_K"] - numeric, bounds["lower_L"] - numeric)
     rec.at_most("coeff-lower-bounds", "coefficient bounds stay below the numeric norm", "projection-norm-bounds", worst, 0.0, 1e-8)
 
     values = {}
     for name, idx in (("e0", Word.from_string("0")), ("e1", Word.from_string("1")), ("eps0", EPS0), ("eps1", EPS1)):
-        b = di.dirac_commutator(tr.Proj(haar_function(idx)))
-        values[name] = di.block_norm(b, 4)
+        values[name] = di.commutator_norm(tr.Proj(haar_function(idx))).value
     rec.report(
         "length-one",
         "commutator norms of the four depth-one projections (no asserted closed form)",
@@ -530,7 +528,7 @@ def run_dirac_mult(depth: None, seed: int) -> List[Check]:
         "remark-norm",
         "commutator norm of the witness multiplier is one",
         "mult-norm-remark",
-        di.block_norm(di.dirac_commutator(tr.Mult(f0)), 2),
+        di.commutator_norm(tr.Mult(f0)).value,
         1.0,
         TOL_NORM,
     )
@@ -542,7 +540,7 @@ def run_dirac_mult(depth: None, seed: int) -> List[Check]:
     for k in range(60):
         d_ = 2 + (k % 4)
         f = random_function(seed + k, d_)
-        numeric = di.block_norm(di.dirac_commutator(tr.Mult(f)), d_ + 1)
+        numeric = di.commutator_norm(tr.Mult(f)).value
         rms = fo.backward_rms_norm(f)
         worst_match = max(worst_match, abs(numeric - rms))
         worst_sandwich = max(worst_sandwich, numeric - fo.forward_sup(f), fo.ruelle_diff_sup(f) - numeric)
@@ -591,7 +589,7 @@ def run_dirac_condexp(depth: None, seed: int) -> List[Check]:
     rec = _Recorder("dirac-condexp")
     worst = 0.0
     for n in (1, 2, 3):
-        worst = max(worst, abs(di.block_norm(di.dirac_commutator(tr.CondExp(n)), n + 2) - 1.0))
+        worst = max(worst, abs(di.commutator_norm(tr.CondExp(n)).value - 1.0))
     rec.close_to("norm", "commutator norm of every conditional expectation is one", "condexp-norm", worst, 0.0, TOL_NORM)
 
     worst = 0.0

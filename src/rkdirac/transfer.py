@@ -38,9 +38,9 @@ Normal form.  ``OperatorSpec.normal_form`` rewrites a spec, once per spec
 object, as sum_i M_{g_i} K^{a_i} L^{b_i} M_{h_i} + sum_j |u_j><v_j| (see
 :class:`NormalForm`), using the relations of the Ruelle-Koopman pair.  The
 norm engine reads exact norms off it: a multiplier block's Gram is itself a
-multiplier, and a projection block has rank two.  ``dirac.core_depth`` reads
-the depth from which a block's norm is fixed off it too, from the shift and
-the function depths of its terms (``NormalForm.core_depth``).
+multiplier, and a projection block has rank two.  ``pair_core_depth`` reads
+the depth from which a block pair's norm is fixed off it too, from the shift
+and the function depths of its terms (``NormalForm.core_depth``).
 """
 
 from __future__ import annotations
@@ -458,6 +458,13 @@ def commutator_with_L(a: OperatorSpec) -> Sum:
 def dirac_blocks(a: OperatorSpec) -> Tuple[Sum, Sum]:
     """The two off-diagonal blocks (K A - A K, L A - A L) of the Dirac commutator."""
     return commutator_with_K(a), commutator_with_L(a)
+
+
+def pair_core_depth(pair: Tuple[OperatorSpec, OperatorSpec]) -> Optional[int]:
+    """The larger core depth of a ``dirac_blocks`` pair's normal forms, or
+    None when either block has none.  See ``dirac.core_depth``."""
+    depths = [None if block.normal_form is None else block.normal_form.core_depth() for block in pair]
+    return None if None in depths else max(depths)
 
 
 # ---------------------------------------------------------------------------

@@ -164,6 +164,16 @@ class TestDepthSweep:
         points = depth_sweep(_multiplier(1e100), range(7, 12))
         assert [p.plateau for p in points] == [False, True, True, True, True]
 
+    def test_plateau_is_proved_from_the_core_depth(self):
+        # R + I mixes shifts, so it has no core depth: equal values prove
+        # nothing, and no row is flagged.
+        points = depth_sweep(Sum((Ruelle(), identity())), range(2, 7))
+        assert [p.value for p in points] == pytest.approx([1.0] * 5, abs=1e-12)
+        assert not any(p.plateau for p in points)
+        # A row is flagged once the previous row is at the core depth, 4 here.
+        points = depth_sweep(Proj(haar_function(w("01"))), range(3, 7))
+        assert [p.plateau for p in points] == [False, False, True, True]
+
     def test_rising_values_near_1e_12_are_not_a_plateau(self, monkeypatch):
         values = iter([1.0e-12, 1.1e-12, 1.2e-12, 1.3e-12])
 
