@@ -189,24 +189,3 @@ def connes_lower_bound(
             best, witness = gap, a
     return best, witness
 
-
-def haar_projection_closed_forms(w, phi: DyadicFunction) -> Tuple[DyadicFunction, DyadicFunction]:
-    """Closed forms of the two commutator blocks of a Haar projection on basis input.
-
-    For a word w of length at least two,
-      (K e^_w - e^_w K)(phi) = 2**-0.5 [ <e_w, phi> (e_0w + e_1w) - <e_sw, phi> e_w ]
-      (L e^_w - e^_w L)(phi) = 2**-0.5 [ <e_w, phi> e_sw - <e_0w + e_1w, phi> e_w ]
-    with sw the shifted word.  Used as an independent oracle by the tests.
-    """
-    from .dyadic import INV_SQRT2, haar_function
-    from .words import prepend, shift
-
-    if w.length < 2:
-        raise ValueError("closed forms require a word of length >= 2")
-    e_w = haar_function(w)
-    e_sw = haar_function(shift(w))
-    e_0w = haar_function(prepend(0, w))
-    e_1w = haar_function(prepend(1, w))
-    upper = INV_SQRT2 * (inner(e_w, phi) * (e_0w + e_1w) - inner(e_sw, phi) * e_w)
-    lower = INV_SQRT2 * (inner(e_w, phi) * e_sw - inner(e_0w + e_1w, phi) * e_w)
-    return upper, lower

@@ -52,11 +52,10 @@ class DyadicFunction:
 
     # Value-type arithmetic with automatic depth promotion.
     def __add__(self, other: "DyadicFunction") -> "DyadicFunction":
-        a, b, d = _common(self, other)
-        return DyadicFunction(d, a + b)
+        return DyadicFunction(max(self.depth, other.depth), _add_rows(self.values, other.values))
 
     def __sub__(self, other: "DyadicFunction") -> "DyadicFunction":
-        a, b, d = _common(self, other)
+        a, b, d = _common(self.values, other.values)
         return DyadicFunction(d, a - b)
 
     def __neg__(self) -> "DyadicFunction":
@@ -95,16 +94,28 @@ def _refine_rows(x: np.ndarray, depth: int) -> np.ndarray:
     return x if r == 1 else np.repeat(x, r, axis=0)
 
 
-def _common(f: DyadicFunction, g: DyadicFunction):
-    """The values of f and g at their common depth, for read-only use."""
-    d = max(f.depth, g.depth)
-    return _refine_rows(f.values, d), _refine_rows(g.values, d), d
+def _common(x: np.ndarray, y: np.ndarray):
+    """Two arrays of cylinder values at their common depth, for read-only use,
+    and that depth."""
+    d = max(x.shape[0], y.shape[0]).bit_length() - 1
+    return _refine_rows(x, d), _refine_rows(y, d), d
+
+
+def _add_rows(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """x + y, two arrays of cylinder values, at their common depth."""
+    a, b, _ = _common(x, y)
+    return a + b
+
+
+def _inner_rows(x: np.ndarray, y: np.ndarray) -> float:
+    """The L2 inner product of two arrays of cylinder values."""
+    a, b, d = _common(x, y)
+    return float(a @ b) * 2.0 ** (-d)
 
 
 def inner(f: DyadicFunction, g: DyadicFunction) -> float:
     """L2 inner product against the equal-weights Bernoulli measure."""
-    a, b, d = _common(f, g)
-    return float(a @ b) * 2.0 ** (-d)
+    return _inner_rows(f.values, g.values)
 
 
 def l2_norm(f: DyadicFunction) -> float:
@@ -137,13 +148,13 @@ def sup_norm(f: DyadicFunction) -> float:
 
 
 def l2_dist(f: DyadicFunction, g: DyadicFunction) -> float:
-    a, b, d = _common(f, g)
+    a, b, d = _common(f.values, g.values)
     return math.sqrt(max(float((a - b) @ (a - b)) * 2.0 ** (-d), 0.0))
 
 
 def is_close(f: DyadicFunction, g: DyadicFunction, atol: float = 1e-12) -> bool:
     """True iff f and g agree as L2 elements up to atol, at common depth."""
-    a, b, _ = _common(f, g)
+    a, b, _ = _common(f.values, g.values)
     return bool(np.max(np.abs(a - b)) <= atol) if a.size else True
 
 
@@ -155,7 +166,7 @@ def normalized(f: DyadicFunction) -> DyadicFunction:
 
 
 def pointwise_mul(f: DyadicFunction, g: DyadicFunction) -> DyadicFunction:
-    a, b, d = _common(f, g)
+    a, b, d = _common(f.values, g.values)
     return DyadicFunction(d, a * b)
 
 

@@ -12,30 +12,16 @@ cost the smaller dimension n.
 Which path runs:
 
 * exact, under method="auto" only, for a bound operator at input depth d
-  whose ``normal_form`` (see transfer.NormalForm) has an exact solve; no
-  Gram is built and no Krylov run is made, and the cost is O(2**d):
-  - exact-diagonal: one multiplier term M_g K^a with b = 0, whose Gram
-    P_d M_{L^a|g|^2} P_d is diagonal at every d (the K block
-    M_{Kf - f} K of a multiplier, the paper's ||[D, pi(M_f)]|| =
-    |sqrt(L|Kf - f|^2)|_inf), or L^b M_h with a = 0, depth(h) <= d and
-    b <= d, whose Gram A A^T is M_{L^b|h|^2} (the L block L M_{f - Kf}
-    from the multiplier's own depth plus one on);
-  - exact-rank-r: rank-one terms only, U W^T (a projection's blocks,
-    |K psi><psi| - |psi><L psi|, have r = 2): a QR of the two r-column
-    sides, then the top singular value of the r x r product of their R
-    factors.
-  Every other form (a term with a and b both positive, a mix of terms, an
-  L-side multiplier deeper than d) takes the paths below.  The value's
-  square, the top Gram eigenvalue, must be finite, as on those paths.
-  method="dense" and "lanczos" never take this path, so they remain an
-  independent check of it.
+  whose ``normal_form`` has an exact solve, ``NormalForm.exact_norm(d)``
+  (``exact-diagonal`` or ``exact-rank-r``; see there).  Every other form
+  takes the paths below.  method="dense" and "lanczos" never take this
+  path, so they remain an independent check of it.
 * dense, when n <= DENSE_CUTOFF (256) under method="auto", always under
-  method="dense", and as the fallback: the top eigenvalue of the n x n
-  Gram.  For a bound operator the Gram is built by applying the Gram
-  operator to identity column chunks of transfer.CHUNK_BYTES (cache sized),
-  so the rectangular block is never held next to it.  Indices whose row
-  and column are zero are dropped and ``eigvalsh`` runs on what is left.
-  Memory: one n x n Gram (512 KB at n = 256, 128 MB at n = 4096).
+  method="dense", and as the fallback: ``eigvalsh``'s top eigenvalue of
+  the n x n Gram.  For a bound operator the Gram is built by applying the
+  Gram operator to identity column chunks of transfer.CHUNK_BYTES (cache
+  sized), so the rectangular block is never held next to it.  Memory: one
+  n x n Gram (512 KB at n = 256, 128 MB at n = 4096).
 * lanczos, otherwise: block Lanczos on G.  For a bound operator it runs
   matrix-free; its memory is the Krylov basis, O(n * m) for m Gram-operator
   vectors applied.  The basis is one column-major array resized in place
@@ -128,7 +114,8 @@ class NormEstimate:
 
 
 def _gram(m: Operand) -> Tuple[int, int, Callable[[np.ndarray], np.ndarray]]:
-    """(n, larger side, V -> G V) for the Gram operator G of the smaller side of m.
+    """(n, width, V -> G V) for the Gram operator G of the smaller side of m,
+    width the rows of the widest array G passes through.
 
     As in ``BoundOperator.gram``, the one finiteness check is on G V.
     """
@@ -144,45 +131,16 @@ def _gram(m: Operand) -> Tuple[int, int, Callable[[np.ndarray], np.ndarray]]:
 
 
 def _exact(m: BoundOperator) -> Optional[NormEstimate]:
-    """The exact solve of m's normal form, or None when the form has no exact solve.
-
-    exact-diagonal: one multiplier term whose Gram is a multiplier, read off
-    as the largest entry of its diagonal.  exact-rank-r: rank-one terms
-    only, U W^T, whose norm is that of the r x r product of the R factors of
-    U and W.  The value's square, the top Gram eigenvalue, must be finite,
-    as every Gram product of the dense and Lanczos paths must.
-    """
+    """The exact solve of m's normal form, or None when the form has none."""
     form = m.op.normal_form
-    if form is None:
-        return None
-    diagonal = form.gram_diagonal(m.in_depth)
-    if diagonal is not None:
-        lam = float(require_finite(diagonal, "Gram operator").max())
-        return NormEstimate(math.sqrt(max(lam, 0.0)), 0, True, "exact-diagonal", 0.0)
-    sides = form.rank_one_sides(m.in_depth)
-    if sides is None:
-        return None
-    u, w = (np.linalg.qr(require_finite(x, "operator"), mode="r") for x in sides)
-    sigma = float(np.linalg.svd(u @ w.T, compute_uv=False)[0]) if u.size else 0.0
-    require_finite(sigma * sigma, "Gram operator")
-    return NormEstimate(sigma, 0, True, "exact-rank-r", 0.0)
+    exact = None if form is None else form.exact_norm(m.in_depth)
+    return None if exact is None else NormEstimate(exact[0], 0, True, exact[1], 0.0)
 
 
 def _dense_sigma_max(n: int, width: int, gram_apply) -> float:
-    """sqrt of the top eigenvalue of the n x n Gram, with its zero rows dropped.
-
-    An index whose row and column are zero carries an eigenvalue-0
-    eigenvector of the PSD Gram; dropping it is a permutation similarity of
-    what ``eigvalsh`` reads (the lower triangle), so the value is that of
-    ``eigvalsh`` on the whole Gram.
-    """
+    """sqrt of the top eigenvalue of the n x n Gram (0 for an empty one)."""
     g = apply_to_identity(gram_apply, (n, n), width)
-    live = np.flatnonzero(g.any(axis=0) | g.any(axis=1))
-    if live.size == 0:
-        return 0.0
-    if live.size < n:
-        g = g[np.ix_(live, live)]
-    return math.sqrt(max(float(np.linalg.eigvalsh(g)[-1]), 0.0))
+    return math.sqrt(max(float(np.linalg.eigvalsh(g)[-1]), 0.0)) if n else 0.0
 
 
 def _norm(x: np.ndarray) -> float:

@@ -37,21 +37,23 @@ sized) each; the norm engine never calls it, but builds its dense Grams from
 Normal form.  ``OperatorSpec.normal_form`` rewrites a spec, once per spec
 object, as sum_i M_{g_i} K^{a_i} L^{b_i} M_{h_i} + sum_j |u_j><v_j| (see
 :class:`NormalForm`), using the relations of the Ruelle-Koopman pair.  The
-norm engine reads exact norms off it: a multiplier block's Gram is itself a
-multiplier, and a projection block has rank two.  ``pair_core_depth`` reads
-the depth from which a block pair's norm is fixed off it too, from the shift
-and the function depths of its terms (``NormalForm.core_depth``).
+norm engine reads exact norms off it (``NormalForm.exact_norm``): a
+multiplier block's Gram is itself a multiplier, and a projection block has
+rank two.  ``pair_core_depth`` reads the depth from which a block pair's
+norm is fixed off it too, from the shift and the function depths of its
+terms (``NormalForm.core_depth``).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .dyadic import DyadicFunction, MAX_DEPTH, _refine_rows, inner, refine, require_finite, require_unit
+from .dyadic import DyadicFunction, MAX_DEPTH, _add_rows, _inner_rows, _refine_rows, inner, refine, require_finite, require_unit
 
 # One identity chunk, measured at the widest array it passes through.  Cache
 # sized, and small enough that its temporaries stay below glibc's mmap
@@ -501,16 +503,6 @@ def _times(f: np.ndarray, x: np.ndarray) -> np.ndarray:
     return x if f is _ONE else f if x is _ONE else _mult(f, x)
 
 
-def _plus(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    depth = max(_depth(x), _depth(y))
-    return _refine_rows(x, depth) + _refine_rows(y, depth)
-
-
-def _inner(x: np.ndarray, y: np.ndarray) -> float:
-    depth = max(_depth(x), _depth(y))
-    return float(_refine_rows(x, depth) @ _refine_rows(y, depth)) * 2.0 ** (-depth)
-
-
 def _term(g: np.ndarray, a: int, b: int, h: np.ndarray) -> Term:
     """M_g K^a L^b M_h with a one-sided term's multiplier on its open side:
     K^a M_h = M_{K^a h} K^a when b = 0, and M_g L^b = L^b M_{K^b g} when a = 0."""
@@ -551,7 +543,7 @@ def _merged(terms: Sequence[Term]) -> Tuple[Term, ...]:
             out.append((g, a, b, h))
         else:
             g0, _, _, h0 = out[i]
-            out[i] = (_plus(g0, g), a, b, h0) if b == 0 else (g0, a, b, _plus(h0, h))
+            out[i] = (_add_rows(g0, g), a, b, h0) if b == 0 else (g0, a, b, _add_rows(h0, h))
     return tuple(out)
 
 
@@ -591,7 +583,7 @@ class NormalForm:
         """The form of self . other (other applied first)."""
         rank_one = [(_term_apply(s, u), v) for s in self.terms for u, v in other.rank_one]
         rank_one += [(u, _term_apply((h, b, a, g), v)) for u, v in self.rank_one for g, a, b, h in other.terms]
-        rank_one += [(u * _inner(v, u2), v2) for u, v in self.rank_one for u2, v2 in other.rank_one]
+        rank_one += [(u * _inner_rows(v, u2), v2) for u, v in self.rank_one for u2, v2 in other.rank_one]
         terms = [_compose_terms(s, t) for s in self.terms for t in other.terms]
         return NormalForm(_merged(terms), tuple(rank_one))
 
@@ -622,32 +614,49 @@ class NormalForm:
         )
         return reach + bool(self.rank_one)
 
-    def gram_diagonal(self, d: int) -> Optional[np.ndarray]:
-        """The diagonal of a Gram operator of the form on the depth-d space,
-        when the form is one multiplier term; None otherwise.
+    def exact_norm(self, d: int) -> Optional[Tuple[float, str]]:
+        """(value, method): the form's exact norm on the depth-d space, or None
+        when the form has no exact solve.  No Gram is built and no Krylov run
+        is made; the cost is O(2**d).
 
-        For M_g K^a (b = 0), A^T A = P_d M_{L^a|g|^2} P_d at every d, with P_d
-        the averaging onto depth d: the depth-d cell means of L^a|g|^2.  For
-        L^b M_h (a = 0), A A^T = M_{L^b|h|^2} when depth(h) <= d and b <= d:
-        the adjoint M_h K^b maps the indicator of each depth-(d - b) cell into
-        the depth-d space, so that space holds the top of the spectrum.
+        * exact-diagonal: one multiplier term, whose Gram is a multiplier,
+          read off as the largest entry of its diagonal.  For M_g K^a (b = 0),
+          A^T A = P_d M_{L^a|g|^2} P_d at every d, with P_d the averaging onto
+          depth d: the depth-d cell means of L^a|g|^2.  The K block
+          M_{Kf - f} K of a multiplier gives the paper's ||[D, pi(M_f)]|| =
+          |sqrt(L|Kf - f|^2)|_inf.  For L^b M_h (a = 0), A A^T = M_{L^b|h|^2}
+          when depth(h) <= d and b <= d: the adjoint M_h K^b maps the
+          indicator of each depth-(d - b) cell into the depth-d space, so that
+          space holds the top of the spectrum.  The L block L M_{f - Kf} of a
+          multiplier qualifies from the multiplier's own depth plus one on.
+        * exact-rank-r: rank-one terms only, U W^T in orthonormal coordinates,
+          U holding the u_j and W the P_d v_j, one per column (a projection's
+          blocks, |K psi><psi| - |psi><L psi|, have r = 2): a QR of the two
+          r-column sides, then the top singular value of the r x r product of
+          their R factors.
+
+        Every other form (a term with a and b both positive, a mix of terms,
+        an L-side multiplier deeper than d) has none.  The value's square, the
+        top Gram eigenvalue, must be finite, as every Gram product of the
+        dense and Lanczos paths must.
         """
+        if not self.terms:
+            sides = _columns([u for u, _ in self.rank_one]), _columns([_mean_onto(v, d) for _, v in self.rank_one])
+            u, w = (np.linalg.qr(require_finite(x, "operator"), mode="r") for x in sides)
+            sigma = float(np.linalg.svd(u @ w.T, compute_uv=False)[0]) if u.size else 0.0
+            require_finite(sigma * sigma, "Gram operator")
+            return sigma, "exact-rank-r"
         if self.rank_one or len(self.terms) != 1:
             return None
         g, a, b, h = self.terms[0]
         if b == 0:
-            return _mean_onto(_ruelle_pow(g * g, a), d)
-        if a == 0 and _depth(h) <= d and b <= d:
-            return _ruelle_pow(h * h, b)
-        return None
-
-    def rank_one_sides(self, d: int) -> Optional[Tuple[np.ndarray, np.ndarray]]:
-        """(U, W) with U W^T the form on the depth-d space, in orthonormal
-        coordinates, when it has rank-one terms only: U holds the u_j and W the
-        P_d v_j, one per column.  None when it has a multiplier term."""
-        if self.terms:
+            diagonal = _mean_onto(_ruelle_pow(g * g, a), d)
+        elif a == 0 and _depth(h) <= d and b <= d:
+            diagonal = _ruelle_pow(h * h, b)
+        else:
             return None
-        return _columns([u for u, _ in self.rank_one]), _columns([_mean_onto(v, d) for _, v in self.rank_one])
+        lam = float(require_finite(diagonal, "Gram operator").max())
+        return math.sqrt(max(lam, 0.0)), "exact-diagonal"
 
 
 # ---------------------------------------------------------------------------
@@ -692,21 +701,25 @@ class BoundOperator:
         return require_finite(z * 2.0 ** (-self.in_depth / 2.0), "adjoint")
 
     def gram(self) -> Tuple[int, int, Callable[[np.ndarray], np.ndarray]]:
-        """(n, larger side, V -> G V) for the Gram operator G of the smaller side.
+        """(n, width, V -> G V) for the Gram operator G of the smaller side.
 
         G is A^T A = P_d . adj . op when A has no more columns than rows and
         A A^T = R_out . op . P_d . adj otherwise, with P_d the averaging onto
-        the input depth and R_out the refinement to the output depth.  The
-        coordinate scalings of matvec and rmatvec cancel in either product,
-        2**(d/2) * 2**(-out/2) * 2**(out/2) * 2**(-d/2) = 1, so none is
-        applied.  The one finiteness check is on G V: the kernels are linear,
-        so a non-finite intermediate leaves G V non-finite.
+        the input depth and R_out the refinement to the output depth.  width,
+        the rows of the widest array G passes through, is the larger side or
+        the rows of the adjoint's output on the output-depth space, which can
+        be finer (the adjoint K^k M_f of M_f L^k).  The coordinate scalings
+        of matvec and rmatvec cancel in either product, 2**(d/2) *
+        2**(-out/2) * 2**(out/2) * 2**(-d/2) = 1, so none is applied.  The
+        one finiteness check is on G V: the kernels are linear, so a
+        non-finite intermediate leaves G V non-finite.
         """
         (rows, cols), out = self.shape, self.out_depth
         op, adj = self.op.apply_batch, self._adjoint.apply_batch
+        width = max(rows, cols, 1 << self._adjoint.out_depth(out))
         if cols <= rows:
-            return cols, rows, lambda v: require_finite(self._onto_input(adj(op(v))), "Gram operator")
-        return rows, cols, lambda v: require_finite(_refine_rows(op(self._onto_input(adj(v))), out), "Gram operator")
+            return cols, width, lambda v: require_finite(self._onto_input(adj(op(v))), "Gram operator")
+        return rows, width, lambda v: require_finite(_refine_rows(op(self._onto_input(adj(v))), out), "Gram operator")
 
     def _onto_input(self, z: np.ndarray) -> np.ndarray:
         """z averaged onto, or refined to, the depth-``in_depth`` space."""
@@ -730,17 +743,15 @@ def apply_to_identity(fn: Callable[[np.ndarray], np.ndarray], shape: Tuple[int, 
 
 @dataclass(frozen=True, eq=False)
 class AssembledMap:
-    """A dense matrix of an operator between depth spaces, orthonormal coordinates."""
+    """A dense matrix of an operator between depth spaces, orthonormal coordinates.
+
+    ``assemble`` builds it from ``BoundOperator.matvec``, which checks every
+    column for finiteness.
+    """
 
     in_depth: int
     out_depth: int
     matrix: np.ndarray
-
-    def __post_init__(self):
-        expected = (1 << self.out_depth, 1 << self.in_depth)
-        if self.matrix.shape != expected:
-            raise ValueError(f"matrix shape {self.matrix.shape} != {expected}")
-        require_finite(self.matrix, "matrix")
 
 
 def coords(f: DyadicFunction, depth: int) -> np.ndarray:

@@ -87,13 +87,6 @@ def prepend(symbol: int, w: Word) -> Word:
     return Word(w.length + 1, (symbol << w.length) | w.bits)
 
 
-def concat(u: Word, v: Word) -> Word:
-    """Concatenate two words: (u, v) -> uv."""
-    if u.length + v.length > MAX_LEN:
-        raise ValueError(f"length cap {MAX_LEN} exceeded")
-    return Word(u.length + v.length, (u.bits << v.length) | v.bits)
-
-
 def is_prefix(u: Word, v: Word) -> bool:
     """True iff u is an initial segment of v; the empty word prefixes everything."""
     if u.length > v.length:

@@ -15,13 +15,14 @@ from rkdirac.dirac import (
     core_depth,
     dirac_commutator,
     dirac_matrix,
-    haar_projection_closed_forms,
     lipschitz_certify,
 )
 from rkdirac.dyadic import (
+    INV_SQRT2,
     constant,
     haar_function,
     indicator,
+    inner,
     is_close,
     random_function,
     state_nw,
@@ -42,12 +43,29 @@ from rkdirac.transfer import (
     koopman_apply,
     scaled,
 )
-from rkdirac.words import EPSILON, Word, all_words, words_up_to
+from rkdirac.words import EPSILON, Word, all_words, prepend, shift, words_up_to
 from test_transfer import _specs
 
 
 def w(text):
     return Word.from_string(text)
+
+
+def haar_projection_closed_forms(word, phi):
+    """Closed forms of the two commutator blocks of a Haar projection on basis input.
+
+    For a word w of length at least two,
+      (K e^_w - e^_w K)(phi) = 2**-0.5 [ <e_w, phi> (e_0w + e_1w) - <e_sw, phi> e_w ]
+      (L e^_w - e^_w L)(phi) = 2**-0.5 [ <e_w, phi> e_sw - <e_0w + e_1w, phi> e_w ]
+    with sw the shifted word: an independent oracle for the blocks.
+    """
+    e_w = haar_function(word)
+    e_sw = haar_function(shift(word))
+    e_0w = haar_function(prepend(0, word))
+    e_1w = haar_function(prepend(1, word))
+    upper = INV_SQRT2 * (inner(e_w, phi) * (e_0w + e_1w) - inner(e_sw, phi) * e_w)
+    lower = INV_SQRT2 * (inner(e_w, phi) * e_sw - inner(e_0w + e_1w, phi) * e_w)
+    return upper, lower
 
 
 def _shifted_sums():

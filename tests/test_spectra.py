@@ -4,10 +4,10 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from rkdirac.dyadic import SQRT2, DyadicFunction, constant, haar_function, indicator, random_function
+from rkdirac.dyadic import SQRT2, DyadicFunction, constant, haar_function, indicator, inner, random_function
 from rkdirac import spectra
 from rkdirac.formulas import backward_rms_norm
 from rkdirac.spectra import depth_sweep, operator_norm
@@ -27,6 +27,7 @@ from rkdirac.transfer import (
     commutator_with_L,
     dirac_blocks,
     identity,
+    koopman_apply,
 )
 from rkdirac.words import Word
 from test_dirac import _shifted_sums
@@ -158,12 +159,6 @@ class TestDepthSweep:
             assert p.value == pytest.approx(1.0, abs=1e-8)
         assert points[-1].plateau
 
-    def test_plateau_is_relative_to_the_value(self):
-        # Values near 1e100 differ from row to row by far more than 1e-10
-        # in absolute terms, yet agree to rounding.
-        points = depth_sweep(_multiplier(1e100), range(7, 12))
-        assert [p.plateau for p in points] == [False, True, True, True, True]
-
     def test_plateau_is_proved_from_the_core_depth(self):
         # R + I mixes shifts, so it has no core depth: equal values prove
         # nothing, and no row is flagged.
@@ -174,17 +169,19 @@ class TestDepthSweep:
         points = depth_sweep(Proj(haar_function(w("01"))), range(3, 7))
         assert [p.plateau for p in points] == [False, False, True, True]
 
-    def test_rising_values_near_1e_12_are_not_a_plateau(self, monkeypatch):
+    def test_flags_past_the_core_do_not_follow_the_values(self, monkeypatch):
+        # The depth-6 multiplier's core depth is 7: from depth 8 on every row
+        # is flagged, whatever values the solves report.
         values = iter([1.0e-12, 1.1e-12, 1.2e-12, 1.3e-12])
 
-        def rising(upper, lower, depth, tol=1e-12, method="auto"):
+        def rising(upper, lower, depth, method="auto"):
             est = spectra.NormEstimate(next(values), 0, True, "dense", 0.0)
             return est.value, est, est
 
         monkeypatch.setattr(spectra, "block_pair_norm", rising)
-        points = depth_sweep(_multiplier(), range(2, 6))
+        points = depth_sweep(_multiplier(), range(7, 11))
         assert [p.value for p in points] == [1.0e-12, 1.1e-12, 1.2e-12, 1.3e-12]
-        assert not any(p.plateau for p in points)
+        assert [p.plateau for p in points] == [False, True, True, True]
 
     def test_points_carry_the_residual_of_the_estimate_that_set_them(self):
         # Mixed shifts have no exact solve: dense at depths 7-8, Lanczos at 9-10.
@@ -462,7 +459,7 @@ class TestDenseReduction:
 
     @pytest.mark.parametrize("lower", [True, False])
     def test_an_off_diagonal_entry_in_one_triangle_only_matches_eigvalsh(self, lower):
-        # eigvalsh reads the lower triangle, and so does the reduction
+        # eigvalsh reads the lower triangle only
         rng = np.random.default_rng(4)
         g = np.diag(rng.random(9))
         i, j = (6, 2) if lower else (2, 6)
@@ -535,9 +532,20 @@ def _families():
     return st.one_of(ops, ops.map(lambda op: dirac_blocks(op)[0]), ops.map(lambda op: dirac_blocks(op)[1]))
 
 
+# Products of two projections, with and without a Koopman step between them:
+# the rule |u><v| |u'><v'| = <v, u'> |u><v'| of NormalForm.after.
+_PSI, _PHI = random_function(21, 3, "unit-norm"), random_function(22, 2, "unit-norm")
+_PROJ_PROJ = Compose((Proj(_PSI), Proj(_PHI)))
+_PROJ_K_PROJ = Compose((Proj(_PSI), Koopman(), Proj(_PHI)))
+
+
 class TestNormalForm:
     @settings(max_examples=200, deadline=None)
     @given(_families(), st.integers(0, 7), st.integers(0, 2**32 - 1))
+    @example(_PROJ_PROJ, 3, 0)
+    @example(_PROJ_PROJ, 6, 1)
+    @example(_PROJ_K_PROJ, 3, 2)
+    @example(_PROJ_K_PROJ, 6, 3)
     def test_form_applies_as_the_spec(self, op, depth, seed):
         x = np.random.default_rng(seed).standard_normal((1 << depth, 3))
         want = op.apply_batch(x)
@@ -584,6 +592,10 @@ class TestNormalForm:
 class TestExactSolves:
     @settings(max_examples=200, deadline=None)
     @given(_families(), st.integers(0, 7))
+    @example(_PROJ_PROJ, 3)
+    @example(_PROJ_PROJ, 6)
+    @example(_PROJ_K_PROJ, 3)
+    @example(_PROJ_K_PROJ, 6)
     def test_exact_values_match_dense(self, op, depth):
         bound = BoundOperator(op, depth)
         auto = operator_norm(bound)
@@ -591,6 +603,14 @@ class TestExactSolves:
         if auto.method.startswith("exact"):
             assert (auto.iterations, auto.converged, auto.residual) == (0, True, 0.0)
             assert abs(auto.value - dense.value) <= 1e-12 * max(1.0, dense.value), op.describe()
+
+    @pytest.mark.parametrize("depth", [3, 6])
+    def test_a_product_of_projections_has_the_overlap_as_its_norm(self, depth):
+        # P_psi P_phi = <psi, phi> |psi><phi| and P_psi K P_phi = <psi, K phi> |psi><phi|
+        for op, overlap in ((_PROJ_PROJ, inner(_PSI, _PHI)), (_PROJ_K_PROJ, inner(_PSI, koopman_apply(_PHI)))):
+            est = operator_norm(BoundOperator(op, depth))
+            assert est.method == "exact-rank-r"
+            assert abs(est.value - abs(overlap)) <= 1e-12, op.describe()
 
     @pytest.mark.parametrize("k", [3, 6])
     def test_below_at_and_above_the_reach(self, k):

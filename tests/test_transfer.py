@@ -453,7 +453,8 @@ class TestGram:
         a = BoundOperator(op, depth)
         rows, cols = a.shape
         n, width, gram = a.gram()
-        assert (n, width) == (min(rows, cols), max(rows, cols))
+        # the widest array is a side, or the adjoint's output on the output-depth space
+        assert (n, width) == (min(rows, cols), max(rows, cols, 1 << op.adjoint().out_depth(a.out_depth)))
         v = np.random.default_rng(depth).standard_normal((n, 3))
         product = a.rmatvec(a.matvec(v)) if cols <= rows else a.matvec(a.rmatvec(v))
         got = gram(v)

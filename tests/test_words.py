@@ -7,7 +7,6 @@ from rkdirac.words import (
     MAX_LEN,
     Word,
     all_words,
-    concat,
     index_word,
     is_prefix,
     prepend,
@@ -19,6 +18,11 @@ from rkdirac.words import (
 
 def w(text):
     return Word.from_string(text)
+
+
+def concat(u, v):
+    """The word uv."""
+    return Word(u.length + v.length, (u.bits << v.length) | v.bits)
 
 
 class TestShift:
