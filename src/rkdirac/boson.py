@@ -17,18 +17,26 @@ from __future__ import annotations
 from typing import Optional
 
 from .dyadic import DyadicFunction, l2_dist, state_nw
-from .transfer import koopman_apply, ruelle_apply
+from .transfer import Compose, Koopman, Ruelle, Sum, scaled
 from .words import Word
 
 SCALE = 2.0 ** -0.5
 
+# The ladder pair and its commutator [B, B+] and anticommutator {B, B+}, as
+# operator specs: ``apply`` acts on one function, ``apply_batch`` on a batch.
+CREATION = scaled(Koopman(), SCALE)
+ANNIHILATION = scaled(Ruelle(), SCALE)
+_LADDER_PRODUCTS = (Compose((ANNIHILATION, CREATION)), Compose((CREATION, ANNIHILATION)))
+CCR_DEFECT = Sum(_LADDER_PRODUCTS, (1.0, -1.0))
+CAR_ANTICOMMUTATOR = Sum(_LADDER_PRODUCTS, (1.0, 1.0))
+
 
 def creation(f: DyadicFunction) -> DyadicFunction:
-    return SCALE * koopman_apply(f)
+    return CREATION.apply(f)
 
 
 def annihilation(f: DyadicFunction) -> DyadicFunction:
-    return SCALE * ruelle_apply(f)
+    return ANNIHILATION.apply(f)
 
 
 def number_apply(f: DyadicFunction) -> DyadicFunction:
@@ -38,12 +46,12 @@ def number_apply(f: DyadicFunction) -> DyadicFunction:
 
 def ccr_defect(f: DyadicFunction) -> DyadicFunction:
     """The commutator [B, B+] applied to f, evaluated from the ladder pair itself."""
-    return annihilation(creation(f)) - creation(annihilation(f))
+    return CCR_DEFECT.apply(f)
 
 
 def car_anticommutator(f: DyadicFunction) -> DyadicFunction:
     """The anticommutator {B, B+} applied to f: 0.5 * (L K + K L) f."""
-    return annihilation(creation(f)) + creation(annihilation(f))
+    return CAR_ANTICOMMUTATOR.apply(f)
 
 
 def chain_shift_check(n: int, w: Optional[Word]) -> dict:

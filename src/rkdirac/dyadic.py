@@ -224,10 +224,9 @@ def to_haar(f: DyadicFunction) -> HaarCoeffs:
     for level in range(g.depth, 1, -1):
         parents = masses[0::2] + masses[1::2]
         diffs = masses[1::2] - masses[0::2]
-        scale = 2.0 ** ((level - 1) / 2.0)
-        for i, dval in enumerate(diffs):
-            if dval != 0.0:
-                coeffs[Word(level - 1, i)] = scale * float(dval)
+        nonzero = np.flatnonzero(diffs)
+        values = (2.0 ** ((level - 1) / 2.0) * diffs[nonzero]).tolist()
+        coeffs.update(zip((Word(level - 1, i) for i in nonzero.tolist()), values))
         masses = parents
     eps0 = -SQRT2 * float(masses[0])
     eps1 = SQRT2 * float(masses[1])
@@ -291,24 +290,33 @@ def state_nw(n: int, w: Optional[Word]) -> DyadicFunction:
 CONSTRAINTS = ("none", "unit-norm", "kernel-of-L", "independent-of-first-coordinate")
 
 
-def random_function(seed: int, depth: int, constraint: str = "none") -> DyadicFunction:
-    """A seeded random depth-d function, with the constraint enforced exactly.
+def random_batch(seed: int, depth: int, count: int, constraint: str = "none") -> np.ndarray:
+    """count seeded random depth-d functions, one per column of a (2**depth,
+    count) array, from one generator, with the constraint enforced exactly.
 
     kernel-of-L forces values[1u] = -values[0u] (so the preimage average
     vanishes on every cylinder); independent-of-first-coordinate forces
-    values[1u] = values[0u].
+    values[1u] = values[0u].  Column 0 is ``random_function(seed, depth,
+    constraint)``.
     """
     if constraint not in CONSTRAINTS:
         raise ValueError(f"unknown constraint {constraint!r}")
+    if not 0 <= depth <= MAX_DEPTH:
+        raise ValueError(f"depth {depth} outside [0, {MAX_DEPTH}]")
     rng = np.random.default_rng(seed)
     if constraint in ("kernel-of-L", "independent-of-first-coordinate"):
         if depth < 1:
             raise ValueError(f"constraint {constraint!r} needs depth >= 1")
-        half = rng.standard_normal(1 << (depth - 1))
+        half = rng.standard_normal((count, 1 << (depth - 1)))
         sign = -1.0 if constraint == "kernel-of-L" else 1.0
-        return DyadicFunction(depth, np.concatenate([half, sign * half]))
-    vals = rng.standard_normal(1 << depth)
-    f = DyadicFunction(depth, vals)
-    if constraint == "unit-norm":
-        f = normalized(f)
-    return f
+        rows = np.concatenate([half, sign * half], axis=1)
+    else:
+        rows = rng.standard_normal((count, 1 << depth))
+    if constraint == "unit-norm":  # each row times 1 / its l2_norm, as in normalized
+        rows *= np.array([[1.0 / math.sqrt(max(_inner_rows(r, r), 0.0))] for r in rows])
+    return require_finite(rows.T, "function")
+
+
+def random_function(seed: int, depth: int, constraint: str = "none") -> DyadicFunction:
+    """A seeded random depth-d function: column 0 of ``random_batch``."""
+    return DyadicFunction(depth, random_batch(seed, depth, 1, constraint)[:, 0])

@@ -25,6 +25,7 @@ from .dyadic import (
     MAX_CHAIN_LEVEL,
     MAX_DEPTH,
     SQRT2,
+    _common,
     constant,
     from_haar,
     haar_function,
@@ -34,6 +35,7 @@ from .dyadic import (
     l2_norm,
     normalized,
     pointwise_mul,
+    random_batch,
     random_function,
     refine,
     state_n,
@@ -131,6 +133,25 @@ class _Recorder:
         )
 
 
+def _col_inner(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """The L2 inner products of two batches of functions, column by column, at
+    their common depth; a batch holds one function per column."""
+    a, b, d = _common(x, y)
+    return np.einsum("ij,ij->j", a, b) * 2.0 ** (-d)
+
+
+def _col_dist(x: np.ndarray, y) -> np.ndarray:
+    """The L2 distance of each column of x from the same column of y (or from
+    y = 0), both batches of functions at one depth."""
+    z = x - y
+    return np.sqrt(_col_inner(z, z))
+
+
+def _columns(batch: np.ndarray) -> List[DyadicFunction]:
+    """The functions of a batch, one per column."""
+    return [DyadicFunction(batch.shape[0].bit_length() - 1, col) for col in batch.T]
+
+
 def _gram_deviation(family: List[DyadicFunction], d: int) -> float:
     """Largest entry of |Gram - I| for a family of functions in the depth-d space."""
     mat = np.stack([tr.coords(f, d) for f in family])
@@ -156,11 +177,7 @@ def run_basis(d: int, seed: int) -> List[Check]:
         TOL_EXACT,
     )
 
-    worst = 0.0
-    for k in range(20):
-        f = random_function(seed + k, d)
-        h = to_haar(f)
-        worst = max(worst, abs(inner(f, f) - h.norm_sq()))
+    worst = max(abs(inner(f, f) - to_haar(f).norm_sq()) for f in _columns(random_batch(seed, d, 20)))
     rec.close_to(
         "parseval",
         "squared norm equals the squared-coefficient sum of the Haar expansion",
@@ -170,8 +187,7 @@ def run_basis(d: int, seed: int) -> List[Check]:
         TOL_EXACT,
     )
 
-    worst = max(l2_dist(from_haar(to_haar(random_function(seed + 100 + k, min(d, 6)))),
-                        random_function(seed + 100 + k, min(d, 6))) for k in range(20))
+    worst = max(l2_dist(from_haar(to_haar(f)), f) for f in _columns(random_batch(seed + 100, min(d, 6), 20)))
     rec.close_to("roundtrip", "analysis then synthesis returns the input", "plumbing", worst, 0.0, TOL_EXACT)
 
     eps_err = max(
@@ -235,14 +251,12 @@ def run_basis(d: int, seed: int) -> List[Check]:
 def run_transfer(d: int, seed: int) -> List[Check]:
     rec = _Recorder("transfer")
 
-    worst_lk = worst_adj = worst_iso = 0.0
-    for k in range(100):
-        f = random_function(seed + k, d)
-        g = random_function(seed + 1000 + k, d)
-        worst_lk = max(worst_lk, l2_dist(tr.ruelle_apply(tr.koopman_apply(f)), f))
-        lhs, rhs = tr.adjoint_check(f, g)
-        worst_adj = max(worst_adj, abs(lhs - rhs))
-        worst_iso = max(worst_iso, abs(l2_norm(tr.koopman_apply(f)) - l2_norm(f)))
+    ruelle, koopman, kernel_proj = tr.Ruelle().apply_batch, tr.Koopman().apply_batch, tr.KernelProj().apply_batch
+    f, g = random_batch(seed, d, 100), random_batch(seed + 1000, d, 100)
+    kf = koopman(f)
+    worst_lk = _col_dist(ruelle(kf), f).max()
+    worst_adj = np.abs(_col_inner(kf, g) - _col_inner(f, ruelle(g))).max()
+    worst_iso = np.abs(_col_dist(kf, 0.0) - _col_dist(f, 0.0)).max()
     rec.close_to("left-inverse", "the transfer operator inverts the Koopman operator", "transfer-koopman-pair", worst_lk, 0.0, TOL_EXACT)
     rec.close_to("adjoint", "<K f, g> equals <f, L g>", "transfer-koopman-pair", worst_adj, 0.0, TOL_EXACT)
     rec.close_to("koopman-isometry", "the Koopman operator preserves the L2 norm", "transfer-koopman-pair", worst_iso, 0.0, TOL_EXACT)
@@ -278,10 +292,9 @@ def run_transfer(d: int, seed: int) -> List[Check]:
 
     worst = 0.0
     for n in (1, 2, 3):
-        for k in range(10):
-            f = random_function(seed + 5 * n + k, min(d, 6))
-            once = tr.cond_expectation(n, f)
-            worst = max(worst, l2_dist(tr.cond_expectation(n, once), once))
+        condexp = tr.CondExp(n).apply_batch
+        once = condexp(random_batch(seed + 5 * n, min(d, 6), 10))
+        worst = max(worst, _col_dist(condexp(once), once).max())
     rec.close_to("condexp-idempotent", "iterated conditional expectation is idempotent", "condexp", worst, 0.0, TOL_EXACT)
 
     worst = 0.0
@@ -297,15 +310,11 @@ def run_transfer(d: int, seed: int) -> List[Check]:
         TOL_EXACT,
     )
 
-    worst_kerl = worst_idem = worst_comm = 0.0
-    for k in range(30):
-        f = random_function(seed + 300 + k, d)
-        p = tr.kernel_projection(f)
-        worst_kerl = max(worst_kerl, l2_norm(tr.ruelle_apply(p)))
-        worst_idem = max(worst_idem, l2_dist(tr.kernel_projection(p), p))
-        lk = tr.ruelle_apply(tr.koopman_apply(f))
-        kl = tr.koopman_apply(tr.ruelle_apply(f))
-        worst_comm = max(worst_comm, l2_dist(lk - kl, p))
+    f = random_batch(seed + 300, d, 30)
+    p = kernel_proj(f)
+    worst_kerl = _col_dist(ruelle(p), 0.0).max()
+    worst_idem = _col_dist(kernel_proj(p), p).max()
+    worst_comm = _col_dist(ruelle(koopman(f)) - koopman(ruelle(f)), p).max()
     rec.close_to("kernel-projection-range", "the kernel projection lands in ker L", "kernel-projection", worst_kerl, 0.0, TOL_EXACT)
     rec.close_to("kernel-projection-idempotent", "the kernel projection is idempotent", "kernel-projection", worst_idem, 0.0, TOL_EXACT)
     rec.close_to("commutator-identity", "[L, K] equals the kernel projection", "kernel-projection", worst_comm, 0.0, TOL_EXACT)
@@ -371,10 +380,8 @@ def run_boson(d: int, seed: int, n_max: int = N_MAX, w_max_len: int = W_MAX_LEN,
     rec.close_to("number-eigenvalue", "the number operator halves every lifted chain state", "number-operator", worst_num, 0.0, tol)
     rec.close_to("number-kernel", "the number operator kills the kernel level", "number-operator", worst_ker, 0.0, tol)
 
-    worst = 0.0
-    for k in range(100):
-        f = random_function(seed + k, d)
-        worst = max(worst, l2_dist(bo.ccr_defect(f), 0.5 * tr.kernel_projection(f)))
+    f = random_batch(seed, d, 100)
+    worst = _col_dist(bo.CCR_DEFECT.apply_batch(f), 0.5 * tr.KernelProj().apply_batch(f)).max()
     for w in words:
         st0 = state_nw(0, w)
         worst = max(worst, l2_dist(bo.ccr_defect(st0), 0.5 * st0))
@@ -401,10 +408,8 @@ def run_boson(d: int, seed: int, n_max: int = N_MAX, w_max_len: int = W_MAX_LEN,
 
 def run_fermion(d: int, seed: int) -> List[Check]:
     rec = _Recorder("fermion")
-    worst = 0.0
-    for k in range(100):
-        phi = random_function(seed + k, d, "independent-of-first-coordinate")
-        worst = max(worst, l2_dist(bo.car_anticommutator(phi), phi))
+    phi = random_batch(seed, d, 100, "independent-of-first-coordinate")
+    worst = _col_dist(bo.CAR_ANTICOMMUTATOR.apply_batch(phi), phi).max()
     rec.close_to(
         "car-invariant-subspace",
         "the anticommutator is the identity on first-coordinate-independent functions",
@@ -414,11 +419,9 @@ def run_fermion(d: int, seed: int) -> List[Check]:
         TOL_EXACT,
     )
 
-    one = constant(1.0)
-    worst = 0.0
-    for k in range(100):
-        phi = random_function(seed + 500 + k, d)
-        worst = max(worst, abs(inner(bo.car_anticommutator(phi), one) - inner(phi, one)))
+    phi = random_batch(seed + 500, d, 100)
+    one = np.ones((1, 1))
+    worst = np.abs(_col_inner(bo.CAR_ANTICOMMUTATOR.apply_batch(phi), one) - _col_inner(phi, one)).max()
     rec.close_to("car-integral", "the anticommutator preserves integrals", "car", worst, 0.0, TOL_EXACT)
 
     worst = 0.0
@@ -456,9 +459,8 @@ def run_dirac_projections(depth: None, seed: int) -> List[Check]:
     )
 
     worst = 0.0
-    for k in range(10):
-        psi = normalized(random_function(seed + k, 5, "kernel-of-L"))
-        worst = max(worst, abs(di.commutator_norm(tr.Proj(psi)).value - 1.0))
+    for psi in _columns(random_batch(seed, 5, 10, "kernel-of-L")):
+        worst = max(worst, abs(di.commutator_norm(tr.Proj(normalized(psi))).value - 1.0))
     rec.close_to("kernel-norm", "projections onto kernel vectors have commutator norm one", "kernel-projection-norm", worst, 0.0, 1e-8)
 
     f = normalized(random_function(seed + 50, 4, "kernel-of-L"))
@@ -478,8 +480,8 @@ def run_dirac_projections(depth: None, seed: int) -> List[Check]:
     rec.close_to("block-equality", "the two commutator blocks of a self-adjoint operator share their norm", "self-adjoint-blocks", worst, 0.0, 1e-8)
 
     worst = -math.inf
-    for k in range(5):
-        psi = normalized(random_function(seed + 70 + k, 4, "kernel-of-L"))
+    for psi in _columns(random_batch(seed + 70, 4, 5, "kernel-of-L")):
+        psi = normalized(psi)
         bounds = fo.projection_norm_bounds(psi)
         numeric = di.commutator_norm(tr.Proj(psi)).value
         worst = max(worst, bounds["lower_K"] - numeric, bounds["lower_L"] - numeric)
@@ -537,14 +539,17 @@ def run_dirac_mult(depth: None, seed: int) -> List[Check]:
     worst_match = 0.0
     worst_sandwich = -math.inf
     worst_eq = 0.0
+    # f is the leading 2**d_ values of column k: independent normals, as a column is
+    fs = random_batch(seed, 5, 60)
+    gs = {d_: random_batch(seed + 400 + d_, d_, 15, "independent-of-first-coordinate") for d_ in range(2, 6)}
     for k in range(60):
         d_ = 2 + (k % 4)
-        f = random_function(seed + k, d_)
+        f = DyadicFunction(d_, fs[: 1 << d_, k])
         numeric = di.commutator_norm(tr.Mult(f)).value
         rms = fo.backward_rms_norm(f)
         worst_match = max(worst_match, abs(numeric - rms))
         worst_sandwich = max(worst_sandwich, numeric - fo.forward_sup(f), fo.ruelle_diff_sup(f) - numeric)
-        g = random_function(seed + 400 + k, d_, "independent-of-first-coordinate")
+        g = DyadicFunction(d_, gs[d_][:, k // 4])
         vals = (fo.forward_sup(g), fo.backward_rms_norm(g), fo.ruelle_diff_sup(g))
         worst_eq = max(worst_eq, max(vals) - min(vals))
     rec.close_to("rms-match", "cylinder root-mean-square sup equals the numeric commutator norm", "mult-rms-norm", worst_match, 0.0, 1e-8)
@@ -553,9 +558,10 @@ def run_dirac_mult(depth: None, seed: int) -> List[Check]:
 
     worst_chain = -math.inf
     worst_ties = 0.0
+    fs = random_batch(seed + 900, 4, 40)  # f as in the loop above
     for k in range(40):
         d_ = 2 + (k % 3)
-        f = random_function(seed + 900 + k, d_)
+        f = DyadicFunction(d_, fs[: 1 << d_, k])
         sups = fo.kolmogorov_mean_chain(f, orders=(-math.inf, -1.0, 0.0, 1.0, 2.0, 3.0, 10.0, math.inf))
         ordered = sorted(sups)
         worst_chain = max(
@@ -576,8 +582,7 @@ def run_dirac_mult(depth: None, seed: int) -> List[Check]:
     )
 
     ok = True
-    for k in range(40):
-        f = random_function(seed + 2000 + k, 3)
+    for f in _columns(random_batch(seed + 2000, 3, 40)):
         f = f * (0.9 / max(sup_norm(f), 1e-12))
         rep = fo.l2_sandwich_check(f)
         ok = ok and rep["holds"]
@@ -602,12 +607,8 @@ def run_dirac_condexp(depth: None, seed: int) -> List[Check]:
 
     worst = 0.0
     for n in (1, 2, 3):
-        for k in range(10):
-            h = random_function(seed + 10 * n + k, 3)
-            g = h
-            for _ in range(n):
-                g = tr.koopman_apply(g)
-            worst = max(worst, l2_dist(tr.cond_expectation(n, g), g))
+        g = tr.Compose((tr.Koopman(),) * n).apply_batch(random_batch(seed + 10 * n, 3, 10))
+        worst = max(worst, _col_dist(tr.CondExp(n).apply_batch(g), g).max())
     rec.close_to("fixed-subspace", "conditional expectation fixes functions ignoring the first n symbols", "condexp", worst, 0.0, TOL_EXACT)
     return rec.checks
 
@@ -660,7 +661,7 @@ def run_adjudication(depth: None, seed: int) -> List[Check]:
     scan = fo.surface_max_scan(fo.koopman_overlap(witness))
     rec.close_to("witness-scan", "the witness scan maximum is 9/8", "overlap-surface", scan["max"], 9.0 / 8.0, TOL_SCAN)
 
-    psis = [witness] + [normalized(random_function(seed + k, 4, "kernel-of-L")) for k in range(3)] + [
+    psis = [witness] + [normalized(psi) for psi in _columns(random_batch(seed, 4, 3, "kernel-of-L"))] + [
         normalized(random_function(seed + 40, 5))
     ]
     sup_worst = 0.0
@@ -669,9 +670,8 @@ def run_adjudication(depth: None, seed: int) -> List[Check]:
     rec.at_most("expression-global-bound", "the squared expression never exceeds 9/8 over random unit inputs", "overlap-surface", sup_worst, 9.0 / 8.0, TOL_NORM)
 
     worst = 0.0
-    for k in range(50):
-        phi = normalized(random_function(seed + 100 + k, 5))
-        psi = normalized(random_function(seed + 200 + k, 5))
+    for phi, psi in zip(_columns(random_batch(seed + 100, 5, 50)), _columns(random_batch(seed + 200, 5, 50))):
+        phi, psi = normalized(phi), normalized(psi)
         worst = max(worst, abs(fo.projection_sq_expression(phi, psi) - fo.commutator_image_sq(phi, psi)))
     rec.close_to("expression-oracle", "the inner-product expression equals the direct squared image norm", "projection-expression", worst, 0.0, 1e-10)
 

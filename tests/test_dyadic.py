@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rkdirac.dyadic import (
+    CONSTRAINTS,
     DyadicFunction,
     HaarCoeffs,
     SQRT2,
@@ -15,6 +18,7 @@ from rkdirac.dyadic import (
     l2_norm,
     normalized,
     pointwise_mul,
+    random_batch,
     random_function,
     refine,
     require_unit,
@@ -147,6 +151,39 @@ class TestHaarTransform:
         with pytest.raises(ValueError):
             HaarCoeffs(coeffs={EPSILON: 1.0})
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(0, 7).flatmap(
+            lambda d: st.lists(
+                st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5]) | st.floats(-1e6, 1e6), min_size=1 << d, max_size=1 << d
+            )
+        )
+    )
+    def test_coefficients_match_the_per_coefficient_loop(self, values):
+        # Exact zeros make exact-zero differences, which get no entry; the
+        # dicts must agree in keys, values and insertion order.
+        f = DyadicFunction(len(values).bit_length() - 1, values)
+        h, ref = to_haar(f), _to_haar_loop(f)
+        assert (h.eps0, h.eps1) == (ref.eps0, ref.eps1)
+        assert list(h.coeffs.items()) == list(ref.coeffs.items())
+        assert all(type(b) is float for b in h.coeffs.values())
+
+
+def _to_haar_loop(f):
+    """to_haar with one Python step per coefficient, as it was first written."""
+    g = refine(f, max(f.depth, 1))
+    masses = g.values * 2.0 ** (-g.depth)
+    coeffs = {}
+    for level in range(g.depth, 1, -1):
+        parents = masses[0::2] + masses[1::2]
+        diffs = masses[1::2] - masses[0::2]
+        scale = 2.0 ** ((level - 1) / 2.0)
+        for i, dval in enumerate(diffs):
+            if dval != 0.0:
+                coeffs[Word(level - 1, i)] = scale * float(dval)
+        masses = parents
+    return HaarCoeffs(eps0=-SQRT2 * float(masses[0]), eps1=SQRT2 * float(masses[1]), coeffs=coeffs)
+
 
 class TestPointwiseMul:
     def test_square_of_haar_element(self):
@@ -251,6 +288,35 @@ class TestRandomFunction:
     def test_unknown_constraint(self):
         with pytest.raises(ValueError):
             random_function(0, 3, "smooth")
+        with pytest.raises(ValueError):
+            random_batch(0, 3, 2, "smooth")
+
+    @pytest.mark.parametrize("constraint", CONSTRAINTS)
+    def test_batch_of_one_is_the_function_bit_for_bit(self, constraint):
+        for seed, depth in ((0, 1), (1, 3), (7, 6), (900, 8)):
+            column = random_batch(seed, depth, 1, constraint)[:, 0]
+            assert column.tobytes() == random_function(seed, depth, constraint).values.tobytes()
+
+    @pytest.mark.parametrize("constraint", CONSTRAINTS)
+    def test_every_column_meets_the_constraint(self, constraint):
+        batch = random_batch(5, 4, 30, constraint)
+        assert batch.shape == (16, 30)
+        assert batch[:, 0].tobytes() == random_function(5, 4, constraint).values.tobytes()
+        assert len({col.tobytes() for col in batch.T}) == 30
+        for col in batch.T:
+            f = DyadicFunction(4, col)
+            if constraint == "unit-norm":
+                assert l2_norm(f) == pytest.approx(1.0, abs=1e-12)
+            elif constraint == "kernel-of-L":
+                assert l2_norm(ruelle_apply(f)) < 1e-12
+            elif constraint == "independent-of-first-coordinate":
+                np.testing.assert_array_equal(col[:8], col[8:])
+
+    def test_a_depth_past_the_cap_is_refused_before_drawing(self):
+        with pytest.raises(ValueError, match="outside"):
+            random_batch(0, 40, 1)
+        with pytest.raises(ValueError, match="outside"):
+            random_function(0, -1)
 
 
 class TestValidation:

@@ -117,3 +117,48 @@ class TestBosonGrid:
         with pytest.raises(ValueError, match="boson grid"):
             suites.run_boson(3, 0, n_max=n_max, w_max_len=w_max_len)
         assert calls == []
+
+
+# The checks that judge a whole batch of random functions at once.
+BATCHED_CHECKS = {
+    "transfer": (
+        "left-inverse", "adjoint", "koopman-isometry", "condexp-idempotent",
+        "kernel-projection-range", "kernel-projection-idempotent", "commutator-identity",
+    ),
+    "boson": ("ccr-kernel-projection",),
+    "fermion": ("car-invariant-subspace", "car-integral"),
+    "dirac-condexp": ("fixed-subspace",),
+}
+
+
+class TestBatchedChecks:
+    @staticmethod
+    def _statuses(suite):
+        checks = suites.SUITES[suite](suites.suite_depth(suite, 8), 1)
+        return {c.id: c.status for c in checks}
+
+    @staticmethod
+    def _last_column_scaled(kernel, factor):
+        def wrapped(x):
+            y = kernel(x)
+            if y.ndim == 2:
+                y = y.copy()  # a kernel may return its input
+                y[:, -1] *= factor
+            return y
+
+        return wrapped
+
+    @pytest.mark.parametrize("suite", sorted(BATCHED_CHECKS))
+    def test_the_batched_checks_pass(self, suite):
+        statuses = self._statuses(suite)
+        assert [statuses[f"{suite}.{cid}"] for cid in BATCHED_CHECKS[suite]] == ["pass"] * len(BATCHED_CHECKS[suite])
+
+    @pytest.mark.parametrize("suite", sorted(BATCHED_CHECKS))
+    def test_a_wrong_last_column_fails_every_batched_check(self, monkeypatch, suite):
+        # L and K, each wrong on the last column of a batch only, by different
+        # factors (equal factors would keep <K f, g> = <f, L g>).  Condexp, the
+        # kernel projection and the ladder specs all run on these two kernels.
+        monkeypatch.setattr(tr, "_ruelle", self._last_column_scaled(tr._ruelle, 2.0))
+        monkeypatch.setattr(tr, "_koopman", self._last_column_scaled(tr._koopman, 3.0))
+        statuses = self._statuses(suite)
+        assert [statuses[f"{suite}.{cid}"] for cid in BATCHED_CHECKS[suite]] == ["fail"] * len(BATCHED_CHECKS[suite])
