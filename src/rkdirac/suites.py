@@ -420,7 +420,7 @@ def run_fermion(d: int, seed: int) -> List[Check]:
     )
 
     phi = random_batch(seed + 500, d, 100)
-    one = np.ones((1, 1))
+    one = np.ones((1, 1))  # the constant 1, as a batch of one, paired with every column
     worst = np.abs(_col_inner(bo.CAR_ANTICOMMUTATOR.apply_batch(phi), one) - _col_inner(phi, one)).max()
     rec.close_to("car-integral", "the anticommutator preserves integrals", "car", worst, 0.0, TOL_EXACT)
 

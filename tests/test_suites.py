@@ -133,11 +133,6 @@ BATCHED_CHECKS = {
 
 class TestBatchedChecks:
     @staticmethod
-    def _statuses(suite):
-        checks = suites.SUITES[suite](suites.suite_depth(suite, 8), 1)
-        return {c.id: c.status for c in checks}
-
-    @staticmethod
     def _last_column_scaled(kernel, factor):
         def wrapped(x):
             y = kernel(x)
@@ -149,16 +144,11 @@ class TestBatchedChecks:
         return wrapped
 
     @pytest.mark.parametrize("suite", sorted(BATCHED_CHECKS))
-    def test_the_batched_checks_pass(self, suite):
-        statuses = self._statuses(suite)
-        assert [statuses[f"{suite}.{cid}"] for cid in BATCHED_CHECKS[suite]] == ["pass"] * len(BATCHED_CHECKS[suite])
-
-    @pytest.mark.parametrize("suite", sorted(BATCHED_CHECKS))
     def test_a_wrong_last_column_fails_every_batched_check(self, monkeypatch, suite):
         # L and K, each wrong on the last column of a batch only, by different
         # factors (equal factors would keep <K f, g> = <f, L g>).  Condexp, the
         # kernel projection and the ladder specs all run on these two kernels.
         monkeypatch.setattr(tr, "_ruelle", self._last_column_scaled(tr._ruelle, 2.0))
         monkeypatch.setattr(tr, "_koopman", self._last_column_scaled(tr._koopman, 3.0))
-        statuses = self._statuses(suite)
+        statuses = {c.id: c.status for c in suites.SUITES[suite](suites.suite_depth(suite, 8), 1)}
         assert [statuses[f"{suite}.{cid}"] for cid in BATCHED_CHECKS[suite]] == ["fail"] * len(BATCHED_CHECKS[suite])
