@@ -13,13 +13,16 @@ The orthonormal Haar family consists of
 
 Constants are spanned through ``1 = 2**-0.5 * (e_eps1 - e_eps0)``; there is no
 separate constant coordinate.
+
+Haar coefficients are one array of ``2**max(d, 1)`` slots: e_eps0 in slot 0,
+e_eps1 in slot 1 and e_w in slot ``2**len(w) + bits(w)`` (:func:`haar_slot`),
+so the words of length l fill slots ``[2**l, 2**(l+1))`` in index order.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Dict, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -38,8 +41,7 @@ class DyadicFunction:
     __slots__ = ("depth", "values")
 
     def __init__(self, depth: int, values) -> None:
-        if not 0 <= depth <= MAX_DEPTH:
-            raise ValueError(f"depth {depth} outside [0, {MAX_DEPTH}]")
+        require_depth(depth)
         arr = np.array(values, dtype=float)
         if arr.shape != (1 << depth,):
             raise ValueError(f"expected {1 << depth} values at depth {depth}, got shape {arr.shape}")
@@ -125,6 +127,12 @@ def l2_norm(f: DyadicFunction) -> float:
 UNIT_TOL = 1e-9
 
 
+def require_depth(depth: int) -> None:
+    """Raise ValueError unless a depth-``depth`` space is within [0, MAX_DEPTH]."""
+    if not 0 <= depth <= MAX_DEPTH:
+        raise ValueError(f"depth {depth} outside [0, {MAX_DEPTH}]")
+
+
 def require_finite(x, what: str):
     """x itself, or a ValueError saying that the ``what`` values must be finite.
 
@@ -190,62 +198,51 @@ def haar_function(idx: HaarIndex) -> DyadicFunction:
     return DyadicFunction(idx.length + 1, vals)
 
 
-@dataclass
-class HaarCoeffs:
-    """Coefficients over the orthonormal family {e_eps0, e_eps1} + {e_w}."""
-
-    eps0: float = 0.0
-    eps1: float = 0.0
-    coeffs: Dict[Word, float] = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        for w in self.coeffs:
-            if w.length == 0:
-                raise ValueError("coefficient words must be nonempty")
-
-    def norm_sq(self) -> float:
-        return self.eps0**2 + self.eps1**2 + sum(b * b for b in self.coeffs.values())
-
-    def get(self, w: Word) -> float:
-        return self.coeffs.get(w, 0.0)
+def haar_slot(idx: HaarIndex) -> int:
+    """The slot of a Haar index in a coefficient array: 0 for eps0, 1 for eps1,
+    ``2**len(w) + bits(w)`` for a nonempty word w."""
+    if idx is EPS0:
+        return 0
+    if idx is EPS1:
+        return 1
+    if idx.length == 0:
+        raise ValueError("Haar indices use nonempty words (eps0/eps1 cover depth one)")
+    return (1 << idx.length) | idx.bits
 
 
-def to_haar(f: DyadicFunction) -> HaarCoeffs:
-    """Expand f over the orthonormal Haar family (exact at depth(f)).
+def to_haar(f: DyadicFunction) -> np.ndarray:
+    """The coefficients of f over the orthonormal Haar family, in slot order
+    (exact at depth(f); ``2**max(depth(f), 1)`` slots).
 
     Computed by the mass pyramid: with S_k(u) the integral of f over the
     depth-k cylinder [u], the coefficient of e_w is
     ``2**(len(w)/2) * (S(w1) - S(w0))``, and the eps coefficients read off the
     depth-one masses.  Constants fold into eps0/eps1 automatically.
     """
-    g = refine(f, max(f.depth, 1))
-    masses = g.values * 2.0 ** (-g.depth)
-    coeffs: Dict[Word, float] = {}
-    for level in range(g.depth, 1, -1):
-        parents = masses[0::2] + masses[1::2]
-        diffs = masses[1::2] - masses[0::2]
-        nonzero = np.flatnonzero(diffs)
-        values = (2.0 ** ((level - 1) / 2.0) * diffs[nonzero]).tolist()
-        coeffs.update(zip((Word(level - 1, i) for i in nonzero.tolist()), values))
-        masses = parents
-    eps0 = -SQRT2 * float(masses[0])
-    eps1 = SQRT2 * float(masses[1])
-    return HaarCoeffs(eps0=eps0, eps1=eps1, coeffs=coeffs)
+    depth = max(f.depth, 1)
+    masses = _refine_rows(f.values, depth) * 2.0 ** (-depth)
+    h = np.empty(1 << depth)
+    for level in range(depth - 1, 0, -1):  # the words of length level, slots [n, 2n)
+        n = 1 << level
+        h[n : 2 * n] = 2.0 ** (level / 2.0) * (masses[1::2] - masses[0::2])
+        masses = masses[0::2] + masses[1::2]
+    h[:2] = -SQRT2 * masses[0], SQRT2 * masses[1]
+    return h
 
 
-def from_haar(h: HaarCoeffs) -> DyadicFunction:
-    """Synthesize the function with the given Haar coefficients."""
-    depth = max([1] + [w.length + 1 for w in h.coeffs])
-    vals = np.zeros(1 << depth)
-    half = 1 << (depth - 1)
-    vals[:half] += h.eps0 * (-SQRT2)
-    vals[half:] += h.eps1 * SQRT2
-    for w, b in h.coeffs.items():
-        scale = b * 2.0 ** (w.length / 2.0)
-        span = 1 << (depth - w.length - 1)
-        start = word_index(w) * 2 * span
-        vals[start : start + span] -= scale  # [w0]
-        vals[start + span : start + 2 * span] += scale  # [w1]
+def from_haar(h: np.ndarray) -> DyadicFunction:
+    """The function with the given Haar coefficients, at depth log2(len(h))."""
+    h = np.asarray(h, dtype=float)
+    if h.ndim != 1 or h.size < 2 or h.size & (h.size - 1):  # not 2**d slots, d >= 1
+        raise ValueError(f"expected 2**d Haar coefficients with d >= 1, got shape {h.shape}")
+    depth = h.size.bit_length() - 1
+    vals = SQRT2 * np.array([-h[0], h[1]]) + 0.0  # + 0.0 leaves no -0.0 cell
+    for level in range(1, depth):  # the words of length level, slots [n, 2n)
+        n = 1 << level
+        scaled = 2.0 ** (level / 2.0) * h[n : 2 * n]
+        vals = np.repeat(vals, 2)
+        vals[0::2] -= scaled  # [w0]
+        vals[1::2] += scaled  # [w1]
     return DyadicFunction(depth, vals)
 
 
@@ -301,8 +298,7 @@ def random_batch(seed: int, depth: int, count: int, constraint: str = "none") ->
     """
     if constraint not in CONSTRAINTS:
         raise ValueError(f"unknown constraint {constraint!r}")
-    if not 0 <= depth <= MAX_DEPTH:
-        raise ValueError(f"depth {depth} outside [0, {MAX_DEPTH}]")
+    require_depth(depth)
     rng = np.random.default_rng(seed)
     if constraint in ("kernel-of-L", "independent-of-first-coordinate"):
         if depth < 1:

@@ -24,24 +24,23 @@ import numpy as np
 from . import dirac
 from .dyadic import (
     DyadicFunction,
-    HaarCoeffs,
     INV_SQRT2,
     SQRT2,
     inner,
     l2_norm,
     pointwise_mul,
+    refine,
     require_unit,
     sup_norm,
     to_haar,
 )
 from .transfer import Proj, koopman_apply, projection_apply, ruelle_apply
-from .words import EPSILON, Word, all_words, shift
 
 # ---------------------------------------------------------------------------
-# c(psi) and its Haar-coefficient forms.
+# c(psi) and its Haar-coefficient forms, on ``to_haar`` slot arrays.
 
 
-def koopman_overlap_from_coeffs(h: HaarCoeffs, zero_mean_form: bool = False) -> float:
+def koopman_overlap_from_coeffs(h: np.ndarray, zero_mean_form: bool = False) -> float:
     """<K psi, psi> from Haar coefficients alone.
 
     The full identity is
@@ -57,7 +56,7 @@ def koopman_overlap_from_coeffs(h: HaarCoeffs, zero_mean_form: bool = False) -> 
     """
     total = _koopman_pairing_coeffs(h, h)
     if zero_mean_form:
-        total -= 0.5 * (h.eps0 - h.eps1) ** 2
+        total -= 0.5 * float(h[0] - h[1]) ** 2
     return total
 
 
@@ -184,30 +183,28 @@ def commutator_image_sq(phi: DyadicFunction, psi: DyadicFunction) -> float:
     return inner(image, image)
 
 
-def _children(h: HaarCoeffs, w: Word) -> float:
-    """b_0w + b_1w: the coefficients of the two one-symbol left extensions of w."""
-    return h.get(Word(w.length + 1, w.bits)) + h.get(Word(w.length + 1, (1 << w.length) | w.bits))
+def _children(h: np.ndarray) -> np.ndarray:
+    """b_0w + b_1w in the slot of each word w (the empty word in slot 1): for the
+    words of slots [n, 2n), h[2n:3n] + h[3n:4n]; zero on the last level."""
+    out = np.zeros(h.size)
+    for level in range(h.size.bit_length() - 2):  # every level with a level below it
+        n = 1 << level
+        out[n : 2 * n] = h[2 * n : 3 * n] + h[3 * n : 4 * n]
+    return out
 
 
-def _koopman_pairing_coeffs(a: HaarCoeffs, b: HaarCoeffs) -> float:
-    """<K phi, psi> from coefficients: the exact coefficient expansion
+def _koopman_pairing_coeffs(a: np.ndarray, b: np.ndarray) -> float:
+    """<K phi, psi> from coefficients at a common depth: the exact coefficient
+    expansion
 
     sum_v a_v (b_0v + b_1v) / sqrt2
       + (alpha_0 + alpha_1)(b_0 + b_1) / 2
       + (alpha_1 - alpha_0)(beta_1 - beta_0) / 2.
     """
-    total = 0.0
-    for v, av in a.coeffs.items():
-        total += av * _children(b, v) * INV_SQRT2
-    total += 0.5 * (a.eps0 + a.eps1) * _children(b, EPSILON)
-    total += 0.5 * (a.eps1 - a.eps0) * (b.eps1 - b.eps0)
-    return total
-
-
-def _plain_pairing_coeffs(a: HaarCoeffs, b: HaarCoeffs) -> float:
-    total = a.eps0 * b.eps0 + a.eps1 * b.eps1
-    for v, av in a.coeffs.items():
-        total += av * b.get(v)
+    children = _children(b)
+    total = float(a[2:] @ children[2:]) * INV_SQRT2
+    total += 0.5 * float(a[0] + a[1]) * float(children[1])
+    total += 0.5 * float(a[1] - a[0]) * float(b[1] - b[0])
     return total
 
 
@@ -218,23 +215,21 @@ def coefficient_image_sq(phi: DyadicFunction, psi: DyadicFunction) -> float:
     sums and combines them as x^2 - 2 x y c + y^2.
     """
     require_unit(psi, "projection vector")
-    a = to_haar(phi)
-    b = to_haar(psi)
-    return _image_sq(_plain_pairing_coeffs(a, b), _koopman_pairing_coeffs(a, b), koopman_overlap_from_coeffs(b))
+    d = max(phi.depth, psi.depth)  # pair at the common depth
+    a, b = to_haar(refine(phi, d)), to_haar(refine(psi, d))
+    return _image_sq(float(a @ b), _koopman_pairing_coeffs(a, b), koopman_overlap_from_coeffs(b))
 
 
 def coefficient_image_sq_truncated(phi: DyadicFunction, psi: DyadicFunction) -> float:
     """A truncated variant of :func:`coefficient_image_sq` whose overlap factor
     skips length-one words and the squared-mean term.  Kept as a secondary
     oracle so reports can quantify when the dropped terms matter."""
-    a = to_haar(phi)
-    b = to_haar(psi)
-    t = 0.0
-    for u, bu in b.coeffs.items():
-        if u.length > 1:
-            t += (bu * INV_SQRT2) * _children(b, u)
-    t += 0.5 * _children(b, EPSILON) * (b.eps0 + b.eps1)
-    return _image_sq(_plain_pairing_coeffs(a, b), _koopman_pairing_coeffs(a, b), t)
+    d = max(phi.depth, psi.depth)
+    a, b = to_haar(refine(phi, d)), to_haar(refine(psi, d))
+    children = _children(b)
+    t = float((b[4:] * INV_SQRT2) @ children[4:])  # words of length > 1
+    t += 0.5 * float(children[1]) * float(b[0] + b[1])
+    return _image_sq(float(a @ b), _koopman_pairing_coeffs(a, b), t)
 
 
 def projection_norm_bounds(psi: DyadicFunction) -> Dict[str, float]:
@@ -244,23 +239,20 @@ def projection_norm_bounds(psi: DyadicFunction) -> Dict[str, float]:
       sqrt(b_w^2 + (b_0w + b_1w)^2 / 2 - sqrt2 b_w (b_0w + b_1w) c),
     lower_L the sup of
       sqrt(b_w^2 + b_sw^2 / 2 - sqrt2 b_w b_sw c)
-    with sw the shifted word (absent for length-one words).
+    with sw the shifted word (absent for length-one words): for the words of
+    slots [n, 2n), b_sw is h[n/2:n] tiled twice.
     """
     c = koopman_overlap(psi)
     h = to_haar(psi)
-    max_len = max(1, psi.depth - 1)
-    best_k = 0.0
-    best_l = 0.0
-    for length in range(1, max_len + 1):
-        for w in all_words(length):
-            bw = h.get(w)
-            s = _children(h, w)
-            term_k = bw * bw + 0.5 * s * s - SQRT2 * bw * s * c
-            best_k = max(best_k, term_k)
-            bsw = h.get(shift(w)) if length >= 2 else 0.0
-            term_l = bw * bw + 0.5 * bsw * bsw - SQRT2 * bw * bsw * c
-            best_l = max(best_l, term_l)
-    return {"lower_K": math.sqrt(max(best_k, 0.0)), "lower_L": math.sqrt(max(best_l, 0.0))}
+    shifted = np.zeros(h.size)
+    for level in range(2, h.size.bit_length() - 1):
+        n = 1 << level
+        shifted[n : 2 * n] = np.tile(h[n // 2 : n], 2)
+    bw, s, bsw = h[2:], _children(h)[2:], shifted[2:]
+    term_k = bw * bw + 0.5 * s * s - SQRT2 * bw * s * c
+    term_l = bw * bw + 0.5 * bsw * bsw - SQRT2 * bw * bsw * c
+    best_k, best_l = (max(0.0, float(t.max(initial=0.0))) for t in (term_k, term_l))  # +0.0, never -0.0
+    return {"lower_K": math.sqrt(best_k), "lower_L": math.sqrt(best_l)}
 
 
 # ---------------------------------------------------------------------------

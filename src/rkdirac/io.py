@@ -23,7 +23,9 @@ import json
 from pathlib import Path
 from typing import Union
 
-from .dyadic import DyadicFunction, HaarCoeffs, from_haar, haar_function
+import numpy as np
+
+from .dyadic import DyadicFunction, from_haar, haar_function, haar_slot, require_depth
 from .transfer import (
     Adjoint,
     CondExp,
@@ -53,11 +55,12 @@ def load_function(source: JsonLike) -> DyadicFunction:
     if "haar" in obj:
         spec = obj["haar"]
         words = {Word.from_string(k): float(v) for k, v in spec.get("words", {}).items()}
-        h = HaarCoeffs(
-            eps0=float(spec.get("eps0", 0.0)),
-            eps1=float(spec.get("eps1", 0.0)),
-            coeffs=words,
-        )
+        depth = max([1] + [w.length + 1 for w in words])
+        require_depth(depth)  # before allocating 2**depth slots
+        h = np.zeros(1 << depth)
+        h[:2] = float(spec.get("eps0", 0.0)), float(spec.get("eps1", 0.0))
+        for w, b in words.items():
+            h[haar_slot(w)] = b
         return from_haar(h)
     if "depth" in obj and "values" in obj:
         return DyadicFunction(int(obj["depth"]), obj["values"])

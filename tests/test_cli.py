@@ -572,3 +572,38 @@ class TestFormulasReportCommand:
         psi.write_text(json.dumps({"depth": 0, "values": [1.1]}))
         assert main(["formulas", "report", "--psi", str(psi)]) == 2
         assert "must have unit norm" in capsys.readouterr().err
+
+    def test_an_over_deep_haar_word_is_refused_before_allocating(self, tmp_path, capsys):
+        # a 24-symbol word needs depth 25; the 2**25 coefficient slots are never allocated
+        import tracemalloc
+
+        psi = tmp_path / "psi.json"
+        psi.write_text(json.dumps({"haar": {"words": {"01" * 12: 1.0}}}))
+        tracemalloc.start()
+        try:
+            code = main(["formulas", "report", "--psi", str(psi)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2
+        assert "depth 25 outside [0, 24]" in capsys.readouterr().err
+        assert peak < 1 << 20, peak
+
+    def test_a_haar_file_and_a_values_file_of_one_psi_report_alike(self, tmp_path, capsys):
+        # psi = 0.6 e_eps1 + 0.48 e_1 + 0.64 e_01, written out by hand at depth 3
+        s = 2 ** 0.5
+        files = {
+            "haar": {"haar": {"eps1": 0.6, "words": {"1": 0.48, "01": 0.64}}},
+            "values": {"depth": 3, "values": [0.0, 0.0, -1.28, 1.28, 0.12 * s, 0.12 * s, 1.08 * s, 1.08 * s]},
+        }
+        reports = {}
+        for name, obj in files.items():
+            path = tmp_path / f"{name}.json"
+            path.write_text(json.dumps(obj))
+            assert main(["formulas", "report", "--psi", str(path)]) == 0
+            reports[name] = json.loads(capsys.readouterr().out)
+        haar, values = reports["haar"], reports["values"]
+        assert abs(haar["c"] - values["c"]) <= 1e-12
+        assert abs(haar["numeric_norm"] - values["numeric_norm"]) <= 1e-12
+        for key in ("lower_K", "lower_L"):
+            assert abs(haar["coefficient_lower_bounds"][key] - values["coefficient_lower_bounds"][key]) <= 1e-12

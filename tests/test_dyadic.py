@@ -6,11 +6,11 @@ from hypothesis import strategies as st
 from rkdirac.dyadic import (
     CONSTRAINTS,
     DyadicFunction,
-    HaarCoeffs,
     SQRT2,
     constant,
     from_haar,
     haar_function,
+    haar_slot,
     indicator,
     inner,
     is_close,
@@ -119,16 +119,16 @@ class TestHaarFunction:
 class TestHaarTransform:
     def test_constant_expansion(self):
         h = to_haar(constant(1.0))
-        assert h.eps0 == pytest.approx(-1 / SQRT2, abs=1e-15)
-        assert h.eps1 == pytest.approx(1 / SQRT2, abs=1e-15)
-        assert h.coeffs == {}
+        assert h[haar_slot(EPS0)] == pytest.approx(-1 / SQRT2, abs=1e-15)
+        assert h[haar_slot(EPS1)] == pytest.approx(1 / SQRT2, abs=1e-15)
+        assert np.flatnonzero(h[2:]).size == 0
 
     def test_basis_element_expansion(self):
         h = to_haar(haar_function(w("01")))
-        assert h.eps0 == pytest.approx(0.0, abs=1e-15)
-        assert h.eps1 == pytest.approx(0.0, abs=1e-15)
-        assert set(h.coeffs) == {w("01")}
-        assert h.coeffs[w("01")] == pytest.approx(1.0, abs=1e-15)
+        assert h[haar_slot(EPS0)] == pytest.approx(0.0, abs=1e-15)
+        assert h[haar_slot(EPS1)] == pytest.approx(0.0, abs=1e-15)
+        assert set((np.flatnonzero(h[2:]) + 2).tolist()) == {haar_slot(w("01"))}
+        assert h[haar_slot(w("01"))] == pytest.approx(1.0, abs=1e-15)
 
     def test_roundtrip_random(self):
         for seed in range(100):
@@ -138,18 +138,24 @@ class TestHaarTransform:
     def test_parseval_random(self):
         for seed in range(50):
             f = random_function(seed, 8)
-            assert abs(inner(f, f) - to_haar(f).norm_sq()) < 1e-12
+            h = to_haar(f)
+            assert abs(inner(f, f) - h @ h) < 1e-12
 
     def test_coefficients_are_inner_products(self):
         f = random_function(7, 4)
         h = to_haar(f)
         for u in words_up_to(3):
-            assert h.get(u) == pytest.approx(inner(f, haar_function(u)), abs=1e-12)
-        assert h.eps0 == pytest.approx(inner(f, haar_function(EPS0)), abs=1e-12)
+            assert h[haar_slot(u)] == pytest.approx(inner(f, haar_function(u)), abs=1e-12)
+        assert h[haar_slot(EPS0)] == pytest.approx(inner(f, haar_function(EPS0)), abs=1e-12)
 
     def test_rejects_empty_word_keys(self):
         with pytest.raises(ValueError):
-            HaarCoeffs(coeffs={EPSILON: 1.0})
+            haar_slot(EPSILON)
+
+    def test_slot_layout(self):
+        # slot 2**len(w) + bits(w): the words of length l fill [2**l, 2**(l+1)) in index order
+        slots = [haar_slot(EPS0), haar_slot(EPS1)] + [haar_slot(u) for u in words_up_to(4)]
+        assert slots == list(range(32))
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -160,17 +166,52 @@ class TestHaarTransform:
         )
     )
     def test_coefficients_match_the_per_coefficient_loop(self, values):
-        # Exact zeros make exact-zero differences, which get no entry; the
-        # dicts must agree in keys, values and insertion order.
+        # Exact zeros make exact-zero differences, which the loop skips; their
+        # slots must hold zero, and every other slot the loop's value.
         f = DyadicFunction(len(values).bit_length() - 1, values)
-        h, ref = to_haar(f), _to_haar_loop(f)
-        assert (h.eps0, h.eps1) == (ref.eps0, ref.eps1)
-        assert list(h.coeffs.items()) == list(ref.coeffs.items())
-        assert all(type(b) is float for b in h.coeffs.values())
+        eps0, eps1, coeffs = _to_haar_loop(f)
+        expected = np.zeros(1 << max(f.depth, 1))
+        expected[haar_slot(EPS0)], expected[haar_slot(EPS1)] = eps0, eps1
+        for u, b in coeffs.items():
+            expected[haar_slot(u)] = b
+        h = to_haar(f)
+        assert h.dtype == np.float64
+        assert np.array_equal(h, expected)
+
+    def test_synthesis_of_a_one_hot_slot_is_the_haar_element(self):
+        for depth in range(1, 7):
+            indices = [EPS0, EPS1] + list(words_up_to(depth - 1))
+            for idx in indices:
+                onehot = np.zeros(1 << depth)
+                onehot[haar_slot(idx)] = 1.0
+                f = from_haar(onehot)
+                assert f.depth == depth
+                assert np.array_equal(f.values, refine(haar_function(idx), depth).values)
+
+    def test_synthesis_rejects_a_length_that_is_not_a_power_of_two(self):
+        for size in (0, 1, 3, 6):
+            with pytest.raises(ValueError, match="Haar coefficients"):
+                from_haar(np.zeros(size))
+
+    def test_no_word_is_built(self, monkeypatch):
+        psi = normalized(random_function(3, 6))
+        phi = normalized(random_function(4, 5))
+
+        def refuse(self):
+            raise AssertionError("a Word was built")
+
+        monkeypatch.setattr(Word, "__post_init__", refuse)
+        h = to_haar(psi)
+        assert l2_dist(from_haar(h), psi) < 1e-12
+        formulas.koopman_overlap_from_coeffs(h)
+        formulas.coefficient_image_sq(phi, psi)
+        formulas.coefficient_image_sq_truncated(phi, psi)
+        formulas.projection_norm_bounds(psi)
 
 
 def _to_haar_loop(f):
-    """to_haar with one Python step per coefficient, as it was first written."""
+    """to_haar with one Python step per coefficient, as it was first written:
+    (eps0, eps1, {word: coefficient}) with the nonzero coefficients only."""
     g = refine(f, max(f.depth, 1))
     masses = g.values * 2.0 ** (-g.depth)
     coeffs = {}
@@ -182,7 +223,7 @@ def _to_haar_loop(f):
             if dval != 0.0:
                 coeffs[Word(level - 1, i)] = scale * float(dval)
         masses = parents
-    return HaarCoeffs(eps0=-SQRT2 * float(masses[0]), eps1=SQRT2 * float(masses[1]), coeffs=coeffs)
+    return -SQRT2 * float(masses[0]), SQRT2 * float(masses[1]), coeffs
 
 
 class TestPointwiseMul:

@@ -2,25 +2,29 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from rkdirac import formulas as fo
 from rkdirac.dirac import block_norm, dirac_commutator
 from rkdirac.dyadic import (
-    HaarCoeffs,
     SQRT2,
+    DyadicFunction,
     constant,
     from_haar,
     haar_function,
+    haar_slot,
     indicator,
     inner,
     l2_norm,
     normalized,
     random_function,
+    refine,
     state_nw,
     to_haar,
 )
 from rkdirac.transfer import Proj, koopman_apply, ruelle_apply
-from rkdirac.words import EPSILON, Word
+from rkdirac.words import EPSILON, Word, all_words, shift
 
 INV_SQRT2 = 2.0 ** -0.5
 
@@ -206,9 +210,10 @@ class TestCoefficientImage:
 
         phi = 0.6 * haar_function(EPS0) + 0.8 * haar_function(EPS1)
         rng = np.random.default_rng(3)
-        psi = normalized(
-            from_haar(HaarCoeffs(coeffs={u: float(rng.standard_normal()) for u in all_words(2)}))
-        )
+        h = np.zeros(8)
+        for u in all_words(2):
+            h[haar_slot(u)] = float(rng.standard_normal())
+        psi = normalized(from_haar(h))
         assert fo.coefficient_image_sq(phi, psi) == pytest.approx(0.0, abs=1e-15)
         assert fo.commutator_image_sq(phi, psi) == pytest.approx(0.0, abs=1e-15)
 
@@ -243,6 +248,79 @@ class TestProjectionNormBounds:
         assert bounds["lower_L"] == pytest.approx(INV_SQRT2, abs=1e-12)
         numeric = block_norm(dirac_commutator(Proj(psi)), 5)
         assert bounds["lower_K"] <= numeric + 1e-8
+
+
+def _coeff_dict(h):
+    """(eps0, eps1, {word: coefficient}) with the nonzero word coefficients,
+    deepest level first: the dict form that the reference loops walk."""
+    depth = h.size.bit_length() - 1
+    coeffs = {}
+    for length in range(depth - 1, 0, -1):
+        for u in all_words(length):
+            if h[haar_slot(u)] != 0.0:
+                coeffs[u] = float(h[haar_slot(u)])
+    return float(h[0]), float(h[1]), coeffs
+
+
+def _children_loop(h, u):
+    return h[2].get(Word(u.length + 1, u.bits), 0.0) + h[2].get(Word(u.length + 1, (1 << u.length) | u.bits), 0.0)
+
+
+def _koopman_pairing_loop(a, b):
+    """_koopman_pairing_coeffs walking the coefficient dicts word by word."""
+    total = 0.0
+    for v, av in a[2].items():
+        total += av * _children_loop(b, v) * INV_SQRT2
+    total += 0.5 * (a[0] + a[1]) * _children_loop(b, EPSILON)
+    total += 0.5 * (a[1] - a[0]) * (b[1] - b[0])
+    return total
+
+
+def _projection_norm_bounds_loop(psi):
+    """projection_norm_bounds walking every word of length 1 .. depth - 1."""
+    c = fo.koopman_overlap(psi)
+    h = _coeff_dict(to_haar(psi))
+    best_k = 0.0
+    best_l = 0.0
+    for length in range(1, max(1, psi.depth - 1) + 1):
+        for u in all_words(length):
+            bw = h[2].get(u, 0.0)
+            s = _children_loop(h, u)
+            best_k = max(best_k, bw * bw + 0.5 * s * s - SQRT2 * bw * s * c)
+            bsw = h[2].get(shift(u), 0.0) if length >= 2 else 0.0
+            best_l = max(best_l, bw * bw + 0.5 * bsw * bsw - SQRT2 * bw * bsw * c)
+    return {"lower_K": math.sqrt(max(best_k, 0.0)), "lower_L": math.sqrt(max(best_l, 0.0))}
+
+
+_UNIT_FUNCTIONS = st.integers(1, 6).flatmap(
+    lambda d: st.lists(
+        st.just(0.0) | st.floats(1e-3, 1e3) | st.floats(-1e3, -1e-3), min_size=1 << d, max_size=1 << d
+    )
+)
+
+
+def _unit(values):
+    assume(any(v != 0.0 for v in values))
+    return normalized(DyadicFunction(len(values).bit_length() - 1, values))
+
+
+class TestSlotArraysAgainstDictLoops:
+    @settings(max_examples=100, deadline=None)
+    @given(_UNIT_FUNCTIONS, _UNIT_FUNCTIONS)
+    def test_pairings(self, phi_values, psi_values):
+        # the slot arrays pair at the common depth; the loops read each
+        # function at its own depth, missing words counting as zero
+        phi, psi = _unit(phi_values), _unit(psi_values)
+        a, b = (to_haar(refine(f, max(phi.depth, psi.depth))) for f in (phi, psi))
+        ref_a, ref_b = _coeff_dict(to_haar(phi)), _coeff_dict(to_haar(psi))
+        assert abs(fo._koopman_pairing_coeffs(a, b) - _koopman_pairing_loop(ref_a, ref_b)) <= 1e-15
+        assert abs(fo.koopman_overlap_from_coeffs(b) - _koopman_pairing_loop(ref_b, ref_b)) <= 1e-15
+
+    @settings(max_examples=100, deadline=None)
+    @given(_UNIT_FUNCTIONS)
+    def test_projection_norm_bounds(self, values):
+        psi = _unit(values)
+        assert fo.projection_norm_bounds(psi) == _projection_norm_bounds_loop(psi)
 
 
 class TestBackwardRms:

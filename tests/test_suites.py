@@ -1,7 +1,9 @@
+import numpy as np
 import pytest
 
+from rkdirac import formulas as fo
 from rkdirac import suites, transfer as tr
-from rkdirac.dyadic import constant, haar_function, inner
+from rkdirac.dyadic import constant, haar_function, inner, normalized, random_batch, random_function, refine
 from rkdirac.words import EPSILON, all_words, shift, words_up_to
 
 
@@ -46,6 +48,34 @@ class TestCaseTable:
         real = tr.dirac_blocks
         monkeypatch.setattr(tr, "dirac_blocks", lambda a: (real(a)[keep],) * 2)
         assert suites._projection_case_table_error(2, 3) >= 0.5
+
+
+def random_sup_expression(psi, trials, seed):
+    """Reference: the squared expression's sup over seeded random unit phi."""
+    d = psi.depth
+    lpsi = refine(tr.ruelle_apply(psi), d)
+    rng = np.random.default_rng(seed)
+    phis = rng.standard_normal((trials, 1 << d))
+    phis /= np.linalg.norm(phis, axis=1, keepdims=True)
+    x = phis @ tr.coords(psi, d)
+    y = phis @ tr.coords(lpsi, d)
+    return float(np.max(fo._image_sq(x, y, inner(tr.koopman_apply(psi), psi))))
+
+
+class TestExpressionSup:
+    @pytest.mark.parametrize("seed", [0, 1, 7, 900])
+    def test_exact_sup_matches_the_span_scan_and_bounds_the_random_sampler(self, seed):
+        psis = [suites._witness_vector(), constant(1.0)]
+        psis += [normalized(random_function(seed + 40, d)) for d in (1, 3, 5)]
+        psis += [normalized(f) for f in suites._columns(random_batch(seed, 4, 3, "kernel-of-L"))]
+        for j, psi in enumerate(psis):
+            exact = suites._sup_expression(psi)
+            assert abs(exact - fo.projection_span_scan(psi) ** 2) <= 1e-9
+            assert exact >= random_sup_expression(psi, 10000, seed + j) - 1e-12
+
+    def test_kernel_vectors_reach_one(self):
+        psi = normalized(random_function(2, 4, "kernel-of-L"))
+        assert suites._sup_expression(psi) == pytest.approx(1.0, abs=1e-12)
 
 
 class TestSuiteDepth:
