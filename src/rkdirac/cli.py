@@ -26,16 +26,17 @@ from . import dirac as di
 from . import formulas as fo
 from . import spectra as sp
 from . import suites
+from .dyadic import require_depth
 from .io import load_function, load_operator, operator_to_json
 
 
 def _parse_depth_range(text: str) -> List[int]:
-    """Parse '2:6' or '2,3,5' into a list of depths; an empty one is an error."""
-    if ":" in text:
-        lo, hi = text.split(":", 1)
-        depths = list(range(int(lo), int(hi) + 1))
-    else:
-        depths = [int(x) for x in text.split(",") if x]
+    """Parse '2:6' or '2,3,5' into depths, each end or entry checked by require_depth first; none is an error."""
+    is_range = ":" in text
+    ends = [int(x) for x in text.split(":", 1)] if is_range else [int(x) for x in text.split(",") if x]
+    for depth in ends:
+        require_depth(depth)
+    depths = list(range(ends[0], ends[1] + 1)) if is_range else ends
     if not depths:
         raise ValueError(f"empty depth range {text!r}")
     return depths
@@ -102,8 +103,11 @@ def cmd_sweep(args) -> int:
 def cmd_connes(args) -> int:
     eta = di.VectorState(load_function(load_operator_envelope(args.eta)))
     xi = di.VectorState(load_function(load_operator_envelope(args.xi)))
+    family_file = load_operator_envelope(args.family)
+    if not isinstance(family_file, dict) or not isinstance(family_file.get("operators"), list):
+        raise ValueError("a family file needs an 'operators' list")
     # every member is certified at its own core depth; a "depth" key is ignored
-    family = [load_operator(o) for o in load_operator_envelope(args.family)["operators"]]
+    family = [load_operator(o) for o in family_file["operators"]]
     bound, witness = di.connes_lower_bound(eta, xi, family)
     _emit(
         {

@@ -1,6 +1,8 @@
-"""JSON file formats for functions and operator specifications.
+"""JSON formats for functions and operator specifications.
 
-Function files are either cylinder-valued::
+The loaders take parsed JSON values; the CLI reads the files.  A nested
+function or operator is written inline: a string in its place is an error,
+never a file name.  Function values are either cylinder-valued::
 
     {"depth": 2, "values": [1.0, 0.0, 0.0, 0.0]}
 
@@ -8,7 +10,7 @@ or Haar-valued::
 
     {"haar": {"eps0": 0.0, "eps1": 0.0, "words": {"01": 1.0}}}
 
-Operator files carry a "kind" tag::
+Operator values carry a "kind" tag::
 
     {"kind": "ruelle"} | {"kind": "koopman"} | {"kind": "identity"}
     {"kind": "mult", "f": <function>} | {"kind": "proj", "psi": <function>}
@@ -18,10 +20,6 @@ Operator files carry a "kind" tag::
 """
 
 from __future__ import annotations
-
-import json
-from pathlib import Path
-from typing import Union
 
 import numpy as np
 
@@ -40,70 +38,69 @@ from .transfer import (
 )
 from .words import EPS0, EPS1, Word
 
-JsonLike = Union[dict, str, Path]
+
+def _integer(value, what: str) -> int:
+    """int(value) for 3, 3.0 or "3"; a ValueError quoting value for 1.7 or true."""
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return int(value)
 
 
-def _as_obj(source: JsonLike) -> dict:
-    if isinstance(source, (str, Path)):
-        with open(source, "r", encoding="utf-8") as fh:
-            return json.load(fh)
-    return source
-
-
-def load_function(source: JsonLike) -> DyadicFunction:
-    obj = _as_obj(source)
-    if "haar" in obj:
-        spec = obj["haar"]
-        words = {Word.from_string(k): float(v) for k, v in spec.get("words", {}).items()}
-        depth = max([1] + [w.length + 1 for w in words])
-        require_depth(depth)  # before allocating 2**depth slots
-        h = np.zeros(1 << depth)
-        h[:2] = float(spec.get("eps0", 0.0)), float(spec.get("eps1", 0.0))
-        for w, b in words.items():
-            h[haar_slot(w)] = b
-        return from_haar(h)
-    if "depth" in obj and "values" in obj:
-        return DyadicFunction(int(obj["depth"]), obj["values"])
-    raise ValueError("function object needs either 'haar' or 'depth'+'values'")
+def load_function(obj) -> DyadicFunction:
+    """The function a parsed JSON value describes; a wrong-typed field raises ValueError."""
+    if not isinstance(obj, dict) or not ("haar" in obj or ("depth" in obj and "values" in obj)):
+        raise ValueError("a function is an inline object with either 'haar' or 'depth'+'values'")
+    try:
+        if "haar" in obj:
+            spec = obj["haar"]
+            words = {Word.from_string(k): float(v) for k, v in spec.get("words", {}).items()}
+            depth = max([1] + [w.length + 1 for w in words])
+            require_depth(depth)  # before allocating 2**depth slots
+            h = np.zeros(1 << depth)
+            h[:2] = float(spec.get("eps0", 0.0)), float(spec.get("eps1", 0.0))
+            for w, b in words.items():
+                h[haar_slot(w)] = b
+            return from_haar(h)
+        return DyadicFunction(_integer(obj["depth"], "depth"), obj["values"])
+    except (TypeError, AttributeError) as exc:
+        raise ValueError(f"malformed function: {exc}") from None
 
 
 def function_to_json(f: DyadicFunction) -> dict:
     return {"depth": f.depth, "values": [float(v) for v in f.values]}
 
 
-def load_operator(source: JsonLike) -> OperatorSpec:
-    obj = _as_obj(source)
+def load_operator(obj) -> OperatorSpec:
+    """The operator a parsed JSON value describes; a wrong-typed field raises ValueError."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"an operator is an inline object with a 'kind', got {type(obj).__name__}")
     kind = obj.get("kind")
-    if kind == "ruelle":
-        return Ruelle()
-    if kind == "koopman":
-        return Koopman()
-    if kind == "identity":
-        return Compose(())
-    if kind == "mult":
-        return Mult(load_function(obj["f"]))
-    if kind == "proj":
-        return Proj(load_function(obj["psi"]))
-    if kind == "haar_proj":
-        text = obj["w"]
-        if text == "eps0":
-            return Proj(haar_function(EPS0))
-        if text == "eps1":
-            return Proj(haar_function(EPS1))
-        w = Word.from_string(text)
-        if w.length == 0:
-            raise ValueError("haar_proj needs a nonempty word, or 'eps0'/'eps1'")
-        return Proj(haar_function(w))
-    if kind == "condexp":
-        return CondExp(int(obj["n"]))
-    if kind == "kernel_proj":
-        return KernelProj()
-    if kind == "adjoint":
-        return Adjoint(load_operator(obj["op"]))
-    if kind == "compose":
-        return Compose(tuple(load_operator(o) for o in obj["ops"]))
-    if kind == "sum":
-        return Sum(tuple(load_operator(o) for o in obj["ops"]), obj.get("weights", ()))
+    try:
+        if kind == "ruelle":
+            return Ruelle()
+        if kind == "koopman":
+            return Koopman()
+        if kind == "identity":
+            return Compose(())
+        if kind == "mult":
+            return Mult(load_function(obj["f"]))
+        if kind == "proj":
+            return Proj(load_function(obj["psi"]))
+        if kind == "haar_proj":
+            w = obj["w"]
+            return Proj(haar_function({"eps0": EPS0, "eps1": EPS1}.get(w) or Word.from_string(w)))
+        if kind == "condexp":
+            return CondExp(_integer(obj["n"], "condexp order n"))
+        if kind == "kernel_proj":
+            return KernelProj()
+        if kind == "adjoint":
+            return Adjoint(load_operator(obj["op"]))
+        if kind == "compose":
+            return Compose(tuple(load_operator(o) for o in obj["ops"]))
+        if kind == "sum":
+            return Sum(tuple(load_operator(o) for o in obj["ops"]), obj.get("weights", ()))
+    except TypeError as exc:
+        raise ValueError(f"malformed operator: {exc}") from None
     raise ValueError(f"unknown operator kind {kind!r}")
 
 

@@ -53,7 +53,7 @@ from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .dyadic import DyadicFunction, MAX_DEPTH, _add_rows, _inner_rows, _refine_rows, inner, refine, require_finite, require_unit
+from .dyadic import DyadicFunction, MAX_DEPTH, _add_rows, _inner_rows, _refine_rows, inner, refine, require_depth, require_finite, require_unit
 
 # One identity chunk, measured at the widest array it passes through.  Cache
 # sized, and small enough that its temporaries stay below glibc's mmap
@@ -675,8 +675,7 @@ class BoundOperator:
     """
 
     def __init__(self, op: OperatorSpec, in_depth: int):
-        if not 0 <= in_depth <= MAX_DEPTH:
-            raise ValueError(f"depth {in_depth} outside [0, {MAX_DEPTH}]")
+        require_depth(in_depth)
         out_depth = op.out_depth(in_depth)
         if out_depth > MAX_DEPTH:
             raise ValueError(f"depth cap {MAX_DEPTH} exceeded")

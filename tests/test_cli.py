@@ -1,6 +1,8 @@
+import builtins
 import json
 import math
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -28,7 +30,7 @@ class TestFunctionIO:
         f = random_function(0, 3)
         path = tmp_path / "f.json"
         path.write_text(json.dumps(function_to_json(f)))
-        assert l2_dist(load_function(path), f) < 1e-15
+        assert l2_dist(load_function(json.loads(path.read_text())), f) < 1e-15
 
     def test_haar_form(self):
         f = load_function({"haar": {"eps0": 0.0, "eps1": 0.0, "words": {"01": 1.0}}})
@@ -84,6 +86,101 @@ class TestOperatorIO:
     def test_haar_proj_eps(self):
         op = load_operator({"kind": "haar_proj", "w": "eps0"})
         assert op.psi.depth == 1
+
+    @pytest.mark.parametrize("text", ["", "eps"])
+    def test_haar_proj_refuses_the_empty_word(self, text):
+        with pytest.raises(ValueError, match="nonempty words"):
+            load_operator({"kind": "haar_proj", "w": text})
+
+
+class TestNumbersAreNotTruncated:
+    @pytest.mark.parametrize("value", [3, 3.0, "3"])
+    def test_integral_depth_and_order_load(self, value):
+        assert load_function({"depth": value, "values": [0.0] * 8}).depth == 3
+        assert load_operator({"kind": "condexp", "n": value}).n == 3
+
+    @pytest.mark.parametrize("value", [1.7, True, float("inf")], ids=["1.7", "true", "inf"])
+    def test_a_non_integral_depth_is_refused_quoting_it(self, value):
+        with pytest.raises(ValueError, match=f"depth must be an integer, got {value!r}"):
+            load_function({"depth": value, "values": [1.0, 1.0]})
+
+    @pytest.mark.parametrize("value", [2.9, True], ids=["2.9", "true"])
+    def test_a_non_integral_condexp_order_is_refused_quoting_it(self, value):
+        with pytest.raises(ValueError, match=f"order n must be an integer, got {value!r}"):
+            load_operator({"kind": "condexp", "n": value})
+
+
+class TestStringsAreNotFileNames:
+    """Nested functions and operators are written inline; a string is refused, never opened."""
+
+    @pytest.mark.parametrize(
+        "load, value",
+        [
+            (load_function, "f.json"),
+            (load_operator, "op.json"),
+            (load_operator, {"kind": "mult", "f": "f.json"}),
+            (load_operator, {"kind": "proj", "psi": "f.json"}),
+            (load_operator, {"kind": "adjoint", "op": "op.json"}),
+            (load_operator, {"kind": "compose", "ops": ["op.json"]}),
+            (load_operator, {"kind": "sum", "ops": [{"kind": "ruelle"}, "op.json"]}),
+            (load_operator, {"kind": "compose", "ops": {"kind": 1}}),
+        ],
+        ids=["function", "operator", "mult", "proj", "adjoint", "compose", "sum", "compose-dict"],
+    )
+    def test_a_string_raises_without_opening_a_file(self, tmp_path, monkeypatch, load, value):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "f.json").write_text(json.dumps({"depth": 1, "values": [1.0, 1.0]}))
+        (tmp_path / "op.json").write_text(json.dumps({"kind": "ruelle"}))
+        (tmp_path / "kind").write_text(json.dumps({"kind": "ruelle"}))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError(f"open{args!r} was called")
+
+        monkeypatch.setattr(builtins, "open", refuse)
+        with pytest.raises(ValueError, match="inline object"):
+            load(value)
+
+
+MALFORMED = [
+    ("psi", {"haar": []}),
+    ("psi", {"haar": {"words": []}}),
+    ("psi", {"haar": {"eps0": None}}),
+    ("psi", {"depth": None, "values": [1, 1]}),
+    ("psi", 5),
+    ("psi", "psi.json"),
+    ("psi", {"depth": 1.7, "values": [1, 1]}),
+    ("operator", {"kind": "sum", "ops": 5}),
+    ("operator", {"kind": "condexp", "n": None}),
+    ("operator", {"kind": "compose", "ops": [1]}),
+    ("operator", {"kind": "haar_proj", "w": 5}),
+    ("operator", [1]),
+    ("operator", {"kind": "sum", "ops": [{"kind": "ruelle"}], "weights": 3}),
+    ("operator", {"kind": "compose", "ops": {"kind": 1}}),
+    ("operator", {"kind": "mult", "f": "psi.json"}),
+    ("operator", {"kind": "condexp", "n": 2.9}),
+    ("family", {"operators": 3}),
+    ("family", {}),
+]
+
+
+@pytest.mark.parametrize("role, doc", MALFORMED, ids=[f"{r}-{json.dumps(d)}" for r, d in MALFORMED])
+def test_a_malformed_document_exits_2_with_one_error_line(tmp_path, capsys, monkeypatch, role, doc):
+    # "psi.json" is a valid unit state: the connes eta and xi, and the file the strings name
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "psi.json").write_text(json.dumps({"haar": {"words": {"01": 1.0}}}))
+    (tmp_path / "doc.json").write_text(json.dumps(doc))
+    argv = {
+        "psi": ["formulas", "report", "--psi", "doc.json"],
+        "operator": ["norm", "--operator", "doc.json"],
+        "family": ["connes", "--eta", "psi.json", "--xi", "psi.json", "--family", "doc.json"],
+    }[role]
+    code = main(argv)  # an exception escaping main fails the test
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), captured.err
+    if role == "family":
+        assert "'operators' list" in lines[0]
 
 
 class TestVerifyCommand:
@@ -370,6 +467,41 @@ class TestSweepCommand:
         assert main(["sweep", "--operator", str(spec), "--depths", depths, "--csv", str(out_csv)]) == 2
         assert "empty depth range" in capsys.readouterr().err
         assert not out_csv.exists()
+
+    def test_a_range_past_the_cap_is_refused_before_it_is_built(self, tmp_path, capsys):
+        # range(1, 100000001) would be a list of 10**8 ints, about 3.6 GB
+        spec = tmp_path / "op.json"
+        spec.write_text(json.dumps({"kind": "identity"}))
+        tracemalloc.start()
+        try:
+            code = main(["sweep", "--operator", str(spec), "--depths", "1:100000000"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2
+        assert "depth 100000000 outside [0, 24]" in capsys.readouterr().err
+        assert peak < 1 << 20, peak
+
+    def test_a_listed_depth_past_the_cap_runs_no_solve(self, tmp_path, capsys, monkeypatch):
+        import rkdirac.spectra as spectra
+
+        solved = []
+
+        def counting(upper, lower, d, **kwargs):
+            solved.append(d)
+            return block_pair_norm(upper, lower, d, **kwargs)
+
+        monkeypatch.setattr(spectra, "block_pair_norm", counting)
+        spec = tmp_path / "op.json"
+        spec.write_text(json.dumps({"kind": "identity"}))
+        out_csv = tmp_path / "sweep.csv"
+        assert main(["sweep", "--operator", str(spec), "--depths", "5,6", "--csv", str(out_csv)]) == 0
+        assert solved == [5, 6]  # the counter sees the sweep's solves
+        out_csv.unlink()
+        solved.clear()
+        assert main(["sweep", "--operator", str(spec), "--depths", "5,99", "--csv", str(out_csv)]) == 2
+        assert "depth 99 outside [0, 24]" in capsys.readouterr().err
+        assert solved == [] and not out_csv.exists()
 
 
 class TestConnesCommand:
