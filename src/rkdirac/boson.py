@@ -16,9 +16,8 @@ from __future__ import annotations
 
 from typing import Optional
 
-from .dyadic import DyadicFunction, l2_dist, state_nw
+from .dyadic import DyadicFunction, _col_dist, chain_batch
 from .transfer import Compose, Koopman, Ruelle, Sum, scaled
-from .words import Word
 
 SCALE = 2.0 ** -0.5
 
@@ -54,28 +53,30 @@ def car_anticommutator(f: DyadicFunction) -> DyadicFunction:
     return CAR_ANTICOMMUTATOR.apply(f)
 
 
-def chain_shift_check(n: int, w: Optional[Word]) -> dict:
-    """The l2 error of each ladder identity on the chain state over w (None
-    means the plain level state); the suites judge the errors.
+def chain_shift_check(n: int, length: Optional[int], cols: slice = slice(None)) -> dict:
+    """The largest l2 error of each ladder identity over the chain states
+    |n, w> of ``chain_batch(n, length, cols)``, the words w of one length
+    (length None means the plain level state); the suites judge the errors.
 
     Identities:
       raise: B+ |n, w> = 2**-0.5 |n+1, w>
       lower: B |n, w> = 2**-0.5 |n-1, w> for n >= 1; B |0, w> = 0 for w a word
       power: (B+)^n |0, w> = 2**(-n/2) |n, w>
-    For w = None and n = 0 the lowering identity is vacuous (nothing below the
-    vacuum) and has no entry in ``errors``.
+    For the plain level state and n = 0 the lowering identity is vacuous
+    (nothing below the vacuum) and has no entry in ``errors``.
     """
-    state = state_nw(n, w)
-    report = {"n": n, "w": str(w) if w is not None else "*", "errors": {}}
-    raised = creation(state)
-    report["errors"]["raise"] = l2_dist(raised, SCALE * state_nw(n + 1, w))
+    state = chain_batch(n, length, cols)
+    errors = {"raise": _col_dist(CREATION.apply_batch(state), SCALE * chain_batch(n + 1, length, cols))}
     if n >= 1:
-        lowered = annihilation(state)
-        report["errors"]["lower"] = l2_dist(lowered, SCALE * state_nw(n - 1, w))
-    elif w is not None:
-        report["errors"]["lower"] = l2_dist(annihilation(state), 0.0 * state)
-    powered = state_nw(0, w)
+        errors["lower"] = _col_dist(ANNIHILATION.apply_batch(state), SCALE * chain_batch(n - 1, length, cols))
+    elif length is not None:
+        errors["lower"] = _col_dist(ANNIHILATION.apply_batch(state), 0.0)
+    powered = chain_batch(0, length, cols)
     for _ in range(n):
-        powered = creation(powered)
-    report["errors"]["power"] = l2_dist(powered, 2.0 ** (-n / 2.0) * state)
-    return report
+        powered = CREATION.apply_batch(powered)
+    errors["power"] = _col_dist(powered, 2.0 ** (-n / 2.0) * state)
+    return {
+        "n": n,
+        "length": "*" if length is None else length,
+        "errors": {key: float(err.max(initial=0.0)) for key, err in errors.items()},
+    }

@@ -115,6 +115,20 @@ def _inner_rows(x: np.ndarray, y: np.ndarray) -> float:
     return float(a @ b) * 2.0 ** (-d)
 
 
+def _col_inner(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """The L2 inner products of two batches of functions, column by column, at
+    their common depth; a batch holds one function per column."""
+    a, b, d = _common(x, y)
+    return np.einsum("ij,ij->j", a, b) * 2.0 ** (-d)
+
+
+def _col_dist(x: np.ndarray, y) -> np.ndarray:
+    """The L2 distance of each column of x from the same column of y (or from
+    y = 0), both batches of functions at one depth."""
+    z = x - y
+    return np.sqrt(_col_inner(z, z))
+
+
 def inner(f: DyadicFunction, g: DyadicFunction) -> float:
     """L2 inner product against the equal-weights Bernoulli measure."""
     return _inner_rows(f.values, g.values)
@@ -246,42 +260,52 @@ def from_haar(h: np.ndarray) -> DyadicFunction:
     return DyadicFunction(depth, vals)
 
 
-def state_n(n: int) -> DyadicFunction:
-    """The level-n chain state over the vacuum: 2**(-n/2) * sum of level-n Haar elements.
-
-    At depth n + 1 the cylinder values alternate -1, +1.  n = 0 gives the
-    vacuum ``2**-0.5 * (e_eps0 + e_eps1)``.
-    """
-    if not 0 <= n <= MAX_CHAIN_LEVEL:
-        raise ValueError(f"chain level {n} outside [0, {MAX_CHAIN_LEVEL}]")
-    return DyadicFunction(n + 1, np.tile([-1.0, 1.0], 1 << n))
-
-
-def state_nw(n: int, w: Optional[Word]) -> DyadicFunction:
-    """The chain state over the kernel vector indexed by w; w = None means state_n(n).
+def chain_batch(n: int, length: Optional[int], cols: slice = slice(None)) -> np.ndarray:
+    """The level-n chain states over the words of one length, one column per
+    word in index order (``cols`` picks a slice of those columns); length None
+    gives the plain level state as the one column.
 
     For a word w the state is
     ``2**(-(n+1)/2) * (sum_{len(u)=n} e_{u0w} - sum_{len(u)=n} e_{u1w})``,
-    materialized directly at its minimal depth n + len(w) + 2.
+    materialized directly at its minimal depth n + len(w) + 2.  The plain
+    level state is ``2**(-n/2)`` times the sum of the level-n Haar elements:
+    at depth n + 1 its cylinder values alternate -1, +1, and n = 0 gives the
+    vacuum ``2**-0.5 * (e_eps0 + e_eps1)``.
     """
-    if w is None:
-        return state_n(n)
+    if length is None:
+        if not 0 <= n <= MAX_CHAIN_LEVEL:
+            raise ValueError(f"chain level {n} outside [0, {MAX_CHAIN_LEVEL}]")
+        return np.tile([[-1.0], [1.0]], (1 << n, 1))[:, cols]
     if n < 0:
         raise ValueError("chain level must be >= 0")
-    depth = n + w.length + 2
-    if depth > MAX_DEPTH:
+    if n + length + 2 > MAX_DEPTH:
         raise ValueError(f"depth cap {MAX_DEPTH} exceeded")
-    # One block per length-n word u; inside a block the only nonzero cells are
-    # the four [u a w b] with a, b in {0, 1}.
-    block = np.zeros(1 << (w.length + 2))
-    scale = 2.0 ** (w.length / 2.0)
+    # One block per length-n word u; inside a block the only nonzero cells of
+    # the column of w are the four [u a w b] with a, b in {0, 1}.
+    i = np.arange(1 << length)[cols]
+    j = np.arange(i.size)
+    block = np.zeros((1 << (length + 2), i.size))
+    scale = 2.0 ** (length / 2.0)
+    half = 1 << (length + 1)
+    block[2 * i, j] = -scale  # a=0, b=0 from +e_{u0w}
+    block[2 * i + 1, j] = scale  # a=0, b=1
+    block[half + 2 * i, j] = scale  # a=1, b=0 from -e_{u1w}
+    block[half + 2 * i + 1, j] = -scale  # a=1, b=1
+    return np.tile(block, (1 << n, 1))
+
+
+def state_n(n: int) -> DyadicFunction:
+    """The level-n chain state over the vacuum, at depth n + 1 (see chain_batch)."""
+    return DyadicFunction(n + 1, chain_batch(n, None)[:, 0])
+
+
+def state_nw(n: int, w: Optional[Word]) -> DyadicFunction:
+    """The chain state over the kernel vector indexed by w, at depth
+    n + len(w) + 2 (see chain_batch); w = None means state_n(n)."""
+    if w is None:
+        return state_n(n)
     i = word_index(w)
-    half = 1 << (w.length + 1)
-    block[2 * i] = -scale  # a=0, b=0 from +e_{u0w}
-    block[2 * i + 1] = scale  # a=0, b=1
-    block[half + 2 * i] = scale  # a=1, b=0 from -e_{u1w}
-    block[half + 2 * i + 1] = -scale  # a=1, b=1
-    return DyadicFunction(depth, np.tile(block, 1 << n))
+    return DyadicFunction(n + w.length + 2, chain_batch(n, w.length, slice(i, i + 1))[:, 0])
 
 
 CONSTRAINTS = ("none", "unit-norm", "kernel-of-L", "independent-of-first-coordinate")

@@ -101,6 +101,8 @@ def load_operator(obj) -> OperatorSpec:
             return Sum(tuple(load_operator(o) for o in obj["ops"]), obj.get("weights", ()))
     except TypeError as exc:
         raise ValueError(f"malformed operator: {exc}") from None
+    except KeyError as exc:
+        raise ValueError(f"operator kind {kind!r} is missing the field {exc.args[0]!r}") from None
     raise ValueError(f"unknown operator kind {kind!r}")
 
 

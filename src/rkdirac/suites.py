@@ -25,7 +25,10 @@ from .dyadic import (
     MAX_CHAIN_LEVEL,
     MAX_DEPTH,
     SQRT2,
-    _common,
+    _col_dist,
+    _col_inner,
+    _refine_rows,
+    chain_batch,
     constant,
     from_haar,
     haar_function,
@@ -131,20 +134,6 @@ class _Recorder:
         self.checks.append(
             Check(f"{self.suite}.{cid}", description, ref, "report-only", value, expected, None)
         )
-
-
-def _col_inner(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """The L2 inner products of two batches of functions, column by column, at
-    their common depth; a batch holds one function per column."""
-    a, b, d = _common(x, y)
-    return np.einsum("ij,ij->j", a, b) * 2.0 ** (-d)
-
-
-def _col_dist(x: np.ndarray, y) -> np.ndarray:
-    """The L2 distance of each column of x from the same column of y (or from
-    y = 0), both batches of functions at one depth."""
-    z = x - y
-    return np.sqrt(_col_inner(z, z))
 
 
 def _columns(batch: np.ndarray) -> List[DyadicFunction]:
@@ -358,39 +347,28 @@ def run_boson(d: int, seed: int, n_max: int = N_MAX, w_max_len: int = W_MAX_LEN,
         )
     rec = _Recorder("boson")
 
-    words: List[Optional[Word]] = [None, EPSILON]
-    words += [w for w in words_up_to(w_max_len)]
-    worst_raise = worst_lower = worst_power = 0.0
-    for w in words:
-        for n in range(0, n_max + 1):
-            report = bo.chain_shift_check(n, w)
-            worst_raise = max(worst_raise, report["errors"]["raise"])
-            worst_lower = max(worst_lower, report["errors"].get("lower", 0.0))
-            worst_power = max(worst_power, report["errors"]["power"])
-    rec.close_to("ladder-raise", "creation maps level n to 2**-0.5 times level n+1", "ladder", worst_raise, 0.0, tol)
-    rec.close_to("ladder-lower", "annihilation maps level n to 2**-0.5 times level n-1 and kills level 0", "ladder", worst_lower, 0.0, tol)
-    rec.close_to("ladder-power", "n-fold creation on level 0 gives 2**(-n/2) times level n", "ladder", worst_power, 0.0, tol)
-
-    worst_num = worst_ker = 0.0
-    for w in words:
-        for n in range(1, n_max + 1):
-            st = state_nw(n, w)
-            worst_num = max(worst_num, l2_dist(bo.number_apply(st), 0.5 * st))
-        st0 = state_nw(0, w)
-        worst_ker = max(worst_ker, l2_norm(bo.number_apply(st0)))
-    rec.close_to("number-eigenvalue", "the number operator halves every lifted chain state", "number-operator", worst_num, 0.0, tol)
-    rec.close_to("number-kernel", "the number operator kills the kernel level", "number-operator", worst_ker, 0.0, tol)
-
+    # One group per level n and word length (None: the plain level states),
+    # in column chunks sized at the widest array, the raised states.
     f = random_batch(seed, d, 100)
-    worst = _col_dist(bo.CCR_DEFECT.apply_batch(f), 0.5 * tr.KernelProj().apply_batch(f)).max()
-    for w in words:
-        st0 = state_nw(0, w)
-        worst = max(worst, l2_dist(bo.ccr_defect(st0), 0.5 * st0))
+    worst = dict.fromkeys(("raise", "lower", "power", "number", "kernel"), 0.0)
+    worst["ccr"] = _col_dist(bo.CCR_DEFECT.apply_batch(f), 0.5 * tr.KernelProj().apply_batch(f)).max()
+    for length in [None] + list(range(w_max_len + 1)):
+        words = 1 if length is None else 1 << length
+        for n in range(0, n_max + 1):
+            depth = n + 2 + (-1 if length is None else length)
+            for cols in tr.column_chunks(words, 1 << (depth + 1)):
+                for key, err in _chain_errors(n, length, cols).items():
+                    worst[key] = max(worst[key], err)
+    rec.close_to("ladder-raise", "creation maps level n to 2**-0.5 times level n+1", "ladder", worst["raise"], 0.0, tol)
+    rec.close_to("ladder-lower", "annihilation maps level n to 2**-0.5 times level n-1 and kills level 0", "ladder", worst["lower"], 0.0, tol)
+    rec.close_to("ladder-power", "n-fold creation on level 0 gives 2**(-n/2) times level n", "ladder", worst["power"], 0.0, tol)
+    rec.close_to("number-eigenvalue", "the number operator halves every lifted chain state", "number-operator", worst["number"], 0.0, tol)
+    rec.close_to("number-kernel", "the number operator kills the kernel level", "number-operator", worst["kernel"], 0.0, tol)
     rec.close_to(
         "ccr-kernel-projection",
         "the ladder commutator is half the projection onto ker L",
         "generalized-ccr",
-        worst,
+        worst["ccr"],
         0.0,
         tol,
     )
@@ -405,6 +383,22 @@ def run_boson(d: int, seed: int, n_max: int = N_MAX, w_max_len: int = W_MAX_LEN,
         0.5,
     )
     return rec.checks
+
+
+def _chain_errors(n: int, length: Optional[int], cols: slice) -> Dict[str, float]:
+    """The largest error of each boson identity over the chain states of
+    ``chain_batch(n, length, cols)``: the ladder errors of
+    ``boson.chain_shift_check``, then the number operator's (eigenvalue 1/2
+    for n >= 1, kernel at n = 0) and the commutator's on the kernel level."""
+    errors = dict(bo.chain_shift_check(n, length, cols)["errors"])
+    st = chain_batch(n, length, cols)
+    number = bo.CREATION.apply_batch(bo.ANNIHILATION.apply_batch(st))
+    if n >= 1:
+        errors["number"] = _col_dist(number, 0.5 * st).max()
+    else:
+        errors["kernel"] = _col_dist(number, 0.0).max()
+        errors["ccr"] = _col_dist(bo.CCR_DEFECT.apply_batch(st), 0.5 * st).max()
+    return errors
 
 
 def run_fermion(d: int, seed: int) -> List[Check]:
@@ -739,23 +733,19 @@ def run_wold(depth: int, seed: int) -> List[Check]:
     worst_gram = 0.0
     for d in range(1, depth + 1):
         family = wold_family(d)
-        worst_count = max(worst_count, abs(len(family) - (1 << d)))
-        worst_gram = max(worst_gram, _gram_deviation(family, d))
+        worst_count = max(worst_count, abs(family.shape[1] - (1 << d)))
+        worst_gram = max(worst_gram, float(np.max(np.abs(family.T @ family - np.eye(family.shape[1])))))
     rec.close_to("count", "the chain family restricted to depth d has exactly 2**d members", "wold-basis", float(worst_count), 0.0, 0.0)
     rec.close_to("gram", "the chain family is orthonormal at every depth", "wold-basis", worst_gram, 0.0, TOL_EXACT)
     return rec.checks
 
 
-def wold_family(d: int) -> List[DyadicFunction]:
-    """The constant plus every chain state that fits inside the depth-d space."""
-    family = [constant(1.0)]
-    for n in range(0, d):
-        family.append(state_n(n))
-    for ell in range(0, max(d - 1, 0)):
-        for w in all_words(ell):
-            for n in range(0, d - 1 - ell):
-                family.append(state_nw(n, w))
-    return family
+def wold_family(d: int) -> np.ndarray:
+    """The depth-d orthonormal coordinates of the constant and of every chain
+    state that fits inside the depth-d space, one member per column."""
+    groups = [np.ones((1, 1))] + [chain_batch(n, None) for n in range(0, d)]
+    groups += [chain_batch(n, ell) for ell in range(0, max(d - 1, 0)) for n in range(0, d - 1 - ell)]
+    return np.concatenate([_refine_rows(g, d) for g in groups], axis=1) * 2.0 ** (-d / 2.0)
 
 
 # Each suite takes (depth, seed): the depth from suite_depth, None for a suite

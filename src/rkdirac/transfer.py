@@ -49,7 +49,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -372,6 +372,7 @@ class Sum(OperatorSpec):
     def __init__(self, ops: Sequence[OperatorSpec], weights: Sequence[float] = ()):
         ops = tuple(ops)
         weights = tuple(float(x) for x in weights) if weights else (1.0,) * len(ops)
+        require_finite(weights, "sum weight")
         if len(weights) != len(ops):
             raise ValueError("one weight per operator required")
         object.__setattr__(self, "ops", ops)
@@ -397,15 +398,8 @@ class Sum(OperatorSpec):
         return Sum(tuple(op.adjoint() for op in self.ops), self.weights)
 
     def _normal_form(self):
-        terms: List[Term] = []
-        rank_one: List[Tuple[np.ndarray, np.ndarray]] = []
-        for w, op in zip(self.weights, self.ops):
-            form = op.normal_form
-            if form is None:
-                return None
-            terms += [_term(w * g, a, b, h) for g, a, b, h in form.terms]
-            rank_one += [(w * u, v) for u, v in form.rank_one]
-        return NormalForm(_merged(terms), tuple(rank_one))
+        forms = [op.normal_form for op in self.ops]
+        return None if None in forms else _sum_form(self.weights, forms)
 
     def describe(self):
         terms = " + ".join(f"{w:g}*{op.describe()}" for w, op in zip(self.weights, self.ops))
@@ -447,17 +441,31 @@ def scaled(op: OperatorSpec, weight: float) -> Sum:
     return Sum((op,), (weight,))
 
 
-def commutator_with_K(a: OperatorSpec) -> Sum:
+class Commutator(Sum):
+    """S A - A S for S the Koopman or the transfer operator, as the Sum spec of
+    the two compositions; its normal form is derived from A's own, with no
+    forms of the compositions."""
+
+    def __init__(self, s: OperatorSpec, a: OperatorSpec):
+        super().__init__((Compose((s, a)), Compose((a, s))), (1.0, -1.0))
+
+    def _normal_form(self):
+        s, a = self.ops[0].ops
+        form = a.normal_form
+        return None if form is None else _sum_form(self.weights, (s.normal_form.after(form), form.after(s.normal_form)))
+
+
+def commutator_with_K(a: OperatorSpec) -> Commutator:
     """K A - A K, as a lazily applied spec (depth d -> d + 1 for square A)."""
-    return Sum((Compose((Koopman(), a)), Compose((a, Koopman()))), (1.0, -1.0))
+    return Commutator(Koopman(), a)
 
 
-def commutator_with_L(a: OperatorSpec) -> Sum:
+def commutator_with_L(a: OperatorSpec) -> Commutator:
     """L A - A L, as a lazily applied spec."""
-    return Sum((Compose((Ruelle(), a)), Compose((a, Ruelle()))), (1.0, -1.0))
+    return Commutator(Ruelle(), a)
 
 
-def dirac_blocks(a: OperatorSpec) -> Tuple[Sum, Sum]:
+def dirac_blocks(a: OperatorSpec) -> Tuple[Commutator, Commutator]:
     """The two off-diagonal blocks (K A - A K, L A - A L) of the Dirac commutator."""
     return commutator_with_K(a), commutator_with_L(a)
 
@@ -545,6 +553,16 @@ def _merged(terms: Sequence[Term]) -> Tuple[Term, ...]:
             g0, _, _, h0 = out[i]
             out[i] = (_add_rows(g0, g), a, b, h0) if b == 0 else (g0, a, b, _add_rows(h0, h))
     return tuple(out)
+
+
+def _sum_form(weights: Sequence[float], forms: Sequence["NormalForm"]) -> "NormalForm":
+    """The form of the weighted sum of operators with the given forms."""
+    terms: List[Term] = []
+    rank_one: List[Tuple[np.ndarray, np.ndarray]] = []
+    for w, form in zip(weights, forms):
+        terms += [_term(w * g, a, b, h) for g, a, b, h in form.terms]
+        rank_one += [(w * u, v) for u, v in form.rank_one]
+    return NormalForm(_merged(terms), tuple(rank_one))
 
 
 def _mean_onto(z: np.ndarray, d: int) -> np.ndarray:
@@ -725,18 +743,24 @@ class BoundOperator:
         return _refine_rows(_mean_onto(z, self.in_depth), self.in_depth)
 
 
+def column_chunks(cols: int, width: int) -> Iterator[slice]:
+    """Slices that split ``cols`` columns into chunks of about CHUNK_BYTES each
+    at ``width`` rows, the most rows any array a chunk passes through has."""
+    step = max(1, CHUNK_BYTES // (8 * width))
+    return (slice(j, min(j + step, cols)) for j in range(0, cols, step))
+
+
 def apply_to_identity(fn: Callable[[np.ndarray], np.ndarray], shape: Tuple[int, int], width: int) -> np.ndarray:
     """The matrix of a batched linear map of the given shape, built from identity
-    column chunks; ``width`` is the most rows any array inside ``fn`` has, and
-    each chunk takes about CHUNK_BYTES at that width."""
+    column chunks (``column_chunks`` at ``width``, the most rows any array
+    inside ``fn`` has)."""
     rows, cols = shape
     out = np.empty((rows, cols))
-    step = max(1, CHUNK_BYTES // (8 * width))
-    for j in range(0, cols, step):
-        k = min(step, cols - j)
+    for chunk in column_chunks(cols, width):
+        k = chunk.stop - chunk.start
         eye = np.zeros((cols, k))
-        eye[np.arange(j, j + k), np.arange(k)] = 1.0
-        out[:, j : j + k] = fn(eye)
+        eye[np.arange(chunk.start, chunk.stop), np.arange(k)] = 1.0
+        out[:, chunk] = fn(eye)
     return out
 
 

@@ -329,10 +329,9 @@ def test_criterion_09_chain_family_completeness():
     tol = 1e-12
     worst = 0.0
     for d in range(1, 9):
-        family = wold_family(d)
-        assert len(family) == 1 << d, f"depth {d}: {len(family)} members"
-        mat = np.stack([tr.coords(f, d) for f in family])
-        worst = max(worst, float(np.max(np.abs(mat @ mat.T - np.eye(len(family))))))
+        family = wold_family(d)  # orthonormal coordinates, one member per column
+        assert family.shape == (1 << d, 1 << d), f"depth {d}: {family.shape[1]} members"
+        worst = max(worst, float(np.max(np.abs(family.T @ family - np.eye(family.shape[1])))))
     _line(
         9,
         "chain-family completeness at every depth",

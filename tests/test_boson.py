@@ -133,9 +133,14 @@ class TestAnticommutator:
             assert l2_dist(car_anticommutator(st), 0.5 * st) < 1e-12
 
 
+def one_word(word):
+    """The (length, column slice) of a single word's column in its chain batch."""
+    return word.length, slice(word.bits, word.bits + 1)
+
+
 class TestChainShiftCheck:
     def test_interior_level(self):
-        report = chain_shift_check(2, w("0"))
+        report = chain_shift_check(2, *one_word(w("0")))
         assert set(report["errors"]) == {"raise", "lower", "power"}
         assert max(report["errors"].values()) <= 1e-12
 
@@ -145,10 +150,36 @@ class TestChainShiftCheck:
         assert "lower" not in report["errors"]  # nothing below the vacuum
 
     def test_empty_word_chain(self):
-        report = chain_shift_check(3, EPSILON)
+        report = chain_shift_check(3, *one_word(EPSILON))
         assert max(report["errors"].values()) <= 1e-12
 
     def test_kernel_level_of_word_chain_checks_annihilation(self):
-        report = chain_shift_check(0, w("10"))
+        report = chain_shift_check(0, *one_word(w("10")))
         assert max(report["errors"].values()) <= 1e-12
         assert report["errors"]["lower"] < 1e-12
+
+    @pytest.mark.parametrize("length", [None, 0, 1, 2, 3])
+    def test_a_whole_batch_is_the_worst_of_its_columns(self, length):
+        for n in range(5):
+            batch = chain_shift_check(n, length)["errors"]
+            words = [None] if length is None else list(all_words(length))
+            columns = [chain_shift_check(n, *((None, slice(None)) if u is None else one_word(u)))["errors"] for u in words]
+            assert batch == {key: max(c[key] for c in columns) for key in batch}
+            assert max(batch.values()) <= 1e-12
+
+    def test_a_column_slice_reads_only_its_words(self, monkeypatch):
+        # a wrong state in column 3 of the length-2 batch shows in every slice
+        # that holds it, and in no other
+        from rkdirac import boson
+
+        build = boson.chain_batch
+
+        def broken(n, length, cols=slice(None)):
+            x = build(n, length, slice(None)).copy()
+            x[:, 3] *= 1.5 if n == 2 else 1.0
+            return x[:, cols]
+
+        monkeypatch.setattr(boson, "chain_batch", broken)
+        assert chain_shift_check(2, 2)["errors"]["raise"] > 0.1
+        assert chain_shift_check(2, 2, slice(3, 4))["errors"]["raise"] > 0.1
+        assert chain_shift_check(2, 2, slice(0, 3))["errors"]["raise"] <= 1e-12

@@ -3,6 +3,7 @@ import json
 import math
 import time
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -158,6 +159,10 @@ MALFORMED = [
     ("operator", {"kind": "compose", "ops": {"kind": 1}}),
     ("operator", {"kind": "mult", "f": "psi.json"}),
     ("operator", {"kind": "condexp", "n": 2.9}),
+    ("operator", {"kind": "mult"}),
+    ("operator", {"kind": "adjoint", "op": {"kind": "proj"}}),
+    ("operator", {"kind": "sum", "ops": [{"kind": "ruelle"}], "weights": [1e400]}),
+    ("operator", {"kind": "sum", "ops": [{"kind": "ruelle"}], "weights": [math.nan]}),
     ("family", {"operators": 3}),
     ("family", {}),
 ]
@@ -174,13 +179,40 @@ def test_a_malformed_document_exits_2_with_one_error_line(tmp_path, capsys, monk
         "operator": ["norm", "--operator", "doc.json"],
         "family": ["connes", "--eta", "psi.json", "--xi", "psi.json", "--family", "doc.json"],
     }[role]
-    code = main(argv)  # an exception escaping main fails the test
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a warning escapes main as an exception
+        code = main(argv)  # an exception escaping main fails the test
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: "), captured.err
     if role == "family":
         assert "'operators' list" in lines[0]
+
+
+@pytest.mark.parametrize(
+    "doc, kind, field",
+    [
+        ({"kind": "mult"}, "mult", "f"),
+        ({"kind": "proj"}, "proj", "psi"),
+        ({"kind": "haar_proj"}, "haar_proj", "w"),
+        ({"kind": "condexp"}, "condexp", "n"),
+        ({"kind": "adjoint"}, "adjoint", "op"),
+        ({"kind": "compose"}, "compose", "ops"),
+        ({"kind": "sum", "weights": [1.0]}, "sum", "ops"),
+        ({"kind": "compose", "ops": [{"kind": "ruelle"}, {"kind": "mult"}]}, "mult", "f"),
+    ],
+)
+def test_a_missing_field_names_the_kind_and_the_field(doc, kind, field):
+    with pytest.raises(ValueError, match=f"^operator kind '{kind}' is missing the field '{field}'$"):
+        load_operator(doc)
+
+
+@pytest.mark.parametrize("weight", [1e400, -1e400, math.nan])
+def test_a_non_finite_weight_is_refused_before_any_arithmetic(weight):
+    doc = json.loads(json.dumps({"kind": "sum", "ops": [{"kind": "ruelle"}, {"kind": "koopman"}], "weights": [1.0, weight]}))
+    with np.errstate(all="raise"), pytest.raises(ValueError, match="sum weight values must be finite"):
+        load_operator(doc)
 
 
 class TestVerifyCommand:

@@ -284,8 +284,8 @@ class TestLipschitzCertify:
     def test_builds_the_block_pair_and_derives_its_forms_once(self, monkeypatch):
         from rkdirac import dirac, transfer
 
-        calls = {"blocks": 0, "forms": 0}
-        blocks, derive = transfer.dirac_blocks, transfer.Sum._normal_form
+        calls = {"blocks": 0, "forms": 0, "compositions": 0}
+        blocks, derive, compose = transfer.dirac_blocks, transfer.Commutator._normal_form, transfer.Compose._normal_form
 
         def counting_blocks(a):
             calls["blocks"] += 1
@@ -295,12 +295,19 @@ class TestLipschitzCertify:
             calls["forms"] += 1
             return derive(self)
 
+        def counting_compose(self):
+            calls["compositions"] += 1
+            return compose(self)
+
         monkeypatch.setattr(dirac, "dirac_blocks", counting_blocks)
-        monkeypatch.setattr(transfer.Sum, "_normal_form", counting_derive)
+        monkeypatch.setattr(transfer.Commutator, "_normal_form", counting_derive)
+        monkeypatch.setattr(transfer.Compose, "_normal_form", counting_compose)
         cert = lipschitz_certify(Mult(random_function(4, 3)))
-        # each block of the pair is a Sum: its form gives the core depth and
-        # is reused by the exact solve, one Sum._normal_form per block
-        assert calls == {"blocks": 1, "forms": 2}
+        # each block of the pair is a Commutator: its form gives the core depth
+        # and is reused by the exact solve, one Commutator._normal_form per
+        # block, derived from the multiplier's own form and not from the forms
+        # of the block's two compositions
+        assert calls == {"blocks": 1, "forms": 2, "compositions": 0}
         assert (cert["core_depth"], cert["computed_at"]) == (4, 4)
         assert cert["upper"]["method"] == cert["lower"]["method"] == "exact-diagonal"
 

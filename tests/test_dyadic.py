@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from rkdirac.dyadic import (
     CONSTRAINTS,
+    chain_batch,
     DyadicFunction,
     SQRT2,
     constant,
@@ -287,6 +288,42 @@ class TestChainStates:
     def test_cap(self):
         with pytest.raises(ValueError):
             state_n(21)
+
+
+class TestChainBatch:
+    @pytest.mark.parametrize("n", range(6))
+    def test_every_column_is_the_state_of_its_word(self, n):
+        assert np.array_equal(chain_batch(n, None)[:, 0], state_n(n).values)
+        for length in range(6):
+            batch = chain_batch(n, length)
+            assert batch.shape == (1 << (n + length + 2), 1 << length)
+            for u in all_words(length):
+                assert np.array_equal(batch[:, u.bits], state_nw(n, u).values)
+
+    def test_a_column_slice_is_those_columns(self):
+        full = chain_batch(3, 3)
+        for cols in (slice(0, 1), slice(2, 5), slice(5, 8), slice(None)):
+            assert np.array_equal(chain_batch(3, 3, cols), full[:, cols])
+
+    @pytest.mark.parametrize("n", range(4))
+    def test_columns_are_the_haar_sums(self, n):
+        # 2**(-(n+1)/2) * (sum e_{u0w} - sum e_{u1w}) over the length-n words u
+        for length in range(4):
+            batch = chain_batch(n, length)
+            for u in all_words(length):
+                expected = constant(0.0)
+                for v in all_words(n):
+                    expected = expected + haar_function(Word(n + 1 + length, (v.bits << (length + 1)) | u.bits))
+                    expected = expected - haar_function(Word(n + 1 + length, (((v.bits << 1) | 1) << length) | u.bits))
+                assert is_close(DyadicFunction(n + length + 2, batch[:, u.bits]), 2.0 ** (-(n + 1) / 2) * expected, atol=1e-12)
+
+    def test_caps(self):
+        with pytest.raises(ValueError, match="chain level 21"):
+            chain_batch(21, None)
+        with pytest.raises(ValueError, match="chain level must be >= 0"):
+            chain_batch(-1, 2)
+        with pytest.raises(ValueError, match="depth cap"):
+            chain_batch(20, 3)
 
 
 class TestWoldCompleteness:

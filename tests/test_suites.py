@@ -1,10 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from rkdirac import formulas as fo
 from rkdirac import suites, transfer as tr
 from rkdirac.dyadic import constant, haar_function, inner, normalized, random_batch, random_function, refine
-from rkdirac.words import EPSILON, all_words, shift, words_up_to
+from rkdirac.words import EPSILON, all_words, index_word, shift, words_up_to
 
 
 def case_table_error_loop(min_len: int, max_len: int) -> float:
@@ -114,25 +116,71 @@ class TestSuiteDepth:
         assert suites.suite_depth("dirac-mult", 5) is None
 
 
+def boson_loop(d, seed, n_max, w_max_len):
+    """Reference: the boson suite's values checked one chain state at a time."""
+    from rkdirac import boson as bo
+    from rkdirac.dyadic import l2_dist, l2_norm, state_n, state_nw
+
+    def shift_errors(n, w):
+        state = state_nw(n, w)
+        errors = {"raise": l2_dist(bo.creation(state), bo.SCALE * state_nw(n + 1, w))}
+        if n >= 1:
+            errors["lower"] = l2_dist(bo.annihilation(state), bo.SCALE * state_nw(n - 1, w))
+        elif w is not None:
+            errors["lower"] = l2_dist(bo.annihilation(state), 0.0 * state)
+        powered = state_nw(0, w)
+        for _ in range(n):
+            powered = bo.creation(powered)
+        errors["power"] = l2_dist(powered, 2.0 ** (-n / 2.0) * state)
+        return errors
+
+    words = [None, EPSILON] + list(words_up_to(w_max_len))
+    worst = dict.fromkeys(("ladder-raise", "ladder-lower", "ladder-power", "number-eigenvalue", "number-kernel"), 0.0)
+    for w in words:
+        for n in range(0, n_max + 1):
+            errors = shift_errors(n, w)
+            worst["ladder-raise"] = max(worst["ladder-raise"], errors["raise"])
+            worst["ladder-lower"] = max(worst["ladder-lower"], errors.get("lower", 0.0))
+            worst["ladder-power"] = max(worst["ladder-power"], errors["power"])
+    for w in words:
+        for n in range(1, n_max + 1):
+            st = state_nw(n, w)
+            worst["number-eigenvalue"] = max(worst["number-eigenvalue"], l2_dist(bo.number_apply(st), 0.5 * st))
+        worst["number-kernel"] = max(worst["number-kernel"], l2_norm(bo.number_apply(state_nw(0, w))))
+    f = random_batch(seed, d, 100)
+    ccr = suites._col_dist(bo.CCR_DEFECT.apply_batch(f), 0.5 * tr.KernelProj().apply_batch(f)).max()
+    for w in words:
+        st0 = state_nw(0, w)
+        ccr = max(ccr, l2_dist(bo.ccr_defect(st0), 0.5 * st0))
+    worst["ccr-kernel-projection"] = ccr
+    worst["ccr-vacuum-scale"] = inner(bo.ccr_defect(state_n(0)), state_n(0))
+    return worst
+
+
 class TestBosonGrid:
     @staticmethod
     def _stub_states(monkeypatch):
-        """Record the chain_shift_check calls; stub the states so a deep grid costs nothing."""
+        """Record the (n, w) pairs that chain_shift_check is called on; stub the
+        states so a deep grid costs nothing."""
         calls = []
 
-        def check(n, w):
-            calls.append((n, w))
+        def check(n, length, cols=slice(None)):
+            indices = [None] if length is None else range(1 << length)[cols]
+            calls.extend((n, None if i is None else index_word(length, i)) for i in indices)
             return {"errors": {"raise": 0.0, "lower": 0.0, "power": 0.0}}
 
+        def states(n, length, cols=slice(None)):
+            return np.zeros((1, 1 if length is None else len(range(1 << length)[cols])))
+
         monkeypatch.setattr(suites.bo, "chain_shift_check", check)
-        monkeypatch.setattr(suites, "state_nw", lambda n, w: constant(0.0))
+        monkeypatch.setattr(suites, "chain_batch", states)
         return calls
 
     def test_every_pair_of_the_grid_is_checked(self, monkeypatch):
         calls = self._stub_states(monkeypatch)
         assert all(c.status != "fail" for c in suites.run_boson(3, 0, n_max=16, w_max_len=2))
         words = [None, EPSILON] + list(words_up_to(2))
-        assert calls == [(n, w) for w in words for n in range(17)]
+        assert sorted(calls, key=repr) == sorted([(n, w) for w in words for n in range(17)], key=repr)
         assert len(calls) == 8 * 17
 
     @pytest.mark.parametrize("n_max, w_max_len", [(19, 2), (17, 4), (1, 0)])
@@ -148,6 +196,44 @@ class TestBosonGrid:
             suites.run_boson(3, 0, n_max=n_max, w_max_len=w_max_len)
         assert calls == []
 
+    @pytest.mark.parametrize("n_max, w_max_len", [(4, 3), (6, 2), (1, 0)])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_batched_values_equal_the_per_state_loop(self, n_max, w_max_len, seed):
+        got = {c.id.split(".", 1)[1]: c.value for c in suites.run_boson(8, seed, n_max=n_max, w_max_len=w_max_len)}
+        assert got == boson_loop(8, seed, n_max, w_max_len)
+
+    def test_deep_states_go_through_in_chunks(self, monkeypatch):
+        # at n = 12 the raised states of length-4 words have 2**19 rows: one
+        # column per chunk; the shallow groups keep every word in one chunk
+        widths = []
+        chunks = tr.column_chunks
+
+        def recording(cols, width):
+            out = list(chunks(cols, width))
+            widths.append((cols, width, [c.stop - c.start for c in out]))
+            return out
+
+        monkeypatch.setattr(tr, "column_chunks", recording)
+        assert all(c.status != "fail" for c in suites.run_boson(3, 0, n_max=12, w_max_len=4))
+        for cols, width, sizes in widths:
+            assert sum(sizes) == cols
+            assert max(sizes) == max(1, min(cols, tr.CHUNK_BYTES // (8 * width)))
+        assert (16, 1 << 19, [1] * 16) in widths
+        assert (16, 1 << 7, [16]) in widths
+
+    @pytest.mark.parametrize("n_max, w_max_len", [(15, 2), (8, 6)])
+    def test_peak_memory_stays_near_the_per_state_loop(self, n_max, w_max_len):
+        peaks = []
+        for run in (boson_loop, lambda *args: suites.run_boson(*args[:2], n_max=args[2], w_max_len=args[3])):
+            tracemalloc.start()
+            try:
+                run(3, 0, n_max, w_max_len)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        loop, batched = peaks
+        assert batched <= 1.25 * loop, (loop, batched)
+
 
 # The checks that judge a whole batch of random functions at once.
 BATCHED_CHECKS = {
@@ -155,7 +241,7 @@ BATCHED_CHECKS = {
         "left-inverse", "adjoint", "koopman-isometry", "condexp-idempotent",
         "kernel-projection-range", "kernel-projection-idempotent", "commutator-identity",
     ),
-    "boson": ("ccr-kernel-projection",),
+    "boson": ("ladder-raise", "ladder-lower", "ladder-power", "number-eigenvalue", "ccr-kernel-projection"),
     "fermion": ("car-invariant-subspace", "car-integral"),
     "dirac-condexp": ("fixed-subspace",),
 }

@@ -304,6 +304,11 @@ class TestCommutatorSpecs:
         with pytest.raises(ValueError):
             Sum((Koopman(),), (1.0, 2.0))
 
+    @pytest.mark.parametrize("weight", [float("inf"), -float("inf"), float("nan"), 1e400])
+    def test_a_non_finite_sum_weight_is_refused_when_the_sum_is_built(self, weight):
+        with np.errstate(all="raise"), pytest.raises(ValueError, match="sum weight values must be finite"):
+            Sum((Koopman(), Ruelle()), (1.0, weight))
+
 
 class TestOneApplyPath:
     # OperatorSpec.apply is defined once, over apply_batch; each leaf's free
@@ -364,6 +369,32 @@ def _specs():
         ),
         max_leaves=6,
     )
+
+
+class TestCommutator:
+    @settings(max_examples=100, deadline=None)
+    @given(_specs())
+    def test_its_form_is_that_of_the_sum_of_its_compositions(self, a):
+        # the form derived from A's own is the generic Sum's, array for array
+        for s, block in ((Koopman(), commutator_with_K(a)), (Ruelle(), commutator_with_L(a))):
+            assert block.ops[0].ops == (s, a)
+            generic = Sum(block.ops, block.weights).normal_form
+            form = block.normal_form
+            if generic is None:
+                assert form is None
+                continue
+            assert len(form.terms) == len(generic.terms) and len(form.rank_one) == len(generic.rank_one)
+            for t, u in zip(form.terms, generic.terms):
+                assert t[1:3] == u[1:3]
+                np.testing.assert_array_equal(t[0], u[0])
+                np.testing.assert_array_equal(t[3], u[3])
+            for t, u in zip(form.rank_one, generic.rank_one):
+                np.testing.assert_array_equal(t[0], u[0])
+                np.testing.assert_array_equal(t[1], u[1])
+
+    def test_a_form_past_the_depth_cap_is_none(self):
+        a = Compose((Mult(random_function(0, 10)),) + (Ruelle(),) * 15)
+        assert all(block.normal_form is None for block in (commutator_with_K(a), commutator_with_L(a)))
 
 
 class TestBatchedAssemble:
