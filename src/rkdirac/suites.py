@@ -355,7 +355,7 @@ def run_boson(d: int, seed: int, n_max: int = N_MAX, w_max_len: int = W_MAX_LEN,
     for length in [None] + list(range(w_max_len + 1)):
         words = 1 if length is None else 1 << length
         for n in range(0, n_max + 1):
-            depth = n + 2 + (-1 if length is None else length)
+            depth = n + 1 if length is None else n + length + 2  # the states' depth
             for cols in tr.column_chunks(words, 1 << (depth + 1)):
                 for key, err in _chain_errors(n, length, cols).items():
                     worst[key] = max(worst[key], err)

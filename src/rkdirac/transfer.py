@@ -41,7 +41,8 @@ norm engine reads exact norms off it (``NormalForm.exact_norm``): a
 multiplier block's Gram is itself a multiplier, and a projection block has
 rank two.  ``pair_core_depth`` reads the depth from which a block pair's
 norm is fixed off it too, from the shift and the function depths of its
-terms (``NormalForm.core_depth``).
+terms (``NormalForm.core_depth``).  A Dirac block, a :class:`Commutator`,
+derives its form from its operator's own, not from its two compositions.
 """
 
 from __future__ import annotations

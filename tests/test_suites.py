@@ -3,9 +3,23 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from rkdirac import boson as bo
 from rkdirac import formulas as fo
 from rkdirac import suites, transfer as tr
-from rkdirac.dyadic import constant, haar_function, inner, normalized, random_batch, random_function, refine
+from rkdirac.dyadic import (
+    _col_dist,
+    constant,
+    haar_function,
+    inner,
+    l2_dist,
+    l2_norm,
+    normalized,
+    random_batch,
+    random_function,
+    refine,
+    state_n,
+    state_nw,
+)
 from rkdirac.words import EPSILON, all_words, index_word, shift, words_up_to
 
 
@@ -118,8 +132,6 @@ class TestSuiteDepth:
 
 def boson_loop(d, seed, n_max, w_max_len):
     """Reference: the boson suite's values checked one chain state at a time."""
-    from rkdirac import boson as bo
-    from rkdirac.dyadic import l2_dist, l2_norm, state_n, state_nw
 
     def shift_errors(n, w):
         state = state_nw(n, w)
@@ -148,7 +160,7 @@ def boson_loop(d, seed, n_max, w_max_len):
             worst["number-eigenvalue"] = max(worst["number-eigenvalue"], l2_dist(bo.number_apply(st), 0.5 * st))
         worst["number-kernel"] = max(worst["number-kernel"], l2_norm(bo.number_apply(state_nw(0, w))))
     f = random_batch(seed, d, 100)
-    ccr = suites._col_dist(bo.CCR_DEFECT.apply_batch(f), 0.5 * tr.KernelProj().apply_batch(f)).max()
+    ccr = _col_dist(bo.CCR_DEFECT.apply_batch(f), 0.5 * tr.KernelProj().apply_batch(f)).max()
     for w in words:
         st0 = state_nw(0, w)
         ccr = max(ccr, l2_dist(bo.ccr_defect(st0), 0.5 * st0))
@@ -224,7 +236,7 @@ class TestBosonGrid:
     @pytest.mark.parametrize("n_max, w_max_len", [(15, 2), (8, 6)])
     def test_peak_memory_stays_near_the_per_state_loop(self, n_max, w_max_len):
         peaks = []
-        for run in (boson_loop, lambda *args: suites.run_boson(*args[:2], n_max=args[2], w_max_len=args[3])):
+        for run in (boson_loop, lambda d, seed, n, w: suites.run_boson(d, seed, n_max=n, w_max_len=w)):
             tracemalloc.start()
             try:
                 run(3, 0, n_max, w_max_len)
