@@ -14,28 +14,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
-import numpy as np
-
 from . import spectra
 from .dyadic import DyadicFunction, inner, require_unit
-from .transfer import BoundOperator, Koopman, OperatorSpec, Ruelle, assemble, dirac_blocks, pair_core_depth
+from .transfer import BoundOperator, OperatorSpec, dirac_blocks, pair_core_depth
 
 
 # The (upper, lower) = (K A - A K, L A - A L) block pair, under its older
 # name, kept because bench/test_bench.py imports it.
 dirac_commutator = dirac_blocks
-
-
-def dirac_matrix(depth: int) -> np.ndarray:
-    """The Dirac operator itself, assembled on the doubled depth space."""
-    mk = assemble(Koopman(), depth).matrix
-    ml = assemble(Ruelle(), depth).matrix
-    n = 1 << depth
-    rows = mk.shape[0] + ml.shape[0]
-    out = np.zeros((rows, 2 * n))
-    out[: mk.shape[0], n:] = mk
-    out[mk.shape[0] :, :n] = ml
-    return out
 
 
 def block_norms(b: Tuple[OperatorSpec, OperatorSpec], depth: int) -> Tuple[float, float]:

@@ -17,6 +17,9 @@ Operator values carry a "kind" tag::
     {"kind": "haar_proj", "w": "011"} | {"kind": "condexp", "n": 2}
     {"kind": "kernel_proj"} | {"kind": "adjoint", "op": <operator>}
     {"kind": "compose", "ops": [...]} | {"kind": "sum", "ops": [...], "weights": [...]}
+
+"condexp" and "kernel_proj" load as the composition K^n L^n and the sum
+I - K L, so ``operator_to_json`` writes them back as "compose" and "sum".
 """
 
 from __future__ import annotations
@@ -115,10 +118,6 @@ def operator_to_json(op: OperatorSpec) -> dict:
         return {"kind": "mult", "f": function_to_json(op.f)}
     if isinstance(op, Proj):
         return {"kind": "proj", "psi": function_to_json(op.psi)}
-    if isinstance(op, CondExp):
-        return {"kind": "condexp", "n": op.n}
-    if isinstance(op, KernelProj):
-        return {"kind": "kernel_proj"}
     if isinstance(op, Adjoint):
         return {"kind": "adjoint", "op": operator_to_json(op.inner_op)}
     if isinstance(op, Compose):

@@ -41,6 +41,7 @@ from .dyadic import (
     random_batch,
     random_function,
     refine,
+    require_depth,
     state_n,
     state_nw,
     sup_norm,
@@ -71,6 +72,7 @@ def suite_depth(name: str, depth: int) -> Optional[int]:
         return None
     if depth < DEPTH_FLOOR:
         raise ValueError(f"suite {name!r} needs a depth of at least {DEPTH_FLOOR}, got {depth}")
+    require_depth(depth)
     return min(depth, DEPTH_CAP)
 
 
@@ -338,8 +340,10 @@ def run_boson(d: int, seed: int, n_max: int = N_MAX, w_max_len: int = W_MAX_LEN,
     """The ladder, number-operator and commutation checks on every chain state
     |n, w> with n <= n_max and len(w) <= w_max_len.  A grid with a state past
     the depth cap (raising |n, w> lands at depth n + len(w) + 3) or past the
-    chain-level cap (|n + 1> needs n + 1 <= MAX_CHAIN_LEVEL) is refused before
-    any work."""
+    chain-level cap (|n + 1> needs n + 1 <= MAX_CHAIN_LEVEL), or a tolerance
+    that is not finite and >= 0, is refused before any work."""
+    if not 0 <= tol < math.inf:  # also refuses nan
+        raise ValueError(f"boson tolerance {tol!r} must be finite and >= 0")
     if not (1 <= n_max <= MAX_CHAIN_LEVEL - 1 and 0 <= w_max_len and n_max + w_max_len + 3 <= MAX_DEPTH):
         raise ValueError(
             f"boson grid n_max={n_max}, w_max_len={w_max_len} outside 1 <= n_max <= {MAX_CHAIN_LEVEL - 1}, "
@@ -765,7 +769,7 @@ SUITES: Dict[str, Callable[[Optional[int], int], List[Check]]] = {
 
 def run_suite(name: str, depth: int = DEPTH_CAP, seed: int = 0) -> SuiteReport:
     if name != "all" and name not in SUITES:
-        raise KeyError(f"unknown suite {name!r}; available: {', '.join(sorted(SUITES))}, all")
+        raise ValueError(f"unknown suite {name!r}; available: {', '.join(sorted(SUITES))}, all")
     keys = sorted(SUITES) if name == "all" else [name]
     return run_suites(name, {key: SUITES[key] for key in keys}, depth, seed)
 

@@ -20,6 +20,11 @@ has the row count of the depth the kernel lands at.  The DyadicFunction
 functions (``ruelle_apply`` ... ``kernel_projection``) and the one
 ``OperatorSpec.apply`` are thin wrappers over these kernels.
 
+The conditional expectation and the kernel projection are built from the
+pair, not kept as spec classes: ``CondExp(n)`` is the composition K^n L^n
+and ``KernelProj()`` the sum I - K L = [L, K].  Their kernels, adjoints,
+output depths and normal forms are those of ``Compose`` and ``Sum``.
+
 Linear maps work in orthonormal coordinates: the depth-d coordinate vector of
 f is ``values(f) * 2**(-d/2)``, i.e. coefficients over the basis of
 normalized indicators ``2**(d/2) * chi_[w]``.  ``BoundOperator(op, d)`` is op
@@ -54,7 +59,7 @@ from typing import Callable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .dyadic import DyadicFunction, MAX_DEPTH, _add_rows, _inner_rows, _refine_rows, inner, refine, require_depth, require_finite, require_unit
+from .dyadic import DyadicFunction, MAX_DEPTH, _add_rows, _inner_rows, _refine_rows, refine, require_depth, require_finite, require_unit
 
 # One identity chunk, measured at the widest array it passes through.  Cache
 # sized, and small enough that its temporaries stay below glibc's mmap
@@ -91,19 +96,6 @@ def _koopman(x: np.ndarray) -> np.ndarray:
     return np.concatenate([x, x])
 
 
-def _condexp(n: int, x: np.ndarray) -> np.ndarray:
-    for _ in range(n):
-        x = _ruelle(x)
-    for _ in range(n):
-        x = _koopman(x)
-    return x
-
-
-def _kernel_proj(x: np.ndarray) -> np.ndarray:
-    y = _condexp(1, x)
-    return _refine_rows(x, _depth(y)) - y
-
-
 def _mult(f: np.ndarray, x: np.ndarray) -> np.ndarray:
     depth = max(_depth(f), _depth(x))
     return _rows(_refine_rows(f, depth), x) * _refine_rows(x, depth)
@@ -133,21 +125,14 @@ def koopman_apply(f: DyadicFunction) -> DyadicFunction:
     return _function(_koopman(f.values))
 
 
-def adjoint_check(f: DyadicFunction, g: DyadicFunction) -> Tuple[float, float]:
-    """Return (<Kf, g>, <f, Lg>); the two sides agree since K is the adjoint of L."""
-    return inner(koopman_apply(f), g), inner(f, ruelle_apply(g))
-
-
 def cond_expectation(n: int, f: DyadicFunction) -> DyadicFunction:
     """K^n L^n f: conditional expectation onto functions ignoring the first n symbols."""
-    if n < 1:
-        raise ValueError("conditional expectation order must be >= 1")
-    return _function(_condexp(n, f.values))
+    return CondExp(n).apply(f)
 
 
 def kernel_projection(f: DyadicFunction) -> DyadicFunction:
     """Orthogonal projection onto ker L, computed as f - K L f."""
-    return _function(_kernel_proj(f.values))
+    return KernelProj().apply(f)
 
 
 def mult_apply(f: DyadicFunction, g: DyadicFunction) -> DyadicFunction:
@@ -283,48 +268,6 @@ class Proj(OperatorSpec):
         return f"proj(depth={self.psi.depth})"
 
 
-@dataclass(frozen=True)
-class CondExp(OperatorSpec):
-    n: int
-
-    def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("conditional expectation order must be >= 1")
-
-    def apply_batch(self, x):
-        return _condexp(self.n, x)
-
-    def out_depth(self, d):
-        return max(d, self.n)
-
-    def adjoint(self):
-        return self
-
-    def _normal_form(self):
-        return NormalForm(((_ONE, self.n, self.n, _ONE),))
-
-    def describe(self):
-        return f"condexp({self.n})"
-
-
-@dataclass(frozen=True)
-class KernelProj(OperatorSpec):
-    def apply_batch(self, x):
-        return _kernel_proj(x)
-
-    def out_depth(self, d):
-        return max(d, 1)
-
-    def adjoint(self):
-        return self
-
-    def _normal_form(self):
-        return NormalForm(((_ONE, 0, 0, _ONE), (-_ONE, 1, 1, _ONE)))  # I - K L
-
-    def describe(self):
-        return "kernel_proj"
-
-
 @dataclass(frozen=True, eq=False)
 class Compose(OperatorSpec):
     """Composition, rightmost applied first; Compose(()) is the identity."""
@@ -440,6 +383,20 @@ def identity() -> Compose:
 
 def scaled(op: OperatorSpec, weight: float) -> Sum:
     return Sum((op,), (weight,))
+
+
+def CondExp(n: int) -> Compose:
+    """K^n L^n, the conditional expectation onto functions ignoring the first
+    n symbols; an order outside [1, MAX_DEPTH] is refused before the tuple is
+    built (K^n cannot be applied past MAX_DEPTH)."""
+    if not 1 <= n <= MAX_DEPTH:
+        raise ValueError(f"conditional expectation order {n} outside [1, {MAX_DEPTH}]")
+    return Compose((Koopman(),) * n + (Ruelle(),) * n)
+
+
+def KernelProj() -> Sum:
+    """I - K L = [L, K], the orthogonal projection onto ker L."""
+    return Sum((identity(), CondExp(1)), (1.0, -1.0))
 
 
 class Commutator(Sum):

@@ -384,7 +384,6 @@ def test_criterion_10_norm_engine_oracle_equivalence():
     for d in range(1, 9):
         worst_unit = max(worst_unit, abs(sp.operator_norm(tr.assemble(tr.Koopman(), d)).value - 1.0))
         worst_unit = max(worst_unit, abs(sp.operator_norm(tr.assemble(tr.Ruelle(), d)).value - 1.0))
-        worst_unit = max(worst_unit, abs(sp.operator_norm(di.dirac_matrix(d)).value - 1.0))
     ok = worst_pd <= 1e-10 and worst_unit <= 1e-10
     _line(
         10,

@@ -18,7 +18,19 @@ from rkdirac.io import (
 from rkdirac.dyadic import haar_function, is_close, l2_dist, random_function
 from rkdirac.spectra import block_pair_norm
 from rkdirac.suites import SuiteReport, Check, run_suite
-from rkdirac.transfer import CondExp, Compose, Koopman, Mult, Proj, Ruelle, Sum, dirac_blocks
+from rkdirac.transfer import (
+    CondExp,
+    Compose,
+    KernelProj,
+    Koopman,
+    Mult,
+    Proj,
+    Ruelle,
+    Sum,
+    dirac_blocks,
+    koopman_apply,
+    ruelle_apply,
+)
 from rkdirac.words import Word
 
 
@@ -98,7 +110,11 @@ class TestNumbersAreNotTruncated:
     @pytest.mark.parametrize("value", [3, 3.0, "3"])
     def test_integral_depth_and_order_load(self, value):
         assert load_function({"depth": value, "values": [0.0] * 8}).depth == 3
-        assert load_operator({"kind": "condexp", "n": value}).n == 3
+        f = random_function(0, 5)
+        want = f
+        for step in (ruelle_apply,) * 3 + (koopman_apply,) * 3:
+            want = step(want)
+        np.testing.assert_array_equal(load_operator({"kind": "condexp", "n": value}).apply(f).values, want.values)
 
     @pytest.mark.parametrize("value", [1.7, True, float("inf")], ids=["1.7", "true", "inf"])
     def test_a_non_integral_depth_is_refused_quoting_it(self, value):
@@ -608,6 +624,27 @@ class TestConnesCommand:
         assert outputs[0] == outputs[1] == outputs[2]
         assert json.loads(outputs[0])["lower_bound"] == pytest.approx(1.0, abs=1e-12)
 
+    @pytest.mark.parametrize(
+        "spec, op, kind",
+        [({"kind": "condexp", "n": 1}, CondExp(1), "compose"), ({"kind": "kernel_proj"}, KernelProj(), "sum")],
+        ids=["condexp", "kernel_proj"],
+    )
+    def test_a_composed_witness_loads_back_and_applies_identically(self, tmp_path, capsys, spec, op, kind):
+        # <K L psi, psi> is 1/2 on the Haar element e_01 and 1 on the constant
+        eta, _ = self._states(tmp_path)
+        xi = tmp_path / "one.json"
+        xi.write_text(json.dumps({"depth": 0, "values": [1.0]}))
+        family = tmp_path / "family.json"
+        family.write_text(json.dumps({"operators": [spec]}))
+        assert main(["connes", "--eta", str(eta), "--xi", str(xi), "--family", str(family)]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out["lower_bound"] == pytest.approx(0.5, abs=1e-12)
+        assert out["witness_operator"]["kind"] == kind
+        reloaded = load_operator(out["witness_operator"])
+        assert reloaded.describe() == op.describe()
+        x = np.random.default_rng(0).standard_normal((32, 4))
+        assert np.array_equal(reloaded.apply_batch(x), op.apply_batch(x))
+
     def test_depth_is_not_an_option(self, tmp_path, capsys):
         eta, xi = self._states(tmp_path)
         family = tmp_path / "family.json"
@@ -645,6 +682,44 @@ class TestErrorBoundary:
         assert code == 2
         assert captured.err.startswith("error:") and "Traceback" not in captured.err
         assert captured.out == ""
+
+    def test_an_unknown_suite_is_named_without_quotes_around_the_line(self, capsys):
+        assert main(["verify", "--suite", "nope"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: unknown suite 'nope'; available: ") and err.count("\n") == 1
+        assert '"' not in err
+
+    def test_a_depth_past_the_cap_is_refused_before_any_suite_runs(self, capsys, monkeypatch):
+        from rkdirac import suites
+
+        ran = []
+        monkeypatch.setitem(suites.SUITES, "adjudication", lambda depth, seed: ran.append(seed) or [])
+        assert main(["verify", "--depth", "30"]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: depth 30 outside [0, 24]\n"
+        assert ran == []
+
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "-1"])
+    def test_a_boson_tolerance_not_finite_and_non_negative_is_refused_before_any_work(self, capsys, monkeypatch, tol):
+        from rkdirac import suites
+
+        monkeypatch.setattr(suites, "random_batch", lambda *a: pytest.fail("work started"))
+        assert main(["boson", "verify", f"--tol={tol}"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1
+        assert captured.err.startswith("error: boson tolerance ") and "must be finite and >= 0" in captured.err
+
+    def test_a_huge_condexp_order_is_refused_before_it_is_built(self, tmp_path, capsys):
+        spec = tmp_path / "condexp.json"
+        spec.write_text(json.dumps({"kind": "condexp", "n": 10**9}))
+        tracemalloc.start()
+        try:
+            code = main(["norm", "--operator", str(spec)])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 2 and peak < 1 << 20
+        assert capsys.readouterr().err == "error: conditional expectation order 1000000000 outside [1, 24]\n"
 
 
 class TestParserReuse:

@@ -14,7 +14,6 @@ from rkdirac.dirac import (
     connes_lower_bound,
     core_depth,
     dirac_commutator,
-    dirac_matrix,
     lipschitz_certify,
 )
 from rkdirac.dyadic import (
@@ -27,7 +26,6 @@ from rkdirac.dyadic import (
     random_function,
     state_nw,
 )
-from rkdirac.spectra import operator_norm
 from rkdirac.formulas import koopman_overlap
 from rkdirac.transfer import (
     Adjoint,
@@ -87,12 +85,6 @@ def _moved_projection(seed, k, step, times, after):
     p = Proj(random_function(seed, k, "unit-norm"))
     steps = (step,) * times
     return Compose(steps + (p,) if after else (p,) + steps)
-
-
-class TestDiracOperator:
-    @pytest.mark.parametrize("depth", range(1, 9))
-    def test_norm_is_one(self, depth):
-        assert operator_norm(dirac_matrix(depth)).value == pytest.approx(1.0, abs=1e-9)
 
 
 class TestDiracCommutator:

@@ -129,6 +129,12 @@ class TestSuiteDepth:
         assert suites.suite_depth("basis", 5) == 5
         assert suites.suite_depth("dirac-mult", 5) is None
 
+    def test_a_depth_past_the_cap_is_refused_by_the_suites_that_read_it(self):
+        assert suites.suite_depth("basis", 24) == suites.DEPTH_CAP
+        with pytest.raises(ValueError, match=r"depth 25 outside \[0, 24\]"):
+            suites.suite_depth("basis", 25)
+        assert suites.suite_depth("dirac-mult", 30) is None
+
 
 def boson_loop(d, seed, n_max, w_max_len):
     """Reference: the boson suite's values checked one chain state at a time."""

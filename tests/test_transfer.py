@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -29,7 +31,6 @@ from rkdirac.transfer import (
     Proj,
     Ruelle,
     Sum,
-    adjoint_check,
     apply_to_identity,
     assemble,
     commutator_with_K,
@@ -93,19 +94,21 @@ class TestKoopman:
 
 class TestAdjointPair:
     def test_basis_pair(self):
-        lhs, rhs = adjoint_check(haar_function(w("0")), haar_function(w("10")))
+        f, g = haar_function(w("0")), haar_function(w("10"))
+        lhs, rhs = inner(koopman_apply(f), g), inner(f, ruelle_apply(g))
         assert lhs == pytest.approx(1 / SQRT2, abs=1e-12)
         assert rhs == pytest.approx(1 / SQRT2, abs=1e-12)
 
     def test_constants(self):
-        assert adjoint_check(constant(1.0), constant(1.0)) == (1.0, 1.0)
+        one = constant(1.0)
+        assert (inner(koopman_apply(one), one), inner(one, ruelle_apply(one))) == (1.0, 1.0)
 
     @settings(max_examples=100, deadline=None)
     @given(st.integers(0, 10**9), st.integers(0, 10**9))
     def test_random_pairs(self, s1, s2):
         f = random_function(s1, 6)
         g = random_function(s2, 6)
-        lhs, rhs = adjoint_check(f, g)
+        lhs, rhs = inner(koopman_apply(f), g), inner(f, ruelle_apply(g))
         assert lhs == pytest.approx(rhs, abs=1e-12)
 
     def test_left_inverse(self):
@@ -342,6 +345,69 @@ class TestOperatorValidation:
             CondExp(0)
 
 
+def _condexp_loop(n, x):
+    """Reference: K^n L^n as the loop over the two kernels it once had."""
+    for _ in range(n):
+        x = transfer._ruelle(x)
+    for _ in range(n):
+        x = transfer._koopman(x)
+    return x
+
+
+def _kernel_proj_loop(x):
+    """Reference: I - K L as the one subtraction it once had."""
+    y = _condexp_loop(1, x)
+    return transfer._refine_rows(x, transfer._depth(y)) - y
+
+
+def _assert_form_equal(form, terms, rank_one=()):
+    """form has the given terms and rank-one pairs, array for array."""
+    assert len(form.terms) == len(terms) and len(form.rank_one) == len(rank_one)
+    for t, u in zip(form.terms, terms):
+        assert t[1:3] == u[1:3]
+        np.testing.assert_array_equal(t[0], u[0])
+        np.testing.assert_array_equal(t[3], u[3])
+    for t, u in zip(form.rank_one, rank_one):
+        np.testing.assert_array_equal(t[0], u[0])
+        np.testing.assert_array_equal(t[1], u[1])
+
+
+class TestBuiltFromThePair:
+    """CondExp(n) is the composition K^n L^n and KernelProj() the sum I - K L."""
+
+    @pytest.mark.parametrize("depth", range(9))
+    def test_kernels_equal_the_reference_loops_bit_for_bit(self, depth):
+        rng = np.random.default_rng(depth)
+        for x in (rng.standard_normal(1 << depth), rng.standard_normal((1 << depth, 7))):
+            for n in (1, 2, 3, 4):
+                assert np.array_equal(CondExp(n).apply_batch(x), _condexp_loop(n, x))
+                assert CondExp(n).out_depth(depth) == max(depth, n)
+            assert np.array_equal(KernelProj().apply_batch(x), _kernel_proj_loop(x))
+            assert KernelProj().out_depth(depth) == max(depth, 1)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_condexp_normal_form_is_one_term(self, n):
+        _assert_form_equal(CondExp(n).normal_form, [(np.ones(1), n, n, np.ones(1))])
+
+    def test_kernel_proj_normal_form_is_identity_minus_kl(self):
+        _assert_form_equal(KernelProj().normal_form, [(np.ones(1), 0, 0, np.ones(1)), (-np.ones(1), 1, 1, np.ones(1))])
+
+    def test_describe(self):
+        assert CondExp(2).describe() == "(koopman . koopman . ruelle . ruelle)"
+        assert KernelProj().describe() == "[1*identity + -1*(koopman . ruelle)]"
+
+    @pytest.mark.parametrize("n", [0, -1, 25, 10**9])
+    def test_an_order_outside_the_cap_is_refused_before_the_tuple_is_built(self, n):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=r"order -?\d+ outside \[1, 24\]"):
+                CondExp(n)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+
 def _leaf_specs():
     seeds = st.integers(0, 10**6)
     return st.one_of(
@@ -383,14 +449,7 @@ class TestCommutator:
             if generic is None:
                 assert form is None
                 continue
-            assert len(form.terms) == len(generic.terms) and len(form.rank_one) == len(generic.rank_one)
-            for t, u in zip(form.terms, generic.terms):
-                assert t[1:3] == u[1:3]
-                np.testing.assert_array_equal(t[0], u[0])
-                np.testing.assert_array_equal(t[3], u[3])
-            for t, u in zip(form.rank_one, generic.rank_one):
-                np.testing.assert_array_equal(t[0], u[0])
-                np.testing.assert_array_equal(t[1], u[1])
+            _assert_form_equal(form, generic.terms, generic.rank_one)
 
     def test_a_form_past_the_depth_cap_is_none(self):
         a = Compose((Mult(random_function(0, 10)),) + (Ruelle(),) * 15)
