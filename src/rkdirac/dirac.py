@@ -12,11 +12,11 @@ two block norms coincide whenever A is self-adjoint.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import spectra
 from .dyadic import DyadicFunction, inner, require_unit
-from .transfer import BoundOperator, OperatorSpec, dirac_blocks, pair_core_depth
+from .transfer import BoundOperator, Koopman, NormalForm, OperatorSpec, Ruelle, commutator_form, dirac_blocks, pair_core_depth
 
 
 # The (upper, lower) = (K A - A K, L A - A L) block pair, under its older
@@ -94,6 +94,46 @@ def commutator_norm(a: OperatorSpec, depth: Optional[int] = None, method: str = 
             BoundOperator(block, depth)  # the requested depth must be representable
     value, eu, el = spectra.block_pair_norm(*pair, at, method=method)
     return CommutatorNorm(value, eu, el, depth, core, at)
+
+
+def commutator_norms(ops: Sequence[OperatorSpec]) -> List[CommutatorNorm]:
+    """``commutator_norm(a)`` of each operator, in input order.
+
+    Operators whose forms share a ``NormalForm.key`` form a family: their
+    forms are stacked (``NormalForm.stack``), the two block forms derived
+    once from the stack (``transfer.commutator_form``) and each solved by
+    one ``exact_norm`` call, one value per member.  A family of one, with
+    nothing to stack or without an exact solve of both blocks, and an
+    operator without a normal form go through ``commutator_norm``.
+    """
+    families: Dict[tuple, List[int]] = {}
+    for i, a in enumerate(ops):
+        families.setdefault(("alone", i) if a.normal_form is None else a.normal_form.key(), []).append(i)
+    out: List[Optional[CommutatorNorm]] = [None] * len(ops)
+    for members in families.values():
+        family = [ops[i] for i in members]
+        for i, r in zip(members, _family_norms(family) or map(commutator_norm, family)):
+            out[i] = r
+    return out
+
+
+def _family_norms(family: List[OperatorSpec]) -> Optional[List[CommutatorNorm]]:
+    """The family's norms from its stacked block forms, or None."""
+    stacked = NormalForm.stack([a.normal_form for a in family]) if len(family) > 1 else None
+    blocks = [None] if stacked is None else [commutator_form(s().normal_form, stacked) for s in (Koopman, Ruelle)]
+    depths = [None] if None in blocks else [form.core_depth() for form in blocks]
+    if None in depths:
+        return None
+    core = max(depths)
+    for a in family:
+        for block in dirac_blocks(a):
+            BoundOperator(block, core)  # as in commutator_norm: the blocks must be representable there
+    solves = [form.exact_norm(core) for form in blocks]
+    if None in solves:
+        return None
+    (upper, mu), (lower, ml) = solves
+    est = spectra.NormEstimate
+    return [CommutatorNorm(max(u, l), est(u, 0, True, mu, 0.0), est(l, 0, True, ml, 0.0), core, core, core) for u, l in zip(upper, lower)]
 
 
 LIPSCHITZ_THRESHOLD = 1.0  # the radius of the Lipschitz ball ||[D, pi(A)]|| <= 1

@@ -434,10 +434,8 @@ def run_fermion(d: int, seed: int) -> List[Check]:
 def run_dirac_projections(depth: None, seed: int) -> List[Check]:
     rec = _Recorder("dirac-projections")
 
-    worst_gap = 0.0
-    for length in (2, 3, 4):
-        for w in all_words(length):
-            worst_gap = max(worst_gap, abs(di.commutator_norm(tr.Proj(haar_function(w))).value - 1.0))
+    norms = di.commutator_norms([tr.Proj(haar_function(w)) for length in (2, 3, 4) for w in all_words(length)])
+    worst_gap = max(abs(r.value - 1.0) for r in norms)
     rec.close_to(
         "haar-norm",
         "Dirac commutator norm of every Haar projection (word length 2..4) is one",
@@ -457,9 +455,8 @@ def run_dirac_projections(depth: None, seed: int) -> List[Check]:
         TOL_EXACT,
     )
 
-    worst = 0.0
-    for psi in _columns(random_batch(seed, 5, 10, "kernel-of-L")):
-        worst = max(worst, abs(di.commutator_norm(tr.Proj(normalized(psi))).value - 1.0))
+    norms = di.commutator_norms([tr.Proj(normalized(psi)) for psi in _columns(random_batch(seed, 5, 10, "kernel-of-L"))])
+    worst = max(abs(r.value - 1.0) for r in norms)
     rec.close_to("kernel-norm", "projections onto kernel vectors have commutator norm one", "kernel-projection-norm", worst, 0.0, 1e-8)
 
     f = normalized(random_function(seed + 50, 4, "kernel-of-L"))
@@ -479,11 +476,10 @@ def run_dirac_projections(depth: None, seed: int) -> List[Check]:
     rec.close_to("block-equality", "the two commutator blocks of a self-adjoint operator share their norm", "self-adjoint-blocks", worst, 0.0, 1e-8)
 
     worst = -math.inf
-    for psi in _columns(random_batch(seed + 70, 4, 5, "kernel-of-L")):
-        psi = normalized(psi)
+    psis = [normalized(psi) for psi in _columns(random_batch(seed + 70, 4, 5, "kernel-of-L"))]
+    for psi, r in zip(psis, di.commutator_norms([tr.Proj(psi) for psi in psis])):
         bounds = fo.projection_norm_bounds(psi)
-        numeric = di.commutator_norm(tr.Proj(psi)).value
-        worst = max(worst, bounds["lower_K"] - numeric, bounds["lower_L"] - numeric)
+        worst = max(worst, bounds["lower_K"] - r.value, bounds["lower_L"] - r.value)
     rec.at_most("coeff-lower-bounds", "coefficient bounds stay below the numeric norm", "projection-norm-bounds", worst, 0.0, 1e-8)
 
     values = {}
@@ -539,12 +535,11 @@ def run_dirac_mult(depth: None, seed: int) -> List[Check]:
     worst_sandwich = -math.inf
     worst_eq = 0.0
     # f is the leading 2**d_ values of column k: independent normals, as a column is
-    fs = random_batch(seed, 5, 60)
+    batch = random_batch(seed, 5, 60)
+    fs = [DyadicFunction(2 + k % 4, batch[: 1 << (2 + k % 4), k]) for k in range(60)]
     gs = {d_: random_batch(seed + 400 + d_, d_, 15, "independent-of-first-coordinate") for d_ in range(2, 6)}
-    for k in range(60):
-        d_ = 2 + (k % 4)
-        f = DyadicFunction(d_, fs[: 1 << d_, k])
-        numeric = di.commutator_norm(tr.Mult(f)).value
+    for k, (f, r) in enumerate(zip(fs, di.commutator_norms([tr.Mult(f) for f in fs]))):
+        d_, numeric = f.depth, r.value
         rms = fo.backward_rms_norm(f)
         worst_match = max(worst_match, abs(numeric - rms))
         worst_sandwich = max(worst_sandwich, numeric - fo.forward_sup(f), fo.ruelle_diff_sup(f) - numeric)
@@ -778,8 +773,10 @@ def run_suites(
     label: str, parts: Dict[str, Callable[[Optional[int], int], List[Check]]], depth: int, seed: int
 ) -> SuiteReport:
     """Run each named suite in order at its suite_depth and report the depth
-    and wall time of each.  A depth below the floor is refused before any
-    suite runs."""
+    and wall time of each.  A depth below the floor or a negative seed is
+    refused before any suite runs."""
+    if seed < 0:
+        raise ValueError(f"seed {seed} must be >= 0")
     t0 = time.perf_counter()
     depths = {key: suite_depth(key, depth) for key in parts}
     checks: List[Check] = []

@@ -47,19 +47,20 @@ multiplier block's Gram is itself a multiplier, and a projection block has
 rank two.  ``pair_core_depth`` reads the depth from which a block pair's
 norm is fixed off it too, from the shift and the function depths of its
 terms (``NormalForm.core_depth``).  A Dirac block, a :class:`Commutator`,
-derives its form from its operator's own, not from its two compositions.
+derives its form from its operator's own (``commutator_form``).  Forms of
+one structure stack into one (``NormalForm.stack``) whose functions carry a
+trailing member axis, ``(2**d, k)`` for k members as a batch carries columns.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .dyadic import DyadicFunction, MAX_DEPTH, _add_rows, _inner_rows, _refine_rows, refine, require_depth, require_finite, require_unit
+from .dyadic import DyadicFunction, MAX_DEPTH, _col_inner, _common, _inner_rows, _refine_rows, refine, require_depth, require_finite, require_unit
 
 # One identity chunk, measured at the widest array it passes through.  Cache
 # sized, and small enough that its temporaries stay below glibc's mmap
@@ -96,9 +97,16 @@ def _koopman(x: np.ndarray) -> np.ndarray:
     return np.concatenate([x, x])
 
 
+def _aligned(x: np.ndarray, y: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """x and y at their common depth; a trailing axis that only one of them
+    carries (a batch's columns, a stacked form's members) spreads over the other."""
+    a, b, _ = _common(x, y)
+    return (_rows(a, b) if a.ndim < b.ndim else a), (_rows(b, a) if b.ndim < a.ndim else b)
+
+
 def _mult(f: np.ndarray, x: np.ndarray) -> np.ndarray:
-    depth = max(_depth(f), _depth(x))
-    return _rows(_refine_rows(f, depth), x) * _refine_rows(x, depth)
+    a, b = _aligned(f, x)
+    return a * b
 
 
 def _proj(psi: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -404,13 +412,14 @@ class Commutator(Sum):
     the two compositions; its normal form is derived from A's own, with no
     forms of the compositions."""
 
-    def __init__(self, s: OperatorSpec, a: OperatorSpec):
-        super().__init__((Compose((s, a)), Compose((a, s))), (1.0, -1.0))
+    def __init__(self, s: OperatorSpec, a: OperatorSpec):  # constant weights: no finiteness check
+        object.__setattr__(self, "ops", (Compose((s, a)), Compose((a, s))))
+        object.__setattr__(self, "weights", (1.0, -1.0))
 
     def _normal_form(self):
         s, a = self.ops[0].ops
         form = a.normal_form
-        return None if form is None else _sum_form(self.weights, (s.normal_form.after(form), form.after(s.normal_form)))
+        return None if form is None else commutator_form(s.normal_form, form)
 
 
 def commutator_with_K(a: OperatorSpec) -> Commutator:
@@ -426,6 +435,15 @@ def commutator_with_L(a: OperatorSpec) -> Commutator:
 def dirac_blocks(a: OperatorSpec) -> Tuple[Commutator, Commutator]:
     """The two off-diagonal blocks (K A - A K, L A - A L) of the Dirac commutator."""
     return commutator_with_K(a), commutator_with_L(a)
+
+
+def commutator_form(s: "NormalForm", form: "NormalForm") -> Optional["NormalForm"]:
+    """The form of S A - A S from the forms of S and A (either of them
+    stacked), or None when a function of it would pass MAX_DEPTH."""
+    try:
+        return _sum_form((1.0, -1.0), (s.after(form), form.after(s)))
+    except _TooDeep:
+        return None
 
 
 def pair_core_depth(pair: Tuple[OperatorSpec, OperatorSpec]) -> Optional[int]:
@@ -509,7 +527,7 @@ def _merged(terms: Sequence[Term]) -> Tuple[Term, ...]:
             out.append((g, a, b, h))
         else:
             g0, _, _, h0 = out[i]
-            out[i] = (_add_rows(g0, g), a, b, h0) if b == 0 else (g0, a, b, _add_rows(h0, h))
+            out[i] = (np.add(*_aligned(g0, g)), a, b, h0) if b == 0 else (g0, a, b, np.add(*_aligned(h0, h)))
     return tuple(out)
 
 
@@ -531,10 +549,14 @@ def _mean_onto(z: np.ndarray, d: int) -> np.ndarray:
 
 
 def _columns(fs: Sequence[np.ndarray]) -> np.ndarray:
-    """The functions' orthonormal coordinates at their common depth, one per column."""
+    """The functions' orthonormal coordinates at their common depth, one per
+    column; stacked functions give one such matrix per member, (k, n, r)."""
     depth = max((_depth(f) for f in fs), default=0)
     cols = [_refine_rows(f, depth) for f in fs]
-    return np.column_stack(cols) * 2.0 ** (-depth / 2.0) if cols else np.zeros((1, 0))
+    if not cols:
+        return np.zeros((1, 0))
+    x = np.column_stack(cols) if cols[0].ndim == 1 else np.stack([c.T for c in cols], axis=-1)
+    return x * 2.0 ** (-depth / 2.0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -550,6 +572,10 @@ class NormalForm:
     merged.  Rank-one terms are closed under composition:
     T |u><v| = |Tu><v|, |u><v| T = |u><T^* v| and
     |u><v| |u'><v'| = <v, u'> |u><v'|.
+
+    A stacked form (``stack``) holds k forms: each function but the shared
+    constant 1 has a trailing member axis, ``(2**d, k)``, and products, sums
+    and rank-one inner products act member by member.
     """
 
     terms: Tuple[Term, ...] = ()
@@ -559,7 +585,7 @@ class NormalForm:
         """The form of self . other (other applied first)."""
         rank_one = [(_term_apply(s, u), v) for s in self.terms for u, v in other.rank_one]
         rank_one += [(u, _term_apply((h, b, a, g), v)) for u, v in self.rank_one for g, a, b, h in other.terms]
-        rank_one += [(u * _inner_rows(v, u2), v2) for u, v in self.rank_one for u2, v2 in other.rank_one]
+        rank_one += [(u * (_col_inner if v.ndim > 1 else _inner_rows)(v, u2), v2) for u, v in self.rank_one for u2, v2 in other.rank_one]
         terms = [_compose_terms(s, t) for s in self.terms for t in other.terms]
         return NormalForm(_merged(terms), tuple(rank_one))
 
@@ -590,13 +616,15 @@ class NormalForm:
         )
         return reach + bool(self.rank_one)
 
-    def exact_norm(self, d: int) -> Optional[Tuple[float, str]]:
+    def exact_norm(self, d: int) -> Optional[Tuple[object, str]]:
         """(value, method): the form's exact norm on the depth-d space, or None
         when the form has no exact solve.  No Gram is built and no Krylov run
-        is made; the cost is O(2**d).
+        is made; the cost is O(2**d).  A stacked form gives a list, one value
+        per member, from the same numpy calls over the stack.
 
         * exact-diagonal: one multiplier term, whose Gram is a multiplier,
-          read off as the largest entry of its diagonal.  For M_g K^a (b = 0),
+          read off as the largest entry of its diagonal (per member, the max
+          over axis 0).  For M_g K^a (b = 0),
           A^T A = P_d M_{L^a|g|^2} P_d at every d, with P_d the averaging onto
           depth d: the depth-d cell means of L^a|g|^2.  The K block
           M_{Kf - f} K of a multiplier gives the paper's ||[D, pi(M_f)]|| =
@@ -609,7 +637,8 @@ class NormalForm:
           U holding the u_j and W the P_d v_j, one per column (a projection's
           blocks, |K psi><psi| - |psi><L psi|, have r = 2): a QR of the two
           r-column sides, then the top singular value of the r x r product of
-          their R factors.
+          their R factors.  A stack's sides are (k, n, r), solved by one
+          ``qr`` and one ``svd`` call over the stack.
 
         Every other form (a term with a and b both positive, a mix of terms,
         an L-side multiplier deeper than d) has none.  The value's square, the
@@ -619,9 +648,9 @@ class NormalForm:
         if not self.terms:
             sides = _columns([u for u, _ in self.rank_one]), _columns([_mean_onto(v, d) for _, v in self.rank_one])
             u, w = (np.linalg.qr(require_finite(x, "operator"), mode="r") for x in sides)
-            sigma = float(np.linalg.svd(u @ w.T, compute_uv=False)[0]) if u.size else 0.0
-            require_finite(sigma * sigma, "Gram operator")
-            return sigma, "exact-rank-r"
+            sigma = np.linalg.svd(u @ w.swapaxes(-1, -2), compute_uv=False)[..., 0] if u.size else np.zeros(())
+            require_finite([s * s for s in sigma.reshape(-1).tolist()], "Gram operator")  # Python floats: no overflow warning
+            return sigma.tolist(), "exact-rank-r"
         if self.rank_one or len(self.terms) != 1:
             return None
         g, a, b, h = self.terms[0]
@@ -631,8 +660,24 @@ class NormalForm:
             diagonal = _ruelle_pow(h * h, b)
         else:
             return None
-        lam = float(require_finite(diagonal, "Gram operator").max())
-        return math.sqrt(max(lam, 0.0)), "exact-diagonal"
+        lam = require_finite(diagonal, "Gram operator").max(axis=0)
+        return np.sqrt(np.maximum(lam, 0.0)).tolist(), "exact-diagonal"
+
+    def key(self) -> tuple:
+        """The form's structure: its terms' (a, b), the shapes of all its
+        functions and which are the constant 1.  Forms with one key take the
+        same derivation steps, and ``stack`` joins them."""
+        shape = lambda x: None if x is _ONE else x.shape
+        return tuple((a, b, shape(g), shape(h)) for g, a, b, h in self.terms), tuple((u.shape, v.shape) for u, v in self.rank_one)
+
+    @staticmethod
+    def stack(forms: Sequence["NormalForm"]) -> Optional["NormalForm"]:
+        """One form of forms that share a ``key``, or None when they have no
+        function but the constant 1."""
+        join = lambda xs: xs[0] if xs[0] is _ONE else np.stack(xs, axis=-1)
+        terms = tuple((join(g), a[0], b[0], join(h)) for g, a, b, h in (zip(*ts) for ts in zip(*(f.terms for f in forms))))
+        rank_one = tuple((join(u), join(v)) for u, v in (zip(*ps) for ps in zip(*(f.rank_one for f in forms))))
+        return NormalForm(terms, rank_one) if rank_one or any(g is not _ONE or h is not _ONE for g, _, _, h in terms) else None
 
 
 # ---------------------------------------------------------------------------

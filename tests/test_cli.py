@@ -699,6 +699,20 @@ class TestErrorBoundary:
         assert err == "error: depth 30 outside [0, 24]\n"
         assert ran == []
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["verify", "--suite", "wold"], ["verify", "--suite", "transfer"], ["verify"], ["boson", "verify"]],
+        ids=["wold", "transfer", "all", "boson"],
+    )
+    def test_a_negative_seed_is_refused_before_any_suite_runs(self, capsys, monkeypatch, argv):
+        from rkdirac import suites
+
+        monkeypatch.setattr(suites, "random_batch", lambda *a: pytest.fail("work started"))
+        monkeypatch.setattr(suites, "chain_batch", lambda *a: pytest.fail("work started"))
+        assert main(argv + ["--seed", "-1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == "error: seed -1 must be >= 0\n"
+
     @pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "-1"])
     def test_a_boson_tolerance_not_finite_and_non_negative_is_refused_before_any_work(self, capsys, monkeypatch, tol):
         from rkdirac import suites

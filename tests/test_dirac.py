@@ -11,6 +11,7 @@ from rkdirac.dirac import (
     block_norm,
     block_norms,
     commutator_norm,
+    commutator_norms,
     connes_lower_bound,
     core_depth,
     dirac_commutator,
@@ -455,6 +456,149 @@ class TestCommutatorNorm:
             commutator_norm(Mult(random_function(4, 3)), 25)
         with pytest.raises(ValueError, match="depth"):
             commutator_norm(Mult(random_function(4, 3)), -1)
+
+
+def _family(kind, depth, seeds):
+    """Multipliers or unit-vector projections of one depth: one normal-form structure."""
+    if kind == "mult":
+        return [Mult(random_function(s, depth)) for s in seeds]
+    return [Proj(random_function(s, depth, "unit-norm")) for s in seeds]
+
+
+def _families():
+    seeds = st.lists(st.integers(0, 10**6), min_size=1, max_size=6)
+    return st.builds(_family, st.sampled_from(["mult", "proj"]), st.integers(0, 8), seeds)
+
+
+def _variant(op, seed):
+    """op with every function replaced by a seeded one of the same depth (a
+    unit vector for a projection): the same normal-form structure."""
+    if isinstance(op, Mult):
+        return Mult(random_function(seed, op.f.depth))
+    if isinstance(op, Proj):
+        return Proj(random_function(seed, op.psi.depth, "unit-norm"))
+    if isinstance(op, Compose):
+        return Compose([_variant(o, seed + i + 1) for i, o in enumerate(op.ops)])
+    if isinstance(op, Sum):
+        return Sum([_variant(o, seed + i + 1) for i, o in enumerate(op.ops)], op.weights)
+    if isinstance(op, Adjoint):
+        return Adjoint(_variant(op.inner_op, seed + 1))
+    return op
+
+
+def _outcome(call):
+    """call()'s result, or the text of the ValueError it raises."""
+    try:
+        return call()
+    except ValueError as exc:
+        return str(exc)
+
+
+def _assert_same_norm(got, want, rtol=1e-12):
+    assert (got.depth, got.core_depth, got.computed_at) == (want.depth, want.core_depth, want.computed_at)
+    for g, w_ in ((got.upper, want.upper), (got.lower, want.lower)):
+        assert (g.method, g.iterations, g.converged, g.residual) == (w_.method, w_.iterations, w_.converged, w_.residual)
+        assert type(g.value) is float and abs(g.value - w_.value) <= rtol * abs(w_.value)
+    assert got.value == max(got.upper.value, got.lower.value)
+
+
+class TestStackedForms:
+    """dirac.commutator_norms against one commutator_norm per member."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(_families())
+    def test_a_family_matches_the_per_member_solves(self, family):
+        got = commutator_norms(family)
+        assert len(got) == len(family)
+        for g, a in zip(got, family):
+            want = commutator_norm(a)
+            _assert_same_norm(g, want)
+            assert g.upper.method.startswith("exact") and g.lower.method.startswith("exact")
+            if isinstance(a, Mult):  # elementwise arithmetic only: the same bits
+                assert (g.upper.value, g.lower.value) == (want.upper.value, want.lower.value)
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.lists(_families(), min_size=2, max_size=4), st.randoms(use_true_random=False))
+    def test_mixed_structures_come_back_in_input_order(self, families, rnd):
+        ops = [a for family in families for a in family]
+        rnd.shuffle(ops)
+        for g, a in zip(commutator_norms(ops), ops):
+            _assert_same_norm(g, commutator_norm(a))
+
+    @settings(max_examples=60, deadline=None)
+    @given(_specs(), st.integers(0, 10**6))
+    def test_any_stacked_family_matches_the_per_member_solves(self, op, seed):
+        assume(core_depth(op) is not None and core_depth(op) <= 6)
+        ops = [op, _variant(op, seed), _variant(op, seed + 100)]
+        with np.errstate(over="ignore", invalid="ignore"):
+            want = [_outcome(lambda: commutator_norm(a)) for a in ops]
+            got = _outcome(lambda: commutator_norms(ops))
+        if any(isinstance(x, str) for x in want):
+            assert got == next(x for x in want if isinstance(x, str))
+            return
+        for g, w_ in zip(got, want):
+            _assert_same_norm(g, w_)
+
+    def test_each_family_derives_its_block_forms_once(self, monkeypatch):
+        from rkdirac import dirac, transfer
+
+        derived, solved = [], []
+        derive = transfer.commutator_form
+        monkeypatch.setattr(dirac, "commutator_form", lambda s, form: derived.append(form) or derive(s, form))
+        monkeypatch.setattr(transfer.Commutator, "_normal_form", lambda self: solved.append(self))
+        ops = _family("mult", 3, range(5)) + _family("proj", 4, range(3)) + _family("mult", 2, range(4))
+        commutator_norms(ops)
+        assert len(derived) == 6 and len({id(form) for form in derived}) == 3 and solved == []
+
+    def test_a_family_without_an_exact_solve_goes_member_by_member(self, monkeypatch):
+        from rkdirac import dirac
+
+        calls = []
+        per_member = dirac.commutator_norm
+        monkeypatch.setattr(dirac, "commutator_norm", lambda a: calls.append(a) or per_member(a))
+        ops = [CondExp(1), Mult(random_function(1, 2)), CondExp(1), Mult(random_function(2, 2)), Mult(random_function(3, 3))]
+        got = commutator_norms(ops)
+        assert calls == [ops[0], ops[2], ops[4]]  # CondExp's blocks have no exact solve; a family of one
+        assert got[0].upper.method == "dense"
+        for g, a in zip(got, ops):
+            _assert_same_norm(g, per_member(a))
+
+    @pytest.mark.parametrize("kind", ["mult", "weighted-proj"])
+    def test_a_non_finite_member_raises_the_per_member_error(self, kind):
+        if kind == "mult":
+            ops = _family("mult", 3, range(3)) + [Mult(random_function(9, 3) * 1e160)]
+        else:  # the value 1e200 is finite, its square, the top Gram eigenvalue, is not
+            ops = [Sum((a,), (w_,)) for a, w_ in zip(_family("proj", 3, range(3)), (1.0, 1e200, 2.0))]
+        with np.errstate(over="ignore", invalid="ignore"):
+            want = [_outcome(lambda: commutator_norm(a)) for a in ops]
+            texts = [x for x in want if isinstance(x, str)]
+            assert texts and texts[0].endswith("values must be finite")
+            with pytest.raises(ValueError) as info:
+                commutator_norms(ops)
+        assert str(info.value) == texts[0]
+
+    def test_a_non_unit_projection_is_still_refused(self):
+        with pytest.raises(ValueError, match="projection vector must have unit norm"):
+            commutator_norms(_family("proj", 3, range(2)) + [Proj(constant(0.5))])
+
+    def test_each_member_is_range_checked_at_the_core_depth(self, monkeypatch):
+        from rkdirac import dirac
+
+        checked = []
+        monkeypatch.setattr(dirac, "BoundOperator", lambda block, depth: checked.append((block.ops[0].ops[1], depth)))
+        ops = _family("mult", 3, range(3))
+        commutator_norms(ops)
+        assert checked == [(a, 4) for a in ops for _ in range(2)]
+
+    def test_a_depth_past_the_cap_is_refused_as_per_member(self):
+        # M_c K^24: core depth 1, where the K block's output depth 26 passes the cap
+        ops = [Compose((Mult(constant(v)),) + (Koopman(),) * 24) for v in (1.0, 2.0)]
+        want = _outcome(lambda: commutator_norm(ops[0]))
+        assert want == "depth cap 24 exceeded"
+        assert _outcome(lambda: commutator_norms(ops)) == want
+
+    def test_an_empty_list(self):
+        assert commutator_norms([]) == []
 
 
 class TestConnesLowerBound:

@@ -262,6 +262,9 @@ BATCHED_CHECKS = {
     "boson": ("ladder-raise", "ladder-lower", "ladder-power", "number-eigenvalue", "ccr-kernel-projection"),
     "fermion": ("car-invariant-subspace", "car-integral"),
     "dirac-condexp": ("fixed-subspace",),
+    # families of Dirac norms, solved as stacked normal forms (dirac.commutator_norms)
+    "dirac-projections": ("haar-norm", "kernel-norm"),
+    "dirac-mult": ("rms-match",),
 }
 
 

@@ -316,8 +316,10 @@ class TestCommutatorSpecs:
 class TestOneApplyPath:
     # OperatorSpec.apply is defined once, over apply_batch; each leaf's free
     # function reaches the same kernel and must give the same function.
+    # cond_expectation and kernel_projection are CondExp(n).apply and
+    # KernelProj().apply themselves; TestBuiltFromThePair checks their kernels.
     @pytest.mark.parametrize("in_depth", [0, 2, 3, 5], ids=["depth-0", "shallower", "equal", "deeper"])
-    @pytest.mark.parametrize("kind", ["ruelle", "koopman", "mult", "proj", "condexp", "kernel_proj"])
+    @pytest.mark.parametrize("kind", ["ruelle", "koopman", "mult", "proj"])
     def test_spec_apply_is_the_free_function(self, kind, in_depth):
         g = random_function(22, 3)  # the depth-3 operand of Mult and Proj
         psi = random_function(21, 3, "unit-norm")
@@ -326,8 +328,6 @@ class TestOneApplyPath:
             "koopman": (Koopman(), koopman_apply),
             "mult": (Mult(g), lambda f: mult_apply(g, f)),
             "proj": (Proj(psi), lambda f: projection_apply(psi, f)),
-            "condexp": (CondExp(2), lambda f: cond_expectation(2, f)),
-            "kernel_proj": (KernelProj(), kernel_projection),
         }[kind]
         f = random_function(30 + in_depth, in_depth)
         got, want = spec.apply(f), free(f)
