@@ -233,14 +233,20 @@ def to_haar(f: DyadicFunction) -> np.ndarray:
     ``2**(len(w)/2) * (S(w1) - S(w0))``, and the eps coefficients read off the
     depth-one masses.  Constants fold into eps0/eps1 automatically.
     """
-    depth = max(f.depth, 1)
-    masses = _refine_rows(f.values, depth) * 2.0 ** (-depth)
-    h = np.empty(1 << depth)
+    return _haar_rows(f.values)
+
+
+def _haar_rows(x: np.ndarray) -> np.ndarray:
+    """to_haar along axis 0 of an array of cylinder values: the coefficients
+    of each column of a batch, one column each."""
+    depth = max(x.shape[0].bit_length() - 1, 1)
+    masses = _refine_rows(x, depth) * 2.0 ** (-depth)
+    h = np.empty((1 << depth,) + x.shape[1:])
     for level in range(depth - 1, 0, -1):  # the words of length level, slots [n, 2n)
         n = 1 << level
         h[n : 2 * n] = 2.0 ** (level / 2.0) * (masses[1::2] - masses[0::2])
         masses = masses[0::2] + masses[1::2]
-    h[:2] = -SQRT2 * masses[0], SQRT2 * masses[1]
+    h[0], h[1] = -SQRT2 * masses[0], SQRT2 * masses[1]
     return h
 
 
@@ -249,15 +255,20 @@ def from_haar(h: np.ndarray) -> DyadicFunction:
     h = np.asarray(h, dtype=float)
     if h.ndim != 1 or h.size < 2 or h.size & (h.size - 1):  # not 2**d slots, d >= 1
         raise ValueError(f"expected 2**d Haar coefficients with d >= 1, got shape {h.shape}")
-    depth = h.size.bit_length() - 1
-    vals = SQRT2 * np.array([-h[0], h[1]]) + 0.0  # + 0.0 leaves no -0.0 cell
-    for level in range(1, depth):  # the words of length level, slots [n, 2n)
+    return DyadicFunction(h.size.bit_length() - 1, _from_haar_rows(h))
+
+
+def _from_haar_rows(h: np.ndarray) -> np.ndarray:
+    """from_haar along axis 0 of an array of 2**d >= 2 coefficient slots: the
+    cylinder values of each column of a batch, one column each."""
+    vals = SQRT2 * np.stack([-h[0], h[1]]) + 0.0  # + 0.0 leaves no -0.0 cell
+    for level in range(1, h.shape[0].bit_length() - 1):  # the words of length level, slots [n, 2n)
         n = 1 << level
         scaled = 2.0 ** (level / 2.0) * h[n : 2 * n]
-        vals = np.repeat(vals, 2)
+        vals = np.repeat(vals, 2, axis=0)
         vals[0::2] -= scaled  # [w0]
         vals[1::2] += scaled  # [w1]
-    return DyadicFunction(depth, vals)
+    return vals
 
 
 def chain_batch(n: int, length: Optional[int], cols: slice = slice(None)) -> np.ndarray:

@@ -26,15 +26,68 @@ from .dyadic import (
     DyadicFunction,
     INV_SQRT2,
     SQRT2,
+    UNIT_TOL,
+    _common,
+    _refine_rows,
     inner,
     l2_norm,
     pointwise_mul,
     refine,
+    require_finite,
     require_unit,
     sup_norm,
     to_haar,
 )
-from .transfer import Proj, koopman_apply, projection_apply, ruelle_apply
+from .transfer import Koopman, Proj, Ruelle, _depth, koopman_apply, ruelle_apply
+
+# ---------------------------------------------------------------------------
+# Column batches.
+#
+# Each multiplier formula and projection expression below has one
+# implementation, ``<name>_batch``, on arrays of cylinder values whose axis 0
+# has 2**d rows, as the transfer kernels take: a 1-D array is one depth-d
+# function and a (2**d, m) array holds m of them, one per column.  It gives
+# one value per column (per column pair for the projection expressions), and
+# the DyadicFunction form ``<name>`` is its one-function case.  A column's
+# value has the same bits in any batch, since every sum over a column is
+# taken on its own (``_pair_inner``), and the sups do not change when a
+# column is refined.  An intermediate that overflows is refused with
+# ``require_finite``'s ValueError, not a numpy warning.
+
+_K, _L = Koopman().apply_batch, Ruelle().apply_batch
+
+
+def _pair_inner(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """<x_j, y_j> for each column pair, at their common depth.  Each column is
+    summed as one contiguous row, so that its sum has the same bits whatever
+    the other columns are."""
+    a, b, d = _common(x, y)
+    return np.ascontiguousarray((a * b).T).sum(axis=-1) * 2.0 ** (-d)
+
+
+def _col_proj(psi: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """<x_j, psi_j> psi_j for each column pair: the rank-one projections."""
+    a, b, _ = _common(psi, x)
+    return a * _pair_inner(b, a)
+
+
+def _col_l2(z: np.ndarray) -> np.ndarray:
+    """The L2 norm of each column of z, from the column scaled by its sup so
+    that no square overflows."""
+    s = np.abs(z).max(axis=0)
+    u = z / np.where(s > 0.0, s, 1.0)
+    return s * np.sqrt(_pair_inner(u, u))
+
+
+def _require_unit_columns(psi: np.ndarray) -> None:
+    """require_unit on each column of psi: a ValueError with the norm of the
+    first column whose norm is off one by more than UNIT_TOL."""
+    with np.errstate(over="ignore"):
+        norms = np.sqrt(_pair_inner(psi, psi))
+    bad = np.flatnonzero(~(np.abs(norms - 1.0) <= UNIT_TOL))  # nan is off too
+    if bad.size:
+        raise ValueError(f"projection vector must have unit norm, got {float(np.ravel(norms)[bad[0]])!r}")
+
 
 # ---------------------------------------------------------------------------
 # c(psi) and its Haar-coefficient forms, on ``to_haar`` slot arrays.
@@ -153,13 +206,23 @@ def _image_sq(x, y, c):
     return x * x - 2.0 * x * y * c + y * y
 
 
+def projection_sq_expression_batch(phi: np.ndarray, psi: np.ndarray) -> np.ndarray:
+    """:func:`projection_sq_expression` of each column pair (phi_j, psi_j) of
+    two batches of cylinder values (see "Column batches" above)."""
+    _require_unit_columns(psi)
+    with np.errstate(over="ignore", invalid="ignore"):
+        x = _pair_inner(phi, psi)
+        y = _pair_inner(_K(phi), psi)
+        c = _pair_inner(_K(psi), psi)
+        return require_finite(_image_sq(x, y, c), "projection expression")
+
+
 def projection_sq_expression(phi: DyadicFunction, psi: DyadicFunction) -> float:
     """The squared upper-block image norm, from inner products:
 
     <phi,psi>^2 - 2 <phi,psi> <K phi,psi> <K psi,psi> + <K phi,psi>^2.
     """
-    require_unit(psi, "projection vector")
-    return _image_sq(inner(phi, psi), inner(koopman_apply(phi), psi), inner(koopman_apply(psi), psi))
+    return float(projection_sq_expression_batch(phi.values, psi.values))
 
 
 def ruelle_sq_expression(phi: DyadicFunction, psi: DyadicFunction) -> float:
@@ -177,10 +240,17 @@ def ruelle_sq_expression(phi: DyadicFunction, psi: DyadicFunction) -> float:
     return x * x * inner(lpsi, lpsi) - 2.0 * x * y * c + y * y
 
 
+def commutator_image_sq_batch(phi: np.ndarray, psi: np.ndarray) -> np.ndarray:
+    """:func:`commutator_image_sq` of each column pair (phi_j, psi_j)."""
+    _require_unit_columns(psi)
+    with np.errstate(over="ignore", invalid="ignore"):
+        a, b, _ = _common(_K(_col_proj(psi, phi)), _col_proj(psi, _K(phi)))
+        return require_finite(_pair_inner(a - b, a - b), "commutator image")
+
+
 def commutator_image_sq(phi: DyadicFunction, psi: DyadicFunction) -> float:
     """|K proj(phi) - proj K(phi)|^2 computed directly from the operators."""
-    image = koopman_apply(projection_apply(psi, phi)) - projection_apply(psi, koopman_apply(phi))
-    return inner(image, image)
+    return float(commutator_image_sq_batch(phi.values, psi.values))
 
 
 def _children(h: np.ndarray) -> np.ndarray:
@@ -259,16 +329,31 @@ def projection_norm_bounds(psi: DyadicFunction) -> Dict[str, float]:
 # Multiplier-operator norms and derivative sups.
 
 
-def _backward_diff_arrays(f: DyadicFunction):
-    """Per-cylinder |f(x) - f(0x)| and |f(x) - f(1x)| at depth(f)."""
-    if f.depth == 0:
-        return np.zeros(1), np.zeros(1)
-    vals = f.values
-    idx = np.arange(vals.size)
-    parent = idx >> 1
-    d0 = np.abs(vals - vals[parent])  # 0x lives in the cylinder with index i >> 1
-    d1 = np.abs(vals - vals[(vals.size >> 1) + parent])
-    return d0, d1
+def _backward_diffs(x: np.ndarray):
+    """Per-cylinder |f(x) - f(0x)| and |f(x) - f(1x)| of each column, at its
+    depth (both zero at depth 0)."""
+    parent = np.arange(x.shape[0]) >> 1  # 0x lives in the cylinder with index i >> 1
+    with np.errstate(over="ignore"):
+        d0 = np.abs(x - x[parent])
+        d1 = np.abs(x - x[(x.shape[0] >> 1) + parent])
+    return require_finite(d0, "backward difference"), require_finite(d1, "backward difference")
+
+
+def _forward_diff(x: np.ndarray) -> np.ndarray:
+    """K f - f for each column."""
+    with np.errstate(over="ignore"):
+        return require_finite(_K(x) - _refine_rows(x, _depth(x) + 1), "function")
+
+
+def _ruelle_diff(x: np.ndarray) -> np.ndarray:
+    """f - L f for each column."""
+    with np.errstate(over="ignore"):
+        return require_finite(x - _refine_rows(_L(x), _depth(x)), "function")
+
+
+def backward_rms_norm_batch(x: np.ndarray) -> np.ndarray:
+    """:func:`backward_rms_norm` of each column."""
+    return _power_mean(*_backward_diffs(x), 2.0).max(axis=0)
 
 
 def backward_rms_norm(f: DyadicFunction) -> float:
@@ -277,18 +362,27 @@ def backward_rms_norm(f: DyadicFunction) -> float:
     Equals the Dirac commutator norm of the multiplication operator by f, and
     also the sup norm of sqrt(L |K f - f|^2).
     """
-    d0, d1 = _backward_diff_arrays(f)
-    return float(np.sqrt(0.5 * (d0 * d0 + d1 * d1)).max())
+    return float(backward_rms_norm_batch(f.values))
+
+
+def forward_sup_batch(x: np.ndarray) -> np.ndarray:
+    """:func:`forward_sup` of each column."""
+    return np.abs(_forward_diff(x)).max(axis=0)
 
 
 def forward_sup(f: DyadicFunction) -> float:
     """|K f - f|_sup: the sup of the forward shift difference."""
-    return sup_norm(koopman_apply(f) - f)
+    return float(forward_sup_batch(f.values))
+
+
+def ruelle_diff_sup_batch(x: np.ndarray) -> np.ndarray:
+    """:func:`ruelle_diff_sup` of each column."""
+    return np.abs(_ruelle_diff(x)).max(axis=0)
 
 
 def ruelle_diff_sup(f: DyadicFunction) -> float:
     """|f - L f|_sup."""
-    return sup_norm(f - ruelle_apply(f))
+    return float(ruelle_diff_sup_batch(f.values))
 
 
 def weighted_sup_chain(f: DyadicFunction) -> Dict[str, float]:
@@ -306,22 +400,35 @@ _DEFAULT_ORDERS = (-math.inf, -1.0, 0.0, 1.0, 2.0, math.inf)
 
 def _power_mean(d0: np.ndarray, d1: np.ndarray, order: float) -> np.ndarray:
     """Pointwise order-p mean of the two differences; means of order <= 0 are 0
-    whenever either difference vanishes (limit convention)."""
+    whenever either difference vanishes (limit convention).
+
+    A finite order is taken as m M_p(d0/m, d1/m) with m = max(d0, d1), and 0
+    where m = 0: both ratios lie in [0, 1] and one of them is 1, so no power
+    overflows and no mean underflows below the smaller difference.
+    """
     if order == math.inf:
         return np.maximum(d0, d1)
     if order == -math.inf:
         return np.minimum(d0, d1)
+    m = np.maximum(d0, d1)
+    safe = np.where(m > 0.0, m, 1.0)
+    r0, r1 = d0 / safe, d1 / safe
     if order == 0.0:
-        return np.sqrt(d0 * d1)
+        return m * np.sqrt(r0 * r1)
     if order > 0.0:
-        return (0.5 * (d0**order + d1**order)) ** (1.0 / order)
-    out = np.zeros_like(d0)
-    pos = (d0 > 0.0) & (d1 > 0.0)
-    if np.any(pos):
-        a = np.log(d0[pos]) * order
-        b = np.log(d1[pos]) * order
-        out[pos] = np.exp((np.logaddexp(a, b) - math.log(2.0)) / order)
-    return out
+        return m * (0.5 * (r0**order + r1**order)) ** (1.0 / order)
+    mean = np.zeros_like(r0)
+    pos = (r0 > 0.0) & (r1 > 0.0)
+    a = np.log(r0[pos]) * order
+    b = np.log(r1[pos]) * order
+    mean[pos] = np.exp((np.logaddexp(a, b) - math.log(2.0)) / order)
+    return m * mean
+
+
+def kolmogorov_mean_chain_batch(x: np.ndarray, orders: Sequence[float] = _DEFAULT_ORDERS) -> Dict[float, np.ndarray]:
+    """:func:`kolmogorov_mean_chain` of each column: one array per order."""
+    d0, d1 = _backward_diffs(x)
+    return {p: _power_mean(d0, d1, p).max(axis=0) for p in sorted(orders)}
 
 
 def kolmogorov_mean_chain(f: DyadicFunction, orders: Sequence[float] = _DEFAULT_ORDERS) -> Dict[float, float]:
@@ -332,24 +439,28 @@ def kolmogorov_mean_chain(f: DyadicFunction, orders: Sequence[float] = _DEFAULT_
     order-2 entry is the commutator norm of the multiplier and the
     order-infinity entry is the forward sup.
     """
-    d0, d1 = _backward_diff_arrays(f)
-    return {p: float(_power_mean(d0, d1, p).max()) for p in sorted(orders)}
+    return {p: float(v) for p, v in kolmogorov_mean_chain_batch(f.values, orders).items()}
+
+
+def l2_sandwich_check_batch(x: np.ndarray) -> Dict[str, np.ndarray]:
+    """:func:`l2_sandwich_check` of each column: one array per key."""
+    norm = backward_rms_norm_batch(x)
+    kdiff = _col_l2(_forward_diff(x))
+    ldiff = _col_l2(_ruelle_diff(x))
+    applicable = norm <= 1.0 + 1e-9
+    return {
+        "norm": norm,
+        "l2_forward": kdiff,
+        "l2_ruelle": ldiff,
+        "applicable": applicable,
+        "holds": ~applicable | ((kdiff <= 1.0 + 1e-9) & (ldiff <= 1.0 + 1e-9)),
+    }
 
 
 def l2_sandwich_check(f: DyadicFunction) -> dict:
     """If the commutator norm of the multiplier is at most one, both L2
     differences |K f - f| and |L f - f| are at most one as well."""
-    norm = backward_rms_norm(f)
-    kdiff = l2_norm(koopman_apply(f) - f)
-    ldiff = l2_norm(ruelle_apply(f) - f)
-    report = {
-        "norm": norm,
-        "l2_forward": kdiff,
-        "l2_ruelle": ldiff,
-        "applicable": norm <= 1.0 + 1e-9,
-    }
-    report["holds"] = (not report["applicable"]) or (kdiff <= 1.0 + 1e-9 and ldiff <= 1.0 + 1e-9)
-    return report
+    return {key: v.item() for key, v in l2_sandwich_check_batch(f.values).items()}
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional
 
 import numpy as np
@@ -27,10 +27,12 @@ from .dyadic import (
     SQRT2,
     _col_dist,
     _col_inner,
+    _common,
+    _from_haar_rows,
+    _haar_rows,
     _refine_rows,
     chain_batch,
     constant,
-    from_haar,
     haar_function,
     indicator,
     inner,
@@ -112,7 +114,7 @@ class SuiteReport:
             "wall_time": self.wall_time,
             "suites": self.runs,
             "passed": self.passed,
-            "checks": [asdict(c) for c in sorted(self.checks, key=lambda c: c.id)],
+            "checks": [dict(vars(c)) for c in sorted(self.checks, key=lambda c: c.id)],  # the fields, in order
         }
 
 
@@ -138,9 +140,19 @@ class _Recorder:
         )
 
 
-def _columns(batch: np.ndarray) -> List[DyadicFunction]:
-    """The functions of a batch, one per column."""
-    return [DyadicFunction(batch.shape[0].bit_length() - 1, col) for col in batch.T]
+def _unit_columns(batch: np.ndarray) -> List[DyadicFunction]:
+    """The functions of a batch, one per column, each normalized."""
+    return [normalized(DyadicFunction(batch.shape[0].bit_length() - 1, col)) for col in batch.T]
+
+
+def _leading_columns(batch: np.ndarray, depths: np.ndarray) -> np.ndarray:
+    """Column k's leading 2**depths[k] values, a depth-depths[k] function,
+    refined to the batch's depth, which keeps every sup of the function."""
+    out = np.empty_like(batch)
+    for dk in set(depths.tolist()):  # not np.unique: numpy 2.4 keeps 0.5 MB allocated after its first call
+        cols = depths == dk
+        out[:, cols] = _refine_rows(batch[: 1 << dk, cols], batch.shape[0].bit_length() - 1)
+    return out
 
 
 def _gram_deviation(family: List[DyadicFunction], d: int) -> float:
@@ -168,8 +180,9 @@ def run_basis(d: int, seed: int) -> List[Check]:
         TOL_EXACT,
     )
 
-    pairs = [(f, to_haar(f)) for f in _columns(random_batch(seed, d, 20))]
-    worst = max(abs(inner(f, f) - float(h @ h)) for f, h in pairs)
+    x = random_batch(seed, d, 20)
+    h = _haar_rows(x)
+    worst = np.abs(_col_inner(x, x) - np.einsum("ij,ij->j", h, h)).max()
     rec.close_to(
         "parseval",
         "squared norm equals the squared-coefficient sum of the Haar expansion",
@@ -179,7 +192,8 @@ def run_basis(d: int, seed: int) -> List[Check]:
         TOL_EXACT,
     )
 
-    worst = max(l2_dist(from_haar(to_haar(f)), f) for f in _columns(random_batch(seed + 100, min(d, 6), 20)))
+    x = random_batch(seed + 100, min(d, 6), 20)
+    worst = _col_dist(_from_haar_rows(_haar_rows(x)), x).max()
     rec.close_to("roundtrip", "analysis then synthesis returns the input", "plumbing", worst, 0.0, TOL_EXACT)
 
     eps_err = max(
@@ -455,7 +469,7 @@ def run_dirac_projections(depth: None, seed: int) -> List[Check]:
         TOL_EXACT,
     )
 
-    norms = di.commutator_norms([tr.Proj(normalized(psi)) for psi in _columns(random_batch(seed, 5, 10, "kernel-of-L"))])
+    norms = di.commutator_norms([tr.Proj(psi) for psi in _unit_columns(random_batch(seed, 5, 10, "kernel-of-L"))])
     worst = max(abs(r.value - 1.0) for r in norms)
     rec.close_to("kernel-norm", "projections onto kernel vectors have commutator norm one", "kernel-projection-norm", worst, 0.0, 1e-8)
 
@@ -476,7 +490,7 @@ def run_dirac_projections(depth: None, seed: int) -> List[Check]:
     rec.close_to("block-equality", "the two commutator blocks of a self-adjoint operator share their norm", "self-adjoint-blocks", worst, 0.0, 1e-8)
 
     worst = -math.inf
-    psis = [normalized(psi) for psi in _columns(random_batch(seed + 70, 4, 5, "kernel-of-L"))]
+    psis = _unit_columns(random_batch(seed + 70, 4, 5, "kernel-of-L"))
     for psi, r in zip(psis, di.commutator_norms([tr.Proj(psi) for psi in psis])):
         bounds = fo.projection_norm_bounds(psi)
         worst = max(worst, bounds["lower_K"] - r.value, bounds["lower_L"] - r.value)
@@ -497,24 +511,40 @@ def run_dirac_projections(depth: None, seed: int) -> List[Check]:
 def _projection_case_table_error(min_len: int, max_len: int) -> float:
     """Worst deviation of squared commutator images from the case table.
 
-    The target Haar elements e_t (1 <= len(t) <= max_len) are the columns of
-    one depth-(max_len + 1) array, so each block is applied once per word w.
+    The target Haar elements e_t (1 <= len(t) <= max_len) and the projection
+    vectors e_w (min_len <= len(w) <= max_len) are columns of one
+    depth-(max_len + 1) array, and the images S P_w e_t - P_w S e_t of every
+    pair (w, t) go through each of the kernels S = K, L as one (rows, w, t)
+    array.  Words are kept as their Haar slots (``dyadic.haar_slot``): the
+    word in slot s has length l with 2**l <= s < 2**(l+1), and its shift sits
+    in slot 2**(l-1) + s mod 2**(l-1).
     """
-    targets = list(words_up_to(max_len))
-    cols = np.stack([refine(haar_function(t), max_len + 1).values for t in targets], axis=1)
+    slots = np.arange(2, 1 << (max_len + 1))  # the targets t, in words_up_to order
+    half = np.repeat(1 << np.arange(max_len), 2 << np.arange(max_len))  # 2**(len(t) - 1)
+    shifted = half | slots % half
+    targets = _from_haar_rows(np.eye(slots.size + 2)[:, slots])
+    ws = slots >= 1 << min_len  # the targets that are projection vectors
+    psi, w = targets[:, ws], slots[ws, None]
+    tables = {
+        tr.Koopman: (slots == w) + 0.5 * (slots == shifted[ws, None]),
+        tr.Ruelle: 0.5 * ((slots == w) | (shifted == w)),
+    }
     worst = 0.0
-    for lw in range(min_len, max_len + 1):
-        for w in all_words(lw):
-            upper, lower = tr.dirac_blocks(tr.Proj(haar_function(w)))
-            sw = shift(w)
-            exp_u = [1.0 if t == w else 0.5 if t == sw else 0.0 for t in targets]
-            exp_l = [0.5 if t == w or (t.length >= 2 and shift(t) == w) else 0.0 for t in targets]
-            for block, expected in ((upper, exp_u), (lower, exp_l)):
-                img = block.apply_batch(cols)
-                # each of the img.shape[0] cylinders carries mass 1 / img.shape[0]
-                sq = np.einsum("ij,ij->j", img, img) / img.shape[0]
-                worst = max(worst, float(np.max(np.abs(sq - expected))))
+    for spec, expected in tables.items():
+        kernel = spec().apply_batch
+        a, b, _ = _common(kernel(_projections(psi, targets)), _projections(psi, kernel(targets)))
+        img = a - b
+        # each of the img.shape[0] cylinders carries mass 1 / img.shape[0]
+        sq = np.einsum("ijk,ijk->jk", img, img) / img.shape[0]
+        worst = max(worst, float(np.max(np.abs(sq - expected))))
     return worst
+
+
+def _projections(psi: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """<x_t, psi_j> psi_j for every column psi_j of psi and x_t of x, as one
+    (rows, j, t) array at their common depth."""
+    a, b, d = _common(psi, x)
+    return a[:, :, None] * ((a.T @ b) * 2.0 ** (-d))[None]
 
 
 def run_dirac_mult(depth: None, seed: int) -> List[Check]:
@@ -531,37 +561,29 @@ def run_dirac_mult(depth: None, seed: int) -> List[Check]:
     )
     rec.close_to("remark-ruelle-diff", "averaged difference sup of the witness multiplier", "mult-sandwich", fo.ruelle_diff_sup(f0), 2 ** -0.5, TOL_EXACT)
 
-    worst_match = 0.0
-    worst_sandwich = -math.inf
-    worst_eq = 0.0
-    # f is the leading 2**d_ values of column k: independent normals, as a column is
+    # Column k of batch holds f: its leading 2**d_k values, d_k = 2 + k % 4,
+    # independent normals as a column is; the sups take f refined to depth 5.
     batch = random_batch(seed, 5, 60)
-    fs = [DyadicFunction(2 + k % 4, batch[: 1 << (2 + k % 4), k]) for k in range(60)]
-    gs = {d_: random_batch(seed + 400 + d_, d_, 15, "independent-of-first-coordinate") for d_ in range(2, 6)}
-    for k, (f, r) in enumerate(zip(fs, di.commutator_norms([tr.Mult(f) for f in fs]))):
-        d_, numeric = f.depth, r.value
-        rms = fo.backward_rms_norm(f)
-        worst_match = max(worst_match, abs(numeric - rms))
-        worst_sandwich = max(worst_sandwich, numeric - fo.forward_sup(f), fo.ruelle_diff_sup(f) - numeric)
-        g = DyadicFunction(d_, gs[d_][:, k // 4])
-        vals = (fo.forward_sup(g), fo.backward_rms_norm(g), fo.ruelle_diff_sup(g))
-        worst_eq = max(worst_eq, max(vals) - min(vals))
+    depths = 2 + np.arange(60) % 4
+    fs = [DyadicFunction(int(d_), batch[: 1 << d_, k]) for k, d_ in enumerate(depths)]
+    numeric = np.array([r.value for r in di.commutator_norms([tr.Mult(f) for f in fs])])
+    f5 = _leading_columns(batch, depths)
+    worst_match = np.abs(numeric - fo.backward_rms_norm_batch(f5)).max()
+    worst_sandwich = max((numeric - fo.forward_sup_batch(f5)).max(), (fo.ruelle_diff_sup_batch(f5) - numeric).max())
+    g = np.concatenate([_refine_rows(random_batch(seed + 400 + d_, d_, 15, "independent-of-first-coordinate"), 5) for d_ in range(2, 6)], axis=1)
+    vals = np.stack([fo.forward_sup_batch(g), fo.backward_rms_norm_batch(g), fo.ruelle_diff_sup_batch(g)])
+    worst_eq = (vals.max(axis=0) - vals.min(axis=0)).max()
     rec.close_to("rms-match", "cylinder root-mean-square sup equals the numeric commutator norm", "mult-rms-norm", worst_match, 0.0, 1e-8)
     rec.at_most("sandwich", "forward sup >= commutator norm >= averaged-difference sup", "mult-sandwich", worst_sandwich, 0.0, TOL_NORM)
     rec.close_to("first-coordinate-equality", "all three derivative sups agree off the first coordinate", "mult-sandwich", worst_eq, 0.0, 1e-10)
 
-    worst_chain = -math.inf
-    worst_ties = 0.0
-    fs = random_batch(seed + 900, 4, 40)  # f as in the loop above
-    for k in range(40):
-        d_ = 2 + (k % 3)
-        f = DyadicFunction(d_, fs[: 1 << d_, k])
-        sups = fo.kolmogorov_mean_chain(f, orders=(-math.inf, -1.0, 0.0, 1.0, 2.0, 3.0, 10.0, math.inf))
-        ordered = sorted(sups)
-        worst_chain = max(
-            worst_chain, max(sups[a] - sups[b] for a, b in zip(ordered, ordered[1:]))
-        )
-        worst_ties = max(worst_ties, abs(sups[2.0] - fo.backward_rms_norm(f)), abs(sups[math.inf] - fo.forward_sup(f)))
+    f4 = _leading_columns(random_batch(seed + 900, 4, 40), 2 + np.arange(40) % 3)  # f as in the loop above
+    sups = fo.kolmogorov_mean_chain_batch(f4, orders=(-math.inf, -1.0, 0.0, 1.0, 2.0, 3.0, 10.0, math.inf))
+    ordered = sorted(sups)
+    worst_chain = max((sups[a] - sups[b]).max() for a, b in zip(ordered, ordered[1:]))
+    worst_ties = max(
+        np.abs(sups[2.0] - fo.backward_rms_norm_batch(f4)).max(), np.abs(sups[math.inf] - fo.forward_sup_batch(f4)).max()
+    )
     rec.at_most("kolmogorov-chain", "power-mean sups are monotone in the order", "kolmogorov-means", worst_chain, 0.0, TOL_EXACT)
     rec.close_to("kolmogorov-ties", "order two matches the norm; order infinity matches the forward sup", "kolmogorov-means", worst_ties, 0.0, TOL_EXACT)
 
@@ -575,11 +597,8 @@ def run_dirac_mult(depth: None, seed: int) -> List[Check]:
         TOL_EXACT,
     )
 
-    ok = True
-    for f in _columns(random_batch(seed + 2000, 3, 40)):
-        f = f * (0.9 / max(sup_norm(f), 1e-12))
-        rep = fo.l2_sandwich_check(f)
-        ok = ok and rep["holds"]
+    x = random_batch(seed + 2000, 3, 40)
+    ok = fo.l2_sandwich_check_batch(x * (0.9 / np.maximum(np.abs(x).max(axis=0), 1e-12)))["holds"].all()
     rec.close_to("l2-sandwich", "norm at most one forces both L2 differences at most one", "l2-sandwich", 0.0 if ok else 1.0, 0.0, 0.0)
     return rec.checks
 
@@ -654,16 +673,12 @@ def run_adjudication(depth: None, seed: int) -> List[Check]:
     scan = fo.surface_max_scan(fo.koopman_overlap(witness))
     rec.close_to("witness-scan", "the witness scan maximum is 9/8", "overlap-surface", scan["max"], 9.0 / 8.0, TOL_SCAN)
 
-    psis = [witness] + [normalized(psi) for psi in _columns(random_batch(seed, 4, 3, "kernel-of-L"))] + [
-        normalized(random_function(seed + 40, 5))
-    ]
+    psis = [witness] + _unit_columns(random_batch(seed, 4, 3, "kernel-of-L")) + [normalized(random_function(seed + 40, 5))]
     sup_worst = max(_sup_expression(psi) for psi in psis)
     rec.at_most("expression-global-bound", "the squared expression never exceeds 9/8 over unit inputs", "overlap-surface", sup_worst, 9.0 / 8.0, TOL_NORM)
 
-    worst = 0.0
-    for phi, psi in zip(_columns(random_batch(seed + 100, 5, 50)), _columns(random_batch(seed + 200, 5, 50))):
-        phi, psi = normalized(phi), normalized(psi)
-        worst = max(worst, abs(fo.projection_sq_expression(phi, psi) - fo.commutator_image_sq(phi, psi)))
+    phi, psi = random_batch(seed + 100, 5, 50, "unit-norm"), random_batch(seed + 200, 5, 50, "unit-norm")
+    worst = np.abs(fo.projection_sq_expression_batch(phi, psi) - fo.commutator_image_sq_batch(phi, psi)).max()
     rec.close_to("expression-oracle", "the inner-product expression equals the direct squared image norm", "projection-expression", worst, 0.0, 1e-10)
 
     adj = fo.projection_norm_adjudicate(witness)

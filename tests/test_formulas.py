@@ -18,6 +18,7 @@ from rkdirac.dyadic import (
     inner,
     l2_norm,
     normalized,
+    random_batch,
     random_function,
     refine,
     state_nw,
@@ -475,3 +476,119 @@ class TestProjectionNormAdjudication:
         adj = fo.projection_norm_adjudicate(psi)
         c = adj["c"]
         assert adj["numeric"] == pytest.approx(math.sqrt(1 - c * c), abs=1e-8)
+
+
+# ---------------------------------------------------------------------------
+# The batch forms: one implementation on (2**d, m) column batches, whose
+# one-column case is each DyadicFunction form.
+
+_ORDERS = (-math.inf, -2.5, -1.0, 0.0, 0.5, 1.0, 2.0, 3.0, 10.0, math.inf)
+# repeated values give zero differences, where the orders <= 0 collapse to 0
+_VALUES = st.sampled_from([0.0, 1.0, -2.0]) | st.floats(-1e3, 1e3)
+_UNIT_VALUES = st.sampled_from([0.0, 1.0, -2.0]) | st.floats(1e-3, 1e3) | st.floats(-1e3, -1e-3)  # as _UNIT_FUNCTIONS
+
+
+def _batch(draw, depth, m, values=_VALUES):
+    """A (2**depth, m) batch from hypothesis."""
+    cols = draw(st.lists(st.lists(values, min_size=1 << depth, max_size=1 << depth), min_size=m, max_size=m))
+    return np.array(cols, dtype=float).reshape(m, 1 << depth).T
+
+
+def _unit_batch(x):
+    """Each column of x normalized as ``normalized`` does."""
+    assume(np.all(np.any(x != 0.0, axis=0)))
+    return np.column_stack([normalized(DyadicFunction(x.shape[0].bit_length() - 1, col)).values for col in x.T])
+
+
+def _functions(x):
+    return [DyadicFunction(x.shape[0].bit_length() - 1, col) for col in x.T]
+
+
+class TestBatchFormsAgainstOneColumn:
+    @settings(max_examples=150, deadline=None)
+    @given(st.data(), st.integers(0, 6), st.integers(1, 4))
+    def test_multiplier_forms(self, data, depth, m):
+        x = _batch(data.draw, depth, m)
+        rms, fwd, rdiff = fo.backward_rms_norm_batch(x), fo.forward_sup_batch(x), fo.ruelle_diff_sup_batch(x)
+        chains, sandwich = fo.kolmogorov_mean_chain_batch(x, _ORDERS), fo.l2_sandwich_check_batch(x)
+        for j, f in enumerate(_functions(x)):
+            assert rms[j] == fo.backward_rms_norm(f)
+            assert fwd[j] == fo.forward_sup(f)
+            assert rdiff[j] == fo.ruelle_diff_sup(f)
+            assert {p: v[j] for p, v in chains.items()} == fo.kolmogorov_mean_chain(f, _ORDERS)
+            assert {k: v[j] for k, v in sandwich.items()} == fo.l2_sandwich_check(f)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data(), st.integers(0, 6), st.integers(0, 6), st.integers(1, 4))
+    def test_projection_forms(self, data, phi_depth, psi_depth, m):
+        phi = _batch(data.draw, phi_depth, m)
+        psi = _unit_batch(_batch(data.draw, psi_depth, m, _UNIT_VALUES))
+        expr, image = fo.projection_sq_expression_batch(phi, psi), fo.commutator_image_sq_batch(phi, psi)
+        for j, (f, p) in enumerate(zip(_functions(phi), _functions(psi))):
+            assert expr[j] == fo.projection_sq_expression(f, p)
+            assert image[j] == fo.commutator_image_sq(f, p)
+            assert abs(expr[j] - image[j]) <= 1e-9 * max(1.0, np.abs(phi[:, j]).max() ** 2)
+
+    def test_depth_zero_and_flat_columns(self):
+        x = np.array([[0.0, 3.0, -1.5]])  # three constants: every difference vanishes
+        chains = fo.kolmogorov_mean_chain_batch(x, _ORDERS)
+        assert all(v.tolist() == [0.0, 0.0, 0.0] for v in chains.values())
+        assert fo.backward_rms_norm_batch(x).tolist() == [0.0, 0.0, 0.0]
+        assert fo.l2_sandwich_check_batch(x)["holds"].all()
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+class TestBatchRefusals:
+    def test_a_non_unit_psi_column_is_refused(self):
+        phi, psi = random_batch(1, 3, 4), random_batch(0, 3, 4, "unit-norm")
+        psi[:, 2] *= 1.5
+        for name in ("projection_sq_expression", "commutator_image_sq"):
+            with pytest.raises(ValueError, match="projection vector must have unit norm"):
+                getattr(fo, f"{name}_batch")(phi, psi)
+            with pytest.raises(ValueError, match="projection vector must have unit norm"):
+                getattr(fo, name)(DyadicFunction(3, phi[:, 2]), DyadicFunction(3, psi[:, 2]))
+            getattr(fo, f"{name}_batch")(phi[:, :2], psi[:, :2])  # the good columns pass
+
+    @pytest.mark.parametrize("name", ["backward_rms_norm", "forward_sup", "ruelle_diff_sup", "kolmogorov_mean_chain", "l2_sandwich_check"])
+    def test_an_overflowing_column_is_refused(self, name):
+        # every difference and the preimage average of this column pass 1.8e308
+        x = random_batch(2, 2, 3)
+        x[:, 1] = [1e308, -1e308, 1e308, 1e308]
+        with pytest.raises(ValueError, match="must be finite"):
+            getattr(fo, f"{name}_batch")(x)
+        with pytest.raises(ValueError, match="must be finite"):
+            getattr(fo, name)(DyadicFunction(2, x[:, 1]))
+
+    @pytest.mark.parametrize("name", ["projection_sq_expression", "commutator_image_sq"])
+    def test_an_overflowing_phi_column_is_refused(self, name):
+        phi, psi = random_batch(2, 2, 3), np.ones((4, 3))
+        phi[:, 1] = [1e308, -1e308, 1e308, 1e308]  # <phi, psi> passes 1.8e308
+        with pytest.raises(ValueError, match="must be finite"):
+            getattr(fo, f"{name}_batch")(phi, psi)
+        with pytest.raises(ValueError, match="must be finite"):
+            getattr(fo, name)(DyadicFunction(2, phi[:, 1]), DyadicFunction(2, psi[:, 1]))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+class TestPowerMeansAtExtremeScales:
+    # Scaling f by a power of two scales every difference, and so every mean,
+    # exactly, as long as nothing overflows or goes subnormal.
+    ORDERS = (-math.inf, -1.0, 0.0, 1.0, 2.0, 3.0, 10.0, math.inf)
+
+    @pytest.mark.parametrize("scale, exponent", [(1e40, -130), (1e-200, 600)], ids=["large", "small"])
+    def test_the_chain_is_the_rescaled_moderate_chain(self, scale, exponent):
+        f = DyadicFunction(2, [scale, -scale, 0.3 * scale, 0.0])
+        sups = fo.kolmogorov_mean_chain(f, self.ORDERS)
+        moderate = fo.kolmogorov_mean_chain(f * 2.0**exponent, self.ORDERS)
+        assert sups == {p: v * 2.0**-exponent for p, v in moderate.items()}
+        ordered = sorted(sups)
+        assert all(0.0 < sups[lo] <= sups[hi] < math.inf for lo, hi in zip(ordered, ordered[1:]))
+        # the largest difference is 2 scale, and the largest mean of two is 1.65 scale
+        assert sups[math.inf] == pytest.approx(2.0 * scale, rel=1e-15)
+        assert sups[1.0] == pytest.approx(1.65 * scale, rel=1e-15)
+
+    def test_the_rms_norm_does_not_overflow(self):
+        f = DyadicFunction(1, [1e160, -1e160])
+        assert fo.backward_rms_norm(f) == pytest.approx(SQRT2 * 1e160, rel=1e-15)
+        assert fo.backward_rms_norm(f) == fo.backward_rms_norm(f * 2.0**-500) * 2.0**500
+        assert fo.l2_sandwich_check(f)["norm"] == fo.backward_rms_norm(f)

@@ -1,14 +1,20 @@
+import dataclasses
+import json
+import math
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from rkdirac import boson as bo
+from rkdirac import dirac as di
 from rkdirac import formulas as fo
 from rkdirac import suites, transfer as tr
 from rkdirac.dyadic import (
     _col_dist,
+    DyadicFunction,
     constant,
+    from_haar,
     haar_function,
     inner,
     l2_dist,
@@ -19,6 +25,8 @@ from rkdirac.dyadic import (
     refine,
     state_n,
     state_nw,
+    sup_norm,
+    to_haar,
 )
 from rkdirac.words import EPSILON, all_words, index_word, shift, words_up_to
 
@@ -58,11 +66,10 @@ class TestCaseTable:
         assert abs(batched - case_table_error_loop(*lengths)) <= 1e-15
         assert batched <= suites.TOL_EXACT
 
-    @pytest.mark.parametrize("keep", [0, 1], ids=["upper-twice", "lower-twice"])
-    def test_each_block_is_checked(self, monkeypatch, keep):
+    @pytest.mark.parametrize("keep, swap", [(tr.Koopman, tr.Ruelle), (tr.Ruelle, tr.Koopman)], ids=["upper-twice", "lower-twice"])
+    def test_each_block_is_checked(self, monkeypatch, keep, swap):
         # one block compared against the other block's table is off by 1/2 somewhere
-        real = tr.dirac_blocks
-        monkeypatch.setattr(tr, "dirac_blocks", lambda a: (real(a)[keep],) * 2)
+        monkeypatch.setattr(swap, "apply_batch", keep.apply_batch)
         assert suites._projection_case_table_error(2, 3) >= 0.5
 
 
@@ -83,7 +90,7 @@ class TestExpressionSup:
     def test_exact_sup_matches_the_span_scan_and_bounds_the_random_sampler(self, seed):
         psis = [suites._witness_vector(), constant(1.0)]
         psis += [normalized(random_function(seed + 40, d)) for d in (1, 3, 5)]
-        psis += [normalized(f) for f in suites._columns(random_batch(seed, 4, 3, "kernel-of-L"))]
+        psis += suites._unit_columns(random_batch(seed, 4, 3, "kernel-of-L"))
         for j, psi in enumerate(psis):
             exact = suites._sup_expression(psi)
             assert abs(exact - fo.projection_span_scan(psi) ** 2) <= 1e-9
@@ -289,3 +296,85 @@ class TestBatchedChecks:
         monkeypatch.setattr(tr, "_koopman", self._last_column_scaled(tr._koopman, 3.0))
         statuses = {c.id: c.status for c in suites.SUITES[suite](suites.suite_depth(suite, 8), 1)}
         assert [statuses[f"{suite}.{cid}"] for cid in BATCHED_CHECKS[suite]] == ["fail"] * len(BATCHED_CHECKS[suite])
+
+
+# ---------------------------------------------------------------------------
+# The formula checks as they were written before they went batched: one
+# DyadicFunction at a time through the one-function formulas.
+
+
+def _columns(batch):
+    return [DyadicFunction(batch.shape[0].bit_length() - 1, col) for col in batch.T]
+
+
+def basis_loops(d, seed):
+    """Reference: basis's parseval and roundtrip values."""
+    pairs = [(f, to_haar(f)) for f in _columns(random_batch(seed, d, 20))]
+    return {
+        "parseval": max(abs(inner(f, f) - float(h @ h)) for f, h in pairs),
+        "roundtrip": max(l2_dist(from_haar(to_haar(f)), f) for f in _columns(random_batch(seed + 100, min(d, 6), 20))),
+    }
+
+
+def dirac_mult_loops(seed):
+    """Reference: dirac-mult's formula values."""
+    worst_match, worst_sandwich, worst_eq = 0.0, -math.inf, 0.0
+    batch = random_batch(seed, 5, 60)
+    gs = {d_: random_batch(seed + 400 + d_, d_, 15, "independent-of-first-coordinate") for d_ in range(2, 6)}
+    for k in range(60):
+        d_ = 2 + k % 4
+        f = DyadicFunction(d_, batch[: 1 << d_, k])
+        numeric = di.commutator_norm(tr.Mult(f)).value
+        worst_match = max(worst_match, abs(numeric - fo.backward_rms_norm(f)))
+        worst_sandwich = max(worst_sandwich, numeric - fo.forward_sup(f), fo.ruelle_diff_sup(f) - numeric)
+        g = DyadicFunction(d_, gs[d_][:, k // 4])
+        vals = (fo.forward_sup(g), fo.backward_rms_norm(g), fo.ruelle_diff_sup(g))
+        worst_eq = max(worst_eq, max(vals) - min(vals))
+
+    worst_chain, worst_ties = -math.inf, 0.0
+    fs = random_batch(seed + 900, 4, 40)
+    for k in range(40):
+        d_ = 2 + k % 3
+        f = DyadicFunction(d_, fs[: 1 << d_, k])
+        sups = fo.kolmogorov_mean_chain(f, orders=(-math.inf, -1.0, 0.0, 1.0, 2.0, 3.0, 10.0, math.inf))
+        ordered = sorted(sups)
+        worst_chain = max(worst_chain, max(sups[a] - sups[b] for a, b in zip(ordered, ordered[1:])))
+        worst_ties = max(worst_ties, abs(sups[2.0] - fo.backward_rms_norm(f)), abs(sups[math.inf] - fo.forward_sup(f)))
+
+    ok = True
+    for f in _columns(random_batch(seed + 2000, 3, 40)):
+        ok = ok and fo.l2_sandwich_check(f * (0.9 / max(sup_norm(f), 1e-12)))["holds"]
+    return {
+        "rms-match": worst_match,
+        "sandwich": worst_sandwich,
+        "first-coordinate-equality": worst_eq,
+        "kolmogorov-chain": worst_chain,
+        "kolmogorov-ties": worst_ties,
+        "l2-sandwich": 0.0 if ok else 1.0,
+    }
+
+
+def expression_oracle_loop(seed):
+    """Reference: adjudication's expression-oracle value."""
+    worst = 0.0
+    for phi, psi in zip(_columns(random_batch(seed + 100, 5, 50)), _columns(random_batch(seed + 200, 5, 50))):
+        phi, psi = normalized(phi), normalized(psi)
+        worst = max(worst, abs(fo.projection_sq_expression(phi, psi) - fo.commutator_image_sq(phi, psi)))
+    return worst
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7, 900])
+def test_batched_formula_checks_match_the_per_function_loops(seed):
+    want = {f"basis.{k}": v for k, v in basis_loops(8, seed).items()}
+    want.update({f"dirac-mult.{k}": v for k, v in dirac_mult_loops(seed).items()})
+    want["adjudication.expression-oracle"] = expression_oracle_loop(seed)
+    want["dirac-projections.case-table"] = case_table_error_loop(2, 4)
+    suites_run = {key.split(".")[0] for key in want}
+    got = {c.id: c.value for name in suites_run for c in suites.SUITES[name](suites.suite_depth(name, 8), seed)}
+    assert {k: abs(got[k] - v) <= 1e-12 for k, v in want.items()} == dict.fromkeys(want, True), (got, want)
+
+
+def test_report_json_is_the_asdict_form():
+    report = suites.run_suite("all", 8, 1)
+    legacy = dict(report.to_json(), checks=[dataclasses.asdict(c) for c in sorted(report.checks, key=lambda c: c.id)])
+    assert json.dumps(report.to_json(), indent=2) == json.dumps(legacy, indent=2)
