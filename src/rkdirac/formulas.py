@@ -404,7 +404,7 @@ def _power_mean(d0: np.ndarray, d1: np.ndarray, order: float) -> np.ndarray:
 
     A finite order is taken as m M_p(d0/m, d1/m) with m = max(d0, d1), and 0
     where m = 0: both ratios lie in [0, 1] and one of them is 1, so no power
-    overflows and no mean underflows below the smaller difference.
+    overflows, and a power can only underflow where it is negligible beside 1.
     """
     if order == math.inf:
         return np.maximum(d0, d1)
