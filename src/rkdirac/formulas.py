@@ -237,7 +237,7 @@ def ruelle_sq_expression(phi: DyadicFunction, psi: DyadicFunction) -> float:
     x = inner(phi, psi)
     y = inner(ruelle_apply(phi), psi)
     c = inner(lpsi, psi)
-    return x * x * inner(lpsi, lpsi) - 2.0 * x * y * c + y * y
+    return require_finite(x * x * inner(lpsi, lpsi) - 2.0 * x * y * c + y * y, "projection expression")  # Python floats: no overflow warning
 
 
 def commutator_image_sq_batch(phi: np.ndarray, psi: np.ndarray) -> np.ndarray:
@@ -287,7 +287,7 @@ def coefficient_image_sq(phi: DyadicFunction, psi: DyadicFunction) -> float:
     require_unit(psi, "projection vector")
     d = max(phi.depth, psi.depth)  # pair at the common depth
     a, b = to_haar(refine(phi, d)), to_haar(refine(psi, d))
-    return _image_sq(float(a @ b), _koopman_pairing_coeffs(a, b), koopman_overlap_from_coeffs(b))
+    return require_finite(_image_sq(float(a @ b), _koopman_pairing_coeffs(a, b), koopman_overlap_from_coeffs(b)), "projection expression")
 
 
 def coefficient_image_sq_truncated(phi: DyadicFunction, psi: DyadicFunction) -> float:
@@ -299,7 +299,7 @@ def coefficient_image_sq_truncated(phi: DyadicFunction, psi: DyadicFunction) -> 
     children = _children(b)
     t = float((b[4:] * INV_SQRT2) @ children[4:])  # words of length > 1
     t += 0.5 * float(children[1]) * float(b[0] + b[1])
-    return _image_sq(float(a @ b), _koopman_pairing_coeffs(a, b), t)
+    return require_finite(_image_sq(float(a @ b), _koopman_pairing_coeffs(a, b), t), "projection expression")
 
 
 def projection_norm_bounds(psi: DyadicFunction) -> Dict[str, float]:
@@ -388,11 +388,10 @@ def ruelle_diff_sup(f: DyadicFunction) -> float:
 def weighted_sup_chain(f: DyadicFunction) -> Dict[str, float]:
     """The three sups of the chain |f|_sup >= |sqrt(L f^2)|_sup >= |L f|_sup,
     all computed exactly; the suites judge the ordering."""
-    return {
-        "sup": sup_norm(f),
-        "mid": float(np.sqrt(np.clip(ruelle_apply(pointwise_mul(f, f)).values, 0.0, None)).max()),
-        "ruelle_sup": sup_norm(ruelle_apply(f)),
-    }
+    m = sup_norm(f)
+    u = DyadicFunction(f.depth, f.values / (m if m > 0.0 else 1.0))  # |u| <= 1, so no square overflows
+    mid = m * float(np.sqrt(ruelle_apply(pointwise_mul(u, u)).values).max())
+    return {"sup": m, "mid": mid, "ruelle_sup": sup_norm(ruelle_apply(f))}
 
 
 _DEFAULT_ORDERS = (-math.inf, -1.0, 0.0, 1.0, 2.0, math.inf)

@@ -13,9 +13,14 @@ Which path runs:
 
 * exact, under method="auto" only, for a bound operator at input depth d
   whose ``normal_form`` has an exact solve, ``NormalForm.exact_norm(d)``
-  (``exact-diagonal`` or ``exact-rank-r``; see there).  Every other form
+  (``exact-diagonal``, ``exact-rank-r`` or ``exact-block``; see there):
+  multiplier and projection blocks, and every block whose terms share one
+  shift, such as the K^n L^n commutators at any n, in closed form, or
+  probed from the core depth on when their blocks' smaller side is at most
+  DENSE_CUTOFF.  Every other form (mixed shifts, terms with rank-one pairs)
   takes the paths below.  method="dense" and "lanczos" never take this
-  path, so they remain an independent check of it.
+  path and apply the operator spec itself, so they remain an independent
+  check of it.
 * dense, when n <= DENSE_CUTOFF (256) under method="auto", always under
   method="dense", and as the fallback: ``eigvalsh``'s top eigenvalue of
   the n x n Gram.  For a bound operator the Gram is built by applying the
@@ -93,7 +98,7 @@ class NormEstimate:
     value: float
     iterations: int
     converged: bool
-    method: str  # "exact-diagonal", "exact-rank-r", "dense" or "lanczos"
+    method: str  # "exact-diagonal", "exact-rank-r", "exact-block", "dense" or "lanczos"
     residual: float
 
     @property

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -496,9 +496,9 @@ def run_dirac_projections(depth: None, seed: int) -> List[Check]:
         worst = max(worst, bounds["lower_K"] - r.value, bounds["lower_L"] - r.value)
     rec.at_most("coeff-lower-bounds", "coefficient bounds stay below the numeric norm", "projection-norm-bounds", worst, 0.0, 1e-8)
 
-    values = {}
-    for name, idx in (("e0", Word.from_string("0")), ("e1", Word.from_string("1")), ("eps0", EPS0), ("eps1", EPS1)):
-        values[name] = di.commutator_norm(tr.Proj(haar_function(idx))).value
+    names = {"e0": Word.from_string("0"), "e1": Word.from_string("1"), "eps0": EPS0, "eps1": EPS1}
+    norms = di.commutator_norms([tr.Proj(haar_function(idx)) for idx in names.values()])
+    values = {name: r.value for name, r in zip(names, norms)}
     rec.report(
         "length-one",
         "commutator norms of the four depth-one projections (no asserted closed form)",
@@ -745,8 +745,9 @@ def run_wold(depth: int, seed: int) -> List[Check]:
     rec = _Recorder("wold")
     worst_count = 0
     worst_gram = 0.0
+    full, own = wold_members(depth)
     for d in range(1, depth + 1):
-        family = wold_family(d)
+        family = full[:: 1 << (depth - d), own <= d] * 2.0 ** (-d / 2.0)  # wold_family(d)
         worst_count = max(worst_count, abs(family.shape[1] - (1 << d)))
         worst_gram = max(worst_gram, float(np.max(np.abs(family.T @ family - np.eye(family.shape[1])))))
     rec.close_to("count", "the chain family restricted to depth d has exactly 2**d members", "wold-basis", float(worst_count), 0.0, 0.0)
@@ -757,9 +758,20 @@ def run_wold(depth: int, seed: int) -> List[Check]:
 def wold_family(d: int) -> np.ndarray:
     """The depth-d orthonormal coordinates of the constant and of every chain
     state that fits inside the depth-d space, one member per column."""
-    groups = [np.ones((1, 1))] + [chain_batch(n, None) for n in range(0, d)]
-    groups += [chain_batch(n, ell) for ell in range(0, max(d - 1, 0)) for n in range(0, d - 1 - ell)]
-    return np.concatenate([_refine_rows(g, d) for g in groups], axis=1) * 2.0 ** (-d / 2.0)
+    values, _ = wold_members(d)
+    return values * 2.0 ** (-d / 2.0)
+
+
+def wold_members(depth: int) -> Tuple[np.ndarray, np.ndarray]:
+    """(values, own): the cylinder values at ``depth`` of the members of
+    ``wold_family(depth)``, one per column, and each member's own depth.
+    ``wold_family(d)`` for d <= depth is ``values[:: 2**(depth - d), own <= d]
+    * 2**(-d/2)``: a member of depth at most d repeats each of its depth-d
+    values over 2**(depth - d) consecutive rows."""
+    groups = [np.ones((1, 1))] + [chain_batch(n, None) for n in range(0, depth)]
+    groups += [chain_batch(n, ell) for ell in range(0, max(depth - 1, 0)) for n in range(0, depth - 1 - ell)]
+    own = np.concatenate([np.full(g.shape[1], tr._depth(g)) for g in groups])
+    return np.concatenate([_refine_rows(g, depth) for g in groups], axis=1), own
 
 
 # Each suite takes (depth, seed): the depth from suite_depth, None for a suite

@@ -43,10 +43,11 @@ Normal form.  ``OperatorSpec.normal_form`` rewrites a spec, once per spec
 object, as sum_i M_{g_i} K^{a_i} L^{b_i} M_{h_i} + sum_j |u_j><v_j| (see
 :class:`NormalForm`), using the relations of the Ruelle-Koopman pair.  The
 norm engine reads exact norms off it (``NormalForm.exact_norm``): a
-multiplier block's Gram is itself a multiplier, and a projection block has
-rank two.  ``pair_core_depth`` reads the depth from which a block pair's
-norm is fixed off it too, from the shift and the function depths of its
-terms (``NormalForm.core_depth``).  A Dirac block, a :class:`Commutator`,
+multiplier block's Gram is itself a multiplier, a projection block has rank
+two, and a block whose terms share one shift is block diagonal.
+``pair_core_depth`` reads the depth from which a block pair's norm is fixed
+off it too, from the shift and the function depths of its terms
+(``NormalForm.core_depth``).  A Dirac block, a :class:`Commutator`,
 derives its form from its operator's own (``commutator_form``).  Forms of
 one structure stack into one (``NormalForm.stack``) whose functions carry a
 trailing member axis, ``(2**d, k)`` for k members as a batch carries columns.
@@ -618,9 +619,10 @@ class NormalForm:
 
     def exact_norm(self, d: int) -> Optional[Tuple[object, str]]:
         """(value, method): the form's exact norm on the depth-d space, or None
-        when the form has no exact solve.  No Gram is built and no Krylov run
-        is made; the cost is O(2**d).  A stacked form gives a list, one value
-        per member, from the same numpy calls over the stack.
+        when the form has no exact solve.  No Krylov run is made, and the
+        only Grams built are those of exact-block's small blocks.  A stacked
+        form gives a list, one value per member, from the same numpy calls
+        over the stack.
 
         * exact-diagonal: one multiplier term, whose Gram is a multiplier,
           read off as the largest entry of its diagonal (per member, the max
@@ -639,11 +641,32 @@ class NormalForm:
           r-column sides, then the top singular value of the r x r product of
           their R factors.  A stack's sides are (k, n, r), solved by one
           ``qr`` and one ``svd`` call over the stack.
+        * exact-block: every other form whose terms share one shift
+          s = a - b, with no rank-one pair.  With E_c = K^c L^c, the mean
+          over the leading c symbols (nested projections, E_0 = I),
+          K^a L^b is K^s E_b for s >= 0 and E_a L^{-s} otherwise.
+          - Constant coefficients w_i (the K^n L^n family): the form is
+            K^s T or T L^{-s} with T = sum_i w_i E_{c_i}, c_i = min(a_i, b_i).
+            K^s is an isometry and L^{-s} maps the depth-d space onto the
+            depth-d' one, d' = max(d + s, 0), as a co-isometry, so the value
+            is the norm of T there: T's eigenvalues are the partial sums
+            Q_k = sum_{c_i <= k} w_i for k < d' and Q_top on the constants,
+            top = max c_i, and the value is max(|Q_top|, |Q_k| for
+            k < min(top, d')), at every d in O(top).  The K block
+            K^{n+1} L^n - K^n L^{n-1} of K^n L^n is K (E_n - E_{n-1}), of
+            norm 1 from depth n on: the paper's ||[D, pi(KL)]|| = 1.
+          - Otherwise, from the core depth on, when 2**top is at most
+            spectra.DENSE_CUTOFF and the form is not stacked: the form is
+            block diagonal with blocks of smaller side 2**top, probed in one
+            pass and solved by batched ``eigvalsh`` (``_block_top``).
+          The Gram form A^* A, derived symbolically from the form and its
+          adjoint, is not solved instead: where the form's terms cancel, its
+          terms cancel after squaring, and it gave 1e-8 where the norm is 0.
 
-        Every other form (a term with a and b both positive, a mix of terms,
-        an L-side multiplier deeper than d) has none.  The value's square, the
-        top Gram eigenvalue, must be finite, as every Gram product of the
-        dense and Lanczos paths must.
+        Every other form (mixed shifts, terms with rank-one pairs, a depth
+        below the core depth of a probed form) has none.  The value's
+        square, the top Gram eigenvalue, must be finite, as every Gram
+        product of the dense and Lanczos paths must.
         """
         if not self.terms:
             sides = _columns([u for u, _ in self.rank_one]), _columns([_mean_onto(v, d) for _, v in self.rank_one])
@@ -651,17 +674,41 @@ class NormalForm:
             sigma = np.linalg.svd(u @ w.swapaxes(-1, -2), compute_uv=False)[..., 0] if u.size else np.zeros(())
             require_finite([s * s for s in sigma.reshape(-1).tolist()], "Gram operator")  # Python floats: no overflow warning
             return sigma.tolist(), "exact-rank-r"
-        if self.rank_one or len(self.terms) != 1:
+        if self.rank_one:
             return None
-        g, a, b, h = self.terms[0]
-        if b == 0:
-            diagonal = _mean_onto(_ruelle_pow(g * g, a), d)
-        elif a == 0 and _depth(h) <= d and b <= d:
-            diagonal = _ruelle_pow(h * h, b)
-        else:
+        if len(self.terms) == 1:
+            g, a, b, h = self.terms[0]
+            diagonal = None
+            if b == 0:
+                diagonal = _mean_onto(_ruelle_pow(g * g, a), d)
+            elif a == 0 and _depth(h) <= d and b <= d:
+                diagonal = _ruelle_pow(h * h, b)
+            if diagonal is not None:
+                lam = require_finite(diagonal, "Gram operator").max(axis=0)
+                return np.sqrt(np.maximum(lam, 0.0)).tolist(), "exact-diagonal"
+        return self._block_norm(d)
+
+    def _block_norm(self, d: int) -> Optional[Tuple[object, str]]:
+        """The exact-block solve of ``exact_norm``, or None (see there)."""
+        shifts = {a - b for _, a, b, _ in self.terms}
+        if len(shifts) > 1:
             return None
-        lam = require_finite(diagonal, "Gram operator").max(axis=0)
-        return np.sqrt(np.maximum(lam, 0.0)).tolist(), "exact-diagonal"
+        (s,) = shifts
+        top = max(min(a, b) for _, a, b, _ in self.terms)
+        if all(g.shape[0] == h.shape[0] == 1 for g, _, _, h in self.terms):
+            w = [(g * h)[0] for g, _, _, h in self.terms]
+            q = np.zeros((top + 1,) + np.broadcast_shapes(*(x.shape for x in w)))
+            for x, (_, a, b, _) in zip(w, self.terms):
+                q[min(a, b)] += x
+            q = np.abs(np.cumsum(q, axis=0))
+            sigma = np.maximum(q[top], q[: min(top, max(d + min(s, 0), 0))].max(axis=0, initial=0.0))
+            require_finite([x * x for x in sigma.reshape(-1).tolist()], "Gram operator")  # as exact-rank-r
+            return sigma.tolist(), "exact-block"
+        reach = self.core_depth()
+        stacked = any(f.ndim > 1 for g, _, _, h in self.terms for f in (g, h))
+        if d < reach or stacked or 1 << top > _dense_cutoff():
+            return None
+        return _block_top(self.terms, s, reach), "exact-block"
 
     def key(self) -> tuple:
         """The form's structure: its terms' (a, b), the shapes of all its
@@ -678,6 +725,51 @@ class NormalForm:
         terms = tuple((join(g), a[0], b[0], join(h)) for g, a, b, h in (zip(*ts) for ts in zip(*(f.terms for f in forms))))
         rank_one = tuple((join(u), join(v)) for u, v in (zip(*ps) for ps in zip(*(f.rank_one for f in forms))))
         return NormalForm(terms, rank_one) if rank_one or any(g is not _ONE or h is not _ONE for g, _, _, h in terms) else None
+
+
+def _dense_cutoff() -> int:
+    """The norm engine's dense cutoff, read when used (spectra imports this module)."""
+    from . import spectra
+
+    return spectra.DENSE_CUTOFF
+
+
+def _block_top(terms: Sequence[Term], s: int, reach: int) -> float:
+    """The largest singular value of sum_i M_{g_i} K^{a_i} L^{b_i} M_{h_i},
+    every a_i - b_i = s, on the depth-``reach`` space (``core_depth``).
+
+    With B = max b_i, each term maps input symbol B + j to output symbol
+    B + s + j, so the form is block diagonal in the input's last reach - B
+    symbols (its tail): one 2**(B + s) x 2**B block per tail.  Applied to
+    the 2**B depth-B cylinder indicators it gives every block at once
+    (column grouping, or probing): row (p, t) of column q is entry (p, q) of
+    block t.  The rows are laid out as (2**B or 2**(B + s), tails, columns),
+    so that a function deeper than its side's B or B + s symbols is its
+    reshape to those rows and the tails; tails go through in chunks.  The
+    blocks are squared numerically on their smaller side, as a dense Gram
+    is, so that terms which cancel lose no more digits than they do there.
+    """
+    big = max(b for _, _, b, _ in terms)
+    m, n = 1 << (big + s), 1 << big
+    lam = 0.0
+    for chunk in column_chunks(1 << (reach - big), max(m, n) * n):
+        t = np.arange(chunk.start, chunk.stop)
+
+        def cut(f: np.ndarray, lead: int) -> np.ndarray:
+            # f's symbols past its side's leading ones are input symbols
+            # big + 1 .. big + e - lead: the leading e - lead bits of a tail
+            e = _depth(f)
+            return f if e <= lead else f.reshape(1 << lead, -1)[:, t >> (reach + lead - big - e), None]
+
+        x = np.broadcast_to(np.eye(n)[:, None, :], (n, t.size, n))
+        out = np.zeros((m, t.size, n))
+        with np.errstate(over="ignore", invalid="ignore"):  # refused below, with a ValueError
+            for g, a, b, h in terms:
+                out += _refine_rows(_term_apply((cut(g, big + s), a, b, cut(h, big)), x), big + s)
+            blocks = require_finite(out, "operator").transpose(1, 0, 2) * 2.0 ** (-s / 2.0)
+            gram = blocks.swapaxes(1, 2) @ blocks if s >= 0 else blocks @ blocks.swapaxes(1, 2)
+        lam = max(lam, float(np.linalg.eigvalsh(require_finite(gram, "Gram operator"))[:, -1].max()))
+    return float(np.sqrt(lam))
 
 
 # ---------------------------------------------------------------------------

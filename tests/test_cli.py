@@ -367,16 +367,28 @@ class TestNormCommand:
         assert out["depth"] == 5
 
     def test_diagnostics_per_block(self, tmp_path, capsys):
-        spec = tmp_path / "op.json"
-        spec.write_text(json.dumps({"kind": "condexp", "n": 11}))  # core depth 12
-        for depth, path in (("4", "dense"), ("12", "matrix-free")):
+        # K^11 L^11 (core depth 12) has single-shift blocks, solved exactly at
+        # every depth.  A Haar projection plus a small multiplier (core depth
+        # 11) has rank-one pairs next to its terms and no exact solve: dense
+        # at depth 4, Lanczos at its core depth, past the dense cutoff.
+        condexp = tmp_path / "condexp.json"
+        condexp.write_text(json.dumps({"kind": "condexp", "n": 11}))
+        mixed = tmp_path / "mixed.json"
+        f = {"depth": 9, "values": random_function(1, 9).values.tolist()}
+        mixed.write_text(json.dumps({"kind": "sum", "ops": [{"kind": "haar_proj", "w": "01"}, {"kind": "mult", "f": f}], "weights": [1.0, 0.05]}))
+        for spec, depth, path, method in (
+            (condexp, "4", "exact", "exact-block"),
+            (condexp, "12", "exact", "exact-block"),
+            (mixed, "4", "dense", "dense"),
+            (mixed, "12", "matrix-free", "lanczos"),
+        ):
             assert main(["norm", "--operator", str(spec), "--depth", depth]) == 0
             diag = json.loads(capsys.readouterr().out)["diagnostics"]
             for block in ("upper", "lower"):
                 assert diag[block]["path"] == path
-                assert diag[block]["method"] == ("dense" if path == "dense" else "lanczos")
+                assert diag[block]["method"] == method
                 assert diag[block]["converged"] is True and diag[block]["fallback"] is False
-                assert (diag[block]["iterations"] == 0) == (path == "dense")
+                assert (diag[block]["iterations"] == 0) == (path != "matrix-free")
 
     def test_diagnostics_report_residual(self, tmp_path, capsys):
         spec = tmp_path / "op.json"

@@ -196,10 +196,14 @@ class TestLipschitzCertify:
 
     def test_reports_how_each_block_was_obtained(self):
         # A projection's blocks have rank two and are solved exactly; those of
-        # K^2 L^2 are two-sided terms, solved densely at its core depth 3.
+        # K^2 L^2 share one shift and are solved exactly too.  Half a Haar
+        # projection plus a small multiplier has rank-one pairs next to its
+        # terms: solved densely at its core depth 5.
+        mixed = Sum((Proj(haar_function(w("01"))), Mult(random_function(1, 2))), (0.5, 0.05))
         for op, core, method, path in (
             (Proj(haar_function(w("011"))), 5, "exact-rank-r", "exact"),
-            (CondExp(2), 3, "dense", "dense"),
+            (CondExp(2), 3, "exact-block", "exact"),
+            (mixed, 5, "dense", "dense"),
         ):
             cert = lipschitz_certify(op)
             assert (cert["core_depth"], cert["computed_at"], cert["threshold"]) == (core, core, 1.0)
@@ -232,12 +236,29 @@ class TestLipschitzCertify:
             lipschitz_certify(Proj(haar_function(w("011"))), depth=3)
 
     def test_lanczos_ritz_value_is_not_certified(self):
-        # core 9: the smaller side of a block is 512, past the dense cutoff,
-        # and the K block K^9 L^8 - K^8 L^7 has no exact solve
-        cert = lipschitz_certify(CondExp(8))
-        assert cert["computed_at"] == 9 and cert["value"] == pytest.approx(1.0, abs=1e-9)
+        # core 11: the smaller side of a block is 2048, past the dense cutoff,
+        # and a projection plus a multiplier has no exact solve
+        op = Sum((Proj(haar_function(w("01"))), Mult(random_function(1, 9))), (1.0, 0.05))
+        cert = lipschitz_certify(op)
+        dense = commutator_norm(op, method="dense")
+        assert cert["computed_at"] == 11 and abs(cert["value"] - dense.value) <= 1e-9
+        assert cert["value"] <= 1.0
         assert cert["upper"]["method"] == "lanczos" and cert["upper"]["converged"]
         assert not cert["certified"] and "lower bound" in cert["reason"]
+
+    @pytest.mark.parametrize("n", [8, 9, 10, 22])
+    def test_condexp_is_certified_at_every_order(self, n):
+        # K^n L^n's blocks share one shift, with constant coefficients: read
+        # off in closed form at the core depth n + 1, however large
+        cert = lipschitz_certify(CondExp(n))
+        assert cert["certified"] and cert["computed_at"] == n + 1
+        assert abs(cert["value"] - 1.0) <= 1e-12
+        assert cert["upper"]["method"] == cert["lower"]["method"] == "exact-block"
+
+    def test_condexp_past_the_depth_cap_is_refused(self):
+        # core 24, where the K block's output depth 25 passes the cap
+        with pytest.raises(ValueError, match="depth cap 24 exceeded"):
+            lipschitz_certify(CondExp(23))
 
     def test_exact_value_is_certified_past_the_dense_cutoff(self):
         # core 9, as above, but both blocks of a multiplier are solved exactly
@@ -556,10 +577,13 @@ class TestStackedForms:
         calls = []
         per_member = dirac.commutator_norm
         monkeypatch.setattr(dirac, "commutator_norm", lambda a: calls.append(a) or per_member(a))
-        ops = [CondExp(1), Mult(random_function(1, 2)), CondExp(1), Mult(random_function(2, 2)), Mult(random_function(3, 3))]
+        mixed = [Sum((Proj(haar_function(w("01"))), Mult(random_function(s, 2))), (1.0, 0.05)) for s in (1, 2)]
+        ops = [mixed[0], Mult(random_function(1, 2)), mixed[1], Mult(random_function(2, 2)), Mult(random_function(3, 3)), CondExp(1), CondExp(1)]
         got = commutator_norms(ops)
-        assert calls == [ops[0], ops[2], ops[4]]  # CondExp's blocks have no exact solve; a family of one
-        assert got[0].upper.method == "dense"
+        # a projection plus a multiplier has no exact solve; a family of one;
+        # CondExp(1)'s forms hold only the constant 1, nothing to stack
+        assert calls == [ops[0], ops[2], ops[4], ops[5], ops[6]]
+        assert got[0].upper.method == "dense" and got[5].upper.method == "exact-block"
         for g, a in zip(got, ops):
             _assert_same_norm(g, per_member(a))
 

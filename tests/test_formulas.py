@@ -559,6 +559,14 @@ class TestBatchRefusals:
         with pytest.raises(ValueError, match="must be finite"):
             getattr(fo, name)(DyadicFunction(2, x[:, 1]))
 
+    @pytest.mark.parametrize("name", ["ruelle_sq_expression", "coefficient_image_sq", "coefficient_image_sq_truncated"])
+    def test_an_overflowing_expression_is_refused_not_infinite(self, name):
+        # each inner product is finite, their squares are not
+        phi = DyadicFunction(2, [1e160, 2e160, 3e160, -1e160])
+        psi = normalized(DyadicFunction(2, [1.0, 2.0, -1.0, 0.5]))
+        with pytest.raises(ValueError, match="projection expression values must be finite"):
+            getattr(fo, name)(phi, psi)
+
     @pytest.mark.parametrize("name", ["projection_sq_expression", "commutator_image_sq"])
     def test_an_overflowing_phi_column_is_refused(self, name):
         phi, psi = random_batch(2, 2, 3), np.ones((4, 3))
@@ -586,6 +594,12 @@ class TestPowerMeansAtExtremeScales:
         # the largest difference is 2 scale, and the largest mean of two is 1.65 scale
         assert sups[math.inf] == pytest.approx(2.0 * scale, rel=1e-15)
         assert sups[1.0] == pytest.approx(1.65 * scale, rel=1e-15)
+
+    def test_the_sup_chain_does_not_overflow(self):
+        # f^2 overflows; the middle sup is taken as m sqrt(L (f/m)^2), m = |f|_sup
+        f = DyadicFunction(1, [1e160, -1e160])
+        assert fo.weighted_sup_chain(f) == {"sup": 1e160, "mid": 1e160, "ruelle_sup": 0.0}
+        assert fo.weighted_sup_chain(f * 2.0**-500) == {k: v * 2.0**-500 for k, v in fo.weighted_sup_chain(f).items()}
 
     def test_the_rms_norm_does_not_overflow(self):
         f = DyadicFunction(1, [1e160, -1e160])

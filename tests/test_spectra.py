@@ -4,7 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from rkdirac.dyadic import SQRT2, DyadicFunction, constant, haar_function, indicator, inner, random_function
@@ -29,7 +29,9 @@ from rkdirac.transfer import (
     dirac_blocks,
     identity,
     koopman_apply,
+    scaled,
 )
+from rkdirac.dirac import commutator_norm
 from rkdirac.words import Word
 from test_dirac import _shifted_sums
 from test_transfer import _specs
@@ -220,14 +222,18 @@ class TestMatrixFree:
         # form allows), and forced onto the Lanczos or dense path.
         monkeypatch.setattr(spectra, "DENSE_CUTOFF", 8)
         psi = random_function(7, 3, "unit-norm")
+        mixed = Sum((Proj(haar_function(w("01"))), Mult(random_function(1, 2))), (1.0, 0.05))  # no exact solve
         tall = [  # A^T A
             (commutator_with_K(Proj(psi)), "exact-rank-r"),
-            (commutator_with_K(CondExp(2)), None),
+            (commutator_with_K(CondExp(2)), "exact-block"),
+            (commutator_with_K(mixed), None),
             (Koopman(), "exact-diagonal"),
         ]
         wide = [  # A A^T
             (commutator_with_L(Mult(random_function(9, 3))), "exact-diagonal"),
             (commutator_with_L(Proj(psi)), "exact-rank-r"),
+            (commutator_with_L(CondExp(2)), "exact-block"),
+            (commutator_with_L(mixed), None),
             (Ruelle(), "exact-diagonal"),
         ]
         for ops, tall_side in ((tall, True), (wide, False)):
@@ -669,3 +675,80 @@ class TestExactSolves:
             operator_norm(BoundOperator(op, 4))
         with np.errstate(over="ignore"), pytest.raises(ValueError, match="finite"):
             operator_norm(BoundOperator(op, 4), method="dense")
+
+    def test_overflowing_block_gram_is_a_typed_error(self):
+        # As above: the value is finite and the top Gram eigenvalue is not,
+        # in closed form (K^2 L^2) and probed (plus a multiplier).
+        for op in (CondExp(2), Sum((CondExp(2), Mult(random_function(1, 2))))):
+            block = commutator_with_K(scaled(op, 1e200))
+            with pytest.raises(ValueError, match="finite"):
+                operator_norm(BoundOperator(block, 5))
+            with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError, match="finite"):
+                operator_norm(BoundOperator(block, 5), method="dense")
+
+    @settings(max_examples=100, deadline=None)
+    @given(_families(), st.integers(0, 7))
+    def test_block_values_match_dense_to_1e_12_relative(self, op, depth):
+        bound = BoundOperator(op, depth)
+        auto = operator_norm(bound)
+        assume(auto.method == "exact-block")
+        dense = operator_norm(bound, method="dense")
+        # Relative, but for a norm that cancels to rounding, where neither
+        # solve has relative accuracy (at most 1.8e-15 over 20,000 examples).
+        assert abs(auto.value - dense.value) <= 1e-12 * dense.value + 1e-14, op.describe()
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_condexp_closed_form_probe_and_dense_agree(self, n):
+        # The closed form at every depth, the probe of the blocks at the core
+        # depth, and dense: K^n L^n's blocks have norm 1 from depth n (K) or
+        # n + 1 (L) on, and 0 below.
+        for block in dirac_blocks(CondExp(n)):
+            form = block.normal_form
+            (s,) = {a - b for _, a, b, _ in form.terms}
+            core = form.core_depth()
+            assert abs(transfer._block_top(form.terms, s, core) - 1.0) <= 1e-12
+            for depth in range(1, core + 3):
+                bound = BoundOperator(block, depth)
+                auto, dense = operator_norm(bound), operator_norm(bound, method="dense")
+                assert auto.method == "exact-block" and auto.value == (1.0 if depth >= core else 0.0)
+                assert abs(auto.value - dense.value) <= 1e-12, (block.describe(), depth)
+
+    def test_a_depth_below_the_core_depth_falls_back(self):
+        # Both blocks of M_f + K^2 L^2 share one shift and have non-constant
+        # coefficients: probed from their core depths on, dense below.
+        op = Sum((Mult(random_function(3, 4)), CondExp(2)))
+        for block in dirac_blocks(op):
+            core = block.normal_form.core_depth()
+            for depth in range(1, core + 2):
+                bound = BoundOperator(block, depth)
+                auto, dense = operator_norm(bound), operator_norm(bound, method="dense")
+                assert auto.method == ("exact-block" if depth >= core else "dense"), (block.describe(), depth)
+                assert abs(auto.value - dense.value) <= 1e-12 * dense.value, (block.describe(), depth)
+
+    def test_probed_blocks_match_dense_and_converged_lanczos(self):
+        # core 9: both blocks probed, against dense; core 13: against a
+        # converged Lanczos run, the only other solve at that size
+        for op, method, tol in ((Sum((Mult(random_function(3, 8)), CondExp(2))), "dense", 1e-12), (Sum((Mult(random_function(5, 12)), CondExp(3))), "lanczos", 1e-10)):
+            got, want = commutator_norm(op), commutator_norm(op, method=method)
+            assert got.computed_at == want.computed_at == op.normal_form.core_depth() + 1
+            for g, w_ in ((got.upper, want.upper), (got.lower, want.lower)):
+                assert g.method == "exact-block" and w_.method == method and w_.converged
+                assert abs(g.value - w_.value) <= tol * w_.value
+
+    def test_blocks_are_probed_in_chunks_of_tails(self, monkeypatch):
+        # The same value one tail at a time, and a traced peak well below the
+        # 2**(core + s + big) values of all blocks at once (8 MB here).
+        upper, _ = dirac_blocks(Sum((Mult(random_function(5, 16)), CondExp(3))))
+        form = upper.normal_form
+        (s,) = {a - b for _, a, b, _ in form.terms}
+        core, big = form.core_depth(), max(b for _, _, b, _ in form.terms)
+        assert 8 << (core + s + big) == 8 << 20
+        tracemalloc.start()
+        try:
+            value = transfer._block_top(form.terms, s, core)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 << 20
+        monkeypatch.setattr(transfer, "CHUNK_BYTES", 8)
+        assert transfer._block_top(form.terms, s, core) == value

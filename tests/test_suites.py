@@ -28,7 +28,7 @@ from rkdirac.dyadic import (
     sup_norm,
     to_haar,
 )
-from rkdirac.words import EPSILON, all_words, index_word, shift, words_up_to
+from rkdirac.words import EPS0, EPS1, EPSILON, Word, all_words, index_word, shift, words_up_to
 
 
 def case_table_error_loop(min_len: int, max_len: int) -> float:
@@ -378,3 +378,20 @@ def test_report_json_is_the_asdict_form():
     report = suites.run_suite("all", 8, 1)
     legacy = dict(report.to_json(), checks=[dataclasses.asdict(c) for c in sorted(report.checks, key=lambda c: c.id)])
     assert json.dumps(report.to_json(), indent=2) == json.dumps(legacy, indent=2)
+
+
+def test_length_one_norms_match_the_per_projection_solves():
+    # dirac-projections' length-one values come from one stacked call
+    words = {"e0": Word.from_string("0"), "e1": Word.from_string("1"), "eps0": EPS0, "eps1": EPS1}
+    want = {name: di.commutator_norm(tr.Proj(haar_function(idx))).value for name, idx in words.items()}
+    (check,) = [c for c in suites.SUITES["dirac-projections"](None, 1) if c.id == "dirac-projections.length-one"]
+    assert check.value.keys() == want.keys()
+    assert all(abs(check.value[k] - round(v, 12)) <= 1e-12 for k, v in want.items()), (check.value, want)
+
+
+def test_wold_members_restrict_to_every_wold_family():
+    full, own = suites.wold_members(8)
+    for d in range(1, 9):
+        family = full[:: 1 << (8 - d), own <= d] * 2.0 ** (-d / 2.0)
+        assert family.shape == (1 << d, 1 << d)
+        np.testing.assert_array_equal(family, suites.wold_family(d))
