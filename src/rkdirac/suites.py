@@ -747,9 +747,12 @@ def run_wold(depth: int, seed: int) -> List[Check]:
     worst_gram = 0.0
     full, own = wold_members(depth)
     for d in range(1, depth + 1):
-        family = full[:: 1 << (depth - d), own <= d] * 2.0 ** (-d / 2.0)  # wold_family(d)
+        family = full[:: 1 << (depth - d), own <= d]  # a copy: scaled in place to wold_family(d)
+        family *= 2.0 ** (-d / 2.0)
         worst_count = max(worst_count, abs(family.shape[1] - (1 << d)))
-        worst_gram = max(worst_gram, float(np.max(np.abs(family.T @ family - np.eye(family.shape[1])))))
+        gram = family.T @ family
+        gram.flat[:: gram.shape[0] + 1] -= 1.0  # minus the identity, in place
+        worst_gram = max(worst_gram, float(np.abs(gram, out=gram).max()))
     rec.close_to("count", "the chain family restricted to depth d has exactly 2**d members", "wold-basis", float(worst_count), 0.0, 0.0)
     rec.close_to("gram", "the chain family is orthonormal at every depth", "wold-basis", worst_gram, 0.0, TOL_EXACT)
     return rec.checks
@@ -771,7 +774,12 @@ def wold_members(depth: int) -> Tuple[np.ndarray, np.ndarray]:
     groups = [np.ones((1, 1))] + [chain_batch(n, None) for n in range(0, depth)]
     groups += [chain_batch(n, ell) for ell in range(0, max(depth - 1, 0)) for n in range(0, depth - 1 - ell)]
     own = np.concatenate([np.full(g.shape[1], tr._depth(g)) for g in groups])
-    return np.concatenate([_refine_rows(g, depth) for g in groups], axis=1), own
+    values = np.empty((1 << depth, own.size))
+    j = 0
+    for g in groups:  # one group refined at a time
+        values[:, j : j + g.shape[1]] = _refine_rows(g, depth)
+        j += g.shape[1]
+    return values, own
 
 
 # Each suite takes (depth, seed): the depth from suite_depth, None for a suite

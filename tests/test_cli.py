@@ -366,6 +366,15 @@ class TestNormCommand:
         assert out["block_upper"] == pytest.approx(out["block_lower"], abs=1e-8)
         assert out["depth"] == 5
 
+    @staticmethod
+    def _mixed_spec(tmp_path):
+        """A Haar projection plus a small depth-9 multiplier: core depth 11,
+        and no exact solve (rank-one pairs next to its terms)."""
+        spec = tmp_path / "mixed.json"
+        f = {"depth": 9, "values": random_function(1, 9).values.tolist()}
+        spec.write_text(json.dumps({"kind": "sum", "ops": [{"kind": "haar_proj", "w": "01"}, {"kind": "mult", "f": f}], "weights": [1.0, 0.05]}))
+        return spec
+
     def test_diagnostics_per_block(self, tmp_path, capsys):
         # K^11 L^11 (core depth 12) has single-shift blocks, solved exactly at
         # every depth.  A Haar projection plus a small multiplier (core depth
@@ -373,9 +382,7 @@ class TestNormCommand:
         # at depth 4, Lanczos at its core depth, past the dense cutoff.
         condexp = tmp_path / "condexp.json"
         condexp.write_text(json.dumps({"kind": "condexp", "n": 11}))
-        mixed = tmp_path / "mixed.json"
-        f = {"depth": 9, "values": random_function(1, 9).values.tolist()}
-        mixed.write_text(json.dumps({"kind": "sum", "ops": [{"kind": "haar_proj", "w": "01"}, {"kind": "mult", "f": f}], "weights": [1.0, 0.05]}))
+        mixed = self._mixed_spec(tmp_path)
         for spec, depth, path, method in (
             (condexp, "4", "exact", "exact-block"),
             (condexp, "12", "exact", "exact-block"),
@@ -391,8 +398,7 @@ class TestNormCommand:
                 assert (diag[block]["iterations"] == 0) == (path != "matrix-free")
 
     def test_diagnostics_report_residual(self, tmp_path, capsys):
-        spec = tmp_path / "op.json"
-        spec.write_text(json.dumps({"kind": "condexp", "n": 11}))  # core depth 12
+        spec = self._mixed_spec(tmp_path)  # dense at depth 4, Lanczos at 12
         for depth in ("4", "12"):
             assert main(["norm", "--operator", str(spec), "--depth", depth]) == 0
             diag = json.loads(capsys.readouterr().out)["diagnostics"]

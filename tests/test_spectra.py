@@ -7,6 +7,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from rkdirac.dirac import commutator_norm
 from rkdirac.dyadic import SQRT2, DyadicFunction, constant, haar_function, indicator, inner, random_function
 from rkdirac import spectra, transfer
 from rkdirac.formulas import backward_rms_norm
@@ -31,7 +32,6 @@ from rkdirac.transfer import (
     koopman_apply,
     scaled,
 )
-from rkdirac.dirac import commutator_norm
 from rkdirac.words import Word
 from test_dirac import _shifted_sums
 from test_transfer import _specs
