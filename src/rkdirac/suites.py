@@ -605,15 +605,15 @@ def run_dirac_mult(depth: None, seed: int) -> List[Check]:
 
 def run_dirac_condexp(depth: None, seed: int) -> List[Check]:
     rec = _Recorder("dirac-condexp")
-    worst = 0.0
-    for n in (1, 2, 3):
-        worst = max(worst, abs(di.commutator_norm(tr.CondExp(n)).value - 1.0))
+    ops = {n: tr.CondExp(n) for n in (1, 2, 3)}  # one spec per n: its normal form is derived once
+    norms = {n: di.commutator_norm(op) for n, op in ops.items()}
+    worst = max(abs(r.value - 1.0) for r in norms.values())
     rec.close_to("norm", "commutator norm of every conditional expectation is one", "condexp-norm", worst, 0.0, TOL_NORM)
 
     worst = 0.0
-    for n in (1, 2, 3):
-        core = di.core_depth(tr.CondExp(n))
-        points = sp.depth_sweep(tr.CondExp(n), range(core, core + 3))
+    for n, op in ops.items():
+        core = norms[n].core_depth
+        points = sp.depth_sweep(op, range(core, core + 3))
         values = [p.value for p in points]
         worst = max(worst, max(values) - min(values))
     rec.close_to("plateau", "the norm is already attained at the rule depth and stays flat", "condexp-norm", worst, 0.0, 1e-9)
@@ -621,7 +621,7 @@ def run_dirac_condexp(depth: None, seed: int) -> List[Check]:
     worst = 0.0
     for n in (1, 2, 3):
         g = tr.Compose((tr.Koopman(),) * n).apply_batch(random_batch(seed + 10 * n, 3, 10))
-        worst = max(worst, _col_dist(tr.CondExp(n).apply_batch(g), g).max())
+        worst = max(worst, _col_dist(ops[n].apply_batch(g), g).max())
     rec.close_to("fixed-subspace", "conditional expectation fixes functions ignoring the first n symbols", "condexp", worst, 0.0, TOL_EXACT)
     return rec.checks
 
