@@ -16,11 +16,11 @@ Which path runs:
   (``exact-diagonal``, ``exact-rank-r`` or ``exact-block``; see there):
   multiplier and projection blocks, and every block whose terms share one
   shift, such as the K^n L^n commutators at any n, in closed form, or
-  probed from the core depth on when their blocks' smaller side is at most
-  DENSE_CUTOFF.  Every other form (mixed shifts, terms with rank-one pairs)
-  takes the paths below.  method="dense" and "lanczos" never take this
-  path and apply the operator spec itself, so they remain an independent
-  check of it.
+  probed from the core depth on when one of their blocks fits in
+  transfer.CHUNK_BYTES.  Every other form (mixed shifts, terms with
+  rank-one pairs, larger blocks) takes the paths below.  method="dense" and
+  "lanczos" never take this path and apply the operator spec itself, so
+  they remain an independent check of it.
 * dense, when n <= DENSE_CUTOFF (256) under method="auto", always under
   method="dense", and as the fallback: ``eigvalsh``'s top eigenvalue of
   the n x n Gram.  For a bound operator the Gram is built by applying the

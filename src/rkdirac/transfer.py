@@ -655,16 +655,18 @@ class NormalForm:
             k < min(top, d')), at every d in O(top).  The K block
             K^{n+1} L^n - K^n L^{n-1} of K^n L^n is K (E_n - E_{n-1}), of
             norm 1 from depth n on: the paper's ||[D, pi(KL)]|| = 1.
-          - Otherwise, from the core depth on, when 2**top is at most
-            spectra.DENSE_CUTOFF and the form is not stacked: the form is
-            block diagonal with blocks of smaller side 2**top, probed in one
-            pass and solved by batched ``eigvalsh`` (``_block_top``).
+          - Otherwise, from the core depth on, when the form is not stacked
+            and one block, 2**(top + |s|) x 2**top values, fits in
+            CHUNK_BYTES: the form is block diagonal, its blocks probed on
+            their smaller side in chunks of tails and solved by batched
+            ``eigvalsh`` (``_block_top``).
           The Gram form A^* A, derived symbolically from the form and its
           adjoint, is not solved instead: where the form's terms cancel, its
           terms cancel after squaring, and it gave 1e-8 where the norm is 0.
 
         Every other form (mixed shifts, terms with rank-one pairs, a depth
-        below the core depth of a probed form) has none.  The value's
+        below the core depth of a probed form, blocks past CHUNK_BYTES) has
+        none.  The value's
         square, the top Gram eigenvalue, must be finite, as every Gram
         product of the dense and Lanczos paths must.
         """
@@ -705,10 +707,10 @@ class NormalForm:
             require_finite([x * x for x in sigma.reshape(-1).tolist()], "Gram operator")  # as exact-rank-r
             return sigma.tolist(), "exact-block"
         reach = self.core_depth()
-        stacked = any(f.ndim > 1 for g, _, _, h in self.terms for f in (g, h))
-        if d < reach or stacked or 1 << top > _dense_cutoff():
+        if d < reach or any(f.ndim > 1 for g, _, _, h in self.terms for f in (g, h)):
             return None
-        return _block_top(self.terms, s, reach), "exact-block"
+        value = _block_top(self.terms, reach)
+        return None if value is None else (value, "exact-block")
 
     def key(self) -> tuple:
         """The form's structure: its terms' (a, b), the shapes of all its
@@ -727,47 +729,50 @@ class NormalForm:
         return NormalForm(terms, rank_one) if rank_one or any(g is not _ONE or h is not _ONE for g, _, _, h in terms) else None
 
 
-def _dense_cutoff() -> int:
-    """The norm engine's dense cutoff, read when used (spectra imports this module)."""
-    from . import spectra
-
-    return spectra.DENSE_CUTOFF
-
-
-def _block_top(terms: Sequence[Term], s: int, reach: int) -> float:
+def _block_top(terms: Sequence[Term], reach: int) -> Optional[float]:
     """The largest singular value of sum_i M_{g_i} K^{a_i} L^{b_i} M_{h_i},
-    every a_i - b_i = s, on the depth-``reach`` space (``core_depth``).
+    every a_i - b_i = s, on the depth-``reach`` space (``core_depth``), or
+    None when one of its blocks would not fit in CHUNK_BYTES.
 
     With B = max b_i, each term maps input symbol B + j to output symbol
     B + s + j, so the form is block diagonal in the input's last reach - B
-    symbols (its tail): one 2**(B + s) x 2**B block per tail.  Applied to
-    the 2**B depth-B cylinder indicators it gives every block at once
-    (column grouping, or probing): row (p, t) of column q is entry (p, q) of
-    block t.  The rows are laid out as (2**B or 2**(B + s), tails, columns),
-    so that a function deeper than its side's B or B + s symbols is its
-    reshape to those rows and the tails; tails go through in chunks.  The
-    blocks are squared numerically on their smaller side, as a dense Gram
-    is, so that terms which cancel lose no more digits than they do there.
+    symbols (its tail): one 2**(B + s) x 2**B block per tail.  For s < 0
+    the adjoint sum_i M_{h_i} K^{b_i} L^{a_i} M_{g_i}, whose blocks are the
+    transposes, is probed instead, so that the probes are always the smaller
+    side's 2**top depth-top cylinder indicators, top = max min(a_i, b_i),
+    and each block has 2**(top + |s|) rows.  Applied to them, the form gives
+    every block at once (column grouping, or probing): row (p, t) of column
+    q is entry (p, q) of block t.  The rows are laid out as (2**top or
+    2**(top + |s|), tails, columns), so that a function deeper than its
+    side's leading symbols is its reshape to those rows and the tails; tails
+    go through in chunks.  The blocks are squared numerically on their
+    smaller side, as a dense Gram is, so that terms which cancel lose no
+    more digits than they do there.
     """
-    big = max(b for _, _, b, _ in terms)
-    m, n = 1 << (big + s), 1 << big
+    tails = reach - max(b for _, _, b, _ in terms)
+    (s,) = {a - b for _, a, b, _ in terms}
+    if s < 0:
+        terms, s = [(h, b, a, g) for g, a, b, h in terms], -s
+    top = max(b for _, _, b, _ in terms)
+    m, n = 1 << (top + s), 1 << top
+    if 8 * m * n > CHUNK_BYTES:
+        return None
     lam = 0.0
-    for chunk in column_chunks(1 << (reach - big), max(m, n) * n):
+    for chunk in column_chunks(1 << tails, m * n):
         t = np.arange(chunk.start, chunk.stop)
 
         def cut(f: np.ndarray, lead: int) -> np.ndarray:
-            # f's symbols past its side's leading ones are input symbols
-            # big + 1 .. big + e - lead: the leading e - lead bits of a tail
+            # f's symbols past its side's leading ones are the leading bits of a tail
             e = _depth(f)
-            return f if e <= lead else f.reshape(1 << lead, -1)[:, t >> (reach + lead - big - e), None]
+            return f if e <= lead else f.reshape(1 << lead, -1)[:, t >> (tails + lead - e), None]
 
         x = np.broadcast_to(np.eye(n)[:, None, :], (n, t.size, n))
         out = np.zeros((m, t.size, n))
         with np.errstate(over="ignore", invalid="ignore"):  # refused below, with a ValueError
             for g, a, b, h in terms:
-                out += _refine_rows(_term_apply((cut(g, big + s), a, b, cut(h, big)), x), big + s)
+                out += _refine_rows(_term_apply((cut(g, top + s), a, b, cut(h, top)), x), top + s)
             blocks = require_finite(out, "operator").transpose(1, 0, 2) * 2.0 ** (-s / 2.0)
-            gram = blocks.swapaxes(1, 2) @ blocks if s >= 0 else blocks @ blocks.swapaxes(1, 2)
+            gram = blocks.swapaxes(1, 2) @ blocks
         lam = max(lam, float(np.linalg.eigvalsh(require_finite(gram, "Gram operator"))[:, -1].max()))
     return float(np.sqrt(lam))
 
