@@ -14,7 +14,9 @@ in general.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Dict, Iterator, Optional, Tuple
+
+import numpy as np
 
 from .dyadic import DyadicFunction, _col_dist, chain_batch
 from .transfer import Compose, Koopman, Ruelle, Sum, scaled
@@ -53,30 +55,57 @@ def car_anticommutator(f: DyadicFunction) -> DyadicFunction:
     return CAR_ANTICOMMUTATOR.apply(f)
 
 
-def chain_shift_check(n: int, length: Optional[int], cols: slice = slice(None)) -> dict:
-    """The largest l2 error of each ladder identity over the chain states
-    |n, w> of ``chain_batch(n, length, cols)``, the words w of one length
-    (length None means the plain level state); the suites judge the errors.
+def chain_ladder(n_max: int, length: Optional[int], cols: slice = slice(None)) -> Iterator[Tuple[int, Dict[str, np.ndarray]]]:
+    """For each level n = 0 .. n_max, ``(n, errors)``: each boson identity's
+    l2 error on every chain state |n, w> of ``chain_batch(n, length, cols)``,
+    the words w of one length (length None means the plain level state), one
+    entry per column.
 
     Identities:
       raise: B+ |n, w> = 2**-0.5 |n+1, w>
       lower: B |n, w> = 2**-0.5 |n-1, w> for n >= 1; B |0, w> = 0 for w a word
       power: (B+)^n |0, w> = 2**(-n/2) |n, w>
+      number: B+ B |n, w> = |n, w> / 2 for n >= 1
+      kernel: B+ B |0, w> = 0
+      ccr: [B, B+] |0, w> = |0, w> / 2
     For the plain level state and n = 0 the lowering identity is vacuous
     (nothing below the vacuum) and has no entry in ``errors``.
+
+    The states are carried from level to level: level n + 1's states are
+    level n's raising target, its lowering target is level n's states, the
+    power chain takes one more creation per level, and the number operator
+    raises the lowered states.  Only levels n - 1, n and n + 1 and the power
+    chain are held, and level n - 1 and the last power chain are let go
+    before level n + 1 is built.
     """
-    state = chain_batch(n, length, cols)
-    errors = {"raise": _col_dist(CREATION.apply_batch(state), SCALE * chain_batch(n + 1, length, cols))}
-    if n >= 1:
-        errors["lower"] = _col_dist(ANNIHILATION.apply_batch(state), SCALE * chain_batch(n - 1, length, cols))
-    elif length is not None:
-        errors["lower"] = _col_dist(ANNIHILATION.apply_batch(state), 0.0)
-    powered = chain_batch(0, length, cols)
-    for _ in range(n):
-        powered = CREATION.apply_batch(powered)
-    errors["power"] = _col_dist(powered, 2.0 ** (-n / 2.0) * state)
+    below, state = None, chain_batch(0, length, cols)
+    powered = state
+    for n in range(n_max + 1):
+        lowered = ANNIHILATION.apply_batch(state)
+        errors = {}
+        if n >= 1:
+            errors["lower"] = _col_dist(lowered, SCALE * below)
+            errors["number"] = _col_dist(CREATION.apply_batch(lowered), 0.5 * state)
+        else:
+            if length is not None:
+                errors["lower"] = _col_dist(lowered, 0.0)
+            errors["kernel"] = _col_dist(CREATION.apply_batch(lowered), 0.0)
+            errors["ccr"] = _col_dist(CCR_DEFECT.apply_batch(state), 0.5 * state)
+        errors["power"] = _col_dist(powered, 2.0 ** (-n / 2.0) * state)
+        below = lowered = None
+        powered = None if n == n_max else CREATION.apply_batch(powered)
+        above = chain_batch(n + 1, length, cols)
+        errors["raise"] = _col_dist(CREATION.apply_batch(state), SCALE * above)
+        yield n, errors
+        below, state = state, above
+
+
+def chain_shift_check(n: int, length: Optional[int], cols: slice = slice(None)) -> dict:
+    """The largest l2 error of each shift identity of ``chain_ladder``
+    (raise, lower and power) at level n alone; the suites judge the errors."""
+    *_, (_, errors) = chain_ladder(n, length, cols)
     return {
         "n": n,
         "length": "*" if length is None else length,
-        "errors": {key: float(err.max(initial=0.0)) for key, err in errors.items()},
+        "errors": {key: float(errors[key].max(initial=0.0)) for key in ("raise", "lower", "power") if key in errors},
     }

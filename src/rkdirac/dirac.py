@@ -15,8 +15,8 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import spectra
-from .dyadic import DyadicFunction, inner, require_unit
-from .transfer import BoundOperator, Koopman, NormalForm, OperatorSpec, Ruelle, commutator_form, dirac_blocks, pair_core_depth
+from .dyadic import MAX_DEPTH, DyadicFunction, inner, require_unit
+from .transfer import CHUNK_BYTES, BoundOperator, Koopman, NormalForm, OperatorSpec, Ruelle, commutator_form, dirac_blocks, pair_core_depth
 
 
 # The (upper, lower) = (K A - A K, L A - A L) block pair, under its older
@@ -58,9 +58,12 @@ def core_depth(a: OperatorSpec) -> Optional[int]:
 class CommutatorNorm:
     """The Dirac commutator norm of an operator and how it was obtained.
 
-    ``depth`` is the requested input depth; both blocks were solved at
-    ``computed_at = min(depth, core_depth)``, where the value is that of every
-    depth from the core depth on.
+    ``depth`` is the requested input depth and ``computed_at`` the depth
+    both blocks were solved at, where the value is that of every depth from
+    the core depth on: ``min(depth, core_depth)`` for ``commutator_norm``,
+    and for a member of a family that ``commutator_norms`` solves stacked
+    the family's solve depth, the largest core depth of its members, so at
+    least the member's own ``core_depth``.
     """
 
     value: float
@@ -76,8 +79,8 @@ def commutator_norm(a: OperatorSpec, depth: Optional[int] = None, method: str = 
 
     With no depth the requested depth is the core depth; an operator without
     one (a sum of mixed shifts) needs an explicit depth.  The block pair is
-    built and its normal forms derived once per call, the exact solve
-    reusing them.
+    A's own (``transfer.dirac_blocks``, built once per spec), its normal
+    forms derived once, the exact solve reusing them.
     """
     pair = dirac_blocks(a)
     core = pair_core_depth(pair)
@@ -97,24 +100,54 @@ def commutator_norm(a: OperatorSpec, depth: Optional[int] = None, method: str = 
 
 
 def commutator_norms(ops: Sequence[OperatorSpec]) -> List[CommutatorNorm]:
-    """``commutator_norm(a)`` of each operator, in input order.
+    """``commutator_norm(a)`` of each operator, in input order, solved as
+    stacked families.
 
-    Operators whose forms share a ``NormalForm.key`` form a family: their
-    forms are stacked (``NormalForm.stack``), the two block forms derived
-    once from the stack (``transfer.commutator_form``) and each solved by
-    one ``exact_norm`` call, one value per member.  A family of one, with
-    nothing to stack or without an exact solve of both blocks, and an
+    Operators whose forms share a ``NormalForm.structure`` (their terms'
+    (a, b), which functions are the constant 1, their number of rank-one
+    pairs) form a family.  Its forms are stacked (``NormalForm.stack``), each
+    function refined to the deepest depth of its slot, so members of any
+    depths stack; the two block forms are derived once from the stack
+    (``transfer.commutator_form``) and each solved by one ``exact_norm``
+    call at the stack's core depth, the largest of the members' core depths,
+    one value per member.  From a member's own core depth on its norm no
+    longer changes, so that depth gives its exact value.  Each member keeps
+    its own ``depth`` and ``core_depth``, which are read, and its blocks
+    range-checked there, once per ``NormalForm.key``: members of one key
+    have the same depths.  ``computed_at`` is the family's solve depth.
+
+    A family is stacked this way only while its widest stacked function, its
+    members at one slot's deepest depth, fits in CHUNK_BYTES.  A family past
+    that, or whose stack has no exact solve of both blocks, splits into
+    families of one ``NormalForm.key``, stacked alike; a family of one, one
+    with nothing to stack or without an exact solve of both blocks, and an
     operator without a normal form go through ``commutator_norm``.
     """
+    return _by_family(ops, NormalForm.structure, _aligned_norms)
+
+
+def _by_family(ops: Sequence[OperatorSpec], key, solve) -> List[CommutatorNorm]:
+    """``solve(family)`` for each family of the operators whose forms share
+    ``key(form)``, in input order; an operator without a form is alone."""
     families: Dict[tuple, List[int]] = {}
     for i, a in enumerate(ops):
-        families.setdefault(("alone", i) if a.normal_form is None else a.normal_form.key(), []).append(i)
+        families.setdefault(("alone", i) if a.normal_form is None else key(a.normal_form), []).append(i)
     out: List[Optional[CommutatorNorm]] = [None] * len(ops)
     for members in families.values():
-        family = [ops[i] for i in members]
-        for i, r in zip(members, _family_norms(family) or map(commutator_norm, family)):
+        for i, r in zip(members, solve([ops[i] for i in members])):
             out[i] = r
     return out
+
+
+def _aligned_norms(family: List[OperatorSpec]) -> List[CommutatorNorm]:
+    """The norms of a family of one structure: stacked whole when its stack
+    fits in CHUNK_BYTES and solves, else by families of one key."""
+    whole = None
+    if len(family) > 1:
+        slots = zip(*(a.normal_form.functions() for a in family))
+        if 8 * len(family) * max((max(f.shape[0] for f in slot) for slot in slots), default=1) <= CHUNK_BYTES:
+            whole = _family_norms(family)
+    return whole or _by_family(family, NormalForm.key, lambda sub: _family_norms(sub) or list(map(commutator_norm, sub)))
 
 
 def _family_norms(family: List[OperatorSpec]) -> Optional[List[CommutatorNorm]]:
@@ -122,18 +155,24 @@ def _family_norms(family: List[OperatorSpec]) -> Optional[List[CommutatorNorm]]:
     stacked = NormalForm.stack([a.normal_form for a in family]) if len(family) > 1 else None
     blocks = [None] if stacked is None else [commutator_form(s().normal_form, stacked) for s in (Koopman, Ruelle)]
     depths = [None] if None in blocks else [form.core_depth() for form in blocks]
-    if None in depths:
+    if None in depths or max(depths) > MAX_DEPTH:
         return None
-    core = max(depths)
-    for a in family:
-        for block in dirac_blocks(a):
-            BoundOperator(block, core)  # as in commutator_norm: the blocks must be representable there
-    solves = [form.exact_norm(core) for form in blocks]
+    keys = [a.normal_form.key() for a in family]
+    cores: Dict[tuple, int] = {}
+    for a, key in zip(family, keys):
+        if key not in cores:
+            pair = dirac_blocks(a)
+            cores[key] = pair_core_depth(pair)  # the stack's is the largest, so none is None
+            for block in pair:
+                BoundOperator(block, cores[key])  # as in commutator_norm: the blocks must be representable there
+    at = max(depths)
+    solves = [form.exact_norm(at) for form in blocks]
     if None in solves:
         return None
     (upper, mu), (lower, ml) = solves
     est = spectra.NormEstimate
-    return [CommutatorNorm(max(u, l), est(u, 0, True, mu, 0.0), est(l, 0, True, ml, 0.0), core, core, core) for u, l in zip(upper, lower)]
+    own = [cores[key] for key in keys]
+    return [CommutatorNorm(max(u, l), est(u, 0, True, mu, 0.0), est(l, 0, True, ml, 0.0), c, c, at) for u, l, c in zip(upper, lower, own)]
 
 
 LIPSCHITZ_THRESHOLD = 1.0  # the radius of the Lipschitz ball ||[D, pi(A)]|| <= 1

@@ -365,18 +365,19 @@ def run_boson(d: int, seed: int, n_max: int = N_MAX, w_max_len: int = W_MAX_LEN,
         )
     rec = _Recorder("boson")
 
-    # One group per level n and word length (None: the plain level states),
-    # in column chunks sized at the widest array, the raised states.
+    # One ladder per word length (None: the plain level states), carried from
+    # level 0 to n_max, in column chunks sized at the widest array, the
+    # raised states of the deepest level.
     f = random_batch(seed, d, 100)
     worst = dict.fromkeys(("raise", "lower", "power", "number", "kernel"), 0.0)
     worst["ccr"] = _col_dist(bo.CCR_DEFECT.apply_batch(f), 0.5 * tr.KernelProj().apply_batch(f)).max()
     for length in [None] + list(range(w_max_len + 1)):
         words = 1 if length is None else 1 << length
-        for n in range(0, n_max + 1):
-            depth = n + 1 if length is None else n + length + 2  # the states' depth
-            for cols in tr.column_chunks(words, 1 << (depth + 1)):
-                for key, err in _chain_errors(n, length, cols).items():
-                    worst[key] = max(worst[key], err)
+        depth = n_max + 1 if length is None else n_max + length + 2  # the deepest states' depth
+        for cols in tr.column_chunks(words, 1 << (depth + 1)):
+            for _, errors in bo.chain_ladder(n_max, length, cols):
+                for key, err in errors.items():
+                    worst[key] = max(worst[key], float(err.max(initial=0.0)))
     rec.close_to("ladder-raise", "creation maps level n to 2**-0.5 times level n+1", "ladder", worst["raise"], 0.0, tol)
     rec.close_to("ladder-lower", "annihilation maps level n to 2**-0.5 times level n-1 and kills level 0", "ladder", worst["lower"], 0.0, tol)
     rec.close_to("ladder-power", "n-fold creation on level 0 gives 2**(-n/2) times level n", "ladder", worst["power"], 0.0, tol)
@@ -401,22 +402,6 @@ def run_boson(d: int, seed: int, n_max: int = N_MAX, w_max_len: int = W_MAX_LEN,
         0.5,
     )
     return rec.checks
-
-
-def _chain_errors(n: int, length: Optional[int], cols: slice) -> Dict[str, float]:
-    """The largest error of each boson identity over the chain states of
-    ``chain_batch(n, length, cols)``: the ladder errors of
-    ``boson.chain_shift_check``, then the number operator's (eigenvalue 1/2
-    for n >= 1, kernel at n = 0) and the commutator's on the kernel level."""
-    errors = dict(bo.chain_shift_check(n, length, cols)["errors"])
-    st = chain_batch(n, length, cols)
-    number = bo.CREATION.apply_batch(bo.ANNIHILATION.apply_batch(st))
-    if n >= 1:
-        errors["number"] = _col_dist(number, 0.5 * st).max()
-    else:
-        errors["kernel"] = _col_dist(number, 0.0).max()
-        errors["ccr"] = _col_dist(bo.CCR_DEFECT.apply_batch(st), 0.5 * st).max()
-    return errors
 
 
 def run_fermion(d: int, seed: int) -> List[Check]:
@@ -447,9 +432,24 @@ def run_fermion(d: int, seed: int) -> List[Check]:
 
 def run_dirac_projections(depth: None, seed: int) -> List[Check]:
     rec = _Recorder("dirac-projections")
+    kernel = _unit_columns(random_batch(seed, 5, 10, "kernel-of-L"))
+    lifted = [normalized(random_function(seed + 50, 4, "kernel-of-L"))]
+    for _ in range(3):
+        lifted.append(tr.koopman_apply(lifted[-1]))
+    bounded = _unit_columns(random_batch(seed + 70, 4, 5, "kernel-of-L"))
+    names = {"e0": Word.from_string("0"), "e1": Word.from_string("1"), "eps0": EPS0, "eps1": EPS1}
+    norms = _grouped_norms(
+        {
+            "haar-norm": [tr.Proj(haar_function(w)) for length in (2, 3, 4) for w in all_words(length)],
+            "kernel-norm": [tr.Proj(psi) for psi in kernel],
+            "lifted-kernel-norm": [tr.Proj(g) for g in lifted[1:]],
+            "block-equality": [tr.Proj(haar_function(Word.from_string("01"))), tr.Mult(random_function(seed + 60, 3)), tr.CondExp(1)],
+            "coeff-lower-bounds": [tr.Proj(psi) for psi in bounded],
+            "length-one": [tr.Proj(haar_function(idx)) for idx in names.values()],
+        }
+    )
 
-    norms = di.commutator_norms([tr.Proj(haar_function(w)) for length in (2, 3, 4) for w in all_words(length)])
-    worst_gap = max(abs(r.value - 1.0) for r in norms)
+    worst_gap = max(abs(r.value - 1.0) for r in norms["haar-norm"])
     rec.close_to(
         "haar-norm",
         "Dirac commutator norm of every Haar projection (word length 2..4) is one",
@@ -469,36 +469,25 @@ def run_dirac_projections(depth: None, seed: int) -> List[Check]:
         TOL_EXACT,
     )
 
-    norms = di.commutator_norms([tr.Proj(psi) for psi in _unit_columns(random_batch(seed, 5, 10, "kernel-of-L"))])
-    worst = max(abs(r.value - 1.0) for r in norms)
+    worst = max(abs(r.value - 1.0) for r in norms["kernel-norm"])
     rec.close_to("kernel-norm", "projections onto kernel vectors have commutator norm one", "kernel-projection-norm", worst, 0.0, 1e-8)
 
-    f = normalized(random_function(seed + 50, 4, "kernel-of-L"))
-    worst = 0.0
-    for k in range(1, 4):
-        g = f
-        for _ in range(k):
-            g = tr.koopman_apply(g)
-        worst = max(worst, abs(di.commutator_norm(tr.Proj(g)).value - 1.0))
+    worst = max(abs(r.value - 1.0) for r in norms["lifted-kernel-norm"])
     rec.close_to("lifted-kernel-norm", "projections onto Koopman lifts of kernel vectors keep norm one", "kernel-projection-norm", worst, 0.0, 1e-8)
 
     worst = 0.0
-    for a in (tr.Proj(haar_function(Word.from_string("01"))), tr.Mult(random_function(seed + 60, 3)), tr.CondExp(1)):
-        r = di.commutator_norm(a)
+    for r in norms["block-equality"]:
         nu, nl = r.upper.value, r.lower.value
         worst = max(worst, abs(nu - nl) / max(nu, nl, 1.0))
     rec.close_to("block-equality", "the two commutator blocks of a self-adjoint operator share their norm", "self-adjoint-blocks", worst, 0.0, 1e-8)
 
     worst = -math.inf
-    psis = _unit_columns(random_batch(seed + 70, 4, 5, "kernel-of-L"))
-    for psi, r in zip(psis, di.commutator_norms([tr.Proj(psi) for psi in psis])):
+    for psi, r in zip(bounded, norms["coeff-lower-bounds"]):
         bounds = fo.projection_norm_bounds(psi)
         worst = max(worst, bounds["lower_K"] - r.value, bounds["lower_L"] - r.value)
     rec.at_most("coeff-lower-bounds", "coefficient bounds stay below the numeric norm", "projection-norm-bounds", worst, 0.0, 1e-8)
 
-    names = {"e0": Word.from_string("0"), "e1": Word.from_string("1"), "eps0": EPS0, "eps1": EPS1}
-    norms = di.commutator_norms([tr.Proj(haar_function(idx)) for idx in names.values()])
-    values = {name: r.value for name, r in zip(names, norms)}
+    values = {name: r.value for name, r in zip(names, norms["length-one"])}
     rec.report(
         "length-one",
         "commutator norms of the four depth-one projections (no asserted closed form)",
@@ -506,6 +495,14 @@ def run_dirac_projections(depth: None, seed: int) -> List[Check]:
         {k: round(v, 12) for k, v in values.items()},
     )
     return rec.checks
+
+
+def _grouped_norms(groups: Dict[str, List[tr.OperatorSpec]]) -> Dict[str, List[di.CommutatorNorm]]:
+    """Each group's Dirac norms, from one ``dirac.commutator_norms`` call over
+    every group's operators, so that operators of one structure are solved
+    as one family whichever check they belong to."""
+    norms = iter(di.commutator_norms([a for ops in groups.values() for a in ops]))
+    return {name: [next(norms) for _ in ops] for name, ops in groups.items()}
 
 
 def _projection_case_table_error(min_len: int, max_len: int) -> float:
@@ -551,22 +548,17 @@ def run_dirac_mult(depth: None, seed: int) -> List[Check]:
     rec = _Recorder("dirac-mult")
     f0 = SQRT2 * indicator(Word.from_string("0"))
     rec.close_to("remark-forward", "forward sup of the witness multiplier is sqrt(2)", "mult-norm-remark", fo.forward_sup(f0), SQRT2, TOL_EXACT)
-    rec.close_to(
-        "remark-norm",
-        "commutator norm of the witness multiplier is one",
-        "mult-norm-remark",
-        di.commutator_norm(tr.Mult(f0)).value,
-        1.0,
-        TOL_NORM,
-    )
-    rec.close_to("remark-ruelle-diff", "averaged difference sup of the witness multiplier", "mult-sandwich", fo.ruelle_diff_sup(f0), 2 ** -0.5, TOL_EXACT)
-
     # Column k of batch holds f: its leading 2**d_k values, d_k = 2 + k % 4,
     # independent normals as a column is; the sups take f refined to depth 5.
+    # The witness's norm is solved in the same stacked family.
     batch = random_batch(seed, 5, 60)
     depths = 2 + np.arange(60) % 4
     fs = [DyadicFunction(int(d_), batch[: 1 << d_, k]) for k, d_ in enumerate(depths)]
-    numeric = np.array([r.value for r in di.commutator_norms([tr.Mult(f) for f in fs])])
+    witness, *norms = di.commutator_norms([tr.Mult(f) for f in [f0] + fs])
+    rec.close_to("remark-norm", "commutator norm of the witness multiplier is one", "mult-norm-remark", witness.value, 1.0, TOL_NORM)
+    rec.close_to("remark-ruelle-diff", "averaged difference sup of the witness multiplier", "mult-sandwich", fo.ruelle_diff_sup(f0), 2 ** -0.5, TOL_EXACT)
+
+    numeric = np.array([r.value for r in norms])
     f5 = _leading_columns(batch, depths)
     worst_match = np.abs(numeric - fo.backward_rms_norm_batch(f5)).max()
     worst_sandwich = max((numeric - fo.forward_sup_batch(f5)).max(), (fo.ruelle_diff_sup_batch(f5) - numeric).max())

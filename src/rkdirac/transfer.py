@@ -48,9 +48,11 @@ two, and a block whose terms share one shift is block diagonal.
 ``pair_core_depth`` reads the depth from which a block pair's norm is fixed
 off it too, from the shift and the function depths of its terms
 (``NormalForm.core_depth``).  A Dirac block, a :class:`Commutator`,
-derives its form from its operator's own (``commutator_form``).  Forms of
+derives its form from its operator's own (``commutator_form``), and a
+spec's pair of blocks is built once (``OperatorSpec.dirac_pair``).  Forms of
 one structure stack into one (``NormalForm.stack``) whose functions carry a
-trailing member axis, ``(2**d, k)`` for k members as a batch carries columns.
+trailing member axis, ``(2**d, k)`` for k members as a batch carries
+columns, each refined to the deepest depth of its slot.
 """
 
 from __future__ import annotations
@@ -191,6 +193,12 @@ class OperatorSpec:
 
     def _normal_form(self) -> Optional["NormalForm"]:
         return None
+
+    @cached_property
+    def dirac_pair(self) -> Tuple["Commutator", "Commutator"]:
+        """The ``dirac_blocks`` pair, built once per object, so that every
+        Dirac-norm entry point shares its blocks' normal forms."""
+        return commutator_with_K(self), commutator_with_L(self)
 
     def describe(self) -> str:
         return repr(self)
@@ -434,8 +442,9 @@ def commutator_with_L(a: OperatorSpec) -> Commutator:
 
 
 def dirac_blocks(a: OperatorSpec) -> Tuple[Commutator, Commutator]:
-    """The two off-diagonal blocks (K A - A K, L A - A L) of the Dirac commutator."""
-    return commutator_with_K(a), commutator_with_L(a)
+    """The two off-diagonal blocks (K A - A K, L A - A L) of the Dirac commutator,
+    built once per spec object (``OperatorSpec.dirac_pair``)."""
+    return a.dirac_pair
 
 
 def commutator_form(s: "NormalForm", form: "NormalForm") -> Optional["NormalForm"]:
@@ -712,18 +721,36 @@ class NormalForm:
         value = _block_top(self.terms, reach)
         return None if value is None else (value, "exact-block")
 
-    def key(self) -> tuple:
-        """The form's structure: its terms' (a, b), the shapes of all its
-        functions and which are the constant 1.  Forms with one key take the
+    def structure(self) -> tuple:
+        """The form's terms' (a, b), which of its functions are the constant 1,
+        and its number of rank-one pairs.  Forms of one structure take the
         same derivation steps, and ``stack`` joins them."""
+        return tuple((a, b, g is _ONE, h is _ONE) for g, a, b, h in self.terms), len(self.rank_one)
+
+    def key(self) -> tuple:
+        """The form's structure and the shapes of all its functions: forms
+        with one key have the same depths, so the same core depth."""
         shape = lambda x: None if x is _ONE else x.shape
         return tuple((a, b, shape(g), shape(h)) for g, a, b, h in self.terms), tuple((u.shape, v.shape) for u, v in self.rank_one)
 
+    def functions(self) -> List[np.ndarray]:
+        """Every function of the form, in slot order: each term's g and h, then
+        each rank-one pair's u and v."""
+        return [f for g, _, _, h in self.terms for f in (g, h)] + [f for pair in self.rank_one for f in pair]
+
     @staticmethod
     def stack(forms: Sequence["NormalForm"]) -> Optional["NormalForm"]:
-        """One form of forms that share a ``key``, or None when they have no
-        function but the constant 1."""
-        join = lambda xs: xs[0] if xs[0] is _ONE else np.stack(xs, axis=-1)
+        """One form of forms that share a ``structure``, or None when they have
+        no function but the constant 1.  Each function is refined to the
+        deepest depth of its slot, which re-expresses the same operator, so
+        forms of different depths stack."""
+
+        def join(xs):
+            if xs[0] is _ONE:
+                return _ONE
+            depth = max(_depth(x) for x in xs)
+            return np.stack([_refine_rows(x, depth) for x in xs], axis=-1)
+
         terms = tuple((join(g), a[0], b[0], join(h)) for g, a, b, h in (zip(*ts) for ts in zip(*(f.terms for f in forms))))
         rank_one = tuple((join(u), join(v)) for u, v in (zip(*ps) for ps in zip(*(f.rank_one for f in forms))))
         return NormalForm(terms, rank_one) if rank_one or any(g is not _ONE or h is not _ONE for g, _, _, h in terms) else None

@@ -515,11 +515,16 @@ def _outcome(call):
         return str(exc)
 
 
-def _assert_same_norm(got, want, rtol=1e-12):
-    assert (got.depth, got.core_depth, got.computed_at) == (want.depth, want.core_depth, want.computed_at)
+def _assert_same_norm(got, want, rtol=1e-12, at=None):
+    """got is want, solved in a stacked family at depth ``at`` (want's own
+    computed_at when None).  A member solved at another depth than its own
+    has its functions refined, so it is exact up to rounding of its O(1)
+    terms: a zero norm (a projection onto a constant) may read 4e-16."""
+    assert (got.depth, got.core_depth, got.computed_at) == (want.depth, want.core_depth, want.computed_at if at is None else at)
     for g, w_ in ((got.upper, want.upper), (got.lower, want.lower)):
         assert (g.method, g.iterations, g.converged, g.residual) == (w_.method, w_.iterations, w_.converged, w_.residual)
-        assert type(g.value) is float and abs(g.value - w_.value) <= rtol * abs(w_.value)
+        scale = abs(w_.value) if got.computed_at == want.computed_at else max(abs(w_.value), 1.0)
+        assert type(g.value) is float and abs(g.value - w_.value) <= rtol * scale
     assert got.value == max(got.upper.value, got.lower.value)
 
 
@@ -543,8 +548,11 @@ class TestStackedForms:
     def test_mixed_structures_come_back_in_input_order(self, families, rnd):
         ops = [a for family in families for a in family]
         rnd.shuffle(ops)
+        # multipliers of every depth are one family, projections another,
+        # each solved at its largest core depth
+        at = {kind: max(core_depth(a) for a in ops if type(a) is kind) for kind in {type(a) for a in ops}}
         for g, a in zip(commutator_norms(ops), ops):
-            _assert_same_norm(g, commutator_norm(a))
+            _assert_same_norm(g, commutator_norm(a), at=at[type(a)])
 
     @settings(max_examples=60, deadline=None)
     @given(_specs(), st.integers(0, 10**6))
@@ -563,13 +571,18 @@ class TestStackedForms:
     def test_each_family_derives_its_block_forms_once(self, monkeypatch):
         from rkdirac import dirac, transfer
 
-        derived, solved = [], []
-        derive = transfer.commutator_form
+        derived, paired = [], []
+        derive, pair = transfer.commutator_form, transfer.Commutator._normal_form
         monkeypatch.setattr(dirac, "commutator_form", lambda s, form: derived.append(form) or derive(s, form))
-        monkeypatch.setattr(transfer.Commutator, "_normal_form", lambda self: solved.append(self))
+        monkeypatch.setattr(transfer.Commutator, "_normal_form", lambda self: paired.append(self.ops[0].ops[1]) or pair(self))
         ops = _family("mult", 3, range(5)) + _family("proj", 4, range(3)) + _family("mult", 2, range(4))
         commutator_norms(ops)
-        assert len(derived) == 6 and len({id(form) for form in derived}) == 3 and solved == []
+        # two families, the multipliers of both depths and the projections,
+        # each block form derived once from the stack; one member's own pair
+        # per key (multipliers of depth 3 and 2, projections of depth 4) for
+        # its core depth and range check
+        assert len(derived) == 4 and len({id(form) for form in derived}) == 2
+        assert paired == [ops[0], ops[0], ops[8], ops[8], ops[5], ops[5]]
 
     def test_a_family_without_an_exact_solve_goes_member_by_member(self, monkeypatch):
         from rkdirac import dirac
@@ -580,12 +593,13 @@ class TestStackedForms:
         mixed = [Sum((Proj(haar_function(w("01"))), Mult(random_function(s, 2))), (1.0, 0.05)) for s in (1, 2)]
         ops = [mixed[0], Mult(random_function(1, 2)), mixed[1], Mult(random_function(2, 2)), Mult(random_function(3, 3)), CondExp(1), CondExp(1)]
         got = commutator_norms(ops)
-        # a projection plus a multiplier has no exact solve; a family of one;
+        # a projection plus a multiplier has no exact solve; the depth-3
+        # multiplier joins the depth-2 ones, all solved at its core depth 4;
         # CondExp(1)'s forms hold only the constant 1, nothing to stack
-        assert calls == [ops[0], ops[2], ops[4], ops[5], ops[6]]
+        assert calls == [ops[0], ops[2], ops[5], ops[6]]
         assert got[0].upper.method == "dense" and got[5].upper.method == "exact-block"
         for g, a in zip(got, ops):
-            _assert_same_norm(g, per_member(a))
+            _assert_same_norm(g, per_member(a), at=4 if isinstance(a, Mult) else None)
 
     @pytest.mark.parametrize("kind", ["mult", "weighted-proj"])
     def test_a_non_finite_member_raises_the_per_member_error(self, kind):
@@ -605,14 +619,16 @@ class TestStackedForms:
         with pytest.raises(ValueError, match="projection vector must have unit norm"):
             commutator_norms(_family("proj", 3, range(2)) + [Proj(constant(0.5))])
 
-    def test_each_member_is_range_checked_at_the_core_depth(self, monkeypatch):
+    def test_each_key_is_range_checked_at_its_core_depth(self, monkeypatch):
         from rkdirac import dirac
 
         checked = []
         monkeypatch.setattr(dirac, "BoundOperator", lambda block, depth: checked.append((block.ops[0].ops[1], depth)))
-        ops = _family("mult", 3, range(3))
-        commutator_norms(ops)
-        assert checked == [(a, 4) for a in ops for _ in range(2)]
+        ops = [a for pair in zip(_family("mult", 3, range(3)), _family("mult", 2, range(3, 6))) for a in pair]
+        got = commutator_norms(ops)
+        # one family, two keys: the first member of each, both blocks, at its own core depth
+        assert checked == [(ops[0], 4), (ops[0], 4), (ops[1], 3), (ops[1], 3)]
+        assert [(r.depth, r.core_depth, r.computed_at) for r in got] == [(4, 4, 4), (3, 3, 4)] * 3
 
     def test_a_depth_past_the_cap_is_refused_as_per_member(self):
         # M_c K^24: core depth 1, where the K block's output depth 26 passes the cap
@@ -623,6 +639,94 @@ class TestStackedForms:
 
     def test_an_empty_list(self):
         assert commutator_norms([]) == []
+
+
+def _member(kind, seed, depth):
+    """A multiplier, a projection, a weighted projection or a single-shift sum
+    M_f + K^n L^n with f non-constant, on functions of the given depth."""
+    if kind == "mult":
+        return Mult(random_function(seed, depth))
+    if kind == "shifted-sum":
+        return Sum((Mult(random_function(seed, depth + 1)), CondExp(1 + seed % 2)))
+    p = Proj(random_function(seed, depth, "unit-norm"))
+    return p if kind == "proj" else scaled(p, (seed % 7 - 3) / 2)
+
+
+# Which aligned family each kind of member joins: projections and weighted
+# projections share a structure (one rank-one pair); a shifted sum's stack
+# has no exact solve, so its members are solved one by one.
+_ALIGNED = {"mult": "mult", "proj": "proj", "weighted-proj": "proj", "shifted-sum": None}
+
+
+class TestAlignedFamilies:
+    """Families of one structure and several depths, stacked at each slot's
+    deepest depth and solved at the largest core depth."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.tuples(st.sampled_from(sorted(_ALIGNED)), st.integers(0, 10**6), st.integers(0, 5)), min_size=1, max_size=10))
+    def test_members_of_any_depths_match_the_per_member_solves(self, members):
+        ops = [_member(*m) for m in members]
+        families = [_ALIGNED[kind] for kind, _, _ in members]
+        at = {f: max(core_depth(a) for a, g in zip(ops, families) if g == f) for f in set(families) - {None}}
+        for g, a, family in zip(commutator_norms(ops), ops, families):
+            want = commutator_norm(a)
+            _assert_same_norm(g, want, at=at.get(family))
+            if isinstance(a, Mult):  # refinement repeats values: the same bits
+                assert (g.upper.value, g.lower.value) == (want.upper.value, want.lower.value)
+
+    @pytest.mark.parametrize("deep, aligned", [(4, True), (5, False)])
+    def test_a_family_past_chunk_bytes_keeps_its_exact_key_families(self, monkeypatch, deep, aligned):
+        from rkdirac import dirac, transfer
+
+        derived = []
+        derive = transfer.commutator_form
+        monkeypatch.setattr(dirac, "commutator_form", lambda s, form: derived.append(form) or derive(s, form))
+        # the aligned stack's widest function is 2**12 rows by one column per member
+        ops = _family("mult", 12, range(deep)) + _family("mult", 2, range(4))
+        assert (8 * (1 << 12) * len(ops) <= transfer.CHUNK_BYTES) == aligned
+        got = commutator_norms(ops)
+        assert len(derived) == (2 if aligned else 4)
+        for g, a in zip(got, ops):
+            want = commutator_norm(a)
+            _assert_same_norm(g, want, at=13 if aligned else None)
+            assert (g.upper.value, g.lower.value) == (want.upper.value, want.lower.value)
+
+    def test_a_family_past_the_depth_cap_falls_back_to_the_per_member_results(self, monkeypatch):
+        from rkdirac import dirac
+
+        # K^22 L M_h: its K block holds K^22 L h, at depth 25 for h of depth 4,
+        # past the cap, so that member has no block forms and no core depth;
+        # the stack, h refined to depth 4 in every member, has none either.
+        # A constant h stays at depth 0.
+        shallow = [Compose((Koopman(),) * 22 + (Ruelle(), Mult(constant(v)))) for v in (1.0, 2.0)]
+        deep = Compose((Koopman(),) * 22 + (Ruelle(), Mult(random_function(0, 4))))
+        assert deep.normal_form.structure() == shallow[0].normal_form.structure()
+        calls = []
+        per_member = dirac.commutator_norm
+        monkeypatch.setattr(dirac, "commutator_norm", lambda a: calls.append(a) or per_member(a))
+        got = commutator_norms(shallow)
+        for g, a in zip(got, shallow):
+            _assert_same_norm(g, per_member(a))
+        want = _outcome(lambda: per_member(deep))
+        assert want.startswith("no core depth")
+        calls.clear()
+        assert _outcome(lambda: commutator_norms(shallow + [deep])) == want
+        assert calls == [deep]  # the shallow members are still solved stacked, by their key
+
+
+def test_core_depth_norm_and_sweep_share_one_block_pair(monkeypatch):
+    from rkdirac import transfer
+    from rkdirac.spectra import depth_sweep
+
+    derived = []
+    derive = transfer.Commutator._normal_form
+    monkeypatch.setattr(transfer.Commutator, "_normal_form", lambda self: derived.append(self) or derive(self))
+    op = CondExp(2)
+    core = core_depth(op)
+    r = commutator_norm(op)
+    points = depth_sweep(op, range(core, core + 3))
+    assert (core, r.value, [p.value for p in points]) == (3, 1.0, [1.0] * 3)
+    assert len(derived) == 2  # one form per block of the pair, built once for the spec
 
 
 class TestConnesLowerBound:

@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -185,20 +186,17 @@ def boson_loop(d, seed, n_max, w_max_len):
 class TestBosonGrid:
     @staticmethod
     def _stub_states(monkeypatch):
-        """Record the (n, w) pairs that chain_shift_check is called on; stub the
-        states so a deep grid costs nothing."""
+        """Record the (n, w) pairs that chain_ladder reaches; stub the ladder
+        so a deep grid costs nothing."""
         calls = []
 
-        def check(n, length, cols=slice(None)):
+        def ladder(n_max, length, cols=slice(None)):
             indices = [None] if length is None else range(1 << length)[cols]
-            calls.extend((n, None if i is None else index_word(length, i)) for i in indices)
-            return {"errors": {"raise": 0.0, "lower": 0.0, "power": 0.0}}
+            for n in range(n_max + 1):
+                calls.extend((n, None if i is None else index_word(length, i)) for i in indices)
+                yield n, {"raise": np.zeros(len(indices)), "lower": np.zeros(len(indices)), "power": np.zeros(len(indices))}
 
-        def states(n, length, cols=slice(None)):
-            return np.zeros((1, 1 if length is None else len(range(1 << length)[cols])))
-
-        monkeypatch.setattr(suites.bo, "chain_shift_check", check)
-        monkeypatch.setattr(suites, "chain_batch", states)
+        monkeypatch.setattr(suites.bo, "chain_ladder", ladder)
         return calls
 
     def test_every_pair_of_the_grid_is_checked(self, monkeypatch):
@@ -228,8 +226,9 @@ class TestBosonGrid:
         assert got == boson_loop(8, seed, n_max, w_max_len)
 
     def test_deep_states_go_through_in_chunks(self, monkeypatch):
-        # at n = 12 the raised states of length-4 words have 2**19 rows: one
-        # column per chunk; the shallow groups keep every word in one chunk
+        # the chunks of a word length are sized at its deepest level: at
+        # n_max = 12 the raised states of length-4 words have 2**19 rows, one
+        # column per chunk; at n_max = 1 they have 2**8, every word in one chunk
         widths = []
         chunks = tr.column_chunks
 
@@ -240,11 +239,12 @@ class TestBosonGrid:
 
         monkeypatch.setattr(tr, "column_chunks", recording)
         assert all(c.status != "fail" for c in suites.run_boson(3, 0, n_max=12, w_max_len=4))
+        assert all(c.status != "fail" for c in suites.run_boson(3, 0, n_max=1, w_max_len=4))
         for cols, width, sizes in widths:
             assert sum(sizes) == cols
             assert max(sizes) == max(1, min(cols, tr.CHUNK_BYTES // (8 * width)))
         assert (16, 1 << 19, [1] * 16) in widths
-        assert (16, 1 << 7, [16]) in widths
+        assert (16, 1 << 8, [16]) in widths
 
     @pytest.mark.parametrize("n_max, w_max_len", [(15, 2), (8, 6)])
     def test_peak_memory_stays_near_the_per_state_loop(self, n_max, w_max_len):
@@ -294,6 +294,10 @@ class TestBatchedChecks:
         # kernel projection and the ladder specs all run on these two kernels.
         monkeypatch.setattr(tr, "_ruelle", self._last_column_scaled(tr._ruelle, 2.0))
         monkeypatch.setattr(tr, "_koopman", self._last_column_scaled(tr._koopman, 3.0))
+        # dirac-projections solves every check's norms in one stacked call,
+        # whose last member belongs to one check only: solved check by check
+        # here, each check's own last member is the wrong one
+        monkeypatch.setattr(suites, "_grouped_norms", lambda groups: {k: di.commutator_norms(ops) for k, ops in groups.items()})
         statuses = {c.id: c.status for c in suites.SUITES[suite](suites.suite_depth(suite, 8), 1)}
         assert [statuses[f"{suite}.{cid}"] for cid in BATCHED_CHECKS[suite]] == ["fail"] * len(BATCHED_CHECKS[suite])
 
@@ -372,6 +376,43 @@ def test_batched_formula_checks_match_the_per_function_loops(seed):
     suites_run = {key.split(".")[0] for key in want}
     got = {c.id: c.value for name in suites_run for c in suites.SUITES[name](suites.suite_depth(name, 8), seed)}
     assert {k: abs(got[k] - v) <= 1e-12 for k, v in want.items()} == dict.fromkeys(want, True), (got, want)
+
+
+# Every check's value of verify --suite all --depth 8 at seeds 0 and 1, as
+# the code computed them before the Dirac norms were solved as aligned
+# families and the boson ladder was carried from level to level.
+VERIFY_D8_VALUES = json.loads((Path(__file__).parent / "data" / "verify_d8_values.json").read_text())
+
+
+def _within_1e_12(got, want) -> bool:
+    if isinstance(want, dict):
+        return isinstance(got, dict) and got.keys() == want.keys() and all(_within_1e_12(got[k], v) for k, v in want.items())
+    if isinstance(want, float):
+        return isinstance(got, (int, float)) and abs(got - want) <= 1e-12
+    return got == want
+
+
+@pytest.mark.parametrize("seed", sorted(VERIFY_D8_VALUES))
+def test_verify_values_stay_within_1e_12_of_the_pinned_ones(seed):
+    report = json.loads(json.dumps(suites.run_suite("all", 8, int(seed)).to_json()))
+    got = {c["id"]: c["value"] for c in report["checks"]}
+    want = VERIFY_D8_VALUES[seed]
+    assert got.keys() == want.keys()
+    assert {k: (got[k], v) for k, v in want.items() if not _within_1e_12(got[k], v)} == {}
+
+
+@pytest.mark.parametrize("suite, calls, alone", [("dirac-projections", [53], ["mult(depth=3)", "(koopman . ruelle)"]), ("dirac-mult", [61], [])])
+def test_each_dirac_suite_solves_its_norms_in_one_call(monkeypatch, suite, calls, alone):
+    # the 51 projections of dirac-projections are one family; block-equality's
+    # multiplier and K L are each the only operator of their structure, so
+    # commutator_norms solves them one by one
+    made, single = [], []
+    stacked, per_member = di.commutator_norms, di.commutator_norm
+    monkeypatch.setattr(di, "commutator_norms", lambda ops: made.append(len(ops)) or stacked(ops))
+    monkeypatch.setattr(di, "commutator_norm", lambda a: single.append(a) or per_member(a))
+    suites.SUITES[suite](None, 1)
+    assert made == calls
+    assert [a.describe() for a in single] == alone
 
 
 def test_report_json_is_the_asdict_form():
