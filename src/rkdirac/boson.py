@@ -102,7 +102,8 @@ def chain_ladder(n_max: int, length: Optional[int], cols: slice = slice(None)) -
 
 def chain_shift_check(n: int, length: Optional[int], cols: slice = slice(None)) -> dict:
     """The largest l2 error of each shift identity of ``chain_ladder``
-    (raise, lower and power) at level n alone; the suites judge the errors."""
+    (raise, lower and power) on level n, the ladder's last level; the
+    suites judge the errors."""
     *_, (_, errors) = chain_ladder(n, length, cols)
     return {
         "n": n,
