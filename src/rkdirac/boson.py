@@ -55,11 +55,11 @@ def car_anticommutator(f: DyadicFunction) -> DyadicFunction:
     return CAR_ANTICOMMUTATOR.apply(f)
 
 
-def chain_ladder(n_max: int, length: Optional[int], cols: slice = slice(None)) -> Iterator[Tuple[int, Dict[str, np.ndarray]]]:
-    """For each level n = 0 .. n_max, ``(n, errors)``: each boson identity's
-    l2 error on every chain state |n, w> of ``chain_batch(n, length, cols)``,
-    the words w of one length (length None means the plain level state), one
-    entry per column.
+def chain_ladder(first: int, last: int, length: Optional[int], cols: slice = slice(None)) -> Iterator[Tuple[int, Dict[str, np.ndarray]]]:
+    """For each level n = first .. last, ``(n, errors)``: each boson
+    identity's l2 error on every chain state |n, w> of
+    ``chain_batch(n, length, cols)``, the words w of one length (length None
+    means the plain level state), one entry per column.
 
     Identities:
       raise: B+ |n, w> = 2**-0.5 |n+1, w>
@@ -78,9 +78,11 @@ def chain_ladder(n_max: int, length: Optional[int], cols: slice = slice(None)) -
     chain are held, and level n - 1 and the last power chain are let go
     before level n + 1 is built.
     """
-    below, state = None, chain_batch(0, length, cols)
-    powered = state
-    for n in range(n_max + 1):
+    below = chain_batch(first - 1, length, cols) if first >= 1 else None
+    state, powered = chain_batch(first, length, cols), chain_batch(0, length, cols)
+    for _ in range(first):
+        powered = CREATION.apply_batch(powered)
+    for n in range(first, last + 1):
         lowered = ANNIHILATION.apply_batch(state)
         errors = {}
         if n >= 1:
@@ -93,7 +95,7 @@ def chain_ladder(n_max: int, length: Optional[int], cols: slice = slice(None)) -
             errors["ccr"] = _col_dist(CCR_DEFECT.apply_batch(state), 0.5 * state)
         errors["power"] = _col_dist(powered, 2.0 ** (-n / 2.0) * state)
         below = lowered = None
-        powered = None if n == n_max else CREATION.apply_batch(powered)
+        powered = None if n == last else CREATION.apply_batch(powered)
         above = chain_batch(n + 1, length, cols)
         errors["raise"] = _col_dist(CREATION.apply_batch(state), SCALE * above)
         yield n, errors
@@ -101,10 +103,10 @@ def chain_ladder(n_max: int, length: Optional[int], cols: slice = slice(None)) -
 
 
 def chain_shift_check(n: int, length: Optional[int], cols: slice = slice(None)) -> dict:
-    """The largest l2 error of each shift identity of ``chain_ladder``
-    (raise, lower and power) on level n, the ladder's last level; the
-    suites judge the errors."""
-    *_, (_, errors) = chain_ladder(n, length, cols)
+    """The largest l2 error of each shift identity (raise, lower and power)
+    on level n: the one-level case of ``chain_ladder``; the suites judge
+    the errors."""
+    ((_, errors),) = chain_ladder(n, n, length, cols)
     return {
         "n": n,
         "length": "*" if length is None else length,

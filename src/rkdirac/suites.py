@@ -8,6 +8,7 @@ so they carry information but never fail the run.
 
 from __future__ import annotations
 
+import itertools
 import math
 import time
 from dataclasses import dataclass, field
@@ -365,19 +366,22 @@ def run_boson(d: int, seed: int, n_max: int = N_MAX, w_max_len: int = W_MAX_LEN,
         )
     rec = _Recorder("boson")
 
-    # One ladder per word length (None: the plain level states), carried from
-    # level 0 to n_max, in column chunks sized at the widest array, the
-    # raised states of the deepest level.
+    # Each level n of a word length (None: the plain level states) goes
+    # through in column chunks sized at its widest array, the raised states;
+    # the consecutive levels that chunk the words alike share one ladder
+    # per chunk, carried from level to level.
     f = random_batch(seed, d, 100)
     worst = dict.fromkeys(("raise", "lower", "power", "number", "kernel"), 0.0)
     worst["ccr"] = _col_dist(bo.CCR_DEFECT.apply_batch(f), 0.5 * tr.KernelProj().apply_batch(f)).max()
     for length in [None] + list(range(w_max_len + 1)):
         words = 1 if length is None else 1 << length
-        depth = n_max + 1 if length is None else n_max + length + 2  # the deepest states' depth
-        for cols in tr.column_chunks(words, 1 << (depth + 1)):
-            for _, errors in bo.chain_ladder(n_max, length, cols):
-                for key, err in errors.items():
-                    worst[key] = max(worst[key], float(err.max(initial=0.0)))
+        lead = 1 if length is None else length + 2  # level n's states have depth n + lead
+        for chunks, levels in itertools.groupby(range(n_max + 1), key=lambda n: tuple(tr.column_chunks(words, 1 << (n + lead + 1)))):
+            levels = list(levels)
+            for cols in chunks:
+                for _, errors in bo.chain_ladder(levels[0], levels[-1], length, cols):
+                    for key, err in errors.items():
+                        worst[key] = max(worst[key], float(err.max(initial=0.0)))
     rec.close_to("ladder-raise", "creation maps level n to 2**-0.5 times level n+1", "ladder", worst["raise"], 0.0, tol)
     rec.close_to("ladder-lower", "annihilation maps level n to 2**-0.5 times level n-1 and kills level 0", "ladder", worst["lower"], 0.0, tol)
     rec.close_to("ladder-power", "n-fold creation on level 0 gives 2**(-n/2) times level n", "ladder", worst["power"], 0.0, tol)

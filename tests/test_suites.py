@@ -190,9 +190,9 @@ class TestBosonGrid:
         so a deep grid costs nothing."""
         calls = []
 
-        def ladder(n_max, length, cols=slice(None)):
+        def ladder(first, last, length, cols=slice(None)):
             indices = [None] if length is None else range(1 << length)[cols]
-            for n in range(n_max + 1):
+            for n in range(first, last + 1):
                 calls.extend((n, None if i is None else index_word(length, i)) for i in indices)
                 yield n, {"raise": np.zeros(len(indices)), "lower": np.zeros(len(indices)), "power": np.zeros(len(indices))}
 
@@ -226,9 +226,8 @@ class TestBosonGrid:
         assert got == boson_loop(8, seed, n_max, w_max_len)
 
     def test_deep_states_go_through_in_chunks(self, monkeypatch):
-        # the chunks of a word length are sized at its deepest level: at
-        # n_max = 12 the raised states of length-4 words have 2**19 rows, one
-        # column per chunk; at n_max = 1 they have 2**8, every word in one chunk
+        # at n = 12 the raised states of length-4 words have 2**19 rows: one
+        # column per chunk; the shallow groups keep every word in one chunk
         widths = []
         chunks = tr.column_chunks
 
@@ -239,12 +238,11 @@ class TestBosonGrid:
 
         monkeypatch.setattr(tr, "column_chunks", recording)
         assert all(c.status != "fail" for c in suites.run_boson(3, 0, n_max=12, w_max_len=4))
-        assert all(c.status != "fail" for c in suites.run_boson(3, 0, n_max=1, w_max_len=4))
         for cols, width, sizes in widths:
             assert sum(sizes) == cols
             assert max(sizes) == max(1, min(cols, tr.CHUNK_BYTES // (8 * width)))
         assert (16, 1 << 19, [1] * 16) in widths
-        assert (16, 1 << 8, [16]) in widths
+        assert (16, 1 << 7, [16]) in widths
 
     @pytest.mark.parametrize("n_max, w_max_len", [(15, 2), (8, 6)])
     def test_peak_memory_stays_near_the_per_state_loop(self, n_max, w_max_len):
