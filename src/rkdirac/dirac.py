@@ -174,8 +174,7 @@ def _family_norms(family: List[OperatorSpec]) -> Optional[List[CommutatorNorm]]:
         return None
     (upper, mu), (lower, ml) = solves
     est = spectra.NormEstimate
-    own = [cores[key] for key in keys]
-    return [CommutatorNorm(max(u, l), est(u, 0, True, mu, 0.0), est(l, 0, True, ml, 0.0), c, c, at) for u, l, c in zip(upper, lower, own)]
+    return [CommutatorNorm(max(u, l), est(u, 0, True, mu, 0.0), est(l, 0, True, ml, 0.0), cores[k], cores[k], at) for u, l, k in zip(upper, lower, keys)]
 
 
 LIPSCHITZ_THRESHOLD = 1.0  # the radius of the Lipschitz ball ||[D, pi(A)]|| <= 1
