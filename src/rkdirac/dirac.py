@@ -141,13 +141,15 @@ def _by_family(ops: Sequence[OperatorSpec], key, solve) -> List[CommutatorNorm]:
 
 def _aligned_norms(family: List[OperatorSpec]) -> List[CommutatorNorm]:
     """The norms of a family of one structure: stacked whole when its stack
-    fits in CHUNK_BYTES and solves, else by families of one key."""
-    whole = None
+    fits in CHUNK_BYTES and solves, else by families of one key; a family of
+    one key that was tried whole goes member by member."""
     if len(family) > 1:
         slots = zip(*(a.normal_form.functions() for a in family))
         if 8 * len(family) * max((max(f.shape[0] for f in slot) for slot in slots), default=1) <= CHUNK_BYTES:
             whole = _family_norms(family)
-    return whole or _by_family(family, NormalForm.key, lambda sub: _family_norms(sub) or list(map(commutator_norm, sub)))
+            if whole is not None or len({a.normal_form.key() for a in family}) == 1:
+                return whole or list(map(commutator_norm, family))
+    return _by_family(family, NormalForm.key, lambda sub: _family_norms(sub) or list(map(commutator_norm, sub)))
 
 
 def _family_norms(family: List[OperatorSpec]) -> Optional[List[CommutatorNorm]]:

@@ -587,9 +587,10 @@ class TestStackedForms:
     def test_a_family_without_an_exact_solve_goes_member_by_member(self, monkeypatch):
         from rkdirac import dirac
 
-        calls = []
-        per_member = dirac.commutator_norm
+        calls, derived = [], []
+        per_member, derive = dirac.commutator_norm, dirac.commutator_form
         monkeypatch.setattr(dirac, "commutator_norm", lambda a: calls.append(a) or per_member(a))
+        monkeypatch.setattr(dirac, "commutator_form", lambda s, form: derived.append(form) or derive(s, form))
         mixed = [Sum((Proj(haar_function(w("01"))), Mult(random_function(s, 2))), (1.0, 0.05)) for s in (1, 2)]
         ops = [mixed[0], Mult(random_function(1, 2)), mixed[1], Mult(random_function(2, 2)), Mult(random_function(3, 3)), CondExp(1), CondExp(1)]
         got = commutator_norms(ops)
@@ -597,6 +598,9 @@ class TestStackedForms:
         # multiplier joins the depth-2 ones, all solved at its core depth 4;
         # CondExp(1)'s forms hold only the constant 1, nothing to stack
         assert calls == [ops[0], ops[2], ops[5], ops[6]]
+        # the two stacks, each derived once: the one-key family tried whole
+        # is not stacked again before it goes member by member
+        assert len(derived) == 4
         assert got[0].upper.method == "dense" and got[5].upper.method == "exact-block"
         for g, a in zip(got, ops):
             _assert_same_norm(g, per_member(a), at=4 if isinstance(a, Mult) else None)
