@@ -159,6 +159,10 @@ def _family_norms(family: List[OperatorSpec]) -> Optional[List[CommutatorNorm]]:
     depths = [None] if None in blocks else [form.core_depth() for form in blocks]
     if None in depths or max(depths) > MAX_DEPTH:
         return None
+    at = max(depths)
+    solves = [form.exact_norm(at) for form in blocks]
+    if None in solves:  # before any member's pair: commutator_norm derives its own
+        return None
     keys = [a.normal_form.key() for a in family]
     cores: Dict[tuple, int] = {}
     for a, key in zip(family, keys):
@@ -170,10 +174,6 @@ def _family_norms(family: List[OperatorSpec]) -> Optional[List[CommutatorNorm]]:
             cores[key] = pair_core_depth(pair)  # the stack's is the largest, so none is None
             for block in pair:
                 BoundOperator(block, cores[key])  # as in commutator_norm: the blocks must be representable there
-    at = max(depths)
-    solves = [form.exact_norm(at) for form in blocks]
-    if None in solves:
-        return None
     (upper, mu), (lower, ml) = solves
     est = spectra.NormEstimate
     return [CommutatorNorm(max(u, l), est(u, 0, True, mu, 0.0), est(l, 0, True, ml, 0.0), cores[k], cores[k], at) for u, l, k in zip(upper, lower, keys)]

@@ -22,7 +22,7 @@ so the words of length l fill slots ``[2**l, 2**(l+1))`` in index order.
 from __future__ import annotations
 
 import math
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -193,23 +193,36 @@ def pointwise_mul(f: DyadicFunction, g: DyadicFunction) -> DyadicFunction:
 
 
 def haar_function(idx: HaarIndex) -> DyadicFunction:
-    """The orthonormal Haar element for the given index."""
-    if idx is EPS0:
-        return DyadicFunction(1, [-SQRT2, 0.0])
-    if idx is EPS1:
-        return DyadicFunction(1, [0.0, SQRT2])
-    if not isinstance(idx, Word):
+    """The orthonormal Haar element for the given index, at its own depth:
+    the one column of ``haar_batch``."""
+    if idx is not EPS0 and idx is not EPS1 and not isinstance(idx, Word):
         raise TypeError(f"not a Haar index: {idx!r}")
-    if idx.length == 0:
-        raise ValueError("Haar indices use nonempty words (eps0/eps1 cover depth one)")
-    if idx.length + 1 > MAX_DEPTH:
+    slot = haar_slot(idx)
+    depth = max(slot.bit_length(), 1)  # len(w) + 1 for e_w, 1 for e_eps0 and e_eps1
+    if depth > MAX_DEPTH:
         raise ValueError(f"depth cap {MAX_DEPTH} exceeded")
-    scale = 2.0 ** (idx.length / 2.0)
-    vals = np.zeros(1 << (idx.length + 1))
-    i = word_index(idx)
-    vals[2 * i] = -scale  # [w0]
-    vals[2 * i + 1] = scale  # [w1]
-    return DyadicFunction(idx.length + 1, vals)
+    return DyadicFunction(depth, haar_batch([slot], depth)[:, 0])
+
+
+def haar_batch(slots: Sequence[int], depth: int) -> np.ndarray:
+    """The Haar elements in the given slots (``haar_slot``), as the columns of
+    one ``(2**depth, len(slots))`` array of cylinder values; depth is at
+    least each element's own."""
+    levels = np.array([max(int(s).bit_length() - 1, 0) for s in slots], dtype=int)
+    if levels.size and levels.max() >= depth:
+        raise ValueError(f"Haar slot {max(slots)} needs depth {levels.max() + 1}, got {depth}")
+    slots = np.asarray(slots, dtype=int)
+    out = np.zeros((1 << depth, slots.size))
+    out[: 1 << (depth - 1), slots == 0] = -SQRT2  # e_eps0 on [0]
+    out[1 << (depth - 1) :, slots == 1] = SQRT2  # e_eps1 on [1]
+    for level in set(levels.tolist()) - {0}:
+        cols = np.flatnonzero(levels == level)
+        w0 = 2 * (slots[cols] - (1 << level))  # the index of [w0] at depth len(w) + 1
+        cells = out.reshape(1 << (level + 1), 1 << (depth - level - 1), slots.size)  # a view
+        scale = 2.0 ** (level / 2.0)
+        cells[w0, :, cols] = -scale  # [w0]
+        cells[w0 + 1, :, cols] = scale  # [w1]
+    return out
 
 
 def haar_slot(idx: HaarIndex) -> int:
@@ -344,7 +357,7 @@ def random_batch(seed: int, depth: int, count: int, constraint: str = "none") ->
     else:
         rows = rng.standard_normal((count, 1 << depth))
     if constraint == "unit-norm":  # each row times 1 / its l2_norm, as in normalized
-        rows *= np.array([[1.0 / math.sqrt(max(_inner_rows(r, r), 0.0))] for r in rows])
+        rows *= 1.0 / np.sqrt(np.einsum("ij,ij->i", rows, rows) * 2.0 ** (-depth))[:, None]
     return require_finite(rows.T, "function")
 
 

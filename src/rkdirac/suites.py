@@ -34,23 +34,22 @@ from .dyadic import (
     _refine_rows,
     chain_batch,
     constant,
+    haar_batch,
     haar_function,
     indicator,
     inner,
     l2_dist,
     l2_norm,
     normalized,
-    pointwise_mul,
     random_batch,
     random_function,
     refine,
     require_depth,
     state_n,
-    state_nw,
     sup_norm,
     to_haar,
 )
-from .words import EPS0, EPS1, EPSILON, Word, all_words, shift, words_up_to
+from .words import EPS0, EPS1, Word, all_words, shift
 
 TOL_EXACT = 1e-12
 TOL_NORM = 1e-9
@@ -156,27 +155,22 @@ def _leading_columns(batch: np.ndarray, depths: np.ndarray) -> np.ndarray:
     return out
 
 
-def _gram_deviation(family: List[DyadicFunction], d: int) -> float:
-    """Largest entry of |Gram - I| for a family of functions in the depth-d space."""
-    mat = np.stack([tr.coords(f, d) for f in family])
-    return float(np.max(np.abs(mat @ mat.T - np.eye(len(family)))))
-
-
 # ---------------------------------------------------------------------------
 
 
 def run_basis(d: int, seed: int) -> List[Check]:
     rec = _Recorder("basis")
 
-    # pairwise orthonormality of the Haar family restricted to the depth-d space
-    max_len = min(5, d - 1)
-    family = [haar_function(EPS0), haar_function(EPS1)]
-    family += [haar_function(w) for w in words_up_to(max_len)]
+    # pairwise orthonormality of the Haar family restricted to the depth-d
+    # space: the Haar elements of every slot below 2**depth, one per column
+    depth = min(5, d - 1) + 1
+    haar = haar_batch(range(1 << depth), depth)
+    coords = (haar * 2.0 ** (-depth / 2.0)).T  # orthonormal coordinates, one row each
     rec.close_to(
         "orthonormal",
-        f"Gram matrix of the Haar family (word length <= {max_len}) is the identity",
+        f"Gram matrix of the Haar family (word length <= {depth - 1}) is the identity",
         "haar-orthonormality",
-        _gram_deviation(family, max_len + 1),
+        float(np.max(np.abs(coords @ coords.T - np.eye(1 << depth)))),
         0.0,
         TOL_EXACT,
     )
@@ -197,10 +191,7 @@ def run_basis(d: int, seed: int) -> List[Check]:
     worst = _col_dist(_from_haar_rows(_haar_rows(x)), x).max()
     rec.close_to("roundtrip", "analysis then synthesis returns the input", "plumbing", worst, 0.0, TOL_EXACT)
 
-    eps_err = max(
-        float(np.max(np.abs(haar_function(EPS1).values - np.array([0.0, SQRT2])))),
-        float(np.max(np.abs(haar_function(EPS0).values - np.array([-SQRT2, 0.0])))),
-    )
+    eps_err = float(np.max(np.abs(haar[:, :2] - _refine_rows(np.diag([-SQRT2, SQRT2]), depth))))
     rec.close_to("eps-values", "depth-one Haar elements are the scaled indicators", "haar-definition", eps_err, 0.0, TOL_EXACT)
 
     h1 = to_haar(constant(1.0))
@@ -213,18 +204,15 @@ def run_basis(d: int, seed: int) -> List[Check]:
         TOL_EXACT,
     )
 
-    # Product of nested Haar elements: e_u e_v = -(-1)**v_{l(u)+1} * 2**(l(u)/2) e_v.
-    worst_signed = 0.0
-    plus_fails = False
-    for u in words_up_to(2):
-        for v in words_up_to(min(4, d - 1)):
-            if u.length < v.length and (v.bits >> (v.length - u.length)) == u.bits:
-                prod = pointwise_mul(haar_function(u), haar_function(v))
-                scale = 2.0 ** (u.length / 2)
-                sign = -((-1.0) ** v.symbol(u.length))
-                worst_signed = max(worst_signed, l2_dist(prod, (sign * scale) * haar_function(v)))
-                if l2_dist(prod, scale * haar_function(v)) > 1e-9:
-                    plus_fails = True
+    # Product of nested Haar elements: e_u e_v = -(-1)**v_{l(u)+1} * 2**(l(u)/2) e_v,
+    # for every pair with len(u) <= 2 and u = v >> k in slots, k >= 1, whose
+    # v_{l(u)+1} is bit k - 1 of v's slot; 2**(l(u)/2) is the sup of e_u.
+    depth = min(4, d - 1) + 1
+    u, v, k = np.array([(s >> k, s, k) for s in range(4, 1 << depth) for k in range(1, s.bit_length() - 1) if s >> k < 8]).T
+    haar = haar[:: haar.shape[0] >> depth, : 1 << depth]  # the same elements at this depth
+    prod, scale = haar[:, u] * haar[:, v], np.abs(haar[:, u]).max(axis=0)
+    worst_signed = _col_dist(prod, (2.0 * (v >> (k - 1) & 1) - 1.0) * scale * haar[:, v]).max()
+    plus_fails = bool((_col_dist(prod, scale * haar[:, v]) > 1e-9).any())
     rec.close_to(
         "product-nested",
         "nested product rule with the symbol-dependent sign",
@@ -426,10 +414,8 @@ def run_fermion(d: int, seed: int) -> List[Check]:
     worst = np.abs(_col_inner(bo.CAR_ANTICOMMUTATOR.apply_batch(phi), one) - _col_inner(phi, one)).max()
     rec.close_to("car-integral", "the anticommutator preserves integrals", "car", worst, 0.0, TOL_EXACT)
 
-    worst = 0.0
-    for w in [EPSILON] + list(words_up_to(2)):
-        st = state_nw(0, w)
-        worst = max(worst, l2_dist(bo.car_anticommutator(st), 0.5 * st))
+    states = [chain_batch(0, length) for length in (0, 1, 2)]  # over the empty word and every word of length <= 2
+    worst = max(_col_dist(bo.CAR_ANTICOMMUTATOR.apply_batch(st), 0.5 * st).max() for st in states)
     rec.close_to("car-kernel", "the anticommutator halves kernel-level states", "car", worst, 0.0, TOL_EXACT)
     return rec.checks
 

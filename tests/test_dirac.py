@@ -585,12 +585,13 @@ class TestStackedForms:
         assert paired == [ops[0], ops[0], ops[8], ops[8], ops[5], ops[5]]
 
     def test_a_family_without_an_exact_solve_goes_member_by_member(self, monkeypatch):
-        from rkdirac import dirac
+        from rkdirac import dirac, transfer
 
-        calls, derived = [], []
-        per_member, derive = dirac.commutator_norm, dirac.commutator_form
+        calls, derived, blocks = [], [], []
+        per_member, derive, block_form = dirac.commutator_norm, dirac.commutator_form, transfer.Commutator._normal_form
         monkeypatch.setattr(dirac, "commutator_norm", lambda a: calls.append(a) or per_member(a))
         monkeypatch.setattr(dirac, "commutator_form", lambda s, form: derived.append(form) or derive(s, form))
+        monkeypatch.setattr(transfer.Commutator, "_normal_form", lambda block: blocks.append(block.ops[0].ops[1]) or block_form(block))
         mixed = [Sum((Proj(haar_function(w("01"))), Mult(random_function(s, 2))), (1.0, 0.05)) for s in (1, 2)]
         ops = [mixed[0], Mult(random_function(1, 2)), mixed[1], Mult(random_function(2, 2)), Mult(random_function(3, 3)), CondExp(1), CondExp(1)]
         got = commutator_norms(ops)
@@ -601,6 +602,10 @@ class TestStackedForms:
         # the two stacks, each derived once: the one-key family tried whole
         # is not stacked again before it goes member by member
         assert len(derived) == 4
+        # one block pair per member solved member by member, one per key of
+        # the solved family (depth-2 and depth-3 multipliers), none for the
+        # family whose stack did not solve
+        assert [[i for i, a in enumerate(ops) if a is b] for b in blocks] == [[0], [0], [2], [2], [1], [1], [4], [4], [5], [5], [6], [6]]
         assert got[0].upper.method == "dense" and got[5].upper.method == "exact-block"
         for g, a in zip(got, ops):
             _assert_same_norm(g, per_member(a), at=4 if isinstance(a, Mult) else None)

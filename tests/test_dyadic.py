@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,6 +12,7 @@ from rkdirac.dyadic import (
     SQRT2,
     constant,
     from_haar,
+    haar_batch,
     haar_function,
     haar_slot,
     indicator,
@@ -115,6 +118,54 @@ class TestHaarFunction:
         mat = np.stack([refine(f, depth).values * 2.0 ** (-depth / 2) for f in family])
         gram = mat @ mat.T
         assert np.max(np.abs(gram - np.eye(len(family)))) < 1e-12
+
+
+    @staticmethod
+    def _defined(idx):
+        """e_idx written out from the definition, at its own depth."""
+        if idx in (EPS0, EPS1):
+            return np.array([-SQRT2, 0.0]) if idx is EPS0 else np.array([0.0, SQRT2])
+        vals = np.zeros(1 << (idx.length + 1))
+        vals[2 * idx.bits : 2 * idx.bits + 2] = [-(2.0 ** (idx.length / 2.0)), 2.0 ** (idx.length / 2.0)]
+        return vals
+
+    def test_batch_columns_are_the_elements_bit_for_bit(self):
+        indices = [EPS0, EPS1] + list(words_up_to(6))
+        batch = haar_batch([haar_slot(idx) for idx in indices], 7)
+        for idx, col in zip(indices, batch.T):
+            e = haar_function(idx)
+            assert e.values.tobytes() == self._defined(idx).tobytes()
+            assert col.tobytes() == refine(e, 7).values.tobytes()
+            assert haar_batch([haar_slot(idx)], e.depth)[:, 0].tobytes() == e.values.tobytes()
+
+    def test_batch_columns_follow_the_slots_given(self):
+        batch = haar_batch([5, 0, 5], 4)
+        assert batch.shape == (16, 3)
+        assert batch[:, 0].tobytes() == batch[:, 2].tobytes() == refine(haar_function(w("01")), 4).values.tobytes()
+        assert haar_batch([], 3).shape == (8, 0)
+
+    def test_a_slot_deeper_than_the_batch_is_refused(self):
+        with pytest.raises(ValueError, match="slot 8 needs depth 4, got 3"):
+            haar_batch([1, 8], 3)
+        with pytest.raises(ValueError, match="needs depth 1, got 0"):
+            haar_batch([0], 0)
+
+    def test_a_deep_element_allocates_its_own_column_only(self):
+        e = w("01" * 10)
+        tracemalloc.start()
+        try:
+            f = haar_function(e)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert f.depth == 21 and np.count_nonzero(f.values) == 2
+        assert peak < 40 << 20  # the one column and the function's copy of it, 16 MB each
+
+    def test_past_the_cap(self):
+        with pytest.raises(ValueError, match="depth cap 24"):
+            haar_function(Word(24, 0))
+        with pytest.raises(TypeError):
+            haar_function(3)
 
 
 class TestHaarTransform:

@@ -16,11 +16,13 @@ from rkdirac.dyadic import (
     DyadicFunction,
     constant,
     from_haar,
+    haar_batch,
     haar_function,
     inner,
     l2_dist,
     l2_norm,
     normalized,
+    pointwise_mul,
     random_batch,
     random_function,
     refine,
@@ -310,11 +312,30 @@ def _columns(batch):
 
 
 def basis_loops(d, seed):
-    """Reference: basis's parseval and roundtrip values."""
+    """Reference: basis's parseval, roundtrip, orthonormal, product-nested and
+    product-sign values."""
     pairs = [(f, to_haar(f)) for f in _columns(random_batch(seed, d, 20))]
+    max_len = min(5, d - 1)
+    family = [haar_function(EPS0), haar_function(EPS1)] + [haar_function(w) for w in words_up_to(max_len)]
+    mat = np.stack([tr.coords(f, max_len + 1) for f in family])
+    worst_signed, plus_fails = 0.0, False
+    for u in words_up_to(2):
+        for v in words_up_to(min(4, d - 1)):
+            if u.length < v.length and (v.bits >> (v.length - u.length)) == u.bits:
+                prod = pointwise_mul(haar_function(u), haar_function(v))
+                scale = 2.0 ** (u.length / 2)
+                sign = -((-1.0) ** v.symbol(u.length))
+                worst_signed = max(worst_signed, l2_dist(prod, (sign * scale) * haar_function(v)))
+                if l2_dist(prod, scale * haar_function(v)) > 1e-9:
+                    plus_fails = True
     return {
         "parseval": max(abs(inner(f, f) - float(h @ h)) for f, h in pairs),
         "roundtrip": max(l2_dist(from_haar(to_haar(f)), f) for f in _columns(random_batch(seed + 100, min(d, 6), 20))),
+        "orthonormal": float(np.max(np.abs(mat @ mat.T - np.eye(len(family))))),
+        "product-nested": worst_signed,
+        "product-sign": "symbol-dependent form matches; constant-positive form fails when the next symbol is 0"
+        if plus_fails
+        else "both candidate forms match on the tested pairs",
     }
 
 
@@ -373,12 +394,51 @@ def test_batched_formula_checks_match_the_per_function_loops(seed):
     want["dirac-projections.case-table"] = case_table_error_loop(2, 4)
     suites_run = {key.split(".")[0] for key in want}
     got = {c.id: c.value for name in suites_run for c in suites.SUITES[name](suites.suite_depth(name, 8), seed)}
-    assert {k: abs(got[k] - v) <= 1e-12 for k, v in want.items()} == dict.fromkeys(want, True), (got, want)
+    assert {k: _within_1e_12(got[k], v) for k, v in want.items()} == dict.fromkeys(want, True), (got, want)
+
+
+@pytest.mark.parametrize("d", [3, 4, 5, 6, 7, 8, 12])
+def test_basis_checks_match_the_per_element_loops_at_every_depth(d):
+    # depth 3 is the suite's floor; from depth 6 on both word caps are reached
+    want = basis_loops(d, 1)
+    checks = {c.id.split(".", 1)[1]: c for c in suites.run_basis(d, 1)}
+    assert {k: _within_1e_12(checks[k].value, v) for k, v in want.items()} == dict.fromkeys(want, True), (checks, want)
+    assert checks["product-nested"].value == want["product-nested"] == 0.0
+    assert checks["orthonormal"].description == f"Gram matrix of the Haar family (word length <= {min(5, d - 1)}) is the identity"
+    assert {c.status for k, c in checks.items() if k != "product-sign"} == {"pass"}
+
+
+class TestCorruptedHaarArray:
+    @staticmethod
+    def _statuses(monkeypatch, slot, factor):
+        # every basis check on one Haar array whose column of the given slot is scaled
+        def corrupted(slots, depth):
+            haar = haar_batch(slots, depth)
+            haar[:, list(slots).index(slot)] *= factor
+            return haar
+
+        monkeypatch.setattr(suites, "haar_batch", corrupted)
+        return {c.id: c.status for c in suites.run_basis(8, 1)}
+
+    def test_a_column_off_by_one_percent_fails_orthonormal(self, monkeypatch):
+        assert self._statuses(monkeypatch, 63, 1.01)["basis.orthonormal"] == "fail"
+
+    @pytest.mark.parametrize("slot", [2, 5])
+    def test_a_flipped_short_element_fails_the_product_rule(self, monkeypatch, slot):
+        # e_0 and e_01: each is the u of some nested pair; a sign flip keeps the Gram
+        statuses = self._statuses(monkeypatch, slot, -1.0)
+        assert statuses["basis.product-nested"] == "fail" and statuses["basis.orthonormal"] == "pass"
+
+    def test_a_flipped_long_element_passes_the_product_rule(self, monkeypatch):
+        # e_0101 is only ever the v of a pair: both sides of the rule flip with it
+        assert self._statuses(monkeypatch, 21, -1.0)["basis.product-nested"] == "pass"
 
 
 # Every check's value of verify --suite all --depth 8 at seeds 0 and 1, as
 # the code computed them before the Dirac norms were solved as aligned
-# families and the boson ladder was carried from level to level.
+# families and the boson ladder was carried from level to level, and at
+# seeds 7 and 900, as it computed them before the basis checks went onto one
+# Haar array: the four seeds CI runs verify at.
 VERIFY_D8_VALUES = json.loads((Path(__file__).parent / "data" / "verify_d8_values.json").read_text())
 
 
