@@ -208,20 +208,19 @@ def haar_batch(slots: Sequence[int], depth: int) -> np.ndarray:
     """The Haar elements in the given slots (``haar_slot``), as the columns of
     one ``(2**depth, len(slots))`` array of cylinder values; depth is at
     least each element's own."""
-    levels = np.array([max(int(s).bit_length() - 1, 0) for s in slots], dtype=int)
-    if levels.size and levels.max() >= depth:
-        raise ValueError(f"Haar slot {max(slots)} needs depth {levels.max() + 1}, got {depth}")
-    slots = np.asarray(slots, dtype=int)
-    out = np.zeros((1 << depth, slots.size))
-    out[: 1 << (depth - 1), slots == 0] = -SQRT2  # e_eps0 on [0]
-    out[1 << (depth - 1) :, slots == 1] = SQRT2  # e_eps1 on [1]
-    for level in set(levels.tolist()) - {0}:
-        cols = np.flatnonzero(levels == level)
-        w0 = 2 * (slots[cols] - (1 << level))  # the index of [w0] at depth len(w) + 1
-        cells = out.reshape(1 << (level + 1), 1 << (depth - level - 1), slots.size)  # a view
-        scale = 2.0 ** (level / 2.0)
-        cells[w0, :, cols] = -scale  # [w0]
-        cells[w0 + 1, :, cols] = scale  # [w1]
+    out = np.zeros((1 << depth, len(slots)))
+    for j, slot in enumerate(slots):
+        level = max(slot.bit_length() - 1, 0)  # len(w) for e_w, 0 for e_eps0 and e_eps1
+        if level >= depth:
+            raise ValueError(f"Haar slot {slot} needs depth {level + 1}, got {depth}")
+        span = 1 << (depth - level - 1)  # the cells of one child cylinder
+        if slot < 2:  # e_eps0 = -sqrt(2) on [0], e_eps1 = sqrt(2) on [1]
+            out[slot * span : (slot + 1) * span, j] = SQRT2 if slot else -SQRT2
+        else:
+            w0 = 2 * (slot - (1 << level)) * span  # the first cell of [w0]
+            scale = 2.0 ** (level / 2.0)
+            out[w0 : w0 + span, j] = -scale
+            out[w0 + span : w0 + 2 * span, j] = scale  # [w1]
     return out
 
 
