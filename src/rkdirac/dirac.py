@@ -161,7 +161,7 @@ def _family_norms(family: List[OperatorSpec]) -> Optional[List[CommutatorNorm]]:
         return None
     at = max(depths)
     solves = [form.exact_norm(at) for form in blocks]
-    if None in solves:  # before any member's pair: commutator_norm derives its own
+    if None in solves:  # commutator_norm derives each member's pair
         return None
     keys = [a.normal_form.key() for a in family]
     cores: Dict[tuple, int] = {}

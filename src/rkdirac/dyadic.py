@@ -193,34 +193,33 @@ def pointwise_mul(f: DyadicFunction, g: DyadicFunction) -> DyadicFunction:
 
 
 def haar_function(idx: HaarIndex) -> DyadicFunction:
-    """The orthonormal Haar element for the given index, at its own depth:
-    the one column of ``haar_batch``."""
+    """The orthonormal Haar element for the given index: ``haar_batch``'s
+    one column at the element's own depth."""
     if idx is not EPS0 and idx is not EPS1 and not isinstance(idx, Word):
         raise TypeError(f"not a Haar index: {idx!r}")
     slot = haar_slot(idx)
-    depth = max(slot.bit_length(), 1)  # len(w) + 1 for e_w, 1 for e_eps0 and e_eps1
+    depth = max(slot.bit_length(), 1)
     if depth > MAX_DEPTH:
         raise ValueError(f"depth cap {MAX_DEPTH} exceeded")
     return DyadicFunction(depth, haar_batch([slot], depth)[:, 0])
 
 
 def haar_batch(slots: Sequence[int], depth: int) -> np.ndarray:
-    """The Haar elements in the given slots (``haar_slot``), as the columns of
-    one ``(2**depth, len(slots))`` array of cylinder values; depth is at
-    least each element's own."""
+    """The Haar elements of the given slots (``haar_slot``), one per column of
+    an array of cylinder values at a depth no coarser than theirs."""
     out = np.zeros((1 << depth, len(slots)))
     for j, slot in enumerate(slots):
-        level = max(slot.bit_length() - 1, 0)  # len(w) for e_w, 0 for e_eps0 and e_eps1
+        level = max(slot.bit_length() - 1, 0)
         if level >= depth:
             raise ValueError(f"Haar slot {slot} needs depth {level + 1}, got {depth}")
         span = 1 << (depth - level - 1)  # the cells of one child cylinder
-        if slot < 2:  # e_eps0 = -sqrt(2) on [0], e_eps1 = sqrt(2) on [1]
+        if slot < 2:  # e_eps0 on [0], e_eps1 on [1]
             out[slot * span : (slot + 1) * span, j] = SQRT2 if slot else -SQRT2
-        else:
-            w0 = 2 * (slot - (1 << level)) * span  # the first cell of [w0]
+        else:  # e_w on [w0] and [w1]
+            w0 = 2 * (slot - (1 << level)) * span
             scale = 2.0 ** (level / 2.0)
             out[w0 : w0 + span, j] = -scale
-            out[w0 + span : w0 + 2 * span, j] = scale  # [w1]
+            out[w0 + span : w0 + 2 * span, j] = scale
     return out
 
 

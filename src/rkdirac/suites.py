@@ -161,8 +161,7 @@ def _leading_columns(batch: np.ndarray, depths: np.ndarray) -> np.ndarray:
 def run_basis(d: int, seed: int) -> List[Check]:
     rec = _Recorder("basis")
 
-    # pairwise orthonormality of the Haar family restricted to the depth-d
-    # space: the Haar elements of every slot below 2**depth, one per column
+    # pairwise orthonormality of the Haar family restricted to the depth-d space
     depth = min(5, d - 1) + 1
     haar = haar_batch(range(1 << depth), depth)
     coords = (haar * 2.0 ** (-depth / 2.0)).T  # orthonormal coordinates, one row each
@@ -205,8 +204,8 @@ def run_basis(d: int, seed: int) -> List[Check]:
     )
 
     # Product of nested Haar elements: e_u e_v = -(-1)**v_{l(u)+1} * 2**(l(u)/2) e_v,
-    # for every pair with len(u) <= 2 and u = v >> k in slots, k >= 1, whose
-    # v_{l(u)+1} is bit k - 1 of v's slot; 2**(l(u)/2) is the sup of e_u.
+    # for the slots u = v >> k (k >= 1) of length <= 2; v_{l(u)+1} is bit k - 1
+    # of v, 2**(l(u)/2) the sup of e_u.
     depth = min(4, d - 1) + 1
     u, v, k = np.array([(s >> k, s, k) for s in range(4, 1 << depth) for k in range(1, s.bit_length() - 1) if s >> k < 8]).T
     haar = haar[:: haar.shape[0] >> depth, : 1 << depth]  # the same elements at this depth
