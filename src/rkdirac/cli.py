@@ -106,7 +106,7 @@ def cmd_connes(args) -> int:
     family_file = load_operator_envelope(args.family)
     if not isinstance(family_file, dict) or not isinstance(family_file.get("operators"), list):
         raise ValueError("a family file needs an 'operators' list")
-    # every member is certified at its own core depth; a "depth" key is ignored
+    # each member is solved at its chunk's solve depth; a "depth" key is ignored
     family = [load_operator(o) for o in family_file["operators"]]
     bound, witness = di.connes_lower_bound(eta, xi, family)
     _emit(

@@ -16,23 +16,21 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import spectra
 from .dyadic import MAX_DEPTH, DyadicFunction, inner, require_unit
-from .transfer import CHUNK_BYTES, BoundOperator, Koopman, NormalForm, OperatorSpec, Ruelle, commutator_form, commutator_with_K, commutator_with_L, dirac_blocks, pair_core_depth
+from .transfer import BoundOperator, Koopman, NormalForm, OperatorSpec, Ruelle, column_chunks, commutator_form, commutator_with_K, commutator_with_L, dirac_blocks, pair_core_depth
 
 
-# The (upper, lower) = (K A - A K, L A - A L) block pair, under its older
-# name, kept because bench/test_bench.py imports it.
+# dirac_blocks under its older name, kept only because bench/ imports it.
 dirac_commutator = dirac_blocks
 
 
 def block_norms(b: Tuple[OperatorSpec, OperatorSpec], depth: int) -> Tuple[float, float]:
-    """Norms of the (upper, lower) block pair at the given input depth."""
-    upper, lower = b
-    _, eu, el = spectra.block_pair_norm(upper, lower, depth)
+    """Norms of the (upper, lower) block pair at an input depth; kept only because bench/ wraps it."""
+    _, eu, el = spectra.block_pair_norm(*b, depth)
     return eu.value, el.value
 
 
 def block_norm(b: Tuple[OperatorSpec, OperatorSpec], depth: int) -> float:
-    """Norm of the Dirac commutator at the given input depth (max of the blocks)."""
+    """The max of ``block_norms``; kept only because bench/ imports it."""
     return max(block_norms(b, depth))
 
 
@@ -60,10 +58,8 @@ class CommutatorNorm:
 
     ``depth`` is the requested input depth and ``computed_at`` the depth
     both blocks were solved at, where the value is that of every depth from
-    the core depth on: ``min(depth, core_depth)`` for ``commutator_norm``,
-    and for a member of a family that ``commutator_norms`` solves stacked
-    the family's solve depth, the largest core depth of its members, so at
-    least the member's own ``core_depth``.
+    the core depth on: ``min(depth, core_depth)``, or for a member solved
+    stacked its chunk's solve depth (see ``commutator_norms``).
     """
 
     value: float
@@ -75,22 +71,74 @@ class CommutatorNorm:
 
 
 def commutator_norm(a: OperatorSpec, depth: Optional[int] = None, method: str = "auto") -> CommutatorNorm:
-    """||[D, pi(A)]|| at an input depth, solved at no more than the core depth.
+    """``commutator_norms([a], depth, method)``'s one member."""
+    return commutator_norms([a], depth, method)[0]
 
-    With no depth the requested depth is the core depth; an operator without
-    one (a sum of mixed shifts) needs an explicit depth.  The block pair is
-    A's own (``transfer.dirac_blocks``, built once per spec), its normal
-    forms derived once, the exact solve reusing them.
+
+def commutator_norms(ops: Sequence[OperatorSpec], depth: Optional[int] = None, method: str = "auto") -> List[CommutatorNorm]:
+    """||[D, pi(A)]|| of each operator at an input depth (by default its core
+    depth, which a sum of mixed shifts lacks), solved at no more than its
+    core depth; the first operator whose solve fails raises its ValueError.
+
+    With no depth under method="auto", operators whose forms share a
+    ``NormalForm.structure`` form a family, split in input order into
+    ``transfer.column_chunks`` at the rows of its widest slot.  A chunk's
+    forms are stacked (``NormalForm.stack``); its two block forms, derived
+    once from the stack, are each solved by one ``exact_norm`` call at the
+    chunk's solve depth, the largest core depth of its members, past which
+    no member's norm changes.  Each member keeps its own ``depth`` and
+    ``core_depth``, read, and its blocks range-checked there, once per
+    ``NormalForm.key``.  Every other operator is solved on its own
+    (``_member_norm``): a chunk of one, one with nothing to stack, without
+    an exact solve of both blocks or whose stacked solve fails (its members'
+    own solves then say which fails and why), an operator given a depth or
+    solved by method="dense" or "lanczos", one without a normal form.
     """
+    out = _outcomes(ops, depth, method)
+    for r in out:
+        if isinstance(r, ValueError):
+            raise r
+    return out
+
+
+def _outcomes(ops: Sequence[OperatorSpec], depth: Optional[int], method: str) -> list:
+    """``commutator_norms``, with the ValueError of each failed solve in its place."""
+    out: dict = {}
+    families: Dict[tuple, List[int]] = {}
+    for i, a in enumerate(ops):
+        if depth is None and method == "auto" and a.normal_form is not None:
+            families.setdefault(a.normal_form.structure(), []).append(i)
+        else:
+            out[i] = _attempt(_member_norm, a, depth, method)
+    for members in families.values():
+        widest = max((f.shape[0] for i in members for f in ops[i].normal_form.functions()), default=1)
+        for chunk in column_chunks(len(members), widest):
+            family = [ops[i] for i in members[chunk]]
+            stacked = _attempt(_family_norms, family) if len(family) > 1 else None
+            if not isinstance(stacked, list):
+                stacked = [_attempt(_member_norm, a, None, method) for a in family]
+            out.update(zip(members[chunk], stacked))
+    return [out[i] for i in range(len(ops))]
+
+
+def _attempt(solve, *args):
+    """solve(*args), or the ValueError it raises."""
+    try:
+        return solve(*args)
+    except ValueError as exc:
+        return exc
+
+
+def _member_norm(a: OperatorSpec, depth: Optional[int], method: str) -> CommutatorNorm:
+    """One operator's norm, from its own block pair (``dirac_blocks``, built once per spec)."""
     pair = dirac_blocks(a)
     core = pair_core_depth(pair)
-    if depth is None:
-        if core is None:
-            raise ValueError(
-                f"no core depth for {a.describe()}: its norm may grow with depth, so it "
-                "cannot be certified at any depth; pass an explicit depth"
-            )
-        depth = core
+    if depth is None and core is None:
+        raise ValueError(
+            f"no core depth for {a.describe()}: its norm may grow with depth, so it "
+            "cannot be certified at any depth; pass an explicit depth"
+        )
+    depth = core if depth is None else depth
     at = depth if core is None else min(depth, core)
     if at != depth:
         for block in pair:
@@ -99,69 +147,16 @@ def commutator_norm(a: OperatorSpec, depth: Optional[int] = None, method: str = 
     return CommutatorNorm(value, eu, el, depth, core, at)
 
 
-def commutator_norms(ops: Sequence[OperatorSpec]) -> List[CommutatorNorm]:
-    """``commutator_norm(a)`` of each operator, in input order, solved as
-    stacked families.
-
-    Operators whose forms share a ``NormalForm.structure`` (their terms'
-    (a, b), which functions are the constant 1, their number of rank-one
-    pairs) form a family.  Its forms are stacked (``NormalForm.stack``), each
-    function refined to the deepest depth of its slot, so members of any
-    depths stack; the two block forms are derived once from the stack
-    (``transfer.commutator_form``) and each solved by one ``exact_norm``
-    call at the stack's core depth, the largest of the members' core depths,
-    one value per member.  From a member's own core depth on its norm no
-    longer changes, so that depth gives its exact value.  Each member keeps
-    its own ``depth`` and ``core_depth``, which are read, and its blocks
-    range-checked there, once per ``NormalForm.key``: members of one key
-    have the same depths.  ``computed_at`` is the family's solve depth.
-
-    A family is stacked this way only while its widest stacked function, its
-    members at one slot's deepest depth, fits in CHUNK_BYTES.  A family past
-    that, or whose stack has no exact solve of both blocks, splits into
-    families of one ``NormalForm.key``, stacked alike; a family of one, one
-    with nothing to stack or without an exact solve of both blocks, and an
-    operator without a normal form go through ``commutator_norm``.
-    """
-    return _by_family(ops, NormalForm.structure, _aligned_norms)
-
-
-def _by_family(ops: Sequence[OperatorSpec], key, solve) -> List[CommutatorNorm]:
-    """``solve(family)`` for each family of the operators whose forms share
-    ``key(form)``, in input order; an operator without a form is alone."""
-    families: Dict[tuple, List[int]] = {}
-    for i, a in enumerate(ops):
-        families.setdefault(("alone", i) if a.normal_form is None else key(a.normal_form), []).append(i)
-    out: List[Optional[CommutatorNorm]] = [None] * len(ops)
-    for members in families.values():
-        for i, r in zip(members, solve([ops[i] for i in members])):
-            out[i] = r
-    return out
-
-
-def _aligned_norms(family: List[OperatorSpec]) -> List[CommutatorNorm]:
-    """The norms of a family of one structure: stacked whole when its stack
-    fits in CHUNK_BYTES and solves, else by families of one key; a family of
-    one key that was tried whole goes member by member."""
-    if len(family) > 1:
-        slots = zip(*(a.normal_form.functions() for a in family))
-        if 8 * len(family) * max((max(f.shape[0] for f in slot) for slot in slots), default=1) <= CHUNK_BYTES:
-            whole = _family_norms(family)
-            if whole is not None or len({a.normal_form.key() for a in family}) == 1:
-                return whole or list(map(commutator_norm, family))
-    return _by_family(family, NormalForm.key, lambda sub: _family_norms(sub) or list(map(commutator_norm, sub)))
-
-
 def _family_norms(family: List[OperatorSpec]) -> Optional[List[CommutatorNorm]]:
-    """The family's norms from its stacked block forms, or None."""
-    stacked = NormalForm.stack([a.normal_form for a in family]) if len(family) > 1 else None
+    """The chunk's norms from its stacked block forms, or None."""
+    stacked = NormalForm.stack([a.normal_form for a in family])
     blocks = [None] if stacked is None else [commutator_form(s().normal_form, stacked) for s in (Koopman, Ruelle)]
     depths = [None] if None in blocks else [form.core_depth() for form in blocks]
     if None in depths or max(depths) > MAX_DEPTH:
         return None
     at = max(depths)
     solves = [form.exact_norm(at) for form in blocks]
-    if None in solves:  # commutator_norm derives each member's pair
+    if None in solves:  # each member's own solve derives its own pair
         return None
     keys = [a.normal_form.key() for a in family]
     cores: Dict[tuple, int] = {}
@@ -173,7 +168,7 @@ def _family_norms(family: List[OperatorSpec]) -> Optional[List[CommutatorNorm]]:
             pair = (commutator_with_K(a), commutator_with_L(a))
             cores[key] = pair_core_depth(pair)  # the stack's is the largest, so none is None
             for block in pair:
-                BoundOperator(block, cores[key])  # as in commutator_norm: the blocks must be representable there
+                BoundOperator(block, cores[key])  # as in _member_norm: the blocks must be representable there
     (upper, mu), (lower, ml) = solves
     est = spectra.NormEstimate
     return [CommutatorNorm(max(u, l), est(u, 0, True, mu, 0.0), est(l, 0, True, ml, 0.0), cores[k], cores[k], at) for u, l, k in zip(upper, lower, keys)]
@@ -186,17 +181,20 @@ CERTIFY_TOL = 1e-9
 def lipschitz_certify(a: OperatorSpec) -> dict:
     """Evaluate the Dirac commutator norm of A and compare it with one.
 
-    The norm is ``commutator_norm(a)``, solved at the core depth, where it
-    is the value of every depth.  An operator without a core depth (a sum of
-    mixed shifts) raises ``ValueError``: its norm may grow with depth, so no
-    depth certifies it.  ``certified`` is True only for an upper estimate:
+    The norm is ``commutator_norm(a)``, solved at the core depth, the value
+    of every depth; an operator without one (a sum of mixed shifts) raises
+    its ``ValueError``.  ``certified`` is True only for an upper estimate:
     both blocks solved exactly (an ``exact-*`` solve of the normal form) or
     by a dense eigensolve, and the value at most LIPSCHITZ_THRESHOLD +
     CERTIFY_TOL.  A Lanczos Ritz value is only a lower bound.  ``reason``
     says why a result is not certified (None when it is); ``upper`` and
     ``lower`` say how each block norm was obtained.
     """
-    r = commutator_norm(a)
+    return _certificate(a, commutator_norm(a))
+
+
+def _certificate(a: OperatorSpec, r: CommutatorNorm) -> dict:
+    """``lipschitz_certify``'s result for A from its norm r."""
     reason = _uncertified_reason(r)
     return {
         "certified": reason is None,
@@ -240,21 +238,21 @@ def connes_lower_bound(
 ) -> Tuple[float, Optional[OperatorSpec]]:
     """Best lower bound on the Dirac state distance from a certified family.
 
-    Every family member must certify (``lipschitz_certify``): commutator norm
-    at most one at its core depth.  The sup over such operators of
-    |eta(A) - xi(A)| dominates each evaluation, so the returned max is a
-    valid lower bound.  The sup over an empty family is 0.
+    The family is solved as one ``commutator_norms`` call, and each member
+    must certify as in ``lipschitz_certify``; the first member, in input
+    order, that fails to solve or to certify raises ValueError.  A certified
+    A / max(1, value) is in the Lipschitz ball, so the max of the scaled
+    gaps |eta(A) - xi(A)| / max(1, value) bounds the state distance from
+    below.  The sup over an empty family is 0.
     """
     best, witness = 0.0, None
-    for a in family:
-        cert = lipschitz_certify(a)
+    for a, r in zip(family, _outcomes(family, None, "auto")):
+        if isinstance(r, ValueError):
+            raise r
+        cert = _certificate(a, r)
         if not cert["certified"]:
-            raise ValueError(
-                f"family member {a.describe()} has commutator norm "
-                f"{cert['value']:.12g}; not certified: {cert['reason']}"
-            )
-        gap = abs(eta.expectation(a) - xi.expectation(a))
+            raise ValueError(f"family member {a.describe()} has commutator norm {cert['value']:.12g}; not certified: {cert['reason']}")
+        gap = abs(eta.expectation(a) - xi.expectation(a)) / max(1.0, r.value)
         if gap > best:
             best, witness = gap, a
     return best, witness
-

@@ -159,10 +159,17 @@ def require_finite(x, what: str):
 
 
 def require_unit(f: DyadicFunction, what: str) -> None:
-    """Raise ValueError unless f has L2 norm one within UNIT_TOL; ``what`` names f."""
-    n = l2_norm(f)
-    if abs(n - 1.0) > UNIT_TOL:
-        raise ValueError(f"{what} must have unit norm, got {n!r}")
+    """``require_unit_columns`` on f's values, one column."""
+    require_unit_columns(f.values, what)
+
+
+def require_unit_columns(x: np.ndarray, what: str) -> None:
+    """Raise ValueError, with the first bad norm, unless each column of x (cylinder
+    values, one function per column) has L2 norm one within UNIT_TOL."""
+    norms = np.sqrt(np.einsum("i...,i...->...", x, x) / len(x))  # einsum overflows to inf silently
+    off = ~(np.abs(norms - 1.0) <= UNIT_TOL)  # nan is off too
+    if off.any():
+        raise ValueError(f"{what} must have unit norm, got {float(np.ravel(norms)[np.ravel(off)][0])!r}")
 
 
 def sup_norm(f: DyadicFunction) -> float:

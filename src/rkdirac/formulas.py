@@ -26,7 +26,6 @@ from .dyadic import (
     DyadicFunction,
     INV_SQRT2,
     SQRT2,
-    UNIT_TOL,
     _common,
     _refine_rows,
     inner,
@@ -35,6 +34,7 @@ from .dyadic import (
     refine,
     require_finite,
     require_unit,
+    require_unit_columns,
     sup_norm,
     to_haar,
 )
@@ -77,16 +77,6 @@ def _col_l2(z: np.ndarray) -> np.ndarray:
     s = np.abs(z).max(axis=0)
     u = z / np.where(s > 0.0, s, 1.0)
     return s * np.sqrt(_pair_inner(u, u))
-
-
-def _require_unit_columns(psi: np.ndarray) -> None:
-    """require_unit on each column of psi: a ValueError with the norm of the
-    first column whose norm is off one by more than UNIT_TOL."""
-    with np.errstate(over="ignore"):
-        norms = np.sqrt(_pair_inner(psi, psi))
-    bad = np.flatnonzero(~(np.abs(norms - 1.0) <= UNIT_TOL))  # nan is off too
-    if bad.size:
-        raise ValueError(f"projection vector must have unit norm, got {float(np.ravel(norms)[bad[0]])!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -209,7 +199,7 @@ def _image_sq(x, y, c):
 def projection_sq_expression_batch(phi: np.ndarray, psi: np.ndarray) -> np.ndarray:
     """:func:`projection_sq_expression` of each column pair (phi_j, psi_j) of
     two batches of cylinder values (see "Column batches" above)."""
-    _require_unit_columns(psi)
+    require_unit_columns(psi, "projection vector")
     with np.errstate(over="ignore", invalid="ignore"):
         x = _pair_inner(phi, psi)
         y = _pair_inner(_K(phi), psi)
@@ -242,7 +232,7 @@ def ruelle_sq_expression(phi: DyadicFunction, psi: DyadicFunction) -> float:
 
 def commutator_image_sq_batch(phi: np.ndarray, psi: np.ndarray) -> np.ndarray:
     """:func:`commutator_image_sq` of each column pair (phi_j, psi_j)."""
-    _require_unit_columns(psi)
+    require_unit_columns(psi, "projection vector")
     with np.errstate(over="ignore", invalid="ignore"):
         a, b, _ = _common(_K(_col_proj(psi, phi)), _col_proj(psi, _K(phi)))
         return require_finite(_pair_inner(a - b, a - b), "commutator image")

@@ -58,7 +58,7 @@ TOL_SCAN = 1e-6
 # The suites that read the requested depth run at min(depth, DEPTH_CAP) and
 # need at least DEPTH_FLOOR (transfer's condexp-rank expects 2**(d-n) for
 # n <= 3); the others solve each Dirac norm at the operator's core depth
-# (``dirac.commutator_norm``) and are passed None.
+# (``dirac.commutator_norms``) and are passed None.
 DEPTH_CAP = 8
 DEPTH_FLOOR = 3
 DEPTH_SUITES = frozenset({"basis", "transfer", "boson", "fermion", "wold"})
@@ -587,7 +587,7 @@ def run_dirac_mult(depth: None, seed: int) -> List[Check]:
 def run_dirac_condexp(depth: None, seed: int) -> List[Check]:
     rec = _Recorder("dirac-condexp")
     ops = {n: tr.CondExp(n) for n in (1, 2, 3)}  # one spec per n: its normal form is derived once
-    norms = {n: di.commutator_norm(op) for n, op in ops.items()}
+    norms = dict(zip(ops, di.commutator_norms(list(ops.values()))))
     worst = max(abs(r.value - 1.0) for r in norms.values())
     rec.close_to("norm", "commutator norm of every conditional expectation is one", "condexp-norm", worst, 0.0, TOL_NORM)
 

@@ -7,6 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from rkdirac.dirac import (
+    CERTIFY_TOL,
     VectorState,
     block_norm,
     block_norms,
@@ -24,6 +25,7 @@ from rkdirac.dyadic import (
     indicator,
     inner,
     is_close,
+    normalized,
     random_function,
     state_nw,
 )
@@ -588,8 +590,8 @@ class TestStackedForms:
         from rkdirac import dirac, transfer
 
         calls, derived, blocks = [], [], []
-        per_member, derive, block_form = dirac.commutator_norm, dirac.commutator_form, transfer.Commutator._normal_form
-        monkeypatch.setattr(dirac, "commutator_norm", lambda a: calls.append(a) or per_member(a))
+        per_member, derive, block_form = dirac._member_norm, dirac.commutator_form, transfer.Commutator._normal_form
+        monkeypatch.setattr(dirac, "_member_norm", lambda a, depth, method: calls.append(a) or per_member(a, depth, method))
         monkeypatch.setattr(dirac, "commutator_form", lambda s, form: derived.append(form) or derive(s, form))
         monkeypatch.setattr(transfer.Commutator, "_normal_form", lambda block: blocks.append(block.ops[0].ops[1]) or block_form(block))
         mixed = [Sum((Proj(haar_function(w("01"))), Mult(random_function(s, 2))), (1.0, 0.05)) for s in (1, 2)]
@@ -599,8 +601,8 @@ class TestStackedForms:
         # multiplier joins the depth-2 ones, all solved at its core depth 4;
         # CondExp(1)'s forms hold only the constant 1, nothing to stack
         assert calls == [ops[0], ops[2], ops[5], ops[6]]
-        # the two stacks, each derived once: the one-key family tried whole
-        # is not stacked again before it goes member by member
+        # the two stacks, each derived once: a chunk whose stack does not
+        # solve goes member by member
         assert len(derived) == 4
         # one block pair per member solved member by member, one per key of
         # the solved family (depth-2 and depth-3 multipliers), none for the
@@ -608,7 +610,7 @@ class TestStackedForms:
         assert [[i for i, a in enumerate(ops) if a is b] for b in blocks] == [[0], [0], [2], [2], [1], [1], [4], [4], [5], [5], [6], [6]]
         assert got[0].upper.method == "dense" and got[5].upper.method == "exact-block"
         for g, a in zip(got, ops):
-            _assert_same_norm(g, per_member(a), at=4 if isinstance(a, Mult) else None)
+            _assert_same_norm(g, per_member(a, None, "auto"), at=4 if isinstance(a, Mult) else None)
 
     @pytest.mark.parametrize("kind", ["mult", "weighted-proj"])
     def test_a_non_finite_member_raises_the_per_member_error(self, kind):
@@ -649,6 +651,41 @@ class TestStackedForms:
     def test_an_empty_list(self):
         assert commutator_norms([]) == []
 
+    @pytest.mark.parametrize("how", ["depth", "dense"])
+    @settings(max_examples=40, deadline=None)
+    @given(_specs(), st.integers(0, 10**6), st.integers(0, 5))
+    def test_a_depth_or_a_forced_method_solves_member_by_member(self, how, op, seed, depth):
+        from rkdirac import dirac
+
+        assume(how == "depth" or core_depth(op) is None or core_depth(op) <= 7)
+        ops = [op, _variant(op, seed)]
+        args = (depth, "auto") if how == "depth" else (None, "dense")
+        with np.errstate(over="ignore", invalid="ignore"):
+            want = [_outcome(lambda: dirac._member_norm(a, *args)) for a in ops]
+            got = _outcome(lambda: commutator_norms(ops, *args))
+        # the same solves, so the same bits, or the first member's error
+        assert got == next((x for x in want if isinstance(x, str)), want)
+
+    def test_several_chunks_each_solve_at_their_own_depth(self, monkeypatch):
+        from rkdirac import dirac, transfer
+
+        derived = []
+        derive = transfer.commutator_form
+        monkeypatch.setattr(dirac, "commutator_form", lambda s, form: derived.append(form) or derive(s, form))
+        # three depth-4 columns of 16 rows fill CHUNK_BYTES: the ten multipliers
+        # (depths 1 to 4) go as chunks of three, three, three and one; the
+        # projections' widest slot has 4 rows, so they are one chunk
+        monkeypatch.setattr(transfer, "CHUNK_BYTES", 8 * 16 * 3)
+        mults = [Mult(random_function(s, 1 + s % 4)) for s in range(10)]
+        ops = mults[:5] + _family("proj", 2, range(3)) + mults[5:]
+        got = commutator_norms(ops)
+        assert len(derived) == 2 * 4
+        at = {id(a): max(core_depth(b) for b in mults[j : j + 3]) for j in (0, 3, 6) for a in mults[j : j + 3]}
+        at.update((id(a), 3) for a in ops[5:8])
+        for g, a in zip(got, ops):
+            _assert_same_norm(g, commutator_norm(a), at=at.get(id(a)))
+        assert (got[-1].computed_at, got[-1].core_depth) == (3, 3)  # the last multiplier, alone
+
 
 def _member(kind, seed, depth):
     """A multiplier, a projection, a weighted projection or a single-shift sum
@@ -684,20 +721,22 @@ class TestAlignedFamilies:
                 assert (g.upper.value, g.lower.value) == (want.upper.value, want.lower.value)
 
     @pytest.mark.parametrize("deep, aligned", [(4, True), (5, False)])
-    def test_a_family_past_chunk_bytes_keeps_its_exact_key_families(self, monkeypatch, deep, aligned):
+    def test_a_family_past_chunk_bytes_splits_into_member_chunks(self, monkeypatch, deep, aligned):
         from rkdirac import dirac, transfer
 
         derived = []
         derive = transfer.commutator_form
         monkeypatch.setattr(dirac, "commutator_form", lambda s, form: derived.append(form) or derive(s, form))
-        # the aligned stack's widest function is 2**12 rows by one column per member
+        # the aligned stack's widest function is 2**12 rows by one column per
+        # member: eight members fit in CHUNK_BYTES, so nine split into a
+        # stacked chunk of eight and a last member solved on its own
         ops = _family("mult", 12, range(deep)) + _family("mult", 2, range(4))
         assert (8 * (1 << 12) * len(ops) <= transfer.CHUNK_BYTES) == aligned
         got = commutator_norms(ops)
-        assert len(derived) == (2 if aligned else 4)
-        for g, a in zip(got, ops):
+        assert len(derived) == 2
+        for i, (g, a) in enumerate(zip(got, ops)):
             want = commutator_norm(a)
-            _assert_same_norm(g, want, at=13 if aligned else None)
+            _assert_same_norm(g, want, at=13 if i < 8 else None)
             assert (g.upper.value, g.lower.value) == (want.upper.value, want.lower.value)
 
     def test_a_family_past_the_depth_cap_falls_back_to_the_per_member_results(self, monkeypatch):
@@ -711,16 +750,17 @@ class TestAlignedFamilies:
         deep = Compose((Koopman(),) * 22 + (Ruelle(), Mult(random_function(0, 4))))
         assert deep.normal_form.structure() == shallow[0].normal_form.structure()
         calls = []
-        per_member = dirac.commutator_norm
-        monkeypatch.setattr(dirac, "commutator_norm", lambda a: calls.append(a) or per_member(a))
+        per_member = dirac._member_norm
+        monkeypatch.setattr(dirac, "_member_norm", lambda a, depth, method: calls.append(a) or per_member(a, depth, method))
         got = commutator_norms(shallow)
         for g, a in zip(got, shallow):
-            _assert_same_norm(g, per_member(a))
-        want = _outcome(lambda: per_member(deep))
+            _assert_same_norm(g, per_member(a, None, "auto"))
+        assert calls == []  # stacked
+        want = _outcome(lambda: per_member(deep, None, "auto"))
         assert want.startswith("no core depth")
         calls.clear()
         assert _outcome(lambda: commutator_norms(shallow + [deep])) == want
-        assert calls == [deep]  # the shallow members are still solved stacked, by their key
+        assert calls == shallow + [deep]  # one chunk, whose stack has no block forms
 
 
 def test_core_depth_norm_and_sweep_share_one_block_pair(monkeypatch):
@@ -765,6 +805,46 @@ class TestConnesLowerBound:
         loud = Mult(3.0 * indicator(w("0")))  # forward difference sup is 3
         with pytest.raises(ValueError, match="not certified"):
             connes_lower_bound(eta, xi, [loud])
+
+    def test_a_mixed_family_gives_the_bound_of_its_members_certified_alone(self):
+        eta = VectorState(haar_function(w("01")))
+        xi = VectorState(normalized(haar_function(w("001")) + haar_function(w("1"))))
+        family = [Proj(haar_function(u)) for u in words_up_to(3)] + [Mult(indicator(u)) for u in words_up_to(2)]
+        family += [CondExp(1), CondExp(2), scaled(Mult(random_function(3, 3)), 0.1), Mult(random_function(4, 2) * 0.05)]
+        want, witness = 0.0, None
+        for a in family:
+            cert = lipschitz_certify(a)
+            assert cert["certified"]
+            gap = abs(eta.expectation(a) - xi.expectation(a)) / max(1.0, cert["value"])
+            if gap > want:
+                want, witness = gap, a
+        assert witness is not None and want > 0.5
+        assert connes_lower_bound(eta, xi, family) == (want, witness)
+
+    def test_a_member_certified_above_one_adds_its_scaled_gap(self):
+        # certified within CERTIFY_TOL of one, M_g / value is in the ball
+        f = random_function(0, 3)
+        g = Mult(f * ((1.0 + 5e-10) / commutator_norm(Mult(f)).value))
+        cert = lipschitz_certify(g)
+        assert cert["certified"] and 1.0 < cert["value"] <= 1.0 + CERTIFY_TOL
+        eta, xi = VectorState(haar_function(w("01"))), VectorState(haar_function(w("10")))
+        gap = abs(eta.expectation(g) - xi.expectation(g))
+        assert gap > 0.1
+        assert connes_lower_bound(eta, xi, [g]) == (gap / cert["value"], g)
+
+    @pytest.mark.parametrize("first", ["uncertified", "no-core-depth"])
+    def test_the_first_failing_member_in_input_order_is_named(self, first):
+        eta = VectorState(haar_function(w("01")))
+        loud = Mult(5.0 * random_function(0, 3))
+        mixed = Sum((Ruelle(), Mult(random_function(0, 2))))
+        family = [loud, mixed] if first == "uncertified" else [mixed, loud]
+        with pytest.raises(ValueError) as info:
+            connes_lower_bound(eta, eta, family)
+        if first == "uncertified":
+            assert str(info.value).startswith(f"family member {loud.describe()} has commutator norm")
+            assert "not certified: the value exceeds 1" in str(info.value)
+        else:
+            assert str(info.value).startswith(f"no core depth for {mixed.describe()}")
 
     def test_state_requires_unit_norm(self):
         with pytest.raises(ValueError):

@@ -26,6 +26,7 @@ from rkdirac.dyadic import (
     random_function,
     refine,
     require_unit,
+    require_unit_columns,
     state_n,
     state_nw,
     sup_norm,
@@ -510,3 +511,14 @@ class TestRequireUnit:
         assert abs(l2_norm(psi) - 1.1) < 1e-15
         with pytest.raises(ValueError, match="unit norm"):
             entry(psi)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_a_batch_names_its_first_bad_column_and_overflows_without_a_warning(self):
+        e = haar_function(w("01")).values
+        batch = np.column_stack([e, np.full(e.size, 1e200), np.full(e.size, 2.0)])
+        with pytest.raises(ValueError, match=r"^psi must have unit norm, got inf$"):
+            require_unit_columns(batch, "psi")
+        with pytest.raises(ValueError, match=r"^psi must have unit norm, got 2\.0$"):
+            require_unit_columns(batch[:, [0, 2]], "psi")
+        require_unit_columns(batch[:, :1], "psi")
+        require_unit_columns(batch[:, :0], "psi")  # no columns, nothing to check

@@ -459,15 +459,22 @@ def test_verify_values_stay_within_1e_12_of_the_pinned_ones(seed):
     assert {k: (got[k], v) for k, v in want.items() if not _within_1e_12(got[k], v)} == {}
 
 
-@pytest.mark.parametrize("suite, calls, alone", [("dirac-projections", [53], ["mult(depth=3)", "(koopman . ruelle)"]), ("dirac-mult", [61], [])])
+_CONDEXPS = ["(koopman . ruelle)", "(koopman . koopman . ruelle . ruelle)", "(koopman . koopman . koopman . ruelle . ruelle . ruelle)"]
+
+
+@pytest.mark.parametrize(
+    "suite, calls, alone",
+    [("dirac-projections", [53], ["mult(depth=3)", "(koopman . ruelle)"]), ("dirac-mult", [61], []), ("dirac-condexp", [3], _CONDEXPS)],
+)
 def test_each_dirac_suite_solves_its_norms_in_one_call(monkeypatch, suite, calls, alone):
     # the 51 projections of dirac-projections are one family; block-equality's
     # multiplier and K L are each the only operator of their structure, so
-    # commutator_norms solves them one by one
+    # commutator_norms solves them one by one, as it does the conditional
+    # expectations, whose forms hold only the constant 1
     made, single = [], []
-    stacked, per_member = di.commutator_norms, di.commutator_norm
+    stacked, per_member = di.commutator_norms, di._member_norm
     monkeypatch.setattr(di, "commutator_norms", lambda ops: made.append(len(ops)) or stacked(ops))
-    monkeypatch.setattr(di, "commutator_norm", lambda a: single.append(a) or per_member(a))
+    monkeypatch.setattr(di, "_member_norm", lambda a, depth, method: single.append(a) or per_member(a, depth, method))
     suites.SUITES[suite](None, 1)
     assert made == calls
     assert [a.describe() for a in single] == alone
