@@ -155,6 +155,13 @@ def _leading_columns(batch: np.ndarray, depths: np.ndarray) -> np.ndarray:
     return out
 
 
+def _chunked_max(cols: int, width: int, check: Callable[[slice], object]) -> np.ndarray:
+    """The largest of ``check(chunk)`` (one worst value or a tuple of them)
+    over the column chunks of ``transfer.column_chunks(cols, width)``; width
+    is the most rows any array the check passes through has per column."""
+    return np.max([check(chunk) for chunk in tr.column_chunks(cols, width)], axis=0)
+
+
 # ---------------------------------------------------------------------------
 
 
@@ -247,10 +254,17 @@ def run_transfer(d: int, seed: int) -> List[Check]:
 
     ruelle, koopman, kernel_proj = tr.Ruelle().apply_batch, tr.Koopman().apply_batch, tr.KernelProj().apply_batch
     f, g = random_batch(seed, d, 100), random_batch(seed + 1000, d, 100)
-    kf = koopman(f)
-    worst_lk = _col_dist(ruelle(kf), f).max()
-    worst_adj = np.abs(_col_inner(kf, g) - _col_inner(f, ruelle(g))).max()
-    worst_iso = np.abs(_col_dist(kf, 0.0) - _col_dist(f, 0.0)).max()
+
+    def pair_errors(cols: slice) -> Tuple[float, float, float]:
+        fc, gc = f[:, cols], g[:, cols]
+        kf = koopman(fc)
+        return (
+            _col_dist(ruelle(kf), fc).max(),
+            np.abs(_col_inner(kf, gc) - _col_inner(fc, ruelle(gc))).max(),
+            np.abs(_col_dist(kf, 0.0) - _col_dist(fc, 0.0)).max(),
+        )
+
+    worst_lk, worst_adj, worst_iso = _chunked_max(f.shape[1], 2 * f.shape[0], pair_errors)  # K f is the widest
     rec.close_to("left-inverse", "the transfer operator inverts the Koopman operator", "transfer-koopman-pair", worst_lk, 0.0, TOL_EXACT)
     rec.close_to("adjoint", "<K f, g> equals <f, L g>", "transfer-koopman-pair", worst_adj, 0.0, TOL_EXACT)
     rec.close_to("koopman-isometry", "the Koopman operator preserves the L2 norm", "transfer-koopman-pair", worst_iso, 0.0, TOL_EXACT)
@@ -359,7 +373,9 @@ def run_boson(d: int, seed: int, n_max: int = N_MAX, w_max_len: int = W_MAX_LEN,
     # per chunk, carried from level to level.
     f = random_batch(seed, d, 100)
     worst = dict.fromkeys(("raise", "lower", "power", "number", "kernel"), 0.0)
-    worst["ccr"] = _col_dist(bo.CCR_DEFECT.apply_batch(f), 0.5 * tr.KernelProj().apply_batch(f)).max()
+    worst["ccr"] = _chunked_max(  # K f, inside the commutator, is the widest
+        f.shape[1], 2 * f.shape[0], lambda c: _col_dist(bo.CCR_DEFECT.apply_batch(f[:, c]), 0.5 * tr.KernelProj().apply_batch(f[:, c])).max()
+    )
     for length in [None] + list(range(w_max_len + 1)):
         words = 1 if length is None else 1 << length
         lead = 1 if length is None else length + 2  # level n's states have depth n + lead
@@ -397,8 +413,9 @@ def run_boson(d: int, seed: int, n_max: int = N_MAX, w_max_len: int = W_MAX_LEN,
 
 def run_fermion(d: int, seed: int) -> List[Check]:
     rec = _Recorder("fermion")
+    # each batch goes through in column chunks; K phi, inside the anticommutator, is the widest
     phi = random_batch(seed, d, 100, "independent-of-first-coordinate")
-    worst = _col_dist(bo.CAR_ANTICOMMUTATOR.apply_batch(phi), phi).max()
+    worst = _chunked_max(phi.shape[1], 2 * phi.shape[0], lambda c: _col_dist(bo.CAR_ANTICOMMUTATOR.apply_batch(phi[:, c]), phi[:, c]).max())
     rec.close_to(
         "car-invariant-subspace",
         "the anticommutator is the identity on first-coordinate-independent functions",
@@ -410,7 +427,9 @@ def run_fermion(d: int, seed: int) -> List[Check]:
 
     phi = random_batch(seed + 500, d, 100)
     one = np.ones((1, 1))  # the constant 1, as a batch of one, paired with every column
-    worst = np.abs(_col_inner(bo.CAR_ANTICOMMUTATOR.apply_batch(phi), one) - _col_inner(phi, one)).max()
+    worst = _chunked_max(
+        phi.shape[1], 2 * phi.shape[0], lambda c: np.abs(_col_inner(bo.CAR_ANTICOMMUTATOR.apply_batch(phi[:, c]), one) - _col_inner(phi[:, c], one)).max()
+    )
     rec.close_to("car-integral", "the anticommutator preserves integrals", "car", worst, 0.0, TOL_EXACT)
 
     states = [chain_batch(0, length) for length in (0, 1, 2)]  # over the empty word and every word of length <= 2
@@ -500,10 +519,11 @@ def _projection_case_table_error(min_len: int, max_len: int) -> float:
     The target Haar elements e_t (1 <= len(t) <= max_len) and the projection
     vectors e_w (min_len <= len(w) <= max_len) are columns of one
     depth-(max_len + 1) array, and the images S P_w e_t - P_w S e_t of every
-    pair (w, t) go through each of the kernels S = K, L as one (rows, w, t)
-    array.  Words are kept as their Haar slots (``dyadic.haar_slot``): the
-    word in slot s has length l with 2**l <= s < 2**(l+1), and its shift sits
-    in slot 2**(l-1) + s mod 2**(l-1).
+    pair (w, t) go through each of the kernels S = K, L as (rows, w, t)
+    arrays, in column chunks of the projection vectors.  Words are kept as
+    their Haar slots (``dyadic.haar_slot``): the word in slot s has length l
+    with 2**l <= s < 2**(l+1), and its shift sits in slot
+    2**(l-1) + s mod 2**(l-1).
     """
     slots = np.arange(2, 1 << (max_len + 1))  # the targets t, in words_up_to order
     half = np.repeat(1 << np.arange(max_len), 2 << np.arange(max_len))  # 2**(len(t) - 1)
@@ -518,11 +538,18 @@ def _projection_case_table_error(min_len: int, max_len: int) -> float:
     worst = 0.0
     for spec, expected in tables.items():
         kernel = spec().apply_batch
-        a, b, _ = _common(kernel(_projections(psi, targets)), _projections(psi, kernel(targets)))
-        img = a - b
-        # each of the img.shape[0] cylinders carries mass 1 / img.shape[0]
-        sq = np.einsum("ijk,ijk->jk", img, img) / img.shape[0]
-        worst = max(worst, float(np.max(np.abs(sq - expected))))
+        images = kernel(targets)
+
+        def table_error(cols: slice) -> float:
+            a, b, _ = _common(kernel(_projections(psi[:, cols], targets)), _projections(psi[:, cols], images))
+            img = a - b
+            # each of the img.shape[0] cylinders carries mass 1 / img.shape[0]
+            sq = np.einsum("ijk,ijk->jk", img, img) / img.shape[0]
+            return float(np.max(np.abs(sq - expected[cols])))
+
+        # a chunk's (rows, w, t) arrays have the rows of psi or of S psi, whichever is more
+        rows = max(psi.shape[0], images.shape[0])
+        worst = max(worst, float(_chunked_max(psi.shape[1], rows * slots.size, table_error)))
     return worst
 
 
@@ -728,12 +755,17 @@ def run_wold(depth: int, seed: int) -> List[Check]:
     worst_gram = 0.0
     full, own = wold_members(depth)
     for d in range(1, depth + 1):
-        family = full[:: 1 << (depth - d), own <= d]  # a copy: scaled in place to wold_family(d)
+        # a copy scaled in place to wold_family(d); the top depth, the last, scales full itself
+        family = full if d == depth else full[:: 1 << (depth - d), own <= d]
         family *= 2.0 ** (-d / 2.0)
         worst_count = max(worst_count, abs(family.shape[1] - (1 << d)))
-        gram = family.T @ family
-        gram.flat[:: gram.shape[0] + 1] -= 1.0  # minus the identity, in place
-        worst_gram = max(worst_gram, float(np.abs(gram, out=gram).max()))
+
+        def gram_error(cols: slice) -> float:
+            gram = family.T @ family[:, cols]  # the Gram matrix's columns cols
+            gram[cols].flat[:: gram.shape[1] + 1] -= 1.0  # minus the identity's, in place
+            return float(np.abs(gram, out=gram).max())
+
+        worst_gram = max(worst_gram, float(_chunked_max(family.shape[1], max(family.shape), gram_error)))
     rec.close_to("count", "the chain family restricted to depth d has exactly 2**d members", "wold-basis", float(worst_count), 0.0, 0.0)
     rec.close_to("gram", "the chain family is orthonormal at every depth", "wold-basis", worst_gram, 0.0, TOL_EXACT)
     return rec.checks

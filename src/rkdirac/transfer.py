@@ -70,7 +70,11 @@ from .dyadic import DyadicFunction, MAX_DEPTH, _col_inner, _common, _inner_rows,
 # threshold: with 4 MB (and 512 KB) chunks every temporary of an n = 256
 # dense Gram build was a fresh mapping, about 1,600-2,100 page faults per
 # solve; 256 KB faults none.  128 KB is as fast on a sweep, but the extra
-# chunks slow verify's many n <= 256 solves.
+# chunks slow verify's many n <= 256 solves.  It also keeps temporaries under
+# glibc's heap trim threshold, which is why verify's whole-batch checks run in
+# these chunks too (``suites``): on whole batches their 0.2-1 MB temporaries
+# were trimmed off the heap and faulted back in every op, about 1,560 page
+# faults per ``verify --suite all --depth 8``.
 CHUNK_BYTES = 256 << 10
 
 

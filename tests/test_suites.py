@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 import tracemalloc
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -501,3 +502,90 @@ def test_wold_members_restrict_to_every_wold_family():
         family = full[:: 1 << (8 - d), own <= d] * 2.0 ** (-d / 2.0)
         assert family.shape == (1 << d, 1 << d)
         np.testing.assert_array_equal(family, suites.wold_family(d))
+
+
+# ---------------------------------------------------------------------------
+# The whole-batch checks go through in column chunks (transfer.column_chunks).
+
+# (cols, width) that each suite's whole-batch checks ask column_chunks for at
+# depth 8, before any other call of the suite: width is the most rows a
+# column of the check's widest array has.  That is K f for transfer's 100
+# pairs (f, g), boson's commutator batch and fermion's two anticommutator
+# batches (512 rows); the case table's (rows, w, t) cubes over 28 projection
+# vectors and 30 targets, at 64 rows under K and 32 under L; and the Wold
+# Gram matrix at each depth d, 2**d members of 2**d rows.
+CHUNKED_CALLS = {
+    "transfer": [(100, 512)],
+    "boson": [(100, 512)],
+    "fermion": [(100, 512)] * 2,
+    "dirac-projections": [(28, 64 * 30), (28, 32 * 30)],
+    "wold": [(1 << d, 1 << d) for d in range(1, 9)],
+}
+
+
+def _record_chunks(monkeypatch):
+    calls = []
+    chunks = tr.column_chunks
+
+    def recording(cols, width):
+        out = list(chunks(cols, width))
+        calls.append((cols, width, [c.stop - c.start for c in out]))
+        return out
+
+    monkeypatch.setattr(tr, "column_chunks", recording)
+    return calls
+
+
+@pytest.mark.parametrize("suite", sorted(CHUNKED_CALLS))
+def test_each_whole_batch_check_asks_for_chunks_at_its_widest_rows(monkeypatch, suite):
+    # transfer's assembled matrices and boson's ladder ask after them
+    calls = _record_chunks(monkeypatch)
+    suites.run_suite(suite, 8, 1)
+    want = CHUNKED_CALLS[suite]
+    assert [(cols, width) for cols, width, _ in calls[: len(want)]] == want
+
+
+def test_chunked_max_takes_each_worst_over_every_chunk(monkeypatch):
+    monkeypatch.setattr(tr, "CHUNK_BYTES", 8 * 2 * 3)  # three columns of two rows: 3 + 3 + 3 + 1
+    x = np.array([0.0, 5.0, 1.0, 2.0, 3.0, -4.0, 0.0, 1.0, 2.0, 7.0])
+    seen = []
+    got = suites._chunked_max(10, 2, lambda c: seen.append(c) or (x[c].max(), -x[c].min()))
+    assert [(c.start, c.stop) for c in seen] == [(0, 3), (3, 6), (6, 9), (9, 10)]
+    assert got.tolist() == [7.0, 4.0]
+    assert suites._chunked_max(10, 2, lambda c: x[c].max()) == 7.0
+
+
+@pytest.mark.parametrize("chunk_bytes", [8, 8 * 512 * 7])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_chunking_keeps_every_status_and_value(monkeypatch, chunk_bytes, seed):
+    # 8 bytes: one column per chunk, so every chunked check of three or more
+    # columns splits into at least three; 8 * 512 * 7: seven K f columns per
+    # chunk and a short last chunk
+    want = suites.run_suite("all", 8, seed).checks
+    monkeypatch.setattr(tr, "CHUNK_BYTES", chunk_bytes)
+    calls = _record_chunks(monkeypatch)
+    got = {c.id: c for c in suites.run_suite("all", 8, seed).checks}
+    assert {c.id: got[c.id].status for c in want} == {c.id: c.status for c in want}
+    assert {c.id: (got[c.id].value, c.value) for c in want if not _within_1e_12(got[c.id].value, c.value)} == {}
+    assert Counter((cols, width) for cols, width, _ in calls) >= Counter(call for asked in CHUNKED_CALLS.values() for call in asked)
+    for cols, width, sizes in calls:
+        assert sum(sizes) == cols and max(sizes) == max(1, min(cols, chunk_bytes // (8 * width)))
+
+
+# Traced peaks at depth 8 were 1,402 KB (transfer), 1,001 (boson), 1,001
+# (fermion), 1,968 (dirac-projections) and 1,669 (wold) while the whole-batch
+# checks ran on whole batches; in column chunks they are 1,043, 716, 716, 1,110
+# and 930.  Each bound leaves more than 25% over the chunked peak.
+PEAK_BOUND_KB = {"transfer": 1350, "boson": 950, "fermion": 950, "dirac-projections": 1650, "wold": 1400}
+
+
+@pytest.mark.parametrize("suite", sorted(PEAK_BOUND_KB))
+def test_whole_batch_checks_keep_their_temporaries_bounded(suite):
+    suites.run_suite(suite, 8, 1)  # first-call caches stay out of the traced peak
+    tracemalloc.start()
+    try:
+        suites.run_suite(suite, 8, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= PEAK_BOUND_KB[suite] << 10, peak
