@@ -16,7 +16,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import spectra
 from .dyadic import MAX_DEPTH, DyadicFunction, inner, require_unit
-from .transfer import BoundOperator, Koopman, NormalForm, OperatorSpec, Ruelle, column_chunks, commutator_form, commutator_with_K, commutator_with_L, dirac_blocks, pair_core_depth
+from .transfer import BoundOperator, Koopman, NormalForm, OperatorSpec, Ruelle, column_chunks, commutator_form, dirac_blocks
 
 
 # dirac_blocks under its older name, kept only because bench/ imports it.
@@ -49,7 +49,7 @@ def core_depth(a: OperatorSpec) -> Optional[int]:
     k + 1 for a depth-k multiplier or projection.  A form with a function
     past MAX_DEPTH (``normal_form`` is None) gives no core depth either.
     """
-    return pair_core_depth(dirac_blocks(a))
+    return a.dirac_core
 
 
 @dataclass(frozen=True)
@@ -130,9 +130,8 @@ def _attempt(solve, *args):
 
 
 def _member_norm(a: OperatorSpec, depth: Optional[int], method: str) -> CommutatorNorm:
-    """One operator's norm, from its own block pair (``dirac_blocks``, built once per spec)."""
-    pair = dirac_blocks(a)
-    core = pair_core_depth(pair)
+    """One operator's norm, from its block pair (``dirac_blocks``) and the forms A caches."""
+    core = a.dirac_core
     if depth is None and core is None:
         raise ValueError(
             f"no core depth for {a.describe()}: its norm may grow with depth, so it "
@@ -140,6 +139,7 @@ def _member_norm(a: OperatorSpec, depth: Optional[int], method: str) -> Commutat
         )
     depth = core if depth is None else depth
     at = depth if core is None else min(depth, core)
+    pair = dirac_blocks(a)
     if at != depth:
         for block in pair:
             BoundOperator(block, depth)  # the requested depth must be representable
@@ -156,18 +156,14 @@ def _family_norms(family: List[OperatorSpec]) -> Optional[List[CommutatorNorm]]:
         return None
     at = max(depths)
     solves = [form.exact_norm(at) for form in blocks]
-    if None in solves:  # each member's own solve derives its own pair
+    if None in solves:  # each member's own solve derives its own forms
         return None
     keys = [a.normal_form.key() for a in family]
     cores: Dict[tuple, int] = {}
     for a, key in zip(family, keys):
         if key not in cores:
-            # a fresh pair, not the spec's cached one, which refers back to
-            # the spec: that cycle would keep its forms until the collector
-            # runs (verify's peak RSS read 0.2 MB higher with it)
-            pair = (commutator_with_K(a), commutator_with_L(a))
-            cores[key] = pair_core_depth(pair)  # the stack's is the largest, so none is None
-            for block in pair:
+            cores[key] = a.dirac_core  # the stack's is the largest, so none is None
+            for block in dirac_blocks(a):
                 BoundOperator(block, cores[key])  # as in _member_norm: the blocks must be representable there
     (upper, mu), (lower, ml) = solves
     est = spectra.NormEstimate

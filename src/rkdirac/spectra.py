@@ -70,7 +70,7 @@ import math
 import numpy as np
 
 from .dyadic import require_finite
-from .transfer import AssembledMap, BoundOperator, OperatorSpec, apply_to_identity, dirac_blocks, pair_core_depth
+from .transfer import AssembledMap, BoundOperator, OperatorSpec, apply_to_identity, dirac_blocks
 from .transfer import assemble  # noqa: F401  -- re-exported as spectra.assemble
 
 DENSE_CUTOFF = 256
@@ -274,12 +274,12 @@ def depth_sweep(op: OperatorSpec, depths: Iterable[int], method: str = "auto") -
     Every depth is solved as asked, not at the core depth: the sweep is the
     numerical check that the norm stops changing.  A row is flagged as a
     plateau when the previous row's depth is at least the core depth
-    (``transfer.pair_core_depth``), so that both values are provably the
+    (``OperatorSpec.dirac_core``), so that both values are provably the
     core value; the first row never is, and neither is any row of an
     operator with no core depth.
     """
     upper, lower = dirac_blocks(op)
-    core = pair_core_depth((upper, lower))
+    core = op.dirac_core
     points: List[SweepPoint] = []
     prev = None
     for d in sorted(set(int(d) for d in depths)):

@@ -45,14 +45,15 @@ object, as sum_i M_{g_i} K^{a_i} L^{b_i} M_{h_i} + sum_j |u_j><v_j| (see
 norm engine reads exact norms off it (``NormalForm.exact_norm``): a
 multiplier block's Gram is itself a multiplier, a projection block has rank
 two, and a block whose terms share one shift is block diagonal.
-``pair_core_depth`` reads the depth from which a block pair's norm is fixed
-off it too, from the shift and the function depths of its terms
-(``NormalForm.core_depth``).  A Dirac block, a :class:`Commutator`,
-derives its form from its operator's own (``commutator_form``), and a
-spec's pair of blocks is built once (``OperatorSpec.dirac_pair``).  Forms of
-one structure stack into one (``NormalForm.stack``) whose functions carry a
-trailing member axis, ``(2**d, k)`` for k members as a batch carries
-columns, each refined to the deepest depth of its slot.
+The forms of a spec's Dirac blocks, K A - A K and L A - A L, are derived from
+its own (``commutator_form``) once and cached on it as arrays only, freed with
+it (``OperatorSpec.dirac_forms``); the :class:`Commutator` specs that
+``dirac_blocks`` builds afresh read theirs there.  ``OperatorSpec.dirac_core``
+reads the depth from which the pair's norm is fixed off them
+(``NormalForm.core_depth``).  Forms of one structure stack into one
+(``NormalForm.stack``) whose functions carry a trailing member axis,
+``(2**d, k)`` for k members as a batch carries columns, each refined to the
+deepest depth of its slot.
 """
 
 from __future__ import annotations
@@ -199,10 +200,17 @@ class OperatorSpec:
         return None
 
     @cached_property
-    def dirac_pair(self) -> Tuple["Commutator", "Commutator"]:
-        """The ``dirac_blocks`` pair, built once per object, so that every
-        Dirac-norm entry point shares its blocks' normal forms."""
-        return commutator_with_K(self), commutator_with_L(self)
+    def dirac_forms(self) -> Tuple[Optional["NormalForm"], Optional["NormalForm"]]:
+        """The forms of K A - A K and L A - A L (``commutator_form``), shared by
+        every Dirac-norm entry point: arrays only, each None past MAX_DEPTH."""
+        form = self.normal_form
+        return (None, None) if form is None else tuple(commutator_form(s().normal_form, form) for s in (Koopman, Ruelle))
+
+    @property
+    def dirac_core(self) -> Optional[int]:
+        """The larger core depth of the ``dirac_forms``, None if either has none (``dirac.core_depth``)."""
+        depths = [None if form is None else form.core_depth() for form in self.dirac_forms]
+        return None if None in depths else max(depths)
 
     def describe(self) -> str:
         return repr(self)
@@ -422,8 +430,8 @@ def KernelProj() -> Sum:
 
 class Commutator(Sum):
     """S A - A S for S the Koopman or the transfer operator, as the Sum spec of
-    the two compositions; its normal form is derived from A's own, with no
-    forms of the compositions."""
+    the two compositions; its normal form is the one A caches
+    (``OperatorSpec.dirac_forms``), with no forms of the compositions."""
 
     def __init__(self, s: OperatorSpec, a: OperatorSpec):  # constant weights: no finiteness check
         object.__setattr__(self, "ops", (Compose((s, a)), Compose((a, s))))
@@ -431,8 +439,7 @@ class Commutator(Sum):
 
     def _normal_form(self):
         s, a = self.ops[0].ops
-        form = a.normal_form
-        return None if form is None else commutator_form(s.normal_form, form)
+        return a.dirac_forms[0 if isinstance(s, Koopman) else 1]
 
 
 def commutator_with_K(a: OperatorSpec) -> Commutator:
@@ -447,8 +454,8 @@ def commutator_with_L(a: OperatorSpec) -> Commutator:
 
 def dirac_blocks(a: OperatorSpec) -> Tuple[Commutator, Commutator]:
     """The two off-diagonal blocks (K A - A K, L A - A L) of the Dirac commutator,
-    built once per spec object (``OperatorSpec.dirac_pair``)."""
-    return a.dirac_pair
+    built afresh on each call; their normal forms are A's ``dirac_forms``."""
+    return commutator_with_K(a), commutator_with_L(a)
 
 
 def commutator_form(s: "NormalForm", form: "NormalForm") -> Optional["NormalForm"]:
@@ -458,13 +465,6 @@ def commutator_form(s: "NormalForm", form: "NormalForm") -> Optional["NormalForm
         return _sum_form((1.0, -1.0), (s.after(form), form.after(s)))
     except _TooDeep:
         return None
-
-
-def pair_core_depth(pair: Tuple[OperatorSpec, OperatorSpec]) -> Optional[int]:
-    """The larger core depth of a ``dirac_blocks`` pair's normal forms, or
-    None when either block has none.  See ``dirac.core_depth``."""
-    depths = [None if block.normal_form is None else block.normal_form.core_depth() for block in pair]
-    return None if None in depths else max(depths)
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import gc
 import math
 import tracemalloc
 
@@ -30,6 +31,8 @@ from rkdirac.dyadic import (
     state_nw,
 )
 from rkdirac.formulas import koopman_overlap
+from rkdirac.spectra import depth_sweep
+from rkdirac.suites import run_suite
 from rkdirac.transfer import (
     Adjoint,
     Compose,
@@ -574,26 +577,26 @@ class TestStackedForms:
         from rkdirac import dirac, transfer
 
         derived, paired = [], []
-        derive, pair = transfer.commutator_form, transfer.Commutator._normal_form
+        derive = transfer.commutator_form
         monkeypatch.setattr(dirac, "commutator_form", lambda s, form: derived.append(form) or derive(s, form))
-        monkeypatch.setattr(transfer.Commutator, "_normal_form", lambda self: paired.append(self.ops[0].ops[1]) or pair(self))
+        monkeypatch.setattr(transfer, "commutator_form", lambda s, form: paired.append(form) or derive(s, form))
         ops = _family("mult", 3, range(5)) + _family("proj", 4, range(3)) + _family("mult", 2, range(4))
         commutator_norms(ops)
         # two families, the multipliers of both depths and the projections,
         # each block form derived once from the stack; one member's own pair
-        # per key (multipliers of depth 3 and 2, projections of depth 4) for
-        # its core depth and range check
+        # of forms per key (multipliers of depth 3 and 2, projections of
+        # depth 4), derived from its form, for its core depth
         assert len(derived) == 4 and len({id(form) for form in derived}) == 2
-        assert paired == [ops[0], ops[0], ops[8], ops[8], ops[5], ops[5]]
+        assert paired == [ops[i].normal_form for i in (0, 0, 8, 8, 5, 5)]
 
     def test_a_family_without_an_exact_solve_goes_member_by_member(self, monkeypatch):
         from rkdirac import dirac, transfer
 
         calls, derived, blocks = [], [], []
-        per_member, derive, block_form = dirac._member_norm, dirac.commutator_form, transfer.Commutator._normal_form
+        per_member, derive = dirac._member_norm, transfer.commutator_form
         monkeypatch.setattr(dirac, "_member_norm", lambda a, depth, method: calls.append(a) or per_member(a, depth, method))
         monkeypatch.setattr(dirac, "commutator_form", lambda s, form: derived.append(form) or derive(s, form))
-        monkeypatch.setattr(transfer.Commutator, "_normal_form", lambda block: blocks.append(block.ops[0].ops[1]) or block_form(block))
+        monkeypatch.setattr(transfer, "commutator_form", lambda s, form: blocks.append(form) or derive(s, form))
         mixed = [Sum((Proj(haar_function(w("01"))), Mult(random_function(s, 2))), (1.0, 0.05)) for s in (1, 2)]
         ops = [mixed[0], Mult(random_function(1, 2)), mixed[1], Mult(random_function(2, 2)), Mult(random_function(3, 3)), CondExp(1), CondExp(1)]
         got = commutator_norms(ops)
@@ -604,10 +607,10 @@ class TestStackedForms:
         # the two stacks, each derived once: a chunk whose stack does not
         # solve goes member by member
         assert len(derived) == 4
-        # one block pair per member solved member by member, one per key of
-        # the solved family (depth-2 and depth-3 multipliers), none for the
-        # family whose stack did not solve
-        assert [[i for i, a in enumerate(ops) if a is b] for b in blocks] == [[0], [0], [2], [2], [1], [1], [4], [4], [5], [5], [6], [6]]
+        # one pair of block forms per member solved member by member, one per
+        # key of the solved family (depth-2 and depth-3 multipliers), each
+        # derived from that member's form
+        assert [[i for i, a in enumerate(ops) if a.normal_form is form] for form in blocks] == [[0], [0], [2], [2], [1], [1], [4], [4], [5], [5], [6], [6]]
         assert got[0].upper.method == "dense" and got[5].upper.method == "exact-block"
         for g, a in zip(got, ops):
             _assert_same_norm(g, per_member(a, None, "auto"), at=4 if isinstance(a, Mult) else None)
@@ -765,17 +768,16 @@ class TestAlignedFamilies:
 
 def test_core_depth_norm_and_sweep_share_one_block_pair(monkeypatch):
     from rkdirac import transfer
-    from rkdirac.spectra import depth_sweep
 
     derived = []
-    derive = transfer.Commutator._normal_form
-    monkeypatch.setattr(transfer.Commutator, "_normal_form", lambda self: derived.append(self) or derive(self))
+    derive = transfer.commutator_form
+    monkeypatch.setattr(transfer, "commutator_form", lambda s, form: derived.append(form) or derive(s, form))
     op = CondExp(2)
     core = core_depth(op)
     r = commutator_norm(op)
     points = depth_sweep(op, range(core, core + 3))
     assert (core, r.value, [p.value for p in points]) == (3, 1.0, [1.0] * 3)
-    assert len(derived) == 2  # one form per block of the pair, built once for the spec
+    assert derived == [op.normal_form] * 2  # one form per block, derived once from the spec's own and cached on it
 
 
 class TestConnesLowerBound:
@@ -879,3 +881,71 @@ def test_block_norms_stay_matrix_free_at_depth_12():
     c = koopman_overlap(psi)
     assert upper == pytest.approx(math.sqrt(1.0 - c * c), abs=1e-9)
     assert lower == pytest.approx(upper, abs=1e-9)
+
+
+def test_the_package_exports_the_one_entry_point():
+    import rkdirac
+    from rkdirac import dirac
+
+    assert rkdirac.commutator_norms is dirac.commutator_norms
+
+
+@pytest.fixture
+def no_collector():
+    enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    yield
+    if enabled:
+        gc.enable()
+
+
+def _lanczos_member():
+    from rkdirac import dirac
+
+    # a projection plus a multiplier has no exact solve, and at depth 10 its
+    # blocks are past DENSE_CUTOFF
+    r = dirac._member_norm(Sum((Proj(haar_function(w("01"))), Mult(random_function(0, 9))), (1.0, 0.05)), 10, "auto")
+    assert r.upper.method == "lanczos"
+
+
+_ENTRY_POINTS = {
+    "norm": lambda: commutator_norm(Mult(random_function(1, 12))),
+    "family": lambda: commutator_norms([Mult(random_function(s, 3)) for s in range(5)] + [CondExp(2), Proj(haar_function(w("01")))]),
+    "sweep": lambda: depth_sweep(Mult(random_function(2, 6)), range(7, 12)),
+    "certify": lambda: lipschitz_certify(Mult(random_function(3, 4))),
+    "connes": lambda: connes_lower_bound(
+        VectorState(haar_function(w("01"))),
+        VectorState(haar_function(w("10"))),
+        [Proj(haar_function(w("01"))), CondExp(1), CondExp(2), KernelProj(), Mult(indicator(w("0")))],
+    ),
+    "lanczos": _lanczos_member,
+    "verify": lambda: run_suite("all", 8, 1),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_ENTRY_POINTS))
+def test_an_entry_point_leaves_no_cycles(no_collector, name):
+    # an operator's block forms hold arrays only, never the operator, so
+    # reference counting frees them with it and the collector finds nothing
+    call = _ENTRY_POINTS[name]
+    call()  # warm-up: first-use caches
+    gc.collect()
+    call()
+    assert gc.collect() == 0
+
+
+def test_fresh_operators_free_their_block_forms_with_them():
+    fs = [random_function(s, 14) for s in range(40)]
+    commutator_norm(Mult(random_function(99, 14)))  # warm-up
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        for f in fs:
+            commutator_norm(Mult(f))
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    # one solve's temporaries and forms, about 1.4 MB; 40 operators whose
+    # forms outlived them until the collector ran took about 13 MB
+    assert peak < 4 << 20
