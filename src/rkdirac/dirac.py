@@ -46,8 +46,9 @@ def core_depth(a: OperatorSpec) -> Optional[int]:
     reach the block's norm is fixed.  Refining a function appends constant
     symbols, so the norm at a lower depth is that of a restriction and can
     only be smaller.  The core depth is the larger of the two blocks' depths:
-    k + 1 for a depth-k multiplier or projection.  A form with a function
-    past MAX_DEPTH (``normal_form`` is None) gives no core depth either.
+    k + 1 for a depth-k multiplier or projection.  An operator whose form or
+    block forms would hold a function past MAX_DEPTH raises the depth cap's
+    ValueError, as every solve of it does.
     """
     return a.dirac_core
 
@@ -92,7 +93,8 @@ def commutator_norms(ops: Sequence[OperatorSpec], depth: Optional[int] = None, m
     (``_member_norm``): a chunk of one, one with nothing to stack, without
     an exact solve of both blocks or whose stacked solve fails (its members'
     own solves then say which fails and why), an operator given a depth or
-    solved by method="dense" or "lanczos", one without a normal form.
+    solved by method="dense" or "lanczos", one whose normal form passes the
+    depth cap.
     """
     out = _outcomes(ops, depth, method)
     for r in out:
@@ -106,8 +108,9 @@ def _outcomes(ops: Sequence[OperatorSpec], depth: Optional[int], method: str) ->
     out: dict = {}
     families: Dict[tuple, List[int]] = {}
     for i, a in enumerate(ops):
-        if depth is None and method == "auto" and a.normal_form is not None:
-            families.setdefault(a.normal_form.structure(), []).append(i)
+        form = _attempt(getattr, a, "normal_form") if depth is None and method == "auto" else None
+        if isinstance(form, NormalForm):
+            families.setdefault(form.structure(), []).append(i)
         else:
             out[i] = _attempt(_member_norm, a, depth, method)
     for members in families.values():
@@ -122,11 +125,14 @@ def _outcomes(ops: Sequence[OperatorSpec], depth: Optional[int], method: str) ->
 
 
 def _attempt(solve, *args):
-    """solve(*args), or the ValueError it raises."""
+    """solve(*args), or the ValueError it raises, without its traceback: the
+    error is raised again from a frame that holds it, and that cycle would
+    keep the solve's frames and their arrays (128 MB at the depth cap) until
+    the collector runs."""
     try:
         return solve(*args)
     except ValueError as exc:
-        return exc
+        return exc.with_traceback(None)
 
 
 def _member_norm(a: OperatorSpec, depth: Optional[int], method: str) -> CommutatorNorm:
@@ -150,8 +156,10 @@ def _member_norm(a: OperatorSpec, depth: Optional[int], method: str) -> Commutat
 def _family_norms(family: List[OperatorSpec]) -> Optional[List[CommutatorNorm]]:
     """The chunk's norms from its stacked block forms, or None."""
     stacked = NormalForm.stack([a.normal_form for a in family])
-    blocks = [None] if stacked is None else [commutator_form(s().normal_form, stacked) for s in (Koopman, Ruelle)]
-    depths = [None] if None in blocks else [form.core_depth() for form in blocks]
+    if stacked is None:
+        return None
+    blocks = [commutator_form(s().normal_form, stacked) for s in (Koopman, Ruelle)]
+    depths = [form.core_depth() for form in blocks]
     if None in depths or max(depths) > MAX_DEPTH:
         return None
     at = max(depths)
@@ -236,7 +244,8 @@ def connes_lower_bound(
 
     The family is solved as one ``commutator_norms`` call, and each member
     must certify as in ``lipschitz_certify``; the first member, in input
-    order, that fails to solve or to certify raises ValueError.  A certified
+    order, that fails to solve or to certify raises a ValueError that names
+    it.  A certified
     A / max(1, value) is in the Lipschitz ball, so the max of the scaled
     gaps |eta(A) - xi(A)| / max(1, value) bounds the state distance from
     below.  The sup over an empty family is 0.
@@ -244,7 +253,7 @@ def connes_lower_bound(
     best, witness = 0.0, None
     for a, r in zip(family, _outcomes(family, None, "auto")):
         if isinstance(r, ValueError):
-            raise r
+            raise ValueError(f"family member {a.describe()} cannot be solved: {r}") from r
         cert = _certificate(a, r)
         if not cert["certified"]:
             raise ValueError(f"family member {a.describe()} has commutator norm {cert['value']:.12g}; not certified: {cert['reason']}")

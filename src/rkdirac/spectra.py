@@ -136,9 +136,9 @@ def _gram(m: Operand) -> Tuple[int, int, Callable[[np.ndarray], np.ndarray]]:
 
 
 def _exact(m: BoundOperator) -> Optional[NormEstimate]:
-    """The exact solve of m's normal form, or None when the form has none."""
-    form = m.op.normal_form
-    exact = None if form is None else form.exact_norm(m.in_depth)
+    """The exact solve of m's normal form, or None when the form has none; a
+    form past MAX_DEPTH raises the depth cap's ValueError."""
+    exact = m.op.normal_form.exact_norm(m.in_depth)
     return None if exact is None else NormEstimate(exact[0], 0, True, exact[1], 0.0)
 
 

@@ -189,27 +189,23 @@ class OperatorSpec:
         raise NotImplementedError
 
     @cached_property
-    def normal_form(self) -> Optional["NormalForm"]:
-        """The operator's NormalForm, or None when a function of it would pass MAX_DEPTH."""
-        try:
-            return self._normal_form()
-        except _TooDeep:
-            return None
+    def normal_form(self) -> "NormalForm":
+        """The operator's NormalForm; a ValueError when a function of it would pass MAX_DEPTH."""
+        return self._normal_form()
 
-    def _normal_form(self) -> Optional["NormalForm"]:
-        return None
+    def _normal_form(self) -> "NormalForm":
+        raise NotImplementedError
 
     @cached_property
-    def dirac_forms(self) -> Tuple[Optional["NormalForm"], Optional["NormalForm"]]:
+    def dirac_forms(self) -> Tuple["NormalForm", "NormalForm"]:
         """The forms of K A - A K and L A - A L (``commutator_form``), shared by
-        every Dirac-norm entry point: arrays only, each None past MAX_DEPTH."""
-        form = self.normal_form
-        return (None, None) if form is None else tuple(commutator_form(s().normal_form, form) for s in (Koopman, Ruelle))
+        every Dirac-norm entry point: arrays only; a ValueError past MAX_DEPTH."""
+        return tuple(commutator_form(s().normal_form, self.normal_form) for s in (Koopman, Ruelle))
 
     @property
     def dirac_core(self) -> Optional[int]:
         """The larger core depth of the ``dirac_forms``, None if either has none (``dirac.core_depth``)."""
-        depths = [None if form is None else form.core_depth() for form in self.dirac_forms]
+        depths = [form.core_depth() for form in self.dirac_forms]
         return None if None in depths else max(depths)
 
     def describe(self) -> str:
@@ -324,8 +320,6 @@ class Compose(OperatorSpec):
 
     def _normal_form(self):
         forms = [op.normal_form for op in self.ops]
-        if any(form is None for form in forms):
-            return None
         acc = forms[0] if forms else NormalForm(((_ONE, 0, 0, _ONE),))
         for form in forms[1:]:
             acc = acc.after(form)
@@ -371,8 +365,7 @@ class Sum(OperatorSpec):
         return Sum(tuple(op.adjoint() for op in self.ops), self.weights)
 
     def _normal_form(self):
-        forms = [op.normal_form for op in self.ops]
-        return None if None in forms else _sum_form(self.weights, forms)
+        return _sum_form(self.weights, [op.normal_form for op in self.ops])
 
     def describe(self):
         terms = " + ".join(f"{w:g}*{op.describe()}" for w, op in zip(self.weights, self.ops))
@@ -458,13 +451,10 @@ def dirac_blocks(a: OperatorSpec) -> Tuple[Commutator, Commutator]:
     return commutator_with_K(a), commutator_with_L(a)
 
 
-def commutator_form(s: "NormalForm", form: "NormalForm") -> Optional["NormalForm"]:
+def commutator_form(s: "NormalForm", form: "NormalForm") -> "NormalForm":
     """The form of S A - A S from the forms of S and A (either of them
-    stacked), or None when a function of it would pass MAX_DEPTH."""
-    try:
-        return _sum_form((1.0, -1.0), (s.after(form), form.after(s)))
-    except _TooDeep:
-        return None
+    stacked); a ValueError when a function of it would pass MAX_DEPTH."""
+    return _sum_form((1.0, -1.0), (s.after(form), form.after(s)))
 
 
 # ---------------------------------------------------------------------------
@@ -476,16 +466,12 @@ Term = Tuple[np.ndarray, int, int, np.ndarray]
 _ONE = np.ones(1)  # the constant 1 at depth 0; shared, never written to
 
 
-class _TooDeep(Exception):
-    """A function of a normal form would pass MAX_DEPTH."""
-
-
 def _koopman_pow(u: np.ndarray, n: int) -> np.ndarray:
     """K^n u; a constant stays a depth-0 array."""
     if n == 0 or u.shape[0] == 1:
         return u
     if _depth(u) + n > MAX_DEPTH:
-        raise _TooDeep
+        raise ValueError(f"depth cap {MAX_DEPTH} exceeded")
     for _ in range(n):
         u = _koopman(u)
     return u

@@ -19,11 +19,13 @@ from rkdirac.dyadic import haar_function, is_close, l2_dist, random_function
 from rkdirac.spectra import block_pair_norm
 from rkdirac.suites import SuiteReport, Check, run_suite
 from rkdirac.transfer import (
+    Adjoint,
     CondExp,
     Compose,
     KernelProj,
     Koopman,
     Mult,
+    OperatorSpec,
     Proj,
     Ruelle,
     Sum,
@@ -86,11 +88,16 @@ class TestOperatorIO:
             Proj(random_function(2, 3, "unit-norm")),
             Compose(()),
             Sum((Koopman(),), (2.0,)),
+            Adjoint(Proj(random_function(4, 2, "unit-norm"))),  # as connes prints an adjoint witness
         ]
         f = random_function(3, 3)
         for op in ops:
             reloaded = load_operator(operator_to_json(op))
             assert is_close(op.apply(f), reloaded.apply(f), atol=1e-15)
+
+    def test_an_unsupported_spec_is_not_serialized(self):
+        with pytest.raises(ValueError, match="cannot serialize operator"):
+            operator_to_json(OperatorSpec())
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError):

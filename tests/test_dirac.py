@@ -4,7 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from rkdirac.dirac import (
@@ -53,6 +53,21 @@ from test_transfer import _specs
 
 def w(text):
     return Word.from_string(text)
+
+
+def _near_the_cap():
+    """Compositions of two to four factors, each K^a or L^b (6 <= a, b <= 12),
+    a multiplier or projection of depth up to 12, or a sum of two of these:
+    two factors can reach the depth cap of 24."""
+    seeds, depths, powers = st.integers(0, 10**6), st.integers(0, 12), st.integers(6, 12)
+    leaves = st.one_of(
+        powers.map(lambda a: Compose((Koopman(),) * a)),
+        powers.map(lambda b: Compose((Ruelle(),) * b)),
+        st.tuples(seeds, depths).map(lambda a: Mult(random_function(a[0], a[1]))),
+        st.tuples(seeds, depths).map(lambda a: Proj(random_function(a[0], a[1], "unit-norm"))),
+    )
+    factors = st.one_of(leaves, st.lists(leaves, min_size=2, max_size=2).map(Sum))
+    return st.lists(factors, min_size=2, max_size=4).map(Compose)
 
 
 def haar_projection_closed_forms(word, phi):
@@ -402,17 +417,41 @@ class TestCoreDepth:
         ],
         ids=["mult-after-ruelle15", "koopman14-after-mult"],
     )
-    def test_a_form_past_the_depth_cap_has_none(self, op):
-        # K^15 f, f of depth 10, is past the depth cap of 24.  The blocks
-        # build it too when solved, in the first operator's adjoint K^15 M_f
-        # and in the second one's upper block K^15 M_f, so at an explicit
-        # depth the auto solve fails as the dense solve does.
-        assert core_depth(op) is None
-        with pytest.raises(ValueError, match="no core depth"):
-            commutator_norm(op)
+    def test_a_form_past_the_depth_cap_raises_the_depth_cap(self, op):
+        # K^15 f, f of depth 10, is past the depth cap of 24: in the first
+        # operator's own form L^15 M_{K^15 f} and in the second one's K block
+        # form.  The blocks build it too when solved, in the first operator's
+        # adjoint K^15 M_f and in the second one's upper block K^15 M_f, so
+        # at an explicit depth the auto solve fails as the dense solve does.
+        for solve in (core_depth, commutator_norm):
+            with pytest.raises(ValueError, match="depth cap 24"):
+                solve(op)
         for method in ("auto", "dense"):
             with pytest.raises(ValueError, match="depth cap 24"):
                 commutator_norm(op, 5, method=method)
+
+    @settings(max_examples=30, deadline=None)
+    @given(_near_the_cap())
+    @example(Compose((Koopman(),) * 23 + (Mult(random_function(0, 2)),)))
+    @example(Compose((Mult(random_function(0, 10)),) + (Ruelle(),) * 15))
+    @example(Compose((Koopman(),) * 22 + (Ruelle(), Mult(random_function(0, 4)))))
+    def test_an_operator_whose_forms_pass_the_cap_is_refused_at_every_depth(self, op):
+        # K^23 M_f and M_f L^15 pass the cap in their own forms, K^22 L M_h
+        # in its K block's.  Whenever a form passes the cap, the core depth
+        # and the solve at every depth refuse it with that cap.
+        try:
+            op.normal_form, op.dirac_forms
+        except ValueError as exc:
+            assert str(exc) == "depth cap 24 exceeded"
+        else:
+            return
+        for solve in (core_depth, commutator_norm):
+            with pytest.raises(ValueError, match="depth cap 24"):
+                solve(op)
+        for d in range(7):
+            for method in ("auto", "dense"):
+                with pytest.raises(ValueError, match="depth cap 24"):
+                    commutator_norm(op, d, method=method)
 
     @pytest.mark.parametrize(
         "op",
@@ -742,12 +781,12 @@ class TestAlignedFamilies:
             _assert_same_norm(g, want, at=13 if i < 8 else None)
             assert (g.upper.value, g.lower.value) == (want.upper.value, want.lower.value)
 
-    def test_a_family_past_the_depth_cap_falls_back_to_the_per_member_results(self, monkeypatch):
+    def test_a_family_past_the_depth_cap_falls_back_to_the_per_member_depth_cap_error(self, monkeypatch):
         from rkdirac import dirac
 
         # K^22 L M_h: its K block holds K^22 L h, at depth 25 for h of depth 4,
-        # past the cap, so that member has no block forms and no core depth;
-        # the stack, h refined to depth 4 in every member, has none either.
+        # past the cap, so deriving that member's block forms raises the depth
+        # cap; so does the stack's, h refined to depth 4 in every member.
         # A constant h stays at depth 0.
         shallow = [Compose((Koopman(),) * 22 + (Ruelle(), Mult(constant(v)))) for v in (1.0, 2.0)]
         deep = Compose((Koopman(),) * 22 + (Ruelle(), Mult(random_function(0, 4))))
@@ -760,7 +799,7 @@ class TestAlignedFamilies:
             _assert_same_norm(g, per_member(a, None, "auto"))
         assert calls == []  # stacked
         want = _outcome(lambda: per_member(deep, None, "auto"))
-        assert want.startswith("no core depth")
+        assert want == "depth cap 24 exceeded"
         calls.clear()
         assert _outcome(lambda: commutator_norms(shallow + [deep])) == want
         assert calls == shallow + [deep]  # one chunk, whose stack has no block forms
@@ -834,19 +873,22 @@ class TestConnesLowerBound:
         assert gap > 0.1
         assert connes_lower_bound(eta, xi, [g]) == (gap / cert["value"], g)
 
-    @pytest.mark.parametrize("first", ["uncertified", "no-core-depth"])
+    @pytest.mark.parametrize("first", ["uncertified", "no-core-depth", "past-the-cap"])
     def test_the_first_failing_member_in_input_order_is_named(self, first):
         eta = VectorState(haar_function(w("01")))
         loud = Mult(5.0 * random_function(0, 3))
         mixed = Sum((Ruelle(), Mult(random_function(0, 2))))
-        family = [loud, mixed] if first == "uncertified" else [mixed, loud]
+        deep = Compose((Koopman(),) * 23 + (Mult(random_function(0, 2)),))  # its form holds K^23 f, of depth 25
+        family = {"uncertified": [loud, mixed, deep], "no-core-depth": [mixed, deep, loud], "past-the-cap": [deep, loud, mixed]}[first]
         with pytest.raises(ValueError) as info:
             connes_lower_bound(eta, eta, family)
         if first == "uncertified":
             assert str(info.value).startswith(f"family member {loud.describe()} has commutator norm")
             assert "not certified: the value exceeds 1" in str(info.value)
+        elif first == "no-core-depth":
+            assert str(info.value).startswith(f"family member {mixed.describe()} cannot be solved: no core depth for {mixed.describe()}")
         else:
-            assert str(info.value).startswith(f"no core depth for {mixed.describe()}")
+            assert str(info.value) == f"family member {deep.describe()} cannot be solved: depth cap 24 exceeded"
 
     def test_state_requires_unit_norm(self):
         with pytest.raises(ValueError):

@@ -165,6 +165,8 @@ class TestHaarFunction:
     def test_past_the_cap(self):
         with pytest.raises(ValueError, match="depth cap 24"):
             haar_function(Word(24, 0))
+        with pytest.raises(ValueError, match="depth cap 24"):
+            refine(constant(1.0), 25)
         with pytest.raises(TypeError):
             haar_function(3)
 
@@ -421,6 +423,10 @@ class TestRandomFunction:
         with pytest.raises(ValueError):
             random_batch(0, 3, 2, "smooth")
 
+    def test_the_kernel_of_L_needs_depth_one(self):
+        with pytest.raises(ValueError, match="needs depth >= 1"):
+            random_batch(0, 0, 2, "kernel-of-L")
+
     @pytest.mark.parametrize("constraint", CONSTRAINTS)
     def test_batch_of_one_is_the_function_bit_for_bit(self, constraint):
         for seed, depth in ((0, 1), (1, 3), (7, 6), (900, 8)):
@@ -481,6 +487,12 @@ class TestValueSemantics:
         out = op(f, g)
         assert not np.shares_memory(out.values, f.values)
         assert not np.shares_memory(out.values, g.values)
+
+    def test_negation_is_fresh(self):
+        f = random_function(4, 3)
+        g = -f
+        assert g.depth == f.depth and g.values.tobytes() == (-f.values).tobytes()
+        assert not np.shares_memory(g.values, f.values)
 
     def test_refine_at_own_depth_copies(self):
         f = random_function(3, 4)

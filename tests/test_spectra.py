@@ -136,6 +136,10 @@ class TestOperatorNorm:
         with pytest.raises(ValueError):
             operator_norm(np.array([[np.inf, 0.0]]))
 
+    def test_a_vector_is_refused(self):
+        with pytest.raises(ValueError, match="expected a matrix, got ndim=1"):
+            operator_norm(np.ones(3))
+
     def test_unknown_method_rejected(self):
         with pytest.raises(ValueError):
             operator_norm(np.eye(2), method="magic")
@@ -602,11 +606,15 @@ class TestNormalForm:
         points = depth_sweep(_multiplier(), range(7, 12))
         assert len(points) == 5 and len(calls) == 2  # the two blocks, once each
 
-    def test_a_form_past_the_depth_cap_falls_through(self):
+    def test_a_form_past_the_depth_cap_raises_the_depth_cap(self):
         # M_f L^15 = L^15 M_{K^15 f}: K^15 f would be a depth-25 function.
+        # The dense solve builds it too, in the adjoint K^15 M_f.
         op = Compose((Mult(random_function(0, 10)), Compose((Ruelle(),) * 15)))
-        assert op.normal_form is None
-        assert spectra._exact(BoundOperator(op, 12)) is None
+        with pytest.raises(ValueError, match="depth cap 24"):
+            op.normal_form
+        for method in ("auto", "dense"):
+            with pytest.raises(ValueError, match="depth cap 24"):
+                operator_norm(BoundOperator(op, 12), method=method)
 
 
 class TestExactSolves:

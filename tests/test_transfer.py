@@ -2,7 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rkdirac.dyadic import (
@@ -437,23 +437,31 @@ def _specs():
     )
 
 
+# M_f L^15 = L^15 M_{K^15 f}, f of depth 10: K^15 f would be a depth-25 function.
+_PAST_THE_CAP = Compose((Mult(random_function(0, 10)),) + (Ruelle(),) * 15)
+
+
 class TestCommutator:
     @settings(max_examples=100, deadline=None)
     @given(_specs())
+    @example(_PAST_THE_CAP)
     def test_its_form_is_that_of_the_sum_of_its_compositions(self, a):
-        # the form derived from A's own is the generic Sum's, array for array
+        # the form derived from A's own is the generic Sum's, array for array;
+        # deriving the generic form raises exactly when the block's form does
         for s, block in ((Koopman(), commutator_with_K(a)), (Ruelle(), commutator_with_L(a))):
             assert block.ops[0].ops == (s, a)
-            generic = Sum(block.ops, block.weights).normal_form
-            form = block.normal_form
-            if generic is None:
-                assert form is None
+            try:
+                generic = Sum(block.ops, block.weights).normal_form
+            except ValueError:
+                with pytest.raises(ValueError, match="depth cap 24"):
+                    block.normal_form
                 continue
-            _assert_form_equal(form, generic.terms, generic.rank_one)
+            _assert_form_equal(block.normal_form, generic.terms, generic.rank_one)
 
-    def test_a_form_past_the_depth_cap_is_none(self):
-        a = Compose((Mult(random_function(0, 10)),) + (Ruelle(),) * 15)
-        assert all(block.normal_form is None for block in (commutator_with_K(a), commutator_with_L(a)))
+    def test_a_form_past_the_depth_cap_raises_the_depth_cap(self):
+        for block in (commutator_with_K(_PAST_THE_CAP), commutator_with_L(_PAST_THE_CAP)):
+            with pytest.raises(ValueError, match="depth cap 24"):
+                block.normal_form
 
 
 class TestBatchedAssemble:
@@ -528,6 +536,13 @@ class TestBoundOperatorFiniteness:
         y = a.matvec(np.ones(8))
         with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError, match="finite"):
             a.rmatvec(y)
+
+    def test_a_wrong_row_count_is_refused(self):
+        a = BoundOperator(Koopman(), 3)  # 16 x 8
+        with pytest.raises(ValueError, match="expected 8 rows, got 16"):
+            a.matvec(np.ones(16))
+        with pytest.raises(ValueError, match="expected 16 rows, got 8"):
+            a.rmatvec(np.ones((8, 2)))
 
     def test_gram_rejects_non_finite_values(self):
         f = random_function(0, 2) * 1e160

@@ -49,6 +49,10 @@ class TestPrepend:
         with pytest.raises(ValueError, match="cap"):
             prepend(0, full)
 
+    def test_a_symbol_other_than_0_or_1_is_refused(self):
+        with pytest.raises(ValueError, match="symbol must be 0 or 1"):
+            prepend(2, w("01"))
+
     @given(st.integers(0, MAX_LEN - 1), st.integers(0, 2**63), st.integers(0, 1))
     def test_shift_inverts_prepend(self, length, bits, symbol):
         word = Word(length, bits % (1 << length))
@@ -95,6 +99,9 @@ class TestIndexing:
     def test_out_of_range(self):
         with pytest.raises(ValueError):
             index_word(2, 4)
+        for i in (-1, 2):
+            with pytest.raises(IndexError, match="out of range for length 2"):
+                w("01").symbol(i)
 
     def test_children_are_contiguous(self):
         for word in all_words(3):
