@@ -92,7 +92,7 @@ def cmd_norm(args) -> int:
 
 def cmd_sweep(args) -> int:
     op = load_operator(load_operator_envelope(args.operator))
-    points = sp.depth_sweep(op, _parse_depth_range(args.depths), method=args.method)
+    points = di.depth_sweep(op, _parse_depth_range(args.depths), method=args.method)
     lines = ["depth,value,iterations,method,converged,plateau,residual"]
     for p in points:
         lines.append(f"{p.depth},{p.value:.15g},{p.iterations},{p.method},{p.converged},{p.plateau},{p.residual:.6g}")

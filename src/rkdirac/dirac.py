@@ -7,12 +7,16 @@ acting on the doubled space.  A bounded operator A is represented diagonally,
 and the commutator with the Dirac operator is again anti-diagonal with blocks
 K A - A K and L A - A L; its norm is the max of the two block norms, and the
 two block norms coincide whenever A is self-adjoint.
+
+Every block pair is solved by ``_pair_norm`` at the depth it is given:
+``commutator_norms`` solves an operator on its own at no more than its core
+depth, and ``depth_sweep`` solves it at every depth asked.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from . import spectra
 from .dyadic import MAX_DEPTH, DyadicFunction, inner, require_unit
@@ -25,8 +29,8 @@ dirac_commutator = dirac_blocks
 
 def block_norms(b: Tuple[OperatorSpec, OperatorSpec], depth: int) -> Tuple[float, float]:
     """Norms of the (upper, lower) block pair at an input depth; kept only because bench/ wraps it."""
-    _, eu, el = spectra.block_pair_norm(*b, depth)
-    return eu.value, el.value
+    r = _pair_norm(b, None, depth, depth, "auto")
+    return r.upper.value, r.lower.value
 
 
 def block_norm(b: Tuple[OperatorSpec, OperatorSpec], depth: int) -> float:
@@ -144,13 +148,17 @@ def _member_norm(a: OperatorSpec, depth: Optional[int], method: str) -> Commutat
             "cannot be certified at any depth; pass an explicit depth"
         )
     depth = core if depth is None else depth
-    at = depth if core is None else min(depth, core)
-    pair = dirac_blocks(a)
+    return _pair_norm(dirac_blocks(a), core, depth, depth if core is None else min(depth, core), method)
+
+
+def _pair_norm(pair: Tuple[OperatorSpec, OperatorSpec], core: Optional[int], depth: int, at: int, method: str) -> CommutatorNorm:
+    """The norm of the (upper, lower) block pair requested at depth, both
+    blocks solved at the input depth at, the upper one first."""
     if at != depth:
         for block in pair:
             BoundOperator(block, depth)  # the requested depth must be representable
-    value, eu, el = spectra.block_pair_norm(*pair, at, method=method)
-    return CommutatorNorm(value, eu, el, depth, core, at)
+    upper, lower = (spectra.operator_norm(BoundOperator(block, at), method=method) for block in pair)
+    return CommutatorNorm(max(upper.value, lower.value), upper, lower, depth, core, at)
 
 
 def _family_norms(family: List[OperatorSpec]) -> Optional[List[CommutatorNorm]]:
@@ -176,6 +184,42 @@ def _family_norms(family: List[OperatorSpec]) -> Optional[List[CommutatorNorm]]:
     (upper, mu), (lower, ml) = solves
     est = spectra.NormEstimate
     return [CommutatorNorm(max(u, l), est(u, 0, True, mu, 0.0), est(l, 0, True, ml, 0.0), cores[k], cores[k], at) for u, l, k in zip(upper, lower, keys)]
+
+
+@dataclass(frozen=True)
+class SweepPoint:
+    """One depth of a sweep; method and residual are those of the block estimate
+    that set the value (residual 0.0 for a dense value)."""
+
+    depth: int
+    value: float
+    iterations: int
+    method: str
+    converged: bool
+    plateau: bool
+    residual: float
+
+
+def depth_sweep(op: OperatorSpec, depths: Iterable[int], method: str = "auto") -> List[SweepPoint]:
+    """Dirac-commutator norm of op across input depths, with plateau flags.
+
+    Every depth is solved as asked, not at the core depth: the sweep is the
+    numerical check that the norm stops changing.  A row is flagged as a
+    plateau when the previous row's depth is at least the core depth
+    (``OperatorSpec.dirac_core``), so that both values are provably the
+    core value; the first row never is, and neither is any row of an
+    operator with no core depth.
+    """
+    pair = dirac_blocks(op)
+    core = op.dirac_core
+    points: List[SweepPoint] = []
+    for d in sorted(set(int(d) for d in depths)):
+        r = _pair_norm(pair, core, d, d, method)
+        est = r.upper if r.upper.value >= r.lower.value else r.lower
+        plateau = bool(points) and core is not None and points[-1].depth >= core
+        iterations, converged = r.upper.iterations + r.lower.iterations, r.upper.converged and r.lower.converged
+        points.append(SweepPoint(depth=d, value=r.value, iterations=iterations, method=est.method, converged=converged, plateau=plateau, residual=est.residual))
+    return points
 
 
 LIPSCHITZ_THRESHOLD = 1.0  # the radius of the Lipschitz ball ||[D, pi(A)]|| <= 1

@@ -1,4 +1,5 @@
-"""Operator-norm (largest singular value) estimation.
+"""Operator-norm (largest singular value) estimation of one operator; the
+Dirac commutator's block pairs and depth sweeps are solved in ``dirac``.
 
 ``operator_norm`` is the one entry point.  It takes a dense matrix (an
 ndarray or an ``AssembledMap``) or a ``BoundOperator``: an operator spec
@@ -26,7 +27,9 @@ Which path runs:
   the n x n Gram.  For a bound operator the Gram is built by applying the
   Gram operator to identity column chunks of transfer.CHUNK_BYTES (cache
   sized), so the rectangular block is never held next to it.  Memory: one
-  n x n Gram (512 KB at n = 256, 128 MB at n = 4096).
+  n x n Gram (512 KB at n = 256, 128 MB at n = 4096); a Gram past
+  DENSE_BYTES (2 GiB, n = 2**14) is refused with a ValueError before it
+  is allocated, under method="dense" and as the fallback alike.
 * lanczos, otherwise: block Lanczos on G.  For a bound operator it runs
   matrix-free; its memory is the Krylov basis, O(n * m) for m Gram-operator
   vectors applied.  The basis is one column-major array resized in place
@@ -54,26 +57,23 @@ tol * max(1, theta) would be absolute in theta and let a block of norm
 1e-9 stop at its first Rayleigh quotient, 28% low.  Under
 method="auto", a run that would pass KRYLOV_BUDGET vectors without
 converging falls back to the dense solve.
-
-``depth_sweep`` solves a Dirac commutator's block pair at every depth it is
-given.  Its plateau flag is a proof from the core depth, not a comparison of
-values: both rows are at or past the core depth.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, List, Optional, Tuple, Union
+from typing import Callable, Optional, Tuple, Union
 
 import math
 
 import numpy as np
 
 from .dyadic import require_finite
-from .transfer import AssembledMap, BoundOperator, OperatorSpec, apply_to_identity, dirac_blocks
+from .transfer import AssembledMap, BoundOperator, apply_to_identity
 from .transfer import assemble  # noqa: F401  -- re-exported as spectra.assemble
 
 DENSE_CUTOFF = 256
+DENSE_BYTES = 2 << 30  # the largest n x n Gram a dense solve may allocate
 NORM_TOL = 1e-12  # the Lanczos stopping test's relative tolerance (see above)
 KRYLOV_BUDGET = 160  # Gram-operator vectors one Lanczos run may apply
 _GROW = 8  # spare columns the Lanczos basis gains each time it is full
@@ -144,6 +144,8 @@ def _exact(m: BoundOperator) -> Optional[NormEstimate]:
 
 def _dense_sigma_max(n: int, width: int, gram_apply) -> float:
     """sqrt of the top eigenvalue of the n x n Gram (0 for an empty one)."""
+    if 8 * n * n > DENSE_BYTES:
+        raise ValueError(f"a dense {n} x {n} Gram needs {8 * n * n} bytes, over the budget of {DENSE_BYTES} bytes")
     g = apply_to_identity(gram_apply, (n, n), width)
     return math.sqrt(max(float(np.linalg.eigvalsh(g)[-1]), 0.0)) if n else 0.0
 
@@ -241,60 +243,6 @@ def operator_norm(m: Operand, method: str = "auto") -> NormEstimate:
     return NormEstimate(_dense_sigma_max(n, width, gram_apply), vectors, True, "dense", 0.0)
 
 
-def block_pair_norm(
-    upper: OperatorSpec, lower: OperatorSpec, depth: int, method: str = "auto"
-) -> Tuple[float, NormEstimate, NormEstimate]:
-    """Norms of an anti-diagonal block pair at a given input depth.
-
-    Returns (value, upper_estimate, lower_estimate); the block-operator norm
-    is the max of the two block norms.
-    """
-    eu = operator_norm(BoundOperator(upper, depth), method=method)
-    el = operator_norm(BoundOperator(lower, depth), method=method)
-    return max(eu.value, el.value), eu, el
-
-
-@dataclass(frozen=True)
-class SweepPoint:
-    """One depth of a sweep; method and residual are those of the block estimate
-    that set the value (residual 0.0 for a dense value)."""
-
-    depth: int
-    value: float
-    iterations: int
-    method: str
-    converged: bool
-    plateau: bool
-    residual: float
-
-
-def depth_sweep(op: OperatorSpec, depths: Iterable[int], method: str = "auto") -> List[SweepPoint]:
-    """Dirac-commutator norm of op across input depths, with plateau flags.
-
-    Every depth is solved as asked, not at the core depth: the sweep is the
-    numerical check that the norm stops changing.  A row is flagged as a
-    plateau when the previous row's depth is at least the core depth
-    (``OperatorSpec.dirac_core``), so that both values are provably the
-    core value; the first row never is, and neither is any row of an
-    operator with no core depth.
-    """
-    upper, lower = dirac_blocks(op)
-    core = op.dirac_core
-    points: List[SweepPoint] = []
-    prev = None
-    for d in sorted(set(int(d) for d in depths)):
-        value, eu, el = block_pair_norm(upper, lower, d, method=method)
-        est = eu if eu.value >= el.value else el
-        points.append(
-            SweepPoint(
-                depth=d,
-                value=value,
-                iterations=eu.iterations + el.iterations,
-                method=est.method,
-                converged=eu.converged and el.converged,
-                plateau=prev is not None and core is not None and prev >= core,
-                residual=est.residual,
-            )
-        )
-        prev = d
-    return points
+# Re-exported from dirac only because bench/ wraps it here, as spectra.assemble
+# above; dirac imports this module only as a module, so the cycle is safe.
+from .dirac import depth_sweep  # noqa: E402,F401

@@ -19,7 +19,6 @@ import numpy as np
 from . import boson as bo
 from . import dirac as di
 from . import formulas as fo
-from . import spectra as sp
 from . import transfer as tr
 from .dyadic import (
     DyadicFunction,
@@ -621,7 +620,7 @@ def run_dirac_condexp(depth: None, seed: int) -> List[Check]:
     worst = 0.0
     for n, op in ops.items():
         core = norms[n].core_depth
-        points = sp.depth_sweep(op, range(core, core + 3))
+        points = di.depth_sweep(op, range(core, core + 3))
         values = [p.value for p in points]
         worst = max(worst, max(values) - min(values))
     rec.close_to("plateau", "the norm is already attained at the rule depth and stays flat", "condexp-norm", worst, 0.0, 1e-9)

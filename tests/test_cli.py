@@ -16,7 +16,7 @@ from rkdirac.io import (
     operator_to_json,
 )
 from rkdirac.dyadic import haar_function, is_close, l2_dist, random_function
-from rkdirac.spectra import block_pair_norm
+from rkdirac.dirac import block_norms
 from rkdirac.suites import SuiteReport, Check, run_suite
 from rkdirac.transfer import (
     Adjoint,
@@ -485,7 +485,7 @@ class TestNormCommand:
             assert main(["norm", "--operator", str(spec), "--depth", str(depth)]) == 0
             out = json.loads(capsys.readouterr().out)
             assert out["computed_at"] == 7
-            full, _, _ = block_pair_norm(upper, lower, depth)
+            full = max(block_norms((upper, lower), depth))
             assert abs(out["value"] - full) <= 1e-12 * full
 
 
@@ -556,15 +556,16 @@ class TestSweepCommand:
         assert peak < 1 << 20, peak
 
     def test_a_listed_depth_past_the_cap_runs_no_solve(self, tmp_path, capsys, monkeypatch):
-        import rkdirac.spectra as spectra
+        import rkdirac.dirac as dirac
 
         solved = []
+        pair_norm = dirac._pair_norm
 
-        def counting(upper, lower, d, **kwargs):
-            solved.append(d)
-            return block_pair_norm(upper, lower, d, **kwargs)
+        def counting(pair, core, depth, at, method):
+            solved.append(at)
+            return pair_norm(pair, core, depth, at, method)
 
-        monkeypatch.setattr(spectra, "block_pair_norm", counting)
+        monkeypatch.setattr(dirac, "_pair_norm", counting)
         spec = tmp_path / "op.json"
         spec.write_text(json.dumps({"kind": "identity"}))
         out_csv = tmp_path / "sweep.csv"

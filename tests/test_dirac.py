@@ -295,11 +295,10 @@ class TestLipschitzCertify:
     def test_unconverged_estimate_is_not_certified(self, monkeypatch):
         from rkdirac import spectra
 
-        def stalled(upper, lower, depth, tol=1e-12, method="auto"):
-            est = spectra.NormEstimate(0.5, 160, False, "lanczos", 1e-3)
-            return est.value, est, est
+        def stalled(m, method="auto"):
+            return spectra.NormEstimate(0.5, 160, False, "lanczos", 1e-3)
 
-        monkeypatch.setattr(spectra, "block_pair_norm", stalled)
+        monkeypatch.setattr(spectra, "operator_norm", stalled)
         cert = lipschitz_certify(CondExp(1))
         assert cert["value"] == 0.5
         assert not cert["certified"]
@@ -494,7 +493,7 @@ class TestCommutatorNorm:
         r = commutator_norm(CondExp(2))
         assert (r.depth, r.computed_at) == (3, 3)
 
-    def test_builds_the_block_pair_once_and_binds_only_to_range_check(self, monkeypatch):
+    def test_builds_the_block_pair_once_and_binds_to_range_check_and_solve(self, monkeypatch):
         from rkdirac import dirac, transfer
 
         calls = {"blocks": 0, "bound": []}
@@ -511,10 +510,11 @@ class TestCommutatorNorm:
         monkeypatch.setattr(dirac, "BoundOperator", bound)
         op = Mult(random_function(4, 3))
         r = commutator_norm(op, 3)
-        assert calls == {"blocks": 1, "bound": []}
+        assert calls == {"blocks": 1, "bound": [3, 3]}  # both blocks solved at 3
         assert r.value == block_norm(transfer.dirac_blocks(op), 3)
-        commutator_norm(op, 9)  # solved at the core depth 4; depth 9 is only range-checked
-        assert calls == {"blocks": 2, "bound": [9, 9]}
+        assert calls == {"blocks": 1, "bound": [3, 3, 3, 3]}
+        commutator_norm(op, 9)  # depth 9 is range-checked, then both blocks solved at the core depth 4
+        assert calls == {"blocks": 2, "bound": [3, 3, 3, 3, 9, 9, 4, 4]}
 
     def test_requested_depth_is_still_range_checked(self):
         with pytest.raises(ValueError, match="depth"):

@@ -4,7 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rkdirac.dirac import commutator_norm
@@ -181,11 +181,15 @@ class TestDepthSweep:
         # is flagged, whatever values the solves report.
         values = iter([1.0e-12, 1.1e-12, 1.2e-12, 1.3e-12])
 
-        def rising(upper, lower, depth, method="auto"):
-            est = spectra.NormEstimate(next(values), 0, True, "dense", 0.0)
-            return est.value, est, est
+        estimates = {}
 
-        monkeypatch.setattr(spectra, "block_pair_norm", rising)
+        def rising(m, method="auto"):
+            # one value per depth, the same for both blocks
+            if m.in_depth not in estimates:
+                estimates[m.in_depth] = spectra.NormEstimate(next(values), 0, True, "dense", 0.0)
+            return estimates[m.in_depth]
+
+        monkeypatch.setattr(spectra, "operator_norm", rising)
         points = depth_sweep(_multiplier(), range(7, 11))
         assert [p.value for p in points] == [1.0e-12, 1.1e-12, 1.2e-12, 1.3e-12]
         assert [p.plateau for p in points] == [False, True, True, True]
@@ -197,7 +201,7 @@ class TestDepthSweep:
         points = depth_sweep(op, range(7, 11))
         assert [p.method for p in points] == ["dense", "dense", "lanczos", "lanczos"]
         for p in points:
-            _, eu, el = spectra.block_pair_norm(upper, lower, p.depth)
+            eu, el = (operator_norm(BoundOperator(block, p.depth)) for block in (upper, lower))
             est = eu if eu.value >= el.value else el
             assert (p.method, p.residual) == (est.method, est.residual)
             if p.method == "dense":
@@ -316,8 +320,8 @@ class TestLanczos:
         # Forced onto Lanczos: under auto both blocks are solved exactly.
         f = DyadicFunction(6, np.random.default_rng(2).standard_normal(64))
         upper, lower = dirac_blocks(Mult(f))
-        _, eu, el = spectra.block_pair_norm(upper, lower, 11, method="lanczos")
-        _, xu, xl = spectra.block_pair_norm(upper, lower, 11)
+        eu, el = (operator_norm(BoundOperator(block, 11), method="lanczos") for block in (upper, lower))
+        xu, xl = (operator_norm(BoundOperator(block, 11)) for block in (upper, lower))
         for est, exact in ((eu, xu), (el, xl)):
             assert est.method == "lanczos" and est.converged
             assert est.fallback is False
@@ -479,6 +483,26 @@ class TestDenseReduction:
         expected = np.linalg.svd(assemble(upper, 6).matrix, compute_uv=False)[0]
         assert abs(sigma - expected) <= 1e-12 * expected
 
+    def test_a_gram_past_the_byte_budget_is_refused_before_it_is_allocated(self, monkeypatch):
+        # With the budget at one 32 x 32 Gram, the mixed-shift block's 64 x 64
+        # Gram at depth 6 is refused under method="dense" and as the fallback
+        # after Lanczos spends its budget, and no Gram column is built.
+        upper, _ = dirac_blocks(Sum((Ruelle(), Mult(random_function(1, 2)))))
+        want = operator_norm(BoundOperator(upper, 5), method="dense").value
+        monkeypatch.setattr(spectra, "DENSE_BYTES", 8 * 32 * 32)
+        monkeypatch.setattr(spectra, "KRYLOV_BUDGET", 4)
+        monkeypatch.setattr(spectra, "DENSE_CUTOFF", 8)
+        assert operator_norm(BoundOperator(upper, 5), method="dense").value == want  # at the budget
+        assert not operator_norm(BoundOperator(upper, 6), method="lanczos").converged
+
+        def refuse(*args):
+            raise AssertionError("a Gram was built")
+
+        monkeypatch.setattr(spectra, "apply_to_identity", refuse)
+        for method in ("dense", "auto"):
+            with pytest.raises(ValueError, match=r"^a dense 64 x 64 Gram needs 32768 bytes, over the budget of 8192 bytes$"):
+                operator_norm(BoundOperator(upper, 6), method=method)
+
     def test_zero_gram_is_zero(self):
         assert _dense_sigma(np.zeros((5, 5))) == 0.0
         assert operator_norm(np.zeros((7, 3))).value == 0.0
@@ -561,6 +585,37 @@ def _at_core(op):
 _PROBED = tuple(map(_at_core, dirac_blocks(Sum((Mult(random_function(3, 4)), CondExp(2)))))) + (
     _at_core(Compose((Mult(random_function(5, 2)), Koopman(), Ruelle(), Ruelle()))),
 )
+
+
+def _single_shift_sums():
+    """Sums of one to three M_g K^a L^b M_h with one shift s = a - b and
+    non-constant g, h of depth 1 to 3; the first has min(a, b) >= 1, so that
+    no sum is one multiplier term (exact-diagonal) and exact-block solves
+    each from its core depth on."""
+
+    def term(shift, least):
+        def build(c, gs, gd, hs, hd):
+            a, b = c + max(shift, 0), c + max(-shift, 0)
+            return Compose((Mult(random_function(gs, gd)),) + (Koopman(),) * a + (Ruelle(),) * b + (Mult(random_function(hs, hd)),))
+
+        seeds, depths = st.integers(0, 10**6), st.integers(1, 3)
+        return st.builds(build, st.integers(least, 2), seeds, depths, seeds, depths)
+
+    def terms(shift):
+        return st.tuples(term(shift, 1), st.lists(term(shift, 0), max_size=2)).map(lambda t: Sum((t[0],) + tuple(t[1])))
+
+    return st.integers(-2, 2).flatmap(terms)
+
+
+def _assert_block_value_matches_dense(op, bound, auto):
+    dense = operator_norm(bound, method="dense")
+    # Relative, but for a norm that cancels to the rounding of its terms,
+    # where neither solve has relative accuracy: there, within 1e-14 of
+    # the largest term coefficient sup|g| sup|h|, or of 1, the scale of
+    # the specs' weights and values, when the coefficients are smaller
+    # (they can be rounding residues themselves, such as 2.8e-17).
+    scale = max(np.abs(g).max() * np.abs(h).max() for g, _, _, h in op.normal_form.terms)
+    assert abs(auto.value - dense.value) <= max(1e-12 * dense.value, 1e-14 * max(1.0, scale)), op.describe()
 
 
 class TestNormalForm:
@@ -714,21 +769,23 @@ class TestExactSolves:
     def test_block_values_match_dense_to_1e_12_relative(self, op, depth):
         bound = BoundOperator(op, depth)
         auto = operator_norm(bound)
-        assume(auto.method == "exact-block")
-        dense = operator_norm(bound, method="dense")
-        # Relative, but for a norm that cancels to the rounding of its terms,
-        # where neither solve has relative accuracy: there, within 1e-14 of
-        # the largest term coefficient sup|g| sup|h|, or of 1, the scale of
-        # the specs' weights and values, when the coefficients are smaller
-        # (they can be rounding residues themselves, such as 2.8e-17).
-        scale = max(np.abs(g).max() * np.abs(h).max() for g, _, _, h in op.normal_form.terms)
-        assert abs(auto.value - dense.value) <= max(1e-12 * dense.value, 1e-14 * max(1.0, scale)), op.describe()
+        if auto.method == "exact-block":
+            _assert_block_value_matches_dense(op, bound, auto)
+
+    @settings(max_examples=100, deadline=None)
+    @given(_single_shift_sums(), st.integers(0, 2))
+    def test_probed_single_shift_sums_match_dense_to_1e_12_relative(self, op, past):
+        depth = op.normal_form.core_depth() + past
+        bound = BoundOperator(op, depth)
+        auto = operator_norm(bound)
+        assert auto.method == "exact-block", (op.describe(), depth)
+        _assert_block_value_matches_dense(op, bound, auto)
 
     @pytest.mark.parametrize("case", range(len(_PROBED)))
     def test_the_block_examples_reach_the_probe(self, case):
-        # The property above filters for exact-block; these examples of it
-        # have non-constant coefficients at their core depth, so they run
-        # the probe, not the closed form, on every run.
+        # The first property above checks only its exact-block draws; these
+        # examples of it have non-constant coefficients at their core depth,
+        # so they run the probe, not the closed form, on every run.
         op, depth = _PROBED[case]
         form = op.normal_form
         assert depth == form.core_depth() and any(g.shape[0] > 1 or h.shape[0] > 1 for g, _, _, h in form.terms)
@@ -817,3 +874,24 @@ class TestExactSolves:
         # ||M_f K L^16|| = ||f||, the mean of x onto the constants times f
         assert est.method == "dense" and abs(est.value - math.sqrt(np.mean(f.values**2))) <= 1e-12
         assert peak < 4 << 20
+
+
+class TestSweepSharesTheNormSolve:
+    @settings(max_examples=100, deadline=None)
+    @given(_families(), st.integers(0, 7))
+    def test_a_sweep_row_is_the_norm_solved_at_its_depth(self, op, depth):
+        # At or below the core depth, or with no core depth, both solve the
+        # blocks at the depth asked: the same row, bit for bit.  Past it the
+        # norm is solved at the core depth, and the values agree bit for bit
+        # where both depths solve both blocks exactly.
+        r = commutator_norm(op, depth)
+        (p,) = depth_sweep(op, [depth])
+        if r.core_depth is None or depth <= r.core_depth:
+            assert r.computed_at == depth
+            est = r.upper if r.upper.value >= r.lower.value else r.lower
+            want = (r.value, est.method, r.upper.iterations + r.lower.iterations, est.residual, r.upper.converged and r.lower.converged)
+            assert (p.value, p.method, p.iterations, p.residual, p.converged) == want, op.describe()
+        else:
+            swept = [operator_norm(BoundOperator(block, depth)) for block in dirac_blocks(op)]
+            if all(e.method.startswith("exact") for e in swept + [r.upper, r.lower]):
+                assert p.value == r.value, op.describe()
