@@ -10,7 +10,9 @@ two block norms coincide whenever A is self-adjoint.
 
 Every block pair is solved by ``_pair_norm`` at the depth it is given:
 ``commutator_norms`` solves an operator on its own at no more than its core
-depth, and ``depth_sweep`` solves it at every depth asked.
+depth.  ``depth_sweep`` keeps one row per depth asked: an exact solve from
+the core depth on is made once and read by every deeper row, and dense and
+Lanczos rows are solved at each depth.
 """
 
 from __future__ import annotations
@@ -203,18 +205,32 @@ class SweepPoint:
 def depth_sweep(op: OperatorSpec, depths: Iterable[int], method: str = "auto") -> List[SweepPoint]:
     """Dirac-commutator norm of op across input depths, with plateau flags.
 
-    Every depth is solved as asked, not at the core depth: the sweep is the
-    numerical check that the norm stops changing.  A row is flagged as a
-    plateau when the previous row's depth is at least the core depth
-    (``OperatorSpec.dirac_core``), so that both values are provably the
-    core value; the first row never is, and neither is any row of an
+    Each depth keeps its own row: the sweep is the numerical check that the
+    norm stops changing.  Rows below the core depth
+    (``OperatorSpec.dirac_core``), rows of an operator with no core depth
+    and dense or Lanczos rows are solved at their own depth.  The first row
+    from the core depth on whose blocks are both solved exactly is read by
+    every deeper row: ``NormalForm.exact_norm`` runs the same numpy calls on
+    the same arrays at every depth from a form's core depth on.  Both blocks
+    are range-checked once, at the deepest depth asked, before any solve; a
+    spec's ``out_depth`` is nondecreasing, so every shallower depth is
+    representable too.  A row is flagged as a plateau when the previous
+    row's depth is at least the core depth, so that both values are provably
+    the core value; the first row never is, and neither is any row of an
     operator with no core depth.
     """
     pair = dirac_blocks(op)
     core = op.dirac_core
+    depths = sorted(set(int(d) for d in depths))
+    if depths:
+        for block in pair:
+            BoundOperator(block, depths[-1])  # out_depth is nondecreasing: every depth asked is representable
     points: List[SweepPoint] = []
-    for d in sorted(set(int(d) for d in depths)):
-        r = _pair_norm(pair, core, d, d, method)
+    fixed: Optional[CommutatorNorm] = None  # the first exact solve from the core depth on
+    for d in depths:
+        r = fixed if fixed is not None else _pair_norm(pair, core, d, d, method)
+        if fixed is None and core is not None and d >= core and all(e.method.startswith("exact") for e in (r.upper, r.lower)):
+            fixed = r
         est = r.upper if r.upper.value >= r.lower.value else r.lower
         plateau = bool(points) and core is not None and points[-1].depth >= core
         iterations, converged = r.upper.iterations + r.lower.iterations, r.upper.converged and r.lower.converged

@@ -27,9 +27,11 @@ Which path runs:
   the n x n Gram.  For a bound operator the Gram is built by applying the
   Gram operator to identity column chunks of transfer.CHUNK_BYTES (cache
   sized), so the rectangular block is never held next to it.  Memory: one
-  n x n Gram (512 KB at n = 256, 128 MB at n = 4096); a Gram past
-  DENSE_BYTES (2 GiB, n = 2**14) is refused with a ValueError before it
-  is allocated, under method="dense" and as the fallback alike.
+  n x n Gram (512 KB at n = 256, 128 MB at n = 4096) and ``eigvalsh``'s
+  copy of it, twice the Gram's bytes in all; a solve whose two copies pass
+  DENSE_BYTES (2 GiB, so n = 2**13 is the largest) is refused with a
+  ValueError before the Gram is allocated, under method="dense" and as the
+  fallback alike.
 * lanczos, otherwise: block Lanczos on G.  For a bound operator it runs
   matrix-free; its memory is the Krylov basis, O(n * m) for m Gram-operator
   vectors applied.  The basis is one column-major array resized in place
@@ -73,7 +75,7 @@ from .transfer import AssembledMap, BoundOperator, apply_to_identity
 from .transfer import assemble  # noqa: F401  -- re-exported as spectra.assemble
 
 DENSE_CUTOFF = 256
-DENSE_BYTES = 2 << 30  # the largest n x n Gram a dense solve may allocate
+DENSE_BYTES = 2 << 30  # the most a dense solve may allocate: its n x n Gram and eigvalsh's copy
 NORM_TOL = 1e-12  # the Lanczos stopping test's relative tolerance (see above)
 KRYLOV_BUDGET = 160  # Gram-operator vectors one Lanczos run may apply
 _GROW = 8  # spare columns the Lanczos basis gains each time it is full
@@ -144,8 +146,8 @@ def _exact(m: BoundOperator) -> Optional[NormEstimate]:
 
 def _dense_sigma_max(n: int, width: int, gram_apply) -> float:
     """sqrt of the top eigenvalue of the n x n Gram (0 for an empty one)."""
-    if 8 * n * n > DENSE_BYTES:
-        raise ValueError(f"a dense {n} x {n} Gram needs {8 * n * n} bytes, over the budget of {DENSE_BYTES} bytes")
+    if 16 * n * n > DENSE_BYTES:  # eigvalsh works on a copy of the Gram
+        raise ValueError(f"a dense {n} x {n} Gram needs {8 * n * n} bytes, {16 * n * n} with eigvalsh's copy, over the budget of {DENSE_BYTES} bytes")
     g = apply_to_identity(gram_apply, (n, n), width)
     return math.sqrt(max(float(np.linalg.eigvalsh(g)[-1]), 0.0)) if n else 0.0
 

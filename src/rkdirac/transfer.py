@@ -41,10 +41,12 @@ sized) each; the norm engine never calls it, but builds its dense Grams from
 
 Normal form.  ``OperatorSpec.normal_form`` rewrites a spec, once per spec
 object, as sum_i M_{g_i} K^{a_i} L^{b_i} M_{h_i} + sum_j |u_j><v_j| (see
-:class:`NormalForm`), using the relations of the Ruelle-Koopman pair.  The
-norm engine reads exact norms off it (``NormalForm.exact_norm``): a
-multiplier block's Gram is itself a multiplier, a projection block has rank
-two, and a block whose terms share one shift is block diagonal.
+:class:`NormalForm`), using the relations of the Ruelle-Koopman pair, or
+refuses it with the depth cap's ValueError, whose message is cached in its
+place (``_derived_once``).  The norm engine reads exact norms off it
+(``NormalForm.exact_norm``): a multiplier block's Gram is itself a
+multiplier, a projection block has rank two, and a block whose terms share
+one shift is block diagonal.
 The forms of a spec's Dirac blocks, K A - A K and L A - A L, are derived from
 its own (``commutator_form``) once and cached on it as arrays only, freed with
 it (``OperatorSpec.dirac_forms``); the :class:`Commutator` specs that
@@ -166,6 +168,32 @@ def projection_apply(psi: DyadicFunction, phi: DyadicFunction) -> DyadicFunction
 # Operator specifications: an immutable, lazily applied operator algebra.
 
 
+class _derived_once:
+    """``cached_property`` for a derivation that may be refused with a
+    ValueError.  A value is cached as ``cached_property`` caches it; a refusal
+    is cached as its message only, and every later read raises a fresh
+    ValueError with that text without deriving again.  No refusal keeps a
+    traceback or frame: one that did held a derivation's arrays (1 GB)."""
+
+    def __init__(self, derive: Callable):
+        self.derive, self.__doc__ = derive, derive.__doc__
+
+    def __set_name__(self, owner, name: str):
+        self.name, self.refusal = name, f"_{name}_refusal"
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        cache = obj.__dict__
+        if self.refusal not in cache:
+            try:
+                value = cache[self.name] = self.derive(obj)
+                return value
+            except ValueError as exc:
+                cache[self.refusal] = str(exc)
+        raise ValueError(cache[self.refusal])  # outside the except block: no context, so no frame
+
+
 class OperatorSpec:
     """A linear operator between depth spaces, applied lazily.
 
@@ -188,18 +216,19 @@ class OperatorSpec:
     def adjoint(self) -> "OperatorSpec":
         raise NotImplementedError
 
-    @cached_property
+    @_derived_once
     def normal_form(self) -> "NormalForm":
-        """The operator's NormalForm; a ValueError when a function of it would pass MAX_DEPTH."""
+        """The operator's NormalForm; a ValueError, cached as its message, when a function of it would pass MAX_DEPTH."""
         return self._normal_form()
 
     def _normal_form(self) -> "NormalForm":
         raise NotImplementedError
 
-    @cached_property
+    @_derived_once
     def dirac_forms(self) -> Tuple["NormalForm", "NormalForm"]:
         """The forms of K A - A K and L A - A L (``commutator_form``), shared by
-        every Dirac-norm entry point: arrays only; a ValueError past MAX_DEPTH."""
+        every Dirac-norm entry point: arrays only; a ValueError past MAX_DEPTH,
+        cached as its message."""
         return tuple(commutator_form(s().normal_form, self.normal_form) for s in (Koopman, Ruelle))
 
     @property
@@ -668,6 +697,13 @@ class NormalForm:
         none.  The value's
         square, the top Gram eigenvalue, must be finite, as every Gram
         product of the dense and Lanczos paths must.
+
+        From the form's ``core_depth`` on, the solve does not depend on d: it
+        runs the same numpy calls on the same arrays at every such d, so its
+        value is the same to the bit (``dirac.depth_sweep`` reads it once).
+        There exact-diagonal's ``_mean_onto`` is the identity, exact-rank-r's
+        W is fixed (d >= max depth(v)), the closed form's min(top, d') is top,
+        and a probed form is solved at its reach.
         """
         if not self.terms:
             sides = _columns([u for u, _ in self.rank_one]), _columns([_mean_onto(v, d) for _, v in self.rank_one])

@@ -569,7 +569,8 @@ class TestSweepCommand:
         spec = tmp_path / "op.json"
         spec.write_text(json.dumps({"kind": "identity"}))
         out_csv = tmp_path / "sweep.csv"
-        assert main(["sweep", "--operator", str(spec), "--depths", "5,6", "--csv", str(out_csv)]) == 0
+        # dense rows are solved at each depth (under auto, depth 6 reads depth 5's exact solve)
+        assert main(["sweep", "--operator", str(spec), "--depths", "5,6", "--method", "dense", "--csv", str(out_csv)]) == 0
         assert solved == [5, 6]  # the counter sees the sweep's solves
         out_csv.unlink()
         solved.clear()

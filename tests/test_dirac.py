@@ -819,6 +819,21 @@ def test_core_depth_norm_and_sweep_share_one_block_pair(monkeypatch):
     assert derived == [op.normal_form] * 2  # one form per block, derived once from the spec's own and cached on it
 
 
+def test_a_refusal_past_the_depth_cap_is_derived_once(monkeypatch):
+    from rkdirac import transfer
+
+    derived = []
+    derive = transfer.Compose._normal_form
+    monkeypatch.setattr(transfer.Compose, "_normal_form", lambda self: derived.append(self) or derive(self))
+    # M_f L^15 = L^15 M_{K^15 f}, f of depth 10: K^15 f would be a depth-25 function
+    op = Compose((Mult(random_function(0, 10)),) + (Ruelle(),) * 15)
+    for solve in [lambda: commutator_norm(op, 5)] * 3 + [lambda: depth_sweep(op, [5])]:
+        with pytest.raises(ValueError, match="^depth cap 24 exceeded$") as info:
+            solve()
+        assert info.value.__context__ is None  # raised afresh from the cached message: no derivation's frame
+    assert derived == [op]
+
+
 class TestConnesLowerBound:
     def test_identical_states(self):
         eta = VectorState(haar_function(w("01")))

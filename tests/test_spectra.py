@@ -484,12 +484,13 @@ class TestDenseReduction:
         assert abs(sigma - expected) <= 1e-12 * expected
 
     def test_a_gram_past_the_byte_budget_is_refused_before_it_is_allocated(self, monkeypatch):
-        # With the budget at one 32 x 32 Gram, the mixed-shift block's 64 x 64
-        # Gram at depth 6 is refused under method="dense" and as the fallback
-        # after Lanczos spends its budget, and no Gram column is built.
+        # With the budget at one 32 x 32 Gram and eigvalsh's copy of it, the
+        # mixed-shift block's 64 x 64 Gram at depth 6 is refused under
+        # method="dense" and as the fallback after Lanczos spends its budget,
+        # and no Gram column is built.
         upper, _ = dirac_blocks(Sum((Ruelle(), Mult(random_function(1, 2)))))
         want = operator_norm(BoundOperator(upper, 5), method="dense").value
-        monkeypatch.setattr(spectra, "DENSE_BYTES", 8 * 32 * 32)
+        monkeypatch.setattr(spectra, "DENSE_BYTES", 16 * 32 * 32)
         monkeypatch.setattr(spectra, "KRYLOV_BUDGET", 4)
         monkeypatch.setattr(spectra, "DENSE_CUTOFF", 8)
         assert operator_norm(BoundOperator(upper, 5), method="dense").value == want  # at the budget
@@ -500,7 +501,7 @@ class TestDenseReduction:
 
         monkeypatch.setattr(spectra, "apply_to_identity", refuse)
         for method in ("dense", "auto"):
-            with pytest.raises(ValueError, match=r"^a dense 64 x 64 Gram needs 32768 bytes, over the budget of 8192 bytes$"):
+            with pytest.raises(ValueError, match=r"^a dense 64 x 64 Gram needs 32768 bytes, 65536 with eigvalsh's copy, over the budget of 16384 bytes$"):
                 operator_norm(BoundOperator(upper, 6), method=method)
 
     def test_zero_gram_is_zero(self):
@@ -895,3 +896,31 @@ class TestSweepSharesTheNormSolve:
             swept = [operator_norm(BoundOperator(block, depth)) for block in dirac_blocks(op)]
             if all(e.method.startswith("exact") for e in swept + [r.upper, r.lower]):
                 assert p.value == r.value, op.describe()
+
+    @settings(max_examples=60, deadline=None)
+    @given(_families(), st.integers(0, 5))
+    def test_every_row_of_a_sweep_is_the_pair_solved_at_its_depth(self, op, lo):
+        # Past the core depth a row reads the first exact solve there instead
+        # of solving again, and is still the solve at its own depth, bit for bit.
+        from rkdirac import dirac
+
+        pair, core = dirac_blocks(op), op.dirac_core
+        points = depth_sweep(op, range(lo, lo + 4))
+        assert [p.depth for p in points] == list(range(lo, lo + 4))
+        for p in points:
+            r = dirac._pair_norm(pair, core, p.depth, p.depth, "auto")
+            est = r.upper if r.upper.value >= r.lower.value else r.lower
+            want = (r.value, est.method, r.upper.iterations + r.lower.iterations, est.residual, r.upper.converged and r.lower.converged)
+            assert (p.value, p.method, p.iterations, p.residual, p.converged) == want, (op.describe(), p.depth)
+
+    @pytest.mark.parametrize("method, solves", [("auto", 2), ("dense", 10)])
+    def test_an_exact_solve_past_the_core_depth_is_made_once(self, monkeypatch, method, solves):
+        # a depth-6 multiplier has core depth 7: under auto its first row's two
+        # exact solves serve all five rows; dense solves both blocks at each depth
+        calls = []
+        solve = spectra.operator_norm
+        monkeypatch.setattr(spectra, "operator_norm", lambda m, method="auto": calls.append(m.in_depth) or solve(m, method))
+        op = Mult(random_function(0, 6))
+        points = depth_sweep(op, range(7, 12), method)
+        assert len(calls) == solves and calls == sorted(calls)
+        assert [p.depth for p in points] == list(range(7, 12))

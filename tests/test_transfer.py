@@ -441,6 +441,17 @@ def _specs():
 _PAST_THE_CAP = Compose((Mult(random_function(0, 10)),) + (Ruelle(),) * 15)
 
 
+class TestOutDepth:
+    @settings(max_examples=200, deadline=None)
+    @given(_specs())
+    @example(_PAST_THE_CAP)
+    def test_out_depth_is_nondecreasing_in_the_input_depth(self, a):
+        # so that dirac.depth_sweep range-checks a sweep once, at its deepest depth
+        for op in (a, commutator_with_K(a), commutator_with_L(a)):
+            depths = [op.out_depth(d) for d in range(9)]
+            assert depths == sorted(depths), op.describe()
+
+
 class TestCommutator:
     @settings(max_examples=100, deadline=None)
     @given(_specs())
